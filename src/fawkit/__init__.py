@@ -72,7 +72,6 @@ from .scenarios import (
     validate_single,
 )
 from .simulator import (
-    RoundCase,
     SimConfig,
     SimOutcome,
     estimate_error,

@@ -22,7 +22,7 @@ from . import game as game_mod
 from . import multi_pool
 from . import simulator
 from . import single_pool
-from .errors import FawError, UnknownFixture
+from .errors import ConstraintViolated, FawError, UnknownFixture
 from .scenarios import (
     GameScenario,
     MultiPoolScenario,
@@ -71,7 +71,11 @@ def _tau_arg(text: str):
 
 
 def _default_seed() -> int:
-    return int(os.environ.get(DEFAULT_SEED_ENV, "42"))
+    raw = os.environ.get(DEFAULT_SEED_ENV, "42")
+    try:
+        return int(raw)
+    except ValueError:
+        raise ConstraintViolated(f"{DEFAULT_SEED_ENV}={raw!r} is not an integer") from None
 
 
 def _flatten(doc, prefix=""):
@@ -257,8 +261,8 @@ def cmd_game_sweep(args) -> int:
 
 
 def _run_sim(args, scenario) -> int:
-    cfg = simulator.SimConfig(rounds=args.rounds, seed=args.seed,
-                              scenario=scenario, workers=args.workers)
+    cfg = simulator.SimConfig(rounds=args.rounds, scenario=scenario, workers=args.workers,
+                              seed=_default_seed() if args.seed is None else args.seed)
     out = simulator.simulate(cfg)
     if args.format == "csv":
         header, values = out.csv_row()
@@ -597,7 +601,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="simulate at the solved equilibrium point")
             p.set_defaults(func=cmd_sim_game)
         p.add_argument("--rounds", type=int, required=True)
-        p.add_argument("--seed", type=int, default=_default_seed(),
+        p.add_argument("--seed", type=int, default=None,
                        help=f"default 42, overridable via ${DEFAULT_SEED_ENV}")
         p.add_argument("--workers", type=int, default=os.cpu_count() or 1,
                        help="worker threads; results do not depend on this")

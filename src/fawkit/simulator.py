@@ -1,14 +1,27 @@
-"""Round-level Monte Carlo engine for all three attack scenarios.
+"""Round-level Monte Carlo engine: one race → fork → payout path for every scenario.
 
-Race model: within a round, successive block finders are drawn
-categorically in proportion to raw hash power. Infiltration finds are
-withheld (the first per target pool is kept, later duplicates discarded)
-and do not end the round; any non-infiltration find does. If the ending
-find is external while withheld blocks exist, the round ends in a fork,
-resolved by one categorical draw: each of the k attacker branches wins
-with probability c/k (or the scenario's per-branch probabilities in the
-two-pool game), the external branch otherwise. Exactly one unit of reward
-is distributed per round.
+Race: within a round, block finders are drawn one after another in
+proportion to raw hash power. A find by an infiltration category is
+withheld (the first per category is kept, later duplicates discarded) and
+does not end the round; a find by any other category, an *ender*, does.
+If the ender is external while blocks are withheld, the round ends in a
+fork, resolved by one uniform draw. Exactly one unit of reward is paid out
+per round.
+
+Each scenario kind only supplies a model (``_Model``) with four parts:
+
+- **powers**: category powers, ordered as infiltration categories, then
+  enders, with external last (the model keeps their cumulative sums);
+- **host map**: for each infiltration category, the ender whose pool a
+  winning withheld block credits, with external appended for a lost fork;
+- **branch table**: for each withheld-set bitmask, the cumulative win
+  probability of each infiltration branch in category order; a draw at or
+  above the last entry is won by the external branch;
+- **payout**: the reward each actor takes from a round won by each ender
+  (the two-pool game adds a gross-pot matrix for its pools).
+
+Single pool is the one-pool case of the n-pool model, so the two draw
+identically at the same seed.
 
 The attacker's cut of a pool win is credited as the deterministic share
 expectation ta/(b+ta) rather than sampling share submissions; submission
@@ -32,7 +45,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InsufficientSamples
+from .errors import ConstraintViolated, InsufficientSamples
 from .scenarios import (
     GameScenario,
     MultiPoolScenario,
@@ -54,31 +67,10 @@ CASE_TAGS = (
     "E_external_win_no_withheld",
 )
 
-_FORK_TAGS = ("C_fork_from_withheld", "D_multi_branch_fork")
-
-
-@dataclass(frozen=True)
-class RoundCase:
-    """How one round ended: the per-round vocabulary behind ``case_counts``.
-
-    The engine aggregates counts instead of materializing one of these per
-    round; the type pins the classification rules down for consumers. Fork
-    cases carry the total branch count (withheld blocks plus the external
-    one); the other cases have none.
-    """
-
-    tag: str
-    fork_branches: int = 0
-    winner: str = ""
-
-    def __post_init__(self):
-        if self.tag not in CASE_TAGS:
-            raise ValueError(f"unknown case tag {self.tag!r}")
-        if self.tag in _FORK_TAGS:
-            if self.fork_branches < 2:
-                raise ValueError(f"{self.tag} needs at least 2 fork branches")
-        elif self.fork_branches != 0:
-            raise ValueError(f"{self.tag} cannot carry fork branches")
+# Withheld sets are uint8 bitmasks, one bit per infiltration category:
+# enough for MAX_POOLS = 8 pools.
+_BITS = (1 << np.arange(8)).astype(np.uint8)
+_POPCOUNT = np.array([bin(m).count("1") for m in range(256)], dtype=np.uint8)
 
 
 @dataclass(frozen=True)
@@ -93,13 +85,13 @@ class SimConfig:
 
     def __post_init__(self):
         if self.rounds < 1:
-            raise ValueError("rounds must be >= 1")
+            raise ConstraintViolated(f"rounds={self.rounds!r} must be >= 1")
         if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+            raise ConstraintViolated(f"workers={self.workers!r} must be >= 1")
         if not 0 <= int(self.seed) < 2 ** 64:
-            raise ValueError("seed must fit in an unsigned 64-bit integer")
+            raise ConstraintViolated(f"seed={self.seed!r} must fit in an unsigned 64-bit integer")
         if self.block_rounds < 1:
-            raise ValueError("block_rounds must be >= 1")
+            raise ConstraintViolated(f"block_rounds={self.block_rounds!r} must be >= 1")
 
 
 @dataclass
@@ -111,6 +103,11 @@ class SimOutcome:
     For game runs the pool actors are net takes (they sum with external to
     one per round); the mutually-recursive pot payoffs appear under
     ``gross_reward_sums``.
+
+    ``extras`` has one shape for every kind, keyed by actor name:
+    ``{"wins": {actor: rounds}, "fork_wins": {actor: rounds}}``. A round is
+    won by the actor whose own miners or pool mined the winning block, so
+    ``wins`` sums to ``rounds_run``; ``fork_wins`` counts those won in a fork.
     """
 
     kind: str
@@ -168,21 +165,111 @@ class SimOutcome:
         return header, values
 
 
-def _stderr(total: float, total_sq: float, n: int) -> float:
-    mean = total / n
-    var = max(total_sq / n - mean * mean, 0.0) * n / (n - 1)
-    return float(np.sqrt(var / n))
+def _std_errors(sums: dict, sumsq: dict, n: int) -> dict:
+    """Standard error of each actor's per-round mean; 0 for a single round."""
+    out = {}
+    for actor, total in sums.items():
+        mean = total / n
+        var = max(sumsq[actor] / n - mean * mean, 0.0) * n / (n - 1) if n > 1 else 0.0
+        out[actor] = float(np.sqrt(var / n))
+    return out
 
 
 def estimate_error(outcome: SimOutcome) -> dict:
     """Per-actor standard error of the mean, treating rounds as i.i.d."""
     if outcome.rounds_run < 2:
         raise InsufficientSamples("need at least 2 rounds for a standard error")
-    n = outcome.rounds_run
-    return {
-        actor: _stderr(outcome.reward_sums[actor], outcome.reward_sumsq[actor], n)
-        for actor in outcome.reward_sums
-    }
+    return _std_errors(outcome.reward_sums, outcome.reward_sumsq, outcome.rounds_run)
+
+
+@dataclass(frozen=True)
+class _Model:
+    """Everything that differs between scenario kinds; see the module docstring.
+
+    Enders are named after the actor that takes a round they win alone, so
+    ``actors`` doubles as the ender list (external last) and ``payout`` is
+    square: ``payout[e, a]`` is actor a's reward from a round ender e won.
+    """
+
+    kind: str
+    actors: tuple[str, ...]
+    tags: tuple[str, ...]   # case tag of a round each ender won without a fork
+    cum: np.ndarray         # inclusive cumulative category powers, cum[-1] == 1
+    host: np.ndarray        # ender credited per infiltration branch, then external
+    table: np.ndarray       # (2**n_infil, n_infil) cumulative branch win probabilities
+    payout: np.ndarray
+    gross: np.ndarray | None = None  # (enders, pools) gross pots, game only
+
+
+def _power_cum(powers) -> np.ndarray:
+    # clipping a rounding-negative power keeps cum non-decreasing
+    cum = np.cumsum(np.maximum(np.asarray(powers, dtype=float), 0.0))
+    cum[-1] = 1.0  # guard against cumulative rounding at the top boundary
+    return cum
+
+
+def _pool_model(kind, alpha, betas, taus, c, pools) -> _Model:
+    """One attacker infiltrating len(betas) pools; a k-branch fork gives each branch c/k.
+
+    Categories: [infiltration of each pool, innocent, each pool, external].
+    """
+    n = len(betas)
+    ta = np.array([t * alpha for t in taus])
+    betas = np.asarray(betas, dtype=float)
+    ext_power = 1.0 - alpha - float(betas.sum())
+    cum = _power_cum(list(ta) + [(1.0 - float(sum(taus))) * alpha] + list(betas) + [ext_power])
+    shares = np.divide(ta, betas + ta, out=np.zeros(n), where=betas + ta > 0.0)
+    payout = np.diag(np.r_[1.0, 1.0 - shares, 1.0])  # each ender's own actor
+    payout[1:-1, 0] = shares                          # the attacker's cut of pool wins
+    # held[mask, i]: how many of branches 0..i the withheld set holds
+    held = np.cumsum((np.arange(1 << n)[:, None] >> np.arange(n)) & 1, axis=1)
+    return _Model(
+        kind=kind,
+        actors=("attacker", *pools, "external"),
+        tags=("A_innocent_win",) + ("B_pool_honest_win",) * n + ("E_external_win_no_withheld",),
+        cum=cum,
+        host=np.arange(1, n + 2),
+        table=c * (held / np.maximum(held[:, -1:], 1)),
+        payout=payout,
+    )
+
+
+def _game_model(s: GameScenario) -> _Model:
+    """Two pools infiltrating each other.
+
+    Categories: [pool 1's miners in pool 2, pool 2's miners in pool 1,
+    pool 1, pool 2, external]. A pool hosting the round's win pays its
+    infiltrator a share of its pot, which includes the share flowing back
+    the other way; the pool actors record net takes so one reward unit is
+    distributed per round.
+    """
+    k1 = s.f1 / (s.alpha2 + s.f1)
+    k2 = s.f2 / (s.alpha1 + s.f2)
+    det = 1.0 - k1 * k2
+    # row: hosting pool (or external), column: pool's pot
+    pots = np.array([[1.0, k2], [k1, 1.0], [0.0, 0.0]]) / det
+    payout = np.column_stack((pots * [1.0 - k2, 1.0 - k1], [0.0, 0.0, 1.0]))
+    return _Model(
+        kind="game",
+        actors=("pool1", "pool2", "external"),
+        tags=("A_innocent_win", "A_innocent_win", "E_external_win_no_withheld"),
+        cum=_power_cum([s.f1, s.f2, s.alpha1 - s.f1, s.alpha2 - s.f2,
+                        1.0 - s.alpha1 - s.alpha2]),
+        host=np.array([1, 0, 2]),
+        table=np.array([[0.0, 0.0], [s.c1, s.c1], [0.0, s.c2], [s.c1p, s.c1p + s.c2p]]),
+        payout=payout,
+        gross=pots,
+    )
+
+
+def _model(s) -> _Model:
+    validate(s)
+    if isinstance(s, SinglePoolScenario):
+        return _pool_model("single", s.alpha, (s.beta,), (s.tau,), s.c, ("pool",))
+    if isinstance(s, MultiPoolScenario):
+        pools = tuple(f"pool_{i + 1}" for i in range(len(s.betas)))
+        return _pool_model("multi", s.alpha, s.betas, s.taus, s.c, pools)
+    return _game_model(s)
 
 
 def _block_rng(seed: int, block_index: int) -> np.random.Generator:
@@ -190,13 +277,9 @@ def _block_rng(seed: int, block_index: int) -> np.random.Generator:
 
 
 def _run_blocks(cfg: SimConfig, block_fn):
-    """Run block_fn(rng, n) over all blocks, merging results in block order."""
-    sizes = []
-    remaining = cfg.rounds
-    while remaining > 0:
-        n = min(cfg.block_rounds, remaining)
-        sizes.append(n)
-        remaining -= n
+    """Run block_fn(rng, n) over all blocks, returning results in block order."""
+    sizes = [min(cfg.block_rounds, cfg.rounds - start)
+             for start in range(0, cfg.rounds, cfg.block_rounds)]
 
     def one(i):
         return block_fn(_block_rng(cfg.seed, i), sizes[i])
@@ -207,282 +290,93 @@ def _run_blocks(cfg: SimConfig, block_fn):
         return list(pool.map(one, range(len(sizes))))
 
 
+def _categories(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Category of each uniform draw: how many cumulative powers are <= it."""
+    cat = np.zeros(u.size, dtype=np.int8)
+    for edge in cum[:-1]:  # u < cum[-1] == 1 always
+        cat += u >= edge
+    return cat
+
+
 def _race(rng, n, cum, n_infil):
     """Vectorized draw-until-ending-find loop for one block of n rounds.
 
-    ``cum`` is the inclusive cumulative power over categories ordered as
-    [infiltration_0..n_infil-1, enders...], with cum[-1] forced to 1.
-    Returns (terminal category index offset past infiltration, withheld
-    boolean matrix of shape (n, n_infil)).
+    ``cum`` is the inclusive cumulative power over the categories. Returns
+    the ending category of each round as an offset past the infiltration
+    categories (int8) and each round's withheld set as a uint8 bitmask.
     """
-    withheld = np.zeros((n, n_infil), dtype=bool)
-    terminal = np.full(n, -1, dtype=np.int8)
-    active = np.arange(n)
+    terminal = _categories(cum, rng.random(n)) - n_infil
+    mask = np.zeros(n, dtype=np.uint8)
+    active = np.flatnonzero(terminal < 0)
+    found = terminal[active] + n_infil
     while active.size:
-        cat = np.searchsorted(cum, rng.random(active.size), side="right")
-        infil = cat < n_infil
-        idx_inf = active[infil]
-        withheld[idx_inf, cat[infil]] = True
-        ended = active[~infil]
-        terminal[ended] = (cat[~infil] - n_infil).astype(np.int8)
-        active = idx_inf
-    return terminal, withheld
+        mask[active] |= _BITS[found]
+        cat = _categories(cum, rng.random(active.size))
+        terminal[active] = cat - n_infil  # rounds still racing are overwritten later
+        racing = cat < n_infil
+        active, found = active[racing], cat[racing]
+    return terminal, mask
 
 
-def _power_cum(powers) -> np.ndarray:
-    cum = np.cumsum(np.asarray(powers, dtype=float))
-    cum[-1] = 1.0  # guard against cumulative rounding at the top boundary
-    return cum
+def _block(model: _Model, rng, n) -> np.ndarray:
+    """Race, then fork, n rounds; returns one count vector.
 
-
-def simulate_single(cfg: SimConfig) -> SimOutcome:
-    """Attack on one pool. Ending finds: innocent, pool-honest, external."""
-    s = cfg.scenario
-    if not isinstance(s, SinglePoolScenario):
-        raise TypeError("simulate_single needs a SinglePoolScenario")
-    validate(s)
-    _warn_small(cfg.rounds)
-    ta = s.tau * s.alpha
-    share = ta / (s.beta + ta) if s.beta + ta > 0.0 else 0.0
-    cum = _power_cum([ta, (1.0 - s.tau) * s.alpha, s.beta, 1.0 - s.alpha - s.beta])
-
-    def block(rng, n):
-        terminal, withheld = _race(rng, n, cum, 1)
-        wh = withheld[:, 0]
-        n_a = int((terminal == 0).sum())
-        n_b = int((terminal == 1).sum())
-        ext = terminal == 2
-        n_c = int((ext & wh).sum())
-        n_e = int((ext & ~wh).sum())
-        fork_wins = int((rng.random(n_c) < s.c).sum()) if n_c else 0
-        return n_a, n_b, n_c, n_e, fork_wins
-
-    parts = _run_blocks(cfg, block)
-    n_a = sum(p[0] for p in parts)
-    n_b = sum(p[1] for p in parts)
-    n_c = sum(p[2] for p in parts)
-    n_e = sum(p[3] for p in parts)
-    fork_wins = sum(p[4] for p in parts)
-
-    pool_wins = n_b + fork_wins
-    n = cfg.rounds
-    sums = {
-        "attacker": n_a + pool_wins * share,
-        "pool": pool_wins * (1.0 - share),
-        "external": float(n - n_a - pool_wins),
-    }
-    sumsq = {
-        "attacker": n_a + pool_wins * share * share,
-        "pool": pool_wins * (1.0 - share) ** 2,
-        "external": float(n - n_a - pool_wins),
-    }
-    cases = {
-        "A_innocent_win": n_a,
-        "B_pool_honest_win": n_b,
-        "C_fork_from_withheld": n_c,
-        "D_multi_branch_fork": 0,
-        "E_external_win_no_withheld": n_e,
-    }
-    return _finish(cfg, "single", cases, sums, sumsq, extras={"fork_wins": fork_wins})
-
-
-def simulate_multi(cfg: SimConfig) -> SimOutcome:
-    """Attack on n pools; a k-branch fork gives each branch c/k."""
-    s = cfg.scenario
-    if not isinstance(s, MultiPoolScenario):
-        raise TypeError("simulate_multi needs a MultiPoolScenario")
-    validate(s)
-    _warn_small(cfg.rounds)
-    n_pools = len(s.betas)
-    ta = np.array([t * s.alpha for t in s.taus])
-    betas = np.asarray(s.betas, dtype=float)
-    total_tau = float(sum(s.taus))
-    ext_power = 1.0 - s.alpha - float(betas.sum())
-    cum = _power_cum(list(ta) + [(1.0 - total_tau) * s.alpha] + list(betas) + [ext_power])
-    denom = betas + ta
-    shares = np.where(denom > 0.0, ta / np.where(denom > 0.0, denom, 1.0), 0.0)
-
-    def block(rng, n):
-        terminal, withheld = _race(rng, n, cum, n_pools)
-        n_a = int((terminal == 0).sum())
-        n_b = np.array([int((terminal == 1 + i).sum()) for i in range(n_pools)])
-        ext_rows = np.nonzero(terminal == n_pools + 1)[0]
-        k = withheld[ext_rows].sum(axis=1)
-        n_e = int((k == 0).sum())
-        n_c = int((k == 1).sum())
-        n_d = int((k >= 2).sum())
-        fork_wins = np.zeros(n_pools, dtype=np.int64)
-        fork_rows = ext_rows[k >= 1]
-        kf = k[k >= 1]
-        if fork_rows.size:
-            u = rng.random(fork_rows.size)
-            won = u < s.c if s.c > 0.0 else np.zeros(fork_rows.size, dtype=bool)
-            if won.any():
-                # u < c uniform, so u/c picks one of the k branches uniformly
-                j = np.minimum((u[won] / s.c * kf[won]).astype(np.int64), kf[won] - 1)
-                wh = withheld[fork_rows[won]]
-                rank = np.cumsum(wh, axis=1) - 1
-                winner_pool = (wh & (rank == j[:, None])).argmax(axis=1)
-                fork_wins += np.bincount(winner_pool, minlength=n_pools)
-        return n_a, n_b, n_c, n_d, n_e, fork_wins
-
-    parts = _run_blocks(cfg, block)
-    n_a = sum(p[0] for p in parts)
-    n_b = sum((p[1] for p in parts), np.zeros(n_pools, dtype=np.int64))
-    n_c = sum(p[2] for p in parts)
-    n_d = sum(p[3] for p in parts)
-    n_e = sum(p[4] for p in parts)
-    fork_wins = sum((p[5] for p in parts), np.zeros(n_pools, dtype=np.int64))
-
-    wins = n_b + fork_wins
-    n = cfg.rounds
-    sums = {"attacker": n_a + float((wins * shares).sum())}
-    sumsq = {"attacker": n_a + float((wins * shares * shares).sum())}
-    for i in range(n_pools):
-        sums[f"pool_{i + 1}"] = float(wins[i] * (1.0 - shares[i]))
-        sumsq[f"pool_{i + 1}"] = float(wins[i] * (1.0 - shares[i]) ** 2)
-    ext_total = float(n - n_a - int(wins.sum()))
-    sums["external"] = ext_total
-    sumsq["external"] = ext_total
-    cases = {
-        "A_innocent_win": n_a,
-        "B_pool_honest_win": int(n_b.sum()),
-        "C_fork_from_withheld": n_c,
-        "D_multi_branch_fork": n_d,
-        "E_external_win_no_withheld": n_e,
-    }
-    extras = {"fork_wins_per_pool": fork_wins.tolist(),
-              "honest_wins_per_pool": n_b.tolist()}
-    return _finish(cfg, "multi", cases, sums, sumsq, extras=extras)
-
-
-def simulate_game(cfg: SimConfig) -> SimOutcome:
-    """Two pools infiltrating each other.
-
-    Hosting wins are tallied per round; each round's pot then follows the
-    exact payout circuit (the infiltrator's share of the host pool's pot,
-    which includes the share flowing back the other way), and the pool
-    actors record net takes so one reward unit is distributed per round.
+    With m enders the vector holds the rounds each ender won without a fork
+    (m entries; external's are case E), the forks each ender won (m), then
+    the case C and case D counts.
     """
-    s = cfg.scenario
-    if not isinstance(s, GameScenario):
-        raise TypeError("simulate_game needs a GameScenario")
-    validate(s)
-    _warn_small(cfg.rounds)
-    ext_power = 1.0 - s.alpha1 - s.alpha2
-    cum = _power_cum([s.f1, s.f2, s.alpha1 - s.f1, s.alpha2 - s.f2, ext_power])
+    m = len(model.actors)
+    terminal, mask = _race(rng, n, model.cum, model.table.shape[1])
+    counts = np.zeros(2 * m + 2, dtype=np.int64)
+    for e in range(m):
+        counts[e] = np.count_nonzero(terminal == e)
+    held = np.flatnonzero(mask)
+    forked = mask[held[terminal[held] == m - 1]]
+    counts[m - 1] -= forked.size
+    counts[-2] = np.count_nonzero(_POPCOUNT[forked] == 1)
+    counts[-1] = forked.size - counts[-2]
+    if forked.size:
+        u = rng.random(forked.size)
+        branch = np.count_nonzero(model.table[forked] <= u[:, None], axis=1)
+        counts[m:2 * m] = np.bincount(model.host[branch], minlength=m)
+    return counts
 
-    def block(rng, n):
-        # infiltration categories: 0 = pool1's miner inside pool2, 1 = vice versa
-        terminal, withheld = _race(rng, n, cum, 2)
-        w1 = withheld[:, 0]
-        w2 = withheld[:, 1]
-        n_a1 = int((terminal == 0).sum())
-        n_a2 = int((terminal == 1).sum())
-        ext = terminal == 2
-        host1_fork = host2_fork = 0
-        only1 = np.nonzero(ext & w1 & ~w2)[0]
-        if only1.size:
-            host2_fork += int((rng.random(only1.size) < s.c1).sum())
-        only2 = np.nonzero(ext & ~w1 & w2)[0]
-        if only2.size:
-            host1_fork += int((rng.random(only2.size) < s.c2).sum())
-        both = np.nonzero(ext & w1 & w2)[0]
-        if both.size:
-            u = rng.random(both.size)
-            host2_fork += int((u < s.c1p).sum())
-            host1_fork += int(((u >= s.c1p) & (u < s.c1p + s.c2p)).sum())
-        n_c = int(only1.size + only2.size)
-        n_d = int(both.size)
-        n_e = int((ext & ~w1 & ~w2).sum())
-        return n_a1, n_a2, n_c, n_d, n_e, host1_fork, host2_fork
 
-    parts = _run_blocks(cfg, block)
-    n_a1 = sum(p[0] for p in parts)
-    n_a2 = sum(p[1] for p in parts)
-    n_c = sum(p[2] for p in parts)
-    n_d = sum(p[3] for p in parts)
-    n_e = sum(p[4] for p in parts)
-    host1 = n_a1 + sum(p[5] for p in parts)
-    host2 = n_a2 + sum(p[6] for p in parts)
+def _moments(actors, wins: np.ndarray, payout: np.ndarray) -> tuple[dict, dict]:
+    """Per-actor ``wins @ payout`` and ``wins @ payout**2``.
 
-    k1 = s.f1 / (s.alpha2 + s.f1)
-    k2 = s.f2 / (s.alpha1 + s.f2)
-    det = 1.0 - k1 * k2
-    # per-round pots and nets by hosting outcome
-    pot1_h1, pot2_h1 = 1.0 / det, k2 / det
-    pot1_h2, pot2_h2 = k1 / det, 1.0 / det
-    net1_h1, net2_h1 = pot1_h1 * (1.0 - k2), pot2_h1 * (1.0 - k1)
-    net1_h2, net2_h2 = pot1_h2 * (1.0 - k2), pot2_h2 * (1.0 - k1)
-
-    n = cfg.rounds
-    ext_wins = n - host1 - host2
-    sums = {
-        "pool1": host1 * net1_h1 + host2 * net1_h2,
-        "pool2": host1 * net2_h1 + host2 * net2_h2,
-        "external": float(ext_wins),
-    }
-    sumsq = {
-        "pool1": host1 * net1_h1 ** 2 + host2 * net1_h2 ** 2,
-        "pool2": host1 * net2_h1 ** 2 + host2 * net2_h2 ** 2,
-        "external": float(ext_wins),
-    }
-    gross_sums = {
-        "pool1": host1 * pot1_h1 + host2 * pot1_h2,
-        "pool2": host1 * pot2_h1 + host2 * pot2_h2,
-    }
-    gross_sumsq = {
-        "pool1": host1 * pot1_h1 ** 2 + host2 * pot1_h2 ** 2,
-        "pool2": host1 * pot2_h1 ** 2 + host2 * pot2_h2 ** 2,
-    }
-    cases = {
-        "A_innocent_win": n_a1 + n_a2,
-        "B_pool_honest_win": 0,
-        "C_fork_from_withheld": n_c,
-        "D_multi_branch_fork": n_d,
-        "E_external_win_no_withheld": n_e,
-    }
-    extras = {"hosting_wins": {"pool1": host1, "pool2": host2},
-              "innocent_wins": {"pool1": n_a1, "pool2": n_a2}}
-    out = _finish(cfg, "game", cases, sums, sumsq, extras=extras)
-    out.gross_reward_sums = gross_sums
-    out.gross_std_error = {
-        actor: _stderr(gross_sums[actor], gross_sumsq[actor], n) if n > 1 else 0.0
-        for actor in gross_sums
-    }
-    return out
+    Whole-unit credits are exact integer counts added after the share terms,
+    so each result is rounded as few times as possible.
+    """
+    whole = payout == 1.0
+    shares = np.where(whole, 0.0, payout)
+    exact = wins @ whole
+    sums = exact + np.sum(wins[:, None] * shares, axis=0)
+    sumsq = exact + np.sum(wins[:, None] * shares ** 2, axis=0)
+    return dict(zip(actors, sums.tolist())), dict(zip(actors, sumsq.tolist()))
 
 
 def simulate(cfg: SimConfig) -> SimOutcome:
-    """Dispatch on the scenario type."""
-    if isinstance(cfg.scenario, SinglePoolScenario):
-        return simulate_single(cfg)
-    if isinstance(cfg.scenario, MultiPoolScenario):
-        return simulate_multi(cfg)
-    if isinstance(cfg.scenario, GameScenario):
-        return simulate_game(cfg)
-    raise TypeError(f"not a scenario: {cfg.scenario!r}")
-
-
-def _warn_small(rounds: int):
-    if rounds < 100:
+    """Run the scenario's model for ``cfg.rounds`` rounds."""
+    model = _model(cfg.scenario)
+    if cfg.rounds < 100:
         warnings.warn("fewer than 100 rounds; statistics will be degenerate",
-                      UserWarning, stacklevel=3)
-
-
-def _finish(cfg, kind, cases, sums, sumsq, extras) -> SimOutcome:
-    n = cfg.rounds
-    std_error = {
-        actor: _stderr(sums[actor], sumsq[actor], n) if n > 1 else 0.0
-        for actor in sums
-    }
-    return SimOutcome(
-        kind=kind,
-        rounds_run=n,
+                      UserWarning, stacklevel=2)
+    counts = np.sum(_run_blocks(cfg, lambda rng, n: _block(model, rng, n)), axis=0)
+    ends, fork_wins = counts[:-2].reshape(2, -1)
+    wins = ends + fork_wins
+    cases = dict.fromkeys(CASE_TAGS, 0)
+    for tag, count in zip(model.tags, ends.tolist()):
+        cases[tag] += count
+    cases["C_fork_from_withheld"], cases["D_multi_branch_fork"] = counts[-2:].tolist()
+    sums, sumsq = _moments(model.actors, wins, model.payout)
+    out = SimOutcome(
+        kind=model.kind,
+        rounds_run=cfg.rounds,
         case_counts=cases,
         reward_sums=sums,
         reward_sumsq=sumsq,
-        std_error=std_error,
+        std_error=_std_errors(sums, sumsq, cfg.rounds),
         rng={
             "algorithm": RNG_ALGORITHM,
             "seed": int(cfg.seed),
@@ -495,5 +389,27 @@ def _finish(cfg, kind, cases, sums, sumsq, extras) -> SimOutcome:
             "workers": cfg.workers,
             "scenario": scenario_to_dict(cfg.scenario),
         },
-        extras=extras,
+        extras={"wins": dict(zip(model.actors, wins.tolist())),
+                "fork_wins": dict(zip(model.actors, fork_wins.tolist()))},
     )
+    if model.gross is not None:
+        gross, gross_sq = _moments(model.actors[:-1], wins, model.gross)
+        out.gross_reward_sums = gross
+        out.gross_std_error = _std_errors(gross, gross_sq, cfg.rounds)
+    return out
+
+
+def _kind_only(scenario_type, name: str):
+    """``simulate`` behind a check that the scenario is a ``scenario_type``."""
+    def entry(cfg: SimConfig) -> SimOutcome:
+        if not isinstance(cfg.scenario, scenario_type):
+            raise TypeError(f"{name} needs a {scenario_type.__name__}")
+        return simulate(cfg)
+    entry.__name__ = entry.__qualname__ = name
+    entry.__doc__ = f":func:`simulate` for a {scenario_type.__name__} only."
+    return entry
+
+
+simulate_single = _kind_only(SinglePoolScenario, "simulate_single")
+simulate_multi = _kind_only(MultiPoolScenario, "simulate_multi")
+simulate_game = _kind_only(GameScenario, "simulate_game")

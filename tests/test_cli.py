@@ -130,6 +130,22 @@ def test_seed_env_override(capsys, monkeypatch):
     assert json.loads(out)["config"]["seed"] == 12345
 
 
+@pytest.mark.parametrize("flags, seed_env, named", [
+    (("--rounds", "0"), None, "rounds"),
+    (("--rounds", "1000", "--workers", "0"), None, "workers"),
+    (("--rounds", "1000", "--seed", "-1"), None, "seed"),
+    (("--rounds", "1000"), "abc", "FAW_SEED"),
+], ids=["rounds-0", "workers-0", "seed-negative", "seed-env-not-int"])
+def test_invalid_sim_input_is_a_typed_error(capsys, monkeypatch, flags, seed_env, named):
+    if seed_env is not None:
+        monkeypatch.setenv("FAW_SEED", seed_env)
+    code, out, err = run_cli(capsys, "sim-single", "--alpha", "0.2", "--beta", "0.2",
+                             "--c", "0", "--tau", "0.1", *flags)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and named in err
+
+
 def test_bounds_commands(capsys):
     code, out, _ = run_cli(capsys, "bounds", "c-max", "--alpha", "0.2", "--beta", "0.1",
                            "--shares", "0.2,0.1,0.1", "--atomized", "0.3")

@@ -4,12 +4,12 @@ import warnings
 import numpy as np
 import pytest
 
+from fawkit import simulator
 from fawkit.errors import InsufficientSamples, RationalFloorWarning
 from fawkit.game import game_payoffs, solve_equilibrium
 from fawkit.multi_pool import optimize_allocation, preset_attack
 from fawkit.scenarios import GameScenario, MultiPoolScenario, SinglePoolScenario
 from fawkit.simulator import (
-    RoundCase,
     SimConfig,
     SimOutcome,
     estimate_error,
@@ -32,15 +32,28 @@ def test_bitwise_reproducible():
     assert a == b
 
 
-def test_worker_count_only_partitions():
-    base = SimConfig(rounds=600_000, seed=7, scenario=SINGLE, workers=1,
+def _table2_at_optimum():
+    alpha, betas = preset_attack("table2")
+    return MultiPoolScenario(alpha, betas, optimize_allocation(alpha, betas, 1.0).taus, 1.0)
+
+
+@pytest.mark.parametrize("make_scenario", [
+    lambda: SINGLE,
+    _table2_at_optimum,
+    lambda: GameScenario(0.2, 0.15, 0.1, 0.07, 0.8, 0.6, 0.4, 0.3),
+], ids=["single", "multi", "game"])
+def test_worker_count_only_partitions(make_scenario):
+    scenario = make_scenario()
+    base = SimConfig(rounds=600_000, seed=7, scenario=scenario, workers=1,
                      block_rounds=1 << 16)
-    threaded = SimConfig(rounds=600_000, seed=7, scenario=SINGLE, workers=4,
+    threaded = SimConfig(rounds=600_000, seed=7, scenario=scenario, workers=4,
                          block_rounds=1 << 16)
     a = simulate(base)
     b = simulate(threaded)
     assert a.case_counts == b.case_counts
     assert a.reward_sums == b.reward_sums
+    assert a.reward_sumsq == b.reward_sumsq
+    assert a.extras == b.extras
 
 
 def test_different_seeds_differ():
@@ -97,6 +110,9 @@ def test_multi_single_pool_agrees_with_single_engine():
     analytic = reward_single(SINGLE)
     for out in (single, multi):
         assert abs(out.reward_means["attacker"] - analytic) <= 3 * out.std_error["attacker"]
+    # same category order, so the same draws: only the pool's name differs
+    assert single.case_counts == multi.case_counts
+    assert list(single.reward_sums.values()) == list(multi.reward_sums.values())
 
 
 def test_multi_matches_analytic_and_conserves():
@@ -201,18 +217,32 @@ def test_outcome_export_shapes():
     header, values = out.csv_row()
     assert len(header) == len(values)
     assert "attacker_mean" in header
+    wins, fork_wins = doc["extras"]["wins"], doc["extras"]["fork_wins"]
+    assert list(wins) == list(fork_wins) == list(out.reward_sums)
+    assert sum(wins.values()) == out.rounds_run
+    forks = out.case_counts["C_fork_from_withheld"] + out.case_counts["D_multi_branch_fork"]
+    assert sum(fork_wins.values()) == forks
 
 
-def test_round_case_branch_invariants():
-    assert RoundCase("C_fork_from_withheld", fork_branches=2).fork_branches == 2
-    assert RoundCase("D_multi_branch_fork", fork_branches=3, winner="external").winner
-    RoundCase("A_innocent_win")
-    with pytest.raises(ValueError):
-        RoundCase("C_fork_from_withheld", fork_branches=1)
-    with pytest.raises(ValueError):
-        RoundCase("B_pool_honest_win", fork_branches=2)
-    with pytest.raises(ValueError):
-        RoundCase("F_no_such_case")
+def test_categories_match_searchsorted():
+    # zero powers repeat an edge, as at tau = 0; some draws land exactly on one
+    cum = simulator._power_cum([0.0, 0.1, 0.3, 0.0, 0.2, 0.4])
+    u = np.random.default_rng(3).random(100_000)
+    u[:5] = cum[:-1]
+    assert np.array_equal(simulator._categories(cum, u), np.searchsorted(cum, u, side="right"))
+
+
+def test_branch_table_splits_c_evenly():
+    c = 0.7
+    model = simulator._pool_model("multi", 0.2, (0.1,) * 3, (0.2,) * 3, c, ("a", "b", "c"))
+    u = np.random.default_rng(5).random(10_000)
+    for mask in range(1, 8):
+        held = [i for i in range(3) if mask >> i & 1]
+        k = len(held)
+        # reference: u < c picks one of the k withheld branches uniformly, else external
+        want = [held[min(int(x / c * k), k - 1)] if x < c else 3 for x in u]
+        got = np.count_nonzero(model.table[mask] <= u[:, None], axis=1)
+        assert got.tolist() == want
 
 
 def test_typed_entry_points_reject_wrong_scenarios():
