@@ -7,7 +7,6 @@ that independently cross-checks every closed form.
 """
 
 from .bounds import (
-    DetectionParams,
     HonestPowerDistribution,
     bonus_scheme_reward,
     bonus_threshold_feasible,
@@ -27,7 +26,6 @@ from .errors import (
     DegenerateInput,
     FawError,
     InconsistentDistribution,
-    InsufficientSamples,
     NegativeEffectiveMinersWarning,
     PowerOutOfRange,
     RationalFloorWarning,
@@ -61,7 +59,6 @@ from .multi_pool import (
 from .scenarios import (
     GameScenario,
     MultiPoolScenario,
-    RewardReport,
     SinglePoolScenario,
     load_scenario,
     rer,
@@ -74,7 +71,6 @@ from .scenarios import (
 from .simulator import (
     SimConfig,
     SimOutcome,
-    estimate_error,
     simulate,
     simulate_game,
     simulate_multi,

@@ -134,19 +134,6 @@ def expelled_block_count(alpha, beta, tau, c) -> float:
 expelled_block_count.substitution_note = GAMMA_AS_TAU_NOTE
 
 
-@dataclass(frozen=True)
-class DetectionParams:
-    """Expulsion-countermeasure inputs: identity count and stale-block rate."""
-
-    L: int
-    d: float
-    gamma_tau: float  # the substituted infiltration fraction
-
-    @classmethod
-    def for_scenario(cls, alpha, beta, tau, c, L):
-        return cls(L=L, d=expelled_block_count(alpha, beta, tau, c), gamma_tau=tau)
-
-
 def _effective(count: float, what: str) -> float:
     if count < 0.0:
         warnings.warn(

@@ -22,7 +22,7 @@ class DegenerateInput(FawError):
 
 
 class TooManyPools(FawError):
-    """Pool count exceeds the branch-order enumeration cap."""
+    """Pool count exceeds MAX_POOLS, the width of the simulator's withheld-set bitmask."""
 
 
 class SingularSystem(FawError):
@@ -31,10 +31,6 @@ class SingularSystem(FawError):
 
 class InconsistentDistribution(FawError):
     """Honest-power shares do not sum to the required total."""
-
-
-class InsufficientSamples(FawError):
-    """Too few simulated rounds for the requested statistic."""
 
 
 class UnknownFixture(FawError):

@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import SingularSystem
+from .errors import ConstraintViolated, SingularSystem
 from .optimize import grid_golden_max
 from .scenarios import GameScenario, validate_game
 
@@ -90,7 +90,7 @@ def best_response(g: GameScenario, responder: int,
     """
     validate_game(g)
     if responder not in (1, 2):
-        raise ValueError("responder must be 1 or 2")
+        raise ConstraintViolated(f"responder={responder!r} must be 1 or 2")
     return _best_response_raw(
         g.alpha1, g.alpha2, g.c1, g.c2, g.c1p, g.c2p, responder,
         g.f2 if responder == 1 else g.f1, n_grid, xtol,
@@ -155,8 +155,8 @@ def solve_equilibrium(alpha1, alpha2, c1, c2, c1p, c2p,
     any start. A run that exhausts max_iter returns converged=False with
     the trace kept for diagnosis.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not tol > 0.0:
+        raise ConstraintViolated(f"tol={tol!r} must be positive")
     validate_game(GameScenario(alpha1, alpha2, start[0], start[1], c1, c2, c1p, c2p))
     f1, f2 = float(start[0]), float(start[1])
     trace = [(f1, f2)] if keep_trace else []

@@ -1,20 +1,22 @@
 """Rewards for infiltrating several pools at once, and the split optimizer.
 
 The attacker keeps at most one withheld block per target pool, so a round
-can end in a fork of up to n+1 branches. The n-pool reward sums, for every
-target pool i and every branch count k, over all ordered ways the attacker
-could have found blocks in k distinct pools (pool i among them):
+can end in a fork of up to n+1 branches, one per pool in the withheld set S
+plus the external block. The chance of forking from S does not depend on
+the order in which S was found, so the n-pool reward sums over the 2^n
+withheld sets:
 
     R_a = (1-T)a/(1-Ta)
         + sum_i  ta_i/(b_i+ta_i) * ( b_i/(1-Ta)
-            + sum_k (1-a-B) * sum_seq  c/k * prod_t  ta_seq[t] / (1 - cum_ta) )
+            + sum_{S containing i}  c/|S| * (1-a-B) * reach(S) )
 
-with T = sum(tau), B = sum(beta), ta_i = tau_i * a, and cum_ta the running
-sum of ta over the sequence prefix including position t. Each product term
-is exactly the probability of that find order followed by an external find;
-c/k is one branch's win probability in a (k+1)-branch fork. Enumeration is
-direct (depth-first, reusing prefix products); pool counts are capped at
-MAX_POOLS because the sequence count grows factorially.
+    reach({}) = 1,  reach(S) = sum_{j in S} reach(S - j) * ta_j / (1 - ta(S))
+
+with T = sum(tau), B = sum(beta), ta_i = tau_i * a and ta(S) the sum of ta
+over S. (1-a-B) * reach(S) is the probability that the attacker withholds
+in exactly the pools of S and then an external miner finds a block; c/k is
+one branch's win probability in a (k+1)-branch fork. Pool counts are capped
+at MAX_POOLS by the simulator's uint8 withheld-set bitmask.
 """
 
 from __future__ import annotations
@@ -103,25 +105,14 @@ def _fork_pots(alpha, betas, taus, c):
     ta = [t * alpha for t in taus]
     ext = 1.0 - alpha - sum(betas)
     pots = [0.0] * n
-    seq: list[int] = []
-    used = [False] * n
-
-    def descend(prefix_prod, prefix_sum):
-        for j in range(n):
-            if used[j] or ta[j] <= 0.0:
-                continue
-            s = prefix_sum + ta[j]
-            p = prefix_prod * ta[j] / (1.0 - s)
-            seq.append(j)
-            used[j] = True
-            w = (c / len(seq)) * ext * p
-            for i in seq:
-                pots[i] += w
-            descend(p, s)
-            used[j] = False
-            seq.pop()
-
-    descend(1.0, 0.0)
+    reach = [1.0] * (1 << n)  # indexed by withheld-set bitmask, see the module docstring
+    for s in range(1, 1 << n):
+        members = [j for j in range(n) if s >> j & 1]
+        found = sum(ta[j] for j in members)
+        reach[s] = sum(reach[s ^ 1 << j] * ta[j] for j in members) / (1.0 - found)
+        w = (c / len(members)) * ext * reach[s]
+        for i in members:
+            pots[i] += w
     return pots
 
 

@@ -27,7 +27,7 @@ from .errors import (
 )
 
 MAX_SINGLE_ACTOR = 0.5  # strict bound: any one miner or pool stays below half the network
-MAX_POOLS = 8           # branch-order enumeration grows factorially with pool count
+MAX_POOLS = 8           # the simulator keeps each withheld set in a uint8 bitmask
 
 
 def _check_unit(name: str, value: float) -> None:
@@ -120,7 +120,8 @@ def validate_multi(s: MultiPoolScenario) -> MultiPoolScenario:
     if n < 1:
         raise ConstraintViolated("at least one target pool is required")
     if n > MAX_POOLS:
-        raise TooManyPools(f"{n} pools exceeds the enumeration cap of {MAX_POOLS}")
+        raise TooManyPools(f"{n} pools exceeds the cap of {MAX_POOLS} set by the simulator's "
+                           "uint8 withheld-set bitmask")
     _check_actor_power("alpha", s.alpha)
     for i, b in enumerate(s.betas):
         _check_actor_power(f"betas[{i}]", b)
@@ -181,27 +182,6 @@ def rer(reward: float, honest_power: float) -> float:
     if honest_power == 0:
         raise ZeroDivisionError("honest power is zero; RER undefined")
     return (reward - honest_power) / honest_power * 100.0
-
-
-@dataclass(frozen=True)
-class RewardReport:
-    """Absolute per-round rewards plus their RER percentages."""
-
-    attacker_reward: float
-    pool_reward: float
-    attacker_rer_pct: float
-    pool_rer_pct: float
-
-    @classmethod
-    def from_rewards(cls, attacker_reward, pool_reward, attacker_power, pool_power):
-        """Build a report; ``pool_power`` should include the infiltration part
-        (beta + tau*alpha), which is what the pool would earn un-attacked."""
-        return cls(
-            attacker_reward=attacker_reward,
-            pool_reward=pool_reward,
-            attacker_rer_pct=rer(attacker_reward, attacker_power),
-            pool_rer_pct=rer(pool_reward, pool_power),
-        )
 
 
 # --- scenario files ---------------------------------------------------------

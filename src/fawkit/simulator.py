@@ -45,7 +45,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConstraintViolated, InsufficientSamples
+from .errors import ConstraintViolated
 from .scenarios import (
     GameScenario,
     MultiPoolScenario,
@@ -173,13 +173,6 @@ def _std_errors(sums: dict, sumsq: dict, n: int) -> dict:
         var = max(sumsq[actor] / n - mean * mean, 0.0) * n / (n - 1) if n > 1 else 0.0
         out[actor] = float(np.sqrt(var / n))
     return out
-
-
-def estimate_error(outcome: SimOutcome) -> dict:
-    """Per-actor standard error of the mean, treating rounds as i.i.d."""
-    if outcome.rounds_run < 2:
-        raise InsufficientSamples("need at least 2 rounds for a standard error")
-    return _std_errors(outcome.reward_sums, outcome.reward_sumsq, outcome.rounds_run)
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from fawkit.bounds import (
-    DetectionParams,
     GAMMA_AS_TAU_NOTE,
     HonestPowerDistribution,
     bonus_scheme_reward,
@@ -11,7 +10,6 @@ from fawkit.bounds import (
     c_max_single,
     c_min_rational,
     detection_resilient_reward,
-    expelled_block_count,
     gamma_upper_bound,
     honeypot_bwh_bound,
     safe_bonus_threshold,
@@ -147,13 +145,6 @@ def test_detection_specific_value_by_independent_arithmetic():
     assert got == pytest.approx(expected, abs=1e-15)
     # expulsions must cost something relative to the unguarded attack
     assert got < reward_single(SinglePoolScenario(alpha, beta, tau, c))
-
-
-def test_detection_params_carries_substitution():
-    p = DetectionParams.for_scenario(0.2, 0.2, 0.4, 0.5, L=10)
-    assert p.L == 10
-    assert p.gamma_tau == 0.4
-    assert p.d == pytest.approx(expelled_block_count(0.2, 0.2, 0.4, 0.5))
     assert detection_resilient_reward.substitution_note == GAMMA_AS_TAU_NOTE
 
 

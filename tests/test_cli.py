@@ -146,6 +146,20 @@ def test_invalid_sim_input_is_a_typed_error(capsys, monkeypatch, flags, seed_env
     assert err.startswith("error: ") and named in err
 
 
+@pytest.mark.parametrize("command, alpha2, tol", [
+    ("game-solve", "0.1", "0"),
+    ("game-sweep", "0.1:0.2:0.1", "0"),
+    ("game-solve", "0.1", "nan"),
+], ids=["solve-0", "sweep-0", "solve-nan"])
+def test_bad_tol_is_a_typed_error(capsys, command, alpha2, tol):
+    code, out, err = run_cli(capsys, command, "--alpha1", "0.2", "--alpha2", alpha2,
+                             "--c", "1", "--tol", tol)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "tol" in err
+    assert "Traceback" not in err
+
+
 def test_bounds_commands(capsys):
     code, out, _ = run_cli(capsys, "bounds", "c-max", "--alpha", "0.2", "--beta", "0.1",
                            "--shares", "0.2,0.1,0.1", "--atomized", "0.3")

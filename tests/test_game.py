@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fawkit.errors import RationalFloorWarning
+from fawkit.errors import ConstraintViolated, RationalFloorWarning
 from fawkit.game import (
     WINNER_BOTH_LOSE,
     WINNER_POOL1,
@@ -106,6 +106,12 @@ def test_attacking_a_compliant_pool_profits():
 def test_best_response_bounded_by_alpha():
     g = GameScenario(0.2, 1e-6, 0.0, 0.0, 0.5, 0.5, 0.25, 0.25)
     assert 0.0 <= best_response(g, responder=2) <= 1e-6
+
+
+def test_best_response_rejects_unknown_responder():
+    g = GameScenario(0.2, 0.1, 0.0, 0.0, 0.5, 0.5, 0.25, 0.25)
+    with pytest.raises(ConstraintViolated, match="responder"):
+        best_response(g, responder=3)
 
 
 def test_equilibrium_symmetric_game():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fawkit.errors import ConstraintViolated, DegenerateInput, TooManyPools
 from fawkit.multi_pool import (
@@ -21,6 +23,69 @@ def _random_single_compatible(rng):
     tau = rng.uniform(0.0, 1.0)
     c = rng.uniform(0.0, 1.0)
     return alpha, beta, tau, c
+
+
+def _ordered_walk_reward(s):
+    """reward_npool summed over every ordered sequence of withheld finds.
+
+    The O(n!) depth-first reference for the recursion over withheld sets:
+    each sequence's product term is the probability of that find order
+    followed by an external find, and a k-pool sequence credits each of its
+    pools c/k of the external power times that product.
+    """
+    n = len(s.betas)
+    ta = [t * s.alpha for t in s.taus]
+    ext = 1.0 - s.alpha - sum(s.betas)
+    pots = [0.0] * n
+
+    def descend(seq, prefix_prod, prefix_sum):
+        for j in range(n):
+            if j in seq or ta[j] <= 0.0:
+                continue
+            found = prefix_sum + ta[j]
+            p = prefix_prod * ta[j] / (1.0 - found)
+            w = (s.c / (len(seq) + 1)) * ext * p
+            for i in (*seq, j):
+                pots[i] += w
+            descend((*seq, j), p, found)
+
+    descend((), 1.0, 0.0)
+    total_ta = sum(s.taus) * s.alpha
+    r = (1.0 - sum(s.taus)) * s.alpha / (1.0 - total_ta)
+    for b, t, pot in zip(s.betas, ta, pots):
+        if b + t > 0.0:
+            r += t / (b + t) * (b / (1.0 - total_ta) + pot)
+    return r
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_matches_ordered_walk(n):
+    rng = np.random.default_rng(40 + n)
+    for trial in range(12 if n < 7 else 4):
+        alpha = rng.uniform(0.05, 0.45)
+        betas = rng.uniform(0.0, 1.0, size=n)
+        betas = tuple(betas / betas.sum() * rng.uniform(0.1, 0.99 - alpha))
+        taus = rng.uniform(0.0, 1.0, size=n) * rng.uniform(0.05, 1.0) / n
+        taus[rng.random(n) < 0.25] = 0.0  # some pools left un-infiltrated
+        c = (0.0, 1.0, rng.uniform(0.0, 1.0))[trial % 3]
+        s = MultiPoolScenario(alpha, betas, tuple(taus), c)
+        assert abs(reward_npool(s) - _ordered_walk_reward(s)) <= 1e-12
+
+
+@st.composite
+def _multi_scenarios(draw, max_pools=6):
+    n = draw(st.integers(1, max_pools))
+    alpha = draw(st.floats(0.0, 0.49))
+    beta_cap = min(0.49, (1.0 - alpha) / n)
+    betas = draw(st.lists(st.floats(0.0, beta_cap), min_size=n, max_size=n))
+    taus = draw(st.lists(st.floats(0.0, 1.0 / n), min_size=n, max_size=n))
+    c = draw(st.floats(0.0, 1.0))
+    return MultiPoolScenario(alpha, tuple(betas), tuple(taus), c)
+
+
+@given(_multi_scenarios())
+def test_matches_ordered_walk_property(s):
+    assert abs(reward_npool(s) - _ordered_walk_reward(s)) <= 1e-12
 
 
 def test_collapses_to_single_pool_formula():

@@ -15,7 +15,6 @@ from fawkit.errors import (
 from fawkit.scenarios import (
     GameScenario,
     MultiPoolScenario,
-    RewardReport,
     SinglePoolScenario,
     load_scenario,
     rer,
@@ -131,12 +130,6 @@ def test_rer_values():
     assert math.isclose(rer(0.18, 0.2), -10.0)
     with pytest.raises(ZeroDivisionError):
         rer(0.1, 0.0)
-
-
-def test_reward_report():
-    rep = RewardReport.from_rewards(0.206, 0.19, attacker_power=0.2, pool_power=0.2)
-    assert math.isclose(rep.attacker_rer_pct, 3.0)
-    assert math.isclose(rep.pool_rer_pct, -5.0)
 
 
 def test_scenario_roundtrip_all_kinds():

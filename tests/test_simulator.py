@@ -5,14 +5,13 @@ import numpy as np
 import pytest
 
 from fawkit import simulator
-from fawkit.errors import InsufficientSamples, RationalFloorWarning
+from fawkit.errors import RationalFloorWarning
 from fawkit.game import game_payoffs, solve_equilibrium
 from fawkit.multi_pool import optimize_allocation, preset_attack
 from fawkit.scenarios import GameScenario, MultiPoolScenario, SinglePoolScenario
 from fawkit.simulator import (
     SimConfig,
     SimOutcome,
-    estimate_error,
     simulate,
     simulate_game,
     simulate_multi,
@@ -169,28 +168,13 @@ def test_game_conserves_reward():
     assert sum(out.case_counts.values()) == out.rounds_run
 
 
-def test_estimate_error_constant_rewards():
-    out = SimOutcome(kind="single", rounds_run=1000,
-                     case_counts={}, reward_sums={"x": 500.0},
-                     reward_sumsq={"x": 250.0}, std_error={}, rng={}, config={})
-    # every round paid exactly 0.5: sumsq = n * 0.25
-    assert estimate_error(out)["x"] == 0.0
-
-
-def test_estimate_error_bernoulli():
-    n = 10_000
-    out = SimOutcome(kind="single", rounds_run=n,
-                     case_counts={}, reward_sums={"x": n / 2},
-                     reward_sumsq={"x": n / 2}, std_error={}, rng={}, config={})
-    assert estimate_error(out)["x"] == pytest.approx(0.005, rel=1e-3)
-
-
-def test_estimate_error_needs_samples():
-    out = SimOutcome(kind="single", rounds_run=1, case_counts={},
-                     reward_sums={"x": 1.0}, reward_sumsq={"x": 1.0},
-                     std_error={}, rng={}, config={})
-    with pytest.raises(InsufficientSamples):
-        estimate_error(out)
+@pytest.mark.parametrize("n, sums, sumsq, want", [
+    (1000, 500.0, 250.0, 0.0),           # every round paid exactly 0.5: sumsq = n * 0.25
+    (10_000, 5000.0, 5000.0, 0.005),     # fair 0/1 rewards
+], ids=["constant", "bernoulli"])
+def test_std_errors(n, sums, sumsq, want):
+    got = simulator._std_errors({"x": sums}, {"x": sumsq}, n)["x"]
+    assert got == pytest.approx(want, rel=1e-3, abs=0.0)
 
 
 def test_error_scales_as_inverse_sqrt_rounds():
