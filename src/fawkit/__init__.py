@@ -30,7 +30,6 @@ from .errors import (
     PowerOutOfRange,
     RationalFloorWarning,
     ScenarioFileError,
-    SingularSystem,
     TooManyPools,
     UnknownFixture,
 )

@@ -164,8 +164,10 @@ def detection_resilient_reward(alpha, beta, tau, c, L: int) -> float:
     validate_single(SinglePoolScenario(alpha, beta, tau, c))
     ta = tau * alpha
     ext = 1.0 - alpha - beta
-    d = expelled_block_count(alpha, beta, tau, c)
     reward = (1.0 - tau) * alpha / (1.0 - ta)
+    if beta + c * ta * ext == 0.0:
+        return reward  # the pool can never win a block, so d is undefined and nothing is shared
+    d = expelled_block_count(alpha, beta, tau, c)
     eff_share = _effective(L - d, "L - d")
     if beta + ta > 0.0 and L * beta + eff_share * ta > 0.0:
         reward += beta / (1.0 - ta) * (eff_share * ta) / (L * beta + eff_share * ta)

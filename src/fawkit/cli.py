@@ -15,14 +15,15 @@ import io
 import json
 import os
 import sys
-from importlib import resources
+from dataclasses import asdict
 
 from . import bounds as bounds_mod
 from . import game as game_mod
 from . import multi_pool
 from . import simulator
 from . import single_pool
-from .errors import ConstraintViolated, FawError, UnknownFixture
+from .errors import ConstraintViolated, FawError
+from .reproduce import FIXTURE_NAMES, load_fixture, reproduce  # noqa: F401 (re-export)
 from .scenarios import (
     GameScenario,
     MultiPoolScenario,
@@ -40,23 +41,16 @@ DEFAULT_SEED_ENV = "FAW_SEED"
 # --- small helpers -----------------------------------------------------------
 
 def parse_range(text: str) -> list[float]:
-    """A float, or start:stop:step inclusive of stop when it lies on the grid."""
+    """A float, or START:STOP:STEP inclusive of STOP when it lies on the grid."""
     parts = text.split(":")
     if len(parts) == 1:
         return [float(text)]
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"expected FLOAT or START:STOP:STEP, got {text!r}")
-    start, stop, step = (float(p) for p in parts)
-    if step <= 0.0:
-        raise argparse.ArgumentTypeError("range step must be positive")
-    values = []
-    i = 0
-    while True:
-        v = start + i * step
-        if v > stop + 1e-12:
-            break
-        values.append(v)
-        i += 1
+    try:
+        values = game_mod.sweep_axis(*(float(p) for p in parts))
+    except ConstraintViolated as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     if not values:
         raise argparse.ArgumentTypeError(f"empty range {text!r}")
     return values
@@ -125,14 +119,30 @@ def _require(args, *names):
             raise FawError(f"missing required flag --{name.replace('_', '-')}")
 
 
-def _single_from_args(args, tau: float) -> SinglePoolScenario:
+# --- scenarios from flags or a --scenario file --------------------------------
+
+def _scenario_file(path, kind):
+    s = load_scenario(path)
+    if not isinstance(s, kind):
+        raise FawError(f"scenario file holds a {type(s).__name__}, need {kind.__name__}")
+    return s
+
+
+def _single_scenario(args, auto: bool) -> tuple[SinglePoolScenario, dict]:
+    """The scenario and how its tau was chosen; ``auto`` or ``--tau auto`` takes the optimum."""
     if args.scenario:
-        s = load_scenario(args.scenario)
-        if not isinstance(s, SinglePoolScenario):
-            raise FawError(f"scenario file holds a {type(s).__name__}, need SinglePoolScenario")
-        return s
+        s = _scenario_file(args.scenario, SinglePoolScenario)
+        return s, {"tau": s.tau, "tau_method": "given"}
+    auto = auto or args.tau == "auto"
+    if not auto and args.tau is None:
+        raise FawError("need --tau (or --optimal-tau / --tau auto)")
     _require(args, "alpha", "beta", "c")
-    return validate(SinglePoolScenario(args.alpha, args.beta, tau, args.c))
+    if not auto:
+        s = validate(SinglePoolScenario(args.alpha, args.beta, args.tau, args.c))
+        return s, {"tau": s.tau, "tau_method": "given"}
+    res = single_pool.optimal_tau(args.alpha, args.beta, args.c)
+    s = validate(SinglePoolScenario(args.alpha, args.beta, res.tau_bar, args.c))
+    return s, {"tau": res.tau_bar, "tau_method": res.method, "tau_discrepancy": res.discrepancy}
 
 
 def _multi_powers(args) -> tuple[float, tuple[float, ...]]:
@@ -143,23 +153,46 @@ def _multi_powers(args) -> tuple[float, tuple[float, ...]]:
     return args.alpha, args.betas
 
 
+def _multi_scenario(args, optimize: bool) -> MultiPoolScenario:
+    """Without ``--taus``, ``optimize`` takes the optimal split."""
+    if args.scenario:
+        return _scenario_file(args.scenario, MultiPoolScenario)
+    alpha, betas = _multi_powers(args)
+    taus = args.taus
+    if taus is None:
+        if not optimize:
+            raise FawError("need --taus (or use optimize-alloc)")
+        taus = multi_pool.optimize_allocation(alpha, betas, args.c).taus
+    return validate(MultiPoolScenario(alpha, betas, taus, args.c))
+
+
+def _game_cs(args):
+    if args.c is not None:
+        return args.c, args.c, args.c / 2.0, args.c / 2.0
+    missing = [n for n in ("c1", "c2", "c1p", "c2p") if getattr(args, n) is None]
+    if missing:
+        raise FawError(f"need --c (symmetric) or all of --c1/--c2/--c1p/--c2p; missing --{missing[0]}")
+    return args.c1, args.c2, args.c1p, args.c2p
+
+
+def _game_scenario(args) -> GameScenario:
+    if args.scenario:
+        return _scenario_file(args.scenario, GameScenario)
+    _require(args, "alpha1", "alpha2")
+    c1, c2, c1p, c2p = _game_cs(args)
+    f1, f2 = args.f1, args.f2
+    if args.equilibrium:
+        res = game_mod.solve_equilibrium(args.alpha1, args.alpha2, c1, c2, c1p, c2p)
+        f1, f2 = res.f1_star, res.f2_star
+    if f1 is None or f2 is None:
+        raise FawError("need --f1 and --f2 (or --equilibrium)")
+    return validate(GameScenario(args.alpha1, args.alpha2, f1, f2, c1, c2, c1p, c2p))
+
+
 # --- subcommand handlers ------------------------------------------------------
 
 def cmd_reward_single(args) -> int:
-    if args.scenario:
-        s = _single_from_args(args, 0.0)
-        tau_doc = {"tau": s.tau, "tau_method": "given"}
-    elif args.optimal_tau or args.tau == "auto":
-        _require(args, "alpha", "beta", "c")
-        res = single_pool.optimal_tau(args.alpha, args.beta, args.c)
-        s = validate(SinglePoolScenario(args.alpha, args.beta, res.tau_bar, args.c))
-        tau_doc = {"tau": res.tau_bar, "tau_method": res.method,
-                   "tau_discrepancy": res.discrepancy}
-    else:
-        if args.tau is None:
-            raise FawError("need --tau (or --optimal-tau / --tau auto)")
-        s = _single_from_args(args, args.tau)
-        tau_doc = {"tau": s.tau, "tau_method": "given"}
+    s, tau_doc = _single_scenario(args, auto=args.optimal_tau)
     attacker = single_pool.reward_single(s)
     victim = single_pool.victim_reward(s)
     emit({
@@ -189,15 +222,7 @@ def cmd_optimal_tau(args) -> int:
 
 
 def cmd_reward_multi(args) -> int:
-    if args.scenario:
-        s = load_scenario(args.scenario)
-        if not isinstance(s, MultiPoolScenario):
-            raise FawError(f"scenario file holds a {type(s).__name__}, need MultiPoolScenario")
-    else:
-        alpha, betas = _multi_powers(args)
-        if args.taus is None:
-            raise FawError("need --taus (or use optimize-alloc)")
-        s = validate(MultiPoolScenario(alpha, betas, args.taus, args.c))
+    s = _multi_scenario(args, optimize=False)
     reward = multi_pool.reward_npool(s)
     emit({
         "scenario": scenario_to_dict(s),
@@ -210,24 +235,9 @@ def cmd_reward_multi(args) -> int:
 def cmd_optimize_alloc(args) -> int:
     alpha, betas = _multi_powers(args)
     res = multi_pool.optimize_allocation(alpha, betas, args.c, budget=args.budget)
-    emit({
-        "alpha": alpha, "betas": list(betas), "c": args.c, "budget": args.budget,
-        "taus": list(res.taus),
-        "reward": res.reward,
-        "rer_pct": res.rer_pct,
-        "evaluations": res.evaluations,
-        "converged": res.converged,
-    }, args.format, args.output)
+    emit({"alpha": alpha, "betas": list(betas), "c": args.c, "budget": args.budget,
+          **asdict(res)}, args.format, args.output)
     return 0 if res.converged else 2
-
-
-def _game_cs(args):
-    if args.c is not None:
-        return args.c, args.c, args.c / 2.0, args.c / 2.0
-    missing = [n for n in ("c1", "c2", "c1p", "c2p") if getattr(args, n) is None]
-    if missing:
-        raise FawError(f"need --c (symmetric) or all of --c1/--c2/--c1p/--c2p; missing --{missing[0]}")
-    return args.c1, args.c2, args.c1p, args.c2p
 
 
 def cmd_game_solve(args) -> int:
@@ -254,13 +264,14 @@ def cmd_game_sweep(args) -> int:
     cells = sweep(args.alpha1, args.alpha2, args.c, tol=args.tol)
     if args.format == "json":
         emit({"alpha1": args.alpha1, "assumed_c": bool(args.assumed_c),
-              "cells": [vars(c) | {} for c in cells]}, "json", args.output)
+              "cells": [asdict(c) for c in cells]}, "json", args.output)
     else:
         _write(game_mod.write_sweep_csv(cells), args.output)
     return 0 if all(c.converged for c in cells) else 2
 
 
-def _run_sim(args, scenario) -> int:
+def cmd_sim(args) -> int:
+    scenario = args.build(args)
     cfg = simulator.SimConfig(rounds=args.rounds, scenario=scenario, workers=args.workers,
                               seed=_default_seed() if args.seed is None else args.seed)
     out = simulator.simulate(cfg)
@@ -271,47 +282,6 @@ def _run_sim(args, scenario) -> int:
     else:
         emit(out.to_json_dict(), args.format, args.output)
     return 0
-
-
-def cmd_sim_single(args) -> int:
-    if args.scenario:
-        scenario = load_scenario(args.scenario)
-    else:
-        _require(args, "alpha", "beta", "c")
-        tau = args.tau
-        if tau == "auto" or tau is None:
-            tau = single_pool.optimal_tau(args.alpha, args.beta, args.c).tau_bar
-        scenario = validate(SinglePoolScenario(args.alpha, args.beta, tau, args.c))
-    return _run_sim(args, scenario)
-
-
-def cmd_sim_multi(args) -> int:
-    if args.scenario:
-        scenario = load_scenario(args.scenario)
-    else:
-        alpha, betas = _multi_powers(args)
-        if args.taus is None or (isinstance(args.taus, str) and args.taus == "auto"):
-            taus = multi_pool.optimize_allocation(alpha, betas, args.c).taus
-        else:
-            taus = args.taus
-        scenario = validate(MultiPoolScenario(alpha, betas, taus, args.c))
-    return _run_sim(args, scenario)
-
-
-def cmd_sim_game(args) -> int:
-    if args.scenario:
-        scenario = load_scenario(args.scenario)
-    else:
-        _require(args, "alpha1", "alpha2")
-        c1, c2, c1p, c2p = _game_cs(args)
-        f1, f2 = args.f1, args.f2
-        if args.equilibrium:
-            res = game_mod.solve_equilibrium(args.alpha1, args.alpha2, c1, c2, c1p, c2p)
-            f1, f2 = res.f1_star, res.f2_star
-        if f1 is None or f2 is None:
-            raise FawError("need --f1 and --f2 (or --equilibrium)")
-        scenario = validate(GameScenario(args.alpha1, args.alpha2, f1, f2, c1, c2, c1p, c2p))
-    return _run_sim(args, scenario)
 
 
 def cmd_bounds(args) -> int:
@@ -370,120 +340,6 @@ def cmd_counter(args) -> int:
     return 0
 
 
-# --- reproduction fixtures ----------------------------------------------------
-
-FIXTURE_NAMES = ("table1", "case4", "changing-c", "borderline-c1", "cmax-0914", "selfish-009")
-
-
-def load_fixture(name: str) -> dict:
-    if name not in FIXTURE_NAMES:
-        raise UnknownFixture(f"no fixture {name!r}; built-ins: {', '.join(FIXTURE_NAMES)}")
-    path = resources.files("fawkit").joinpath("fixtures", f"{name}.json")
-    return json.loads(path.read_text())
-
-
-def _check(rows, name, expected, actual, ok):
-    rows.append({"check": name, "expected": expected, "actual": actual, "ok": bool(ok)})
-
-
-def _reproduce_table1(fx, rows):
-    tol = fx["tolerance_pp"]
-    for ci, c in enumerate(fx["cs"]):
-        for ai, alpha in enumerate(fx["alphas"]):
-            res = single_pool.optimal_tau(alpha, fx["beta"], c)
-            got = rer(res.reward_at_optimum, alpha)
-            want = fx["expected_rer_pct"][ci][ai]
-            _check(rows, f"rer(alpha={alpha}, c={c})", want, round(got, 4),
-                   abs(got - want) <= tol)
-
-
-def _reproduce_case4(fx, rows):
-    tol = fx["tolerances"]
-    bwh = multi_pool.optimize_allocation(fx["alpha"], fx["betas"], 0.0)
-    faw = multi_pool.optimize_allocation(fx["alpha"], fx["betas"], 1.0)
-    improvement = (faw.rer_pct - bwh.rer_pct) / bwh.rer_pct * 100.0
-    exp = fx["expected"]
-    _check(rows, "bwh_rer_pct", exp["bwh_rer_pct"], round(bwh.rer_pct, 4),
-           abs(bwh.rer_pct - exp["bwh_rer_pct"]) <= tol["rer_pp"])
-    _check(rows, "faw_rer_pct", exp["faw_rer_pct"], round(faw.rer_pct, 4),
-           abs(faw.rer_pct - exp["faw_rer_pct"]) <= tol["rer_pp"])
-    _check(rows, "improvement_pct", exp["improvement_pct"], round(improvement, 4),
-           abs(improvement - exp["improvement_pct"]) <= tol["improvement_pp"])
-
-
-def _reproduce_changing_c(fx, rows):
-    tol = fx["tolerances"]
-    planned = fx["planned_taus"]
-    bwh = multi_pool.fixed_tau_reward_mismatched_c(fx["alpha"], fx["betas"], planned, 0.0)
-    mis = multi_pool.fixed_tau_reward_mismatched_c(fx["alpha"], fx["betas"], planned,
-                                                   fx["c_actual"])
-    bwh_rer = rer(bwh, fx["alpha"])
-    mis_rer = rer(mis, fx["alpha"])
-    improvement = (mis_rer - bwh_rer) / bwh_rer * 100.0
-    exp = fx["expected"]
-    _check(rows, "rer_pct", exp["rer_pct"], round(mis_rer, 4),
-           abs(mis_rer - exp["rer_pct"]) <= tol["rer_pp"])
-    _check(rows, "improvement_pct", exp["improvement_pct"], round(improvement, 4),
-           abs(improvement - exp["improvement_pct"]) <= tol["improvement_pp"])
-
-
-def _reproduce_borderline(fx, rows):
-    ax = fx["alpha2_axis"]
-    axis = parse_range(f"{ax['start']}:{ax['stop']}:{ax['step']}")
-    cells = game_mod.sweep_regions(fx["alpha1"], axis, [fx["c"]])
-    flip = None
-    for prev, cell in zip(cells, cells[1:]):
-        if prev.winner == game_mod.WINNER_POOL1 and cell.winner != game_mod.WINNER_POOL1:
-            flip = 0.5 * (prev.alpha2 + cell.alpha2)
-            break
-    want = fx["expected_crossing_alpha2"]
-    tol = fx["tolerance_cells"] * ax["step"]
-    _check(rows, "crossing_alpha2", want, None if flip is None else round(flip, 6),
-           flip is not None and abs(flip - want) <= tol + 1e-12)
-    off_diag = [c for c in cells if abs(c.alpha2 - fx["alpha1"]) > ax["step"] + 1e-12]
-    larger_wins = all(
-        (c.winner == game_mod.WINNER_POOL1) == (fx["alpha1"] > c.alpha2)
-        for c in off_diag
-    )
-    _check(rows, "larger_pool_wins_everywhere", True, larger_wins, larger_wins)
-
-
-def _reproduce_cmax(fx, rows):
-    dist = bounds_mod.HonestPowerDistribution(fx["honest_shares"], fx["atomized_remainder"])
-    got = bounds_mod.c_max_single(fx["alpha"], fx["beta"], dist)
-    _check(rows, "c_max", fx["expected_c_max"], round(got, 6),
-           abs(got - fx["expected_c_max"]) <= fx["tolerance"])
-
-
-def _reproduce_selfish(fx, rows):
-    got = bounds_mod.selfish_mining_threshold(fx["gamma"])
-    lo, hi = fx["expected_threshold_range"]
-    _check(rows, "selfish_threshold", f"[{lo}, {hi}]", round(got, 6), lo <= got <= hi)
-    gb = fx["gamma_bound"]
-    dist = bounds_mod.HonestPowerDistribution(gb["honest_shares"], gb["atomized_remainder"])
-    got_gb = bounds_mod.gamma_upper_bound(dist, gb["alpha"])
-    _check(rows, "gamma_upper_bound", gb["expected"], got_gb,
-           abs(got_gb - gb["expected"]) <= gb["tolerance"])
-
-
-_REPRODUCERS = {
-    "table1": _reproduce_table1,
-    "case4": _reproduce_case4,
-    "changing-c": _reproduce_changing_c,
-    "borderline-c1": _reproduce_borderline,
-    "cmax-0914": _reproduce_cmax,
-    "selfish-009": _reproduce_selfish,
-}
-
-
-def reproduce(name: str) -> tuple[bool, list[dict]]:
-    """Run one built-in fixture; returns (all_passed, per-check rows)."""
-    fx = load_fixture(name)
-    rows: list[dict] = []
-    _REPRODUCERS[name](fx, rows)
-    return all(r["ok"] for r in rows), rows
-
-
 def cmd_reproduce(args) -> int:
     ok, rows = reproduce(args.fixture)
     if args.format == "json":
@@ -509,15 +365,50 @@ def _add_scenario_opt(p):
     p.add_argument("--scenario", default=None, help="JSON scenario file instead of inline flags")
 
 
+def _single_flags(p):
+    p.add_argument("--alpha", type=float)
+    p.add_argument("--beta", type=float)
+    p.add_argument("--c", type=float)
+    p.add_argument("--tau", type=_tau_arg, default=None, help="infiltration fraction, or 'auto'")
+
+
+def _multi_flags(p):
+    p.add_argument("--alpha", type=float)
+    p.add_argument("--betas", type=parse_floats)
+    p.add_argument("--taus", type=parse_floats)
+    p.add_argument("--c", type=float, default=0.0)
+    p.add_argument("--preset", choices=sorted(multi_pool.POOL_PRESETS))
+
+
+def _game_c_flags(p):
+    p.add_argument("--c", type=float, default=None, help="symmetric model: c_i=c, c_i'=c/2")
+    for name in ("c1", "c2", "c1p", "c2p"):
+        p.add_argument(f"--{name}", type=float, default=None)
+
+
+def _sim_game_flags(p):
+    p.add_argument("--alpha1", type=float)
+    p.add_argument("--alpha2", type=float)
+    p.add_argument("--f1", type=float, default=None)
+    p.add_argument("--f2", type=float, default=None)
+    _game_c_flags(p)
+    p.add_argument("--equilibrium", action="store_true",
+                   help="simulate at the solved equilibrium point")
+
+
+_SIM_KINDS = (
+    ("single", _single_flags, lambda args: _single_scenario(args, auto=args.tau is None)[0]),
+    ("multi", _multi_flags, lambda args: _multi_scenario(args, optimize=True)),
+    ("game", _sim_game_flags, _game_scenario),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="faw", description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("reward-single", help="closed-form single-pool attacker reward")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--c", type=float)
-    p.add_argument("--tau", type=_tau_arg, default=None, help="infiltration fraction, or 'auto'")
+    _single_flags(p)
     p.add_argument("--optimal-tau", action="store_true", help="use the optimal infiltration fraction")
     _add_scenario_opt(p)
     _add_common(p)
@@ -531,11 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_optimal_tau)
 
     p = sub.add_parser("reward-multi", help="closed-form n-pool attacker reward")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--betas", type=parse_floats)
-    p.add_argument("--taus", type=parse_floats)
-    p.add_argument("--c", type=float, default=0.0)
-    p.add_argument("--preset", choices=sorted(multi_pool.POOL_PRESETS))
+    _multi_flags(p)
     _add_scenario_opt(p)
     _add_common(p)
     p.set_defaults(func=cmd_reward_multi)
@@ -552,11 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("game-solve", help="two-pool game equilibrium")
     p.add_argument("--alpha1", type=float, required=True)
     p.add_argument("--alpha2", type=float, required=True)
-    p.add_argument("--c", type=float, default=None, help="symmetric model: c_i=c, c_i'=c/2")
-    p.add_argument("--c1", type=float, default=None)
-    p.add_argument("--c2", type=float, default=None)
-    p.add_argument("--c1p", type=float, default=None)
-    p.add_argument("--c2p", type=float, default=None)
+    _game_c_flags(p)
     p.add_argument("--tol", type=float, default=1e-7)
     p.add_argument("--max-iter", type=int, default=10000)
     _add_common(p)
@@ -572,34 +455,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_game_sweep, format="csv")
 
-    for kind in ("single", "multi", "game"):
+    for kind, add_flags, build in _SIM_KINDS:
         p = sub.add_parser(f"sim-{kind}", help=f"Monte Carlo {kind} run")
-        if kind == "single":
-            p.add_argument("--alpha", type=float)
-            p.add_argument("--beta", type=float)
-            p.add_argument("--c", type=float)
-            p.add_argument("--tau", type=_tau_arg, default=None, help="fraction or 'auto'")
-            p.set_defaults(func=cmd_sim_single)
-        elif kind == "multi":
-            p.add_argument("--alpha", type=float)
-            p.add_argument("--betas", type=parse_floats)
-            p.add_argument("--taus", type=parse_floats, default=None)
-            p.add_argument("--c", type=float, default=0.0)
-            p.add_argument("--preset", choices=sorted(multi_pool.POOL_PRESETS))
-            p.set_defaults(func=cmd_sim_multi)
-        else:
-            p.add_argument("--alpha1", type=float)
-            p.add_argument("--alpha2", type=float)
-            p.add_argument("--f1", type=float, default=None)
-            p.add_argument("--f2", type=float, default=None)
-            p.add_argument("--c", type=float, default=None)
-            p.add_argument("--c1", type=float, default=None)
-            p.add_argument("--c2", type=float, default=None)
-            p.add_argument("--c1p", type=float, default=None)
-            p.add_argument("--c2p", type=float, default=None)
-            p.add_argument("--equilibrium", action="store_true",
-                           help="simulate at the solved equilibrium point")
-            p.set_defaults(func=cmd_sim_game)
+        add_flags(p)
         p.add_argument("--rounds", type=int, required=True)
         p.add_argument("--seed", type=int, default=None,
                        help=f"default 42, overridable via ${DEFAULT_SEED_ENV}")
@@ -607,6 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="worker threads; results do not depend on this")
         _add_scenario_opt(p)
         _add_common(p)
+        p.set_defaults(func=cmd_sim, build=build)
 
     p = sub.add_parser("bounds", help="fork-win probability bounds and related thresholds")
     p.add_argument("what", choices=("c-max", "c-min", "c-from-gamma",
@@ -645,9 +504,6 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except FawError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ZeroDivisionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -25,10 +25,6 @@ class TooManyPools(FawError):
     """Pool count exceeds MAX_POOLS, the width of the simulator's withheld-set bitmask."""
 
 
-class SingularSystem(FawError):
-    """The mutual-payoff linear system is numerically singular."""
-
-
 class InconsistentDistribution(FawError):
     """Honest-power shares do not sum to the required total."""
 

@@ -24,12 +24,12 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .errors import ConstraintViolated, SingularSystem
+from .errors import ConstraintViolated, DegenerateInput
 from .optimize import grid_golden_max
 from .scenarios import GameScenario, validate_game
 
@@ -42,7 +42,7 @@ TIE_EPS_PP = 1e-4  # |RER| below this (in percentage points) counts as the borde
 
 SWEEP_CSV_HEADER = ("alpha2", "c", "f1", "f2", "rer1_pct", "rer2_pct", "winner", "converged")
 
-_DET_EPS = 1e-12
+MAX_AXIS_POINTS = 10**6
 
 
 def pot_payoffs_raw(a1, a2, f1, f2, c1, c2, c1p, c2p):
@@ -63,11 +63,9 @@ def game_payoffs(g: GameScenario) -> tuple[float, float]:
 
     Substituting the result back into the defining equations reproduces it
     to rounding error; with f1 = f2 = 0 it is exactly (alpha1, alpha2).
+    Validation keeps the system's determinant at 3/4 or more.
     """
     validate_game(g)
-    det = 1.0 - (g.f1 / (g.alpha2 + g.f1)) * (g.f2 / (g.alpha1 + g.f2))
-    if abs(det) < _DET_EPS:
-        raise SingularSystem(f"pot system determinant {det!r} below {_DET_EPS}")
     r1, r2 = pot_payoffs_raw(g.alpha1, g.alpha2, g.f1, g.f2, g.c1, g.c2, g.c1p, g.c2p)
     return float(r1), float(r2)
 
@@ -157,6 +155,11 @@ def solve_equilibrium(alpha1, alpha2, c1, c2, c1p, c2p,
     """
     if not tol > 0.0:
         raise ConstraintViolated(f"tol={tol!r} must be positive")
+    if max_iter < 1:
+        raise ConstraintViolated(f"max_iter={max_iter!r} must be >= 1")
+    for name, power in (("alpha1", alpha1), ("alpha2", alpha2)):
+        if power == 0.0:
+            raise DegenerateInput(f"{name}={power!r} must be positive: a powerless pool has no RER")
     validate_game(GameScenario(alpha1, alpha2, start[0], start[1], c1, c2, c1p, c2p))
     f1, f2 = float(start[0]), float(start[1])
     trace = [(f1, f2)] if keep_trace else []
@@ -234,6 +237,25 @@ def _cell_from_result(alpha2, c, res: EquilibriumResult) -> RegionCell:
     )
 
 
+def sweep_axis(start: float, stop: float, step: float) -> list[float]:
+    """The grid start + i*step, inclusive of stop when it lies on the grid (within 1e-12).
+
+    Empty when start > stop. A non-finite value, a non-positive step or more
+    than MAX_AXIS_POINTS points raise ConstraintViolated.
+    """
+    if not all(math.isfinite(v) for v in (start, stop, step)):
+        raise ConstraintViolated(f"range {start!r}:{stop!r}:{step!r} is not finite")
+    if step <= 0.0:
+        raise ConstraintViolated("range step must be positive")
+    if (stop - start) / step >= MAX_AXIS_POINTS:
+        raise ConstraintViolated(
+            f"range {start!r}:{stop!r}:{step!r} has more than {MAX_AXIS_POINTS} points")
+    values: list[float] = []
+    while (v := start + len(values) * step) <= stop + 1e-12:
+        values.append(v)
+    return values
+
+
 def sweep_regions(alpha1, alpha2_axis, c_axis,
                   tol: float = 1e-7, max_iter: int = 10000) -> list[RegionCell]:
     """Equilibrium winner map under the symmetric model c_i = c, c_i' = c/2.
@@ -284,12 +306,8 @@ def sweep_regions_assumed_c(alpha1, alpha2_axis, c_axis,
     return cells
 
 
-def write_sweep_csv(cells, dest=None) -> str:
-    """Serialize sweep cells as CSV; returns the text, optionally writing it.
-
-    ``dest`` may be a path or an open text file. Row order is whatever the
-    sweep produced (row-major, c outer).
-    """
+def write_sweep_csv(cells) -> str:
+    """Serialize sweep cells as CSV text, in the order the sweep produced them."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(SWEEP_CSV_HEADER)
@@ -300,10 +318,4 @@ def write_sweep_csv(cells, dest=None) -> str:
             f"{cell.rer1_pct:.12g}", f"{cell.rer2_pct:.12g}",
             cell.winner, str(cell.converged).lower(),
         ])
-    text = buf.getvalue()
-    if dest is not None:
-        if hasattr(dest, "write"):
-            dest.write(text)
-        else:
-            Path(dest).write_text(text)
-    return text
+    return buf.getvalue()

@@ -20,6 +20,7 @@ from pathlib import Path
 from .errors import (
     BudgetExceeded,
     ConstraintViolated,
+    DegenerateInput,
     PowerOutOfRange,
     RationalFloorWarning,
     ScenarioFileError,
@@ -139,6 +140,7 @@ def validate_multi(s: MultiPoolScenario) -> MultiPoolScenario:
 def validate_game(s: GameScenario) -> GameScenario:
     """Return ``s`` unchanged iff all invariants hold. Idempotent.
 
+    Each pool must hold some power, its own or the opponent's infiltrator.
     Branch-win probabilities below the rational-manager floor
     ``alpha1 + alpha2`` are legal (full [0, 1] sweeps stay reproducible)
     but raise a :class:`RationalFloorWarning`.
@@ -150,6 +152,9 @@ def validate_game(s: GameScenario) -> GameScenario:
     for name, f, cap in (("f1", s.f1, s.alpha1), ("f2", s.f2, s.alpha2)):
         if not 0.0 <= f <= cap:
             raise ConstraintViolated(f"{name}={f!r} outside [0, alpha]={cap!r}")
+    for pool, power, f_in in ((1, s.alpha1, s.f2), (2, s.alpha2, s.f1)):
+        if power + f_in == 0.0:  # the infiltrator's share of an empty pool is 0/0
+            raise DegenerateInput(f"pool {pool} is empty: alpha{pool} + f{3 - pool} = 0.0")
     for name, c in (("c1", s.c1), ("c2", s.c2), ("c1p", s.c1p), ("c2p", s.c2p)):
         _check_unit(name, c)
     if s.c1p + s.c2p > 1.0 + 1e-15:
@@ -180,7 +185,7 @@ def rer(reward: float, honest_power: float) -> float:
     fraction. Negative values mean a loss versus honest mining.
     """
     if honest_power == 0:
-        raise ZeroDivisionError("honest power is zero; RER undefined")
+        raise DegenerateInput("honest power is zero; RER undefined")
     return (reward - honest_power) / honest_power * 100.0
 
 

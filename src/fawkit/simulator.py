@@ -41,7 +41,6 @@ import json
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -146,11 +145,8 @@ class SimOutcome:
             doc["gross_std_error"] = self.gross_std_error
         return doc
 
-    def to_json(self, dest=None, indent=2) -> str:
-        text = json.dumps(self.to_json_dict(), indent=indent, sort_keys=False)
-        if dest is not None:
-            Path(dest).write_text(text + "\n")
-        return text
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_dict(), indent=2)
 
     def csv_row(self):
         """Flat summary row for sweep aggregation: (header, values)."""

@@ -125,6 +125,15 @@ def test_detection_reward_bwh_limit():
     assert abs(guarded - reward_bwh(0.2, 0.2, 0.4)) <= 1e-6
 
 
+@pytest.mark.parametrize("tau, c", [(0.4, 0.0), (0.0, 0.7)])
+def test_detection_reward_when_the_pool_never_wins(tau, c):
+    # beta = 0 and c*tau*alpha = 0: no block ever pays the pool, so only
+    # innocent mining is left, exactly as under plain withholding
+    for L in (1, 3, 10):
+        got = detection_resilient_reward(0.2, 0.0, tau, c, L)
+        assert got == pytest.approx(reward_bwh(0.2, 0.0, tau), abs=1e-15)
+
+
 def test_detection_floors_negative_identity_counts():
     with pytest.warns(NegativeEffectiveMinersWarning):
         detection_resilient_reward(0.3, 0.01, 0.9, 0.0, L=1)

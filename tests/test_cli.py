@@ -1,9 +1,17 @@
+import argparse
 import json
+import shlex
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from fawkit.cli import load_fixture, main, parse_range, reproduce
+from fawkit.cli import build_parser, main, parse_range
 from fawkit.errors import UnknownFixture
+from fawkit.reproduce import load_fixture, reproduce
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -20,6 +28,39 @@ def test_parse_range_inclusive_stop():
     assert parse_range("0.25") == [0.25]
     # stop off the grid is excluded
     assert parse_range("0:1:0.3")[-1] == pytest.approx(0.9)
+
+
+@given(st.floats(-10.0, 10.0), st.floats(0.0, 10.0), st.floats(1e-3, 1.0))
+def test_parse_range_inclusive_stop_property(start, span, step):
+    stop = start + span
+    values = parse_range(f"{start!r}:{stop!r}:{step!r}")
+    assert values[0] == start
+    assert values[-1] <= stop + 1e-12
+    assert start + len(values) * step > stop + 1e-12
+
+
+@pytest.mark.parametrize("text, named", [
+    ("0:inf:0.1", "inf"),
+    ("0:1:nan", "nan"),
+    ("-inf:0:0.1", "-inf"),
+    ("0:1:1e-09", "1000000 points"),
+])
+def test_parse_range_rejects_unbounded_ranges(capsys, text, named):
+    with pytest.raises(argparse.ArgumentTypeError, match=named):
+        parse_range(text)
+    with pytest.raises(SystemExit) as exc:
+        main(["game-sweep", "--alpha1", "0.2", f"--alpha2={text}", "--c", "1"])
+    assert exc.value.code == 2
+    assert named in capsys.readouterr().err
+
+
+def test_readme_cli_lines_parse():
+    block = README.read_text().split("\n## CLI\n", 1)[1].split("```")[1]
+    lines = [line.split("#")[0] for line in block.splitlines() if line.startswith("faw ")]
+    assert len(lines) >= 15
+    for line in lines:
+        argv = shlex.split(line)[1:]
+        assert build_parser().parse_args(argv).command == argv[0]
 
 
 def test_reward_single_optimal(capsys):
@@ -146,18 +187,73 @@ def test_invalid_sim_input_is_a_typed_error(capsys, monkeypatch, flags, seed_env
     assert err.startswith("error: ") and named in err
 
 
-@pytest.mark.parametrize("command, alpha2, tol", [
-    ("game-solve", "0.1", "0"),
-    ("game-sweep", "0.1:0.2:0.1", "0"),
-    ("game-solve", "0.1", "nan"),
-], ids=["solve-0", "sweep-0", "solve-nan"])
-def test_bad_tol_is_a_typed_error(capsys, command, alpha2, tol):
+@pytest.mark.parametrize("command, alpha2, flag, value", [
+    ("game-solve", "0.1", "--tol", "0"),
+    ("game-sweep", "0.1:0.2:0.1", "--tol", "0"),
+    ("game-solve", "0.1", "--tol", "nan"),
+    ("game-solve", "0.1", "--max-iter", "0"),
+], ids=["solve-0", "sweep-0", "solve-nan", "solve-max-iter-0"])
+def test_bad_tol_is_a_typed_error(capsys, command, alpha2, flag, value):
     code, out, err = run_cli(capsys, command, "--alpha1", "0.2", "--alpha2", alpha2,
-                             "--c", "1", "--tol", tol)
+                             "--c", "1", flag, value)
     assert code == 1
     assert out == ""
-    assert err.startswith("error: ") and "tol" in err
+    assert err.startswith("error: ") and flag[2:].replace("-", "_") in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, named", [
+    (("game-solve", "--alpha1", "0", "--alpha2", "0.1", "--c", "1"), "alpha1"),
+    (("game-solve", "--alpha1", "0.2", "--alpha2", "0", "--c", "1"), "alpha2"),
+    (("game-sweep", "--alpha1", "0.2", "--alpha2", "0:0.2:0.1", "--c", "1"), "alpha2"),
+    (("sim-game", "--alpha1", "0.2", "--alpha2", "0", "--f1", "0", "--f2", "0", "--c", "1",
+      "--rounds", "100"), "alpha2 + f1"),
+    (("counter", "detection", "--alpha", "0", "--beta", "0.2", "--tau", "0.4", "--c", "0.5"),
+     "honest power is zero"),
+], ids=["solve-alpha1-0", "solve-alpha2-0", "sweep-alpha2-0", "sim-game-empty-pool",
+        "detection-alpha-0"])
+def test_degenerate_input_is_a_typed_error(capsys, argv, named):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and named in err
+    assert "Traceback" not in err
+
+
+def test_detection_when_the_pool_never_wins(capsys):
+    # beta = 0 and c = 0: the infiltrated pool never wins a block
+    code, out, _ = run_cli(capsys, "counter", "detection", "--alpha", "0.2", "--beta", "0",
+                           "--tau", "0.4", "--c", "0", "-L", "3")
+    assert code == 0
+    assert json.loads(out)["reward_lower_bound"] == pytest.approx(0.6 * 0.2 / (1 - 0.08))
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("reward-single", ()),
+    ("reward-multi", ()),
+    ("sim-single", ("--rounds", "100")),
+    ("sim-multi", ("--rounds", "100")),
+    ("sim-game", ("--rounds", "100")),
+])
+def test_scenario_file_of_another_kind_is_rejected(capsys, tmp_path, command, flags):
+    files = {
+        "SinglePoolScenario": {"alpha": 0.2, "beta": 0.2, "tau": 0.4, "c": 1.0},
+        "MultiPoolScenario": {"alpha": 0.2, "betas": [0.2, 0.1], "taus": [0.1, 0.05], "c": 1.0},
+        "GameScenario": {"alpha1": 0.2, "alpha2": 0.1, "f1": 0.05, "f2": 0.02,
+                         "c1": 0.5, "c2": 0.5, "c1p": 0.25, "c2p": 0.25},
+    }
+    needed = {"single": "SinglePoolScenario", "multi": "MultiPoolScenario",
+              "game": "GameScenario"}[command.split("-")[1]]
+    for kind, doc in files.items():
+        path = tmp_path / f"{kind}.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, command, "--scenario", str(path), *flags)
+        if kind == needed:
+            assert code == 0
+            continue
+        assert code == 1
+        assert out == ""
+        assert err == f"error: scenario file holds a {kind}, need {needed}\n"
 
 
 def test_bounds_commands(capsys):

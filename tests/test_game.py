@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from fawkit.errors import ConstraintViolated, RationalFloorWarning
 from fawkit.game import (
@@ -22,7 +24,7 @@ from fawkit.game import (
     sweep_regions_assumed_c,
     write_sweep_csv,
 )
-from fawkit.scenarios import GameScenario, SinglePoolScenario
+from fawkit.scenarios import GameScenario, SinglePoolScenario, validate_game
 from fawkit.single_pool import reward_single, victim_reward
 
 warnings.simplefilter("ignore", RationalFloorWarning)
@@ -72,6 +74,33 @@ def test_payoff_system_exactness():
         rhs1, rhs2 = _payoff_rhs(g, r1, r2)
         assert abs(r1 - rhs1) <= 1e-10
         assert abs(r2 - rhs2) <= 1e-10
+
+
+@st.composite
+def _game_scenarios(draw):
+    a1 = draw(st.floats(0.0, 0.49))
+    a2 = draw(st.floats(0.0, 0.49))
+    f1 = draw(st.floats(0.0, a1))
+    f2 = draw(st.floats(0.0, a2))
+    assume(a2 + f1 > 0.0 and a1 + f2 > 0.0)  # validate_game rejects an empty pool
+    c1 = draw(st.floats(0.0, 1.0))
+    c2 = draw(st.floats(0.0, 1.0))
+    c1p = draw(st.floats(0.0, 1.0))
+    c2p = draw(st.floats(0.0, 1.0 - c1p))
+    return validate_game(GameScenario(a1, a2, f1, f2, c1, c2, c1p, c2p))
+
+
+@given(_game_scenarios())
+def test_pot_system_determinant_at_least_three_quarters(g):
+    """det = 1 - k1*k2 >= 3/4 on every valid scenario, so the pot solve is never singular.
+
+    k1 = f1/(a2 + f1) grows with f1 and f1 <= a1, so k1 <= a1/(a1 + a2);
+    likewise k2 <= a2/(a1 + a2). Hence k1*k2 <= a1*a2/(a1 + a2)^2 <= 1/4,
+    because (a1 + a2)^2 - 4*a1*a2 = (a1 - a2)^2 >= 0.
+    """
+    k1 = g.f1 / (g.alpha2 + g.f1)
+    k2 = g.f2 / (g.alpha1 + g.f2)
+    assert 1.0 - k1 * k2 >= 0.75 - 1e-15
 
 
 def test_swapping_pools_swaps_payoffs():

@@ -7,6 +7,7 @@ import pytest
 from fawkit.errors import (
     BudgetExceeded,
     ConstraintViolated,
+    DegenerateInput,
     PowerOutOfRange,
     RationalFloorWarning,
     ScenarioFileError,
@@ -71,6 +72,11 @@ def test_game_constraints():
         validate_game(GameScenario(0.2, 0.1, 0.3, 0.0, 0.5, 0.5, 0.2, 0.2))  # f1 > alpha1
     with pytest.raises(ConstraintViolated):
         validate_game(GameScenario(0.2, 0.1, 0.0, 0.0, 0.5, 0.5, 0.7, 0.7))  # c1p+c2p > 1
+    with pytest.raises(DegenerateInput, match="pool 1 is empty"):
+        validate_game(GameScenario(0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 0.5, 0.5))
+    with pytest.raises(DegenerateInput, match="pool 2 is empty"):
+        validate_game(GameScenario(0.2, 0.0, 0.0, 0.0, 1.0, 1.0, 0.5, 0.5))
+    validate_game(GameScenario(0.2, 0.0, 0.1, 0.0, 1.0, 1.0, 0.5, 0.5))  # infiltrator only
 
 
 def test_game_rational_floor_warning():
@@ -128,7 +134,7 @@ def test_rer_values():
     assert rer(0.2, 0.2) == 0.0
     assert math.isclose(rer(0.206, 0.2), 3.0)
     assert math.isclose(rer(0.18, 0.2), -10.0)
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(DegenerateInput):
         rer(0.1, 0.0)
 
 
