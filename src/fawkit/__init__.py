@@ -14,7 +14,6 @@ from .bounds import (
     c_max_single,
     c_min_rational,
     detection_resilient_reward,
-    expelled_block_count,
     gamma_upper_bound,
     honeypot_bwh_bound,
     safe_bonus_threshold,

@@ -119,21 +119,6 @@ def gamma_upper_bound(dist: HonestPowerDistribution, alpha: float) -> float:
     return 1.0 - dist.square_sum
 
 
-def expelled_block_count(alpha, beta, tau, c) -> float:
-    """Expected stale withheld blocks per pool win, for expulsion analyses.
-
-        d = (1-c) * ta * (1-a-b) / (b + c * ta * (1-a-b)),  ta = tau*alpha
-
-    Printed with gamma in the source derivation; evaluated with tau.
-    """
-    ta = tau * alpha
-    ext = 1.0 - alpha - beta
-    return (1.0 - c) * ta * ext / (beta + c * ta * ext)
-
-
-expelled_block_count.substitution_note = GAMMA_AS_TAU_NOTE
-
-
 def _effective(count: float, what: str) -> float:
     if count < 0.0:
         warnings.warn(
@@ -155,6 +140,9 @@ def detection_resilient_reward(alpha, beta, tau, c, L: int) -> float:
         (1-t)a/(1-ta) + b/(1-ta) * (L-d)ta / (Lb + (L-d)ta)
                       + c*ta*(1-a-b)/(1-ta) * (L-d-1)ta / (Lb + (L-d-1)ta)
 
+    with d = (1-c) * ta * (1-a-b) / (b + c * ta * (1-a-b)) the expected
+    stale withheld blocks per pool win.
+
     Nondecreasing in L and converging to the unguarded reward as L grows.
     Negative effective-identity counts are floored at zero with a warning.
     Evaluated with tau substituted for the printed gamma.
@@ -165,9 +153,10 @@ def detection_resilient_reward(alpha, beta, tau, c, L: int) -> float:
     ta = tau * alpha
     ext = 1.0 - alpha - beta
     reward = (1.0 - tau) * alpha / (1.0 - ta)
-    if beta + c * ta * ext == 0.0:
+    wins = beta + c * ta * ext
+    if wins == 0.0:
         return reward  # the pool can never win a block, so d is undefined and nothing is shared
-    d = expelled_block_count(alpha, beta, tau, c)
+    d = (1.0 - c) * ta * ext / wins
     eff_share = _effective(L - d, "L - d")
     if beta + ta > 0.0 and L * beta + eff_share * ta > 0.0:
         reward += beta / (1.0 - ta) * (eff_share * ta) / (L * beta + eff_share * ta)

@@ -38,7 +38,11 @@ WINNER_POOL2 = "pool2"
 WINNER_BOTH_LOSE = "both_lose"
 WINNER_TIE = "both_gain_tie"
 
-TIE_EPS_PP = 1e-4  # |RER| below this (in percentage points) counts as the borderline
+TIE_EPS_PP = 1e-4      # |RER| below this (in percentage points) counts as the borderline
+BR_GRID = 1000         # best response: coarse scan points over [0, alpha]
+BR_XTOL = 1e-9         # best response: golden-section bracket width
+DEVIATION_GRID = 2000  # unilateral_gain: line-scan points per pool
+MAX_ITER = 10000       # best-response rounds per solve: the default, and every sweep cell's cap
 
 SWEEP_CSV_HEADER = ("alpha2", "c", "f1", "f2", "rer1_pct", "rer2_pct", "winner", "converged")
 
@@ -70,40 +74,50 @@ def game_payoffs(g: GameScenario) -> tuple[float, float]:
     return float(r1), float(r2)
 
 
+def _score(a1, a2, f1, f2, c1, c2, c1p, c2p):
+    """Pots, nets and net RERs (percent) of one strategy pair; a powerless pool's RER is nan."""
+    r1, r2 = pot_payoffs_raw(a1, a2, f1, f2, c1, c2, c1p, c2p)
+    net1 = r1 * (a1 / (a1 + f2))
+    net2 = r2 * (a2 / (a2 + f1))
+    rer1 = (net1 - a1) / a1 * 100.0 if a1 else math.nan
+    rer2 = (net2 - a2) / a2 * 100.0 if a2 else math.nan
+    return (r1, r2), (net1, net2), (rer1, rer2)
+
+
 def net_payoffs(g: GameScenario) -> tuple[float, float]:
     """Each pool's take after paying the opponent's infiltrator its share."""
-    r1, r2 = game_payoffs(g)
-    return (
-        r1 * (g.alpha1 / (g.alpha1 + g.f2)),
-        r2 * (g.alpha2 / (g.alpha2 + g.f1)),
-    )
+    validate_game(g)
+    _, (net1, net2), _ = _score(g.alpha1, g.alpha2, g.f1, g.f2, g.c1, g.c2, g.c1p, g.c2p)
+    return float(net1), float(net2)
 
 
-def best_response(g: GameScenario, responder: int,
-                  n_grid: int = 1000, xtol: float = 1e-9) -> float:
+def _require_powers(alpha1, alpha2):
+    for name, power in (("alpha1", alpha1), ("alpha2", alpha2)):
+        if power == 0.0:
+            raise DegenerateInput(f"{name}={power!r} must be positive: a powerless pool has no RER")
+
+
+def best_response(g: GameScenario, responder: int) -> float:
     """Most profitable infiltration power for one pool, opponent held fixed.
 
     Grid scan over [0, alpha_responder] then golden-section on the winning
-    bracket. Boundary optima are returned as-is.
+    bracket. Boundary optima are returned as-is. Both pools need power of
+    their own: the scan would otherwise pass through an empty pool.
     """
     validate_game(g)
     if responder not in (1, 2):
         raise ConstraintViolated(f"responder={responder!r} must be 1 or 2")
-    return _best_response_raw(
-        g.alpha1, g.alpha2, g.c1, g.c2, g.c1p, g.c2p, responder,
-        g.f2 if responder == 1 else g.f1, n_grid, xtol,
-    )
+    _require_powers(g.alpha1, g.alpha2)
+    return _best_response_raw(g.alpha1, g.alpha2, g.c1, g.c2, g.c1p, g.c2p, responder,
+                              g.f2 if responder == 1 else g.f1)
 
 
-def _best_response_raw(a1, a2, c1, c2, c1p, c2p, responder, f_opp, n_grid, xtol):
-    cap = a1 if responder == 1 else a2
-    if cap <= 0.0:
-        return 0.0
+def _best_response_raw(a1, a2, c1, c2, c1p, c2p, responder, f_opp):
     if responder == 1:
         f = lambda x: pot_payoffs_raw(a1, a2, x, f_opp, c1, c2, c1p, c2p)[0]
     else:
         f = lambda x: pot_payoffs_raw(a1, a2, f_opp, x, c1, c2, c1p, c2p)[1]
-    x, _ = grid_golden_max(f, 0.0, cap, n_grid=n_grid, xtol=xtol)
+    x, _ = grid_golden_max(f, 0.0, a1 if responder == 1 else a2, n_grid=BR_GRID, xtol=BR_XTOL)
     return x
 
 
@@ -131,20 +145,20 @@ class EquilibriumResult:
     deviation_gain: float
 
 
-def unilateral_gain(a1, a2, c1, c2, c1p, c2p, f1, f2, n_grid: int = 2000) -> float:
+def unilateral_gain(a1, a2, c1, c2, c1p, c2p, f1, f2) -> float:
     """Best pot improvement available to either pool by deviating alone."""
+    _require_powers(a1, a2)
     base1, base2 = pot_payoffs_raw(a1, a2, f1, f2, c1, c2, c1p, c2p)
-    xs1 = np.linspace(0.0, a1, n_grid + 1)
+    xs1 = np.linspace(0.0, a1, DEVIATION_GRID + 1)
     gain1 = np.max(pot_payoffs_raw(a1, a2, xs1, f2, c1, c2, c1p, c2p)[0]) - base1
-    xs2 = np.linspace(0.0, a2, n_grid + 1)
+    xs2 = np.linspace(0.0, a2, DEVIATION_GRID + 1)
     gain2 = np.max(pot_payoffs_raw(a1, a2, f1, xs2, c1, c2, c1p, c2p)[1]) - base2
     return float(max(gain1, gain2))
 
 
 def solve_equilibrium(alpha1, alpha2, c1, c2, c1p, c2p,
-                      tol: float = 1e-7, max_iter: int = 10000,
+                      tol: float = 1e-7, max_iter: int = MAX_ITER,
                       start: tuple[float, float] = (0.0, 0.0),
-                      n_grid: int = 1000, xtol: float = 1e-9,
                       keep_trace: bool = True) -> EquilibriumResult:
     """Alternating best-response dynamics until max |df| < tol.
 
@@ -157,19 +171,17 @@ def solve_equilibrium(alpha1, alpha2, c1, c2, c1p, c2p,
         raise ConstraintViolated(f"tol={tol!r} must be positive")
     if max_iter < 1:
         raise ConstraintViolated(f"max_iter={max_iter!r} must be >= 1")
-    for name, power in (("alpha1", alpha1), ("alpha2", alpha2)):
-        if power == 0.0:
-            raise DegenerateInput(f"{name}={power!r} must be positive: a powerless pool has no RER")
+    _require_powers(alpha1, alpha2)
     validate_game(GameScenario(alpha1, alpha2, start[0], start[1], c1, c2, c1p, c2p))
     f1, f2 = float(start[0]), float(start[1])
     trace = [(f1, f2)] if keep_trace else []
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        new_f1 = _best_response_raw(alpha1, alpha2, c1, c2, c1p, c2p, 1, f2, n_grid, xtol)
+        new_f1 = _best_response_raw(alpha1, alpha2, c1, c2, c1p, c2p, 1, f2)
         if keep_trace:
             trace.append((new_f1, f2))
-        new_f2 = _best_response_raw(alpha1, alpha2, c1, c2, c1p, c2p, 2, new_f1, n_grid, xtol)
+        new_f2 = _best_response_raw(alpha1, alpha2, c1, c2, c1p, c2p, 2, new_f1)
         if keep_trace:
             trace.append((new_f1, new_f2))
         delta = max(abs(new_f1 - f1), abs(new_f2 - f2))
@@ -177,9 +189,7 @@ def solve_equilibrium(alpha1, alpha2, c1, c2, c1p, c2p,
         if delta < tol:
             converged = True
             break
-    r1, r2 = pot_payoffs_raw(alpha1, alpha2, f1, f2, c1, c2, c1p, c2p)
-    net1 = r1 * (alpha1 / (alpha1 + f2))
-    net2 = r2 * (alpha2 / (alpha2 + f1))
+    (r1, r2), (net1, net2), (rer1, rer2) = _score(alpha1, alpha2, f1, f2, c1, c2, c1p, c2p)
     return EquilibriumResult(
         f1_star=f1,
         f2_star=f2,
@@ -187,8 +197,8 @@ def solve_equilibrium(alpha1, alpha2, c1, c2, c1p, c2p,
         r2=float(r2),
         net1=float(net1),
         net2=float(net2),
-        rer1_pct=(net1 - alpha1) / alpha1 * 100.0,
-        rer2_pct=(net2 - alpha2) / alpha2 * 100.0,
+        rer1_pct=float(rer1),
+        rer2_pct=float(rer2),
         iterations=iterations,
         converged=converged,
         trace=tuple(trace),
@@ -196,16 +206,15 @@ def solve_equilibrium(alpha1, alpha2, c1, c2, c1p, c2p,
     )
 
 
-def classify_winner(rer1_pct: float, rer2_pct: float,
-                    tie_eps_pp: float = TIE_EPS_PP) -> str:
-    """Winner from RER signs; near-zero values land on the borderline."""
-    near1 = abs(rer1_pct) <= tie_eps_pp
-    near2 = abs(rer2_pct) <= tie_eps_pp
-    if (rer1_pct > tie_eps_pp and rer2_pct > tie_eps_pp) or near1 or near2:
+def classify_winner(rer1_pct: float, rer2_pct: float) -> str:
+    """Winner from RER signs; values within TIE_EPS_PP of zero land on the borderline."""
+    near1 = abs(rer1_pct) <= TIE_EPS_PP
+    near2 = abs(rer2_pct) <= TIE_EPS_PP
+    if (rer1_pct > TIE_EPS_PP and rer2_pct > TIE_EPS_PP) or near1 or near2:
         return WINNER_TIE
-    if rer1_pct > tie_eps_pp:
+    if rer1_pct > TIE_EPS_PP:
         return WINNER_POOL1
-    if rer2_pct > tie_eps_pp:
+    if rer2_pct > TIE_EPS_PP:
         return WINNER_POOL2
     return WINNER_BOTH_LOSE
 
@@ -222,19 +231,6 @@ class RegionCell:
     rer2_pct: float
     winner: str
     converged: bool
-
-
-def _cell_from_result(alpha2, c, res: EquilibriumResult) -> RegionCell:
-    return RegionCell(
-        alpha2=float(alpha2),
-        c=float(c),
-        f1=res.f1_star,
-        f2=res.f2_star,
-        rer1_pct=res.rer1_pct,
-        rer2_pct=res.rer2_pct,
-        winner=classify_winner(res.rer1_pct, res.rer2_pct),
-        converged=res.converged,
-    )
 
 
 def sweep_axis(start: float, stop: float, step: float) -> list[float]:
@@ -256,46 +252,24 @@ def sweep_axis(start: float, stop: float, step: float) -> list[float]:
     return values
 
 
-def sweep_regions(alpha1, alpha2_axis, c_axis,
-                  tol: float = 1e-7, max_iter: int = 10000) -> list[RegionCell]:
-    """Equilibrium winner map under the symmetric model c_i = c, c_i' = c/2.
+def _sweep(alpha1, alpha2_axis, c_axis, tol, assumed_c):
+    """Winner cells in c-major order, each scored at its axis c.
 
-    Cells are emitted row-major with c as the outer axis and alpha2 inner.
-    A cell whose solve exhausts max_iter is recorded with converged=False
-    and the sweep continues.
+    A cell plays the equilibrium solved at its planning c: alpha1 + alpha2
+    when ``assumed_c``, else the axis c. One solve serves every cell that
+    shares its (alpha2, planning c).
     """
+    plans = {}
     cells = []
     for c in c_axis:
         for a2 in alpha2_axis:
-            res = solve_equilibrium(alpha1, a2, c, c, c / 2.0, c / 2.0,
-                                    tol=tol, max_iter=max_iter, keep_trace=False)
-            cells.append(_cell_from_result(a2, c, res))
-    return cells
-
-
-def sweep_regions_assumed_c(alpha1, alpha2_axis, c_axis,
-                            tol: float = 1e-7, max_iter: int = 10000) -> list[RegionCell]:
-    """Winner map when both managers plan for c = alpha1 + alpha2.
-
-    Strategies come from the equilibrium under the assumed (minimum
-    rational) c; payoffs and winners are then evaluated under the actual
-    axis c. Same cell order as sweep_regions.
-    """
-    assumed = {}
-    for a2 in alpha2_axis:
-        ca = alpha1 + a2
-        assumed[a2] = solve_equilibrium(alpha1, a2, ca, ca, ca / 2.0, ca / 2.0,
-                                        tol=tol, max_iter=max_iter, keep_trace=False)
-    cells = []
-    for c in c_axis:
-        for a2 in alpha2_axis:
-            plan = assumed[a2]
-            r1, r2 = pot_payoffs_raw(alpha1, a2, plan.f1_star, plan.f2_star,
-                                     c, c, c / 2.0, c / 2.0)
-            net1 = r1 * (alpha1 / (alpha1 + plan.f2_star))
-            net2 = r2 * (a2 / (a2 + plan.f1_star))
-            rer1 = (net1 - alpha1) / alpha1 * 100.0
-            rer2 = (net2 - a2) / a2 * 100.0
+            cp = alpha1 + a2 if assumed_c else c
+            if (a2, cp) not in plans:
+                plans[a2, cp] = solve_equilibrium(alpha1, a2, cp, cp, cp / 2.0, cp / 2.0,
+                                                  tol=tol, keep_trace=False)
+            plan = plans[a2, cp]
+            _, _, (rer1, rer2) = _score(alpha1, a2, plan.f1_star, plan.f2_star,
+                                        c, c, c / 2.0, c / 2.0)
             cells.append(RegionCell(
                 alpha2=float(a2), c=float(c),
                 f1=plan.f1_star, f2=plan.f2_star,
@@ -304,6 +278,26 @@ def sweep_regions_assumed_c(alpha1, alpha2_axis, c_axis,
                 converged=plan.converged,
             ))
     return cells
+
+
+def sweep_regions(alpha1, alpha2_axis, c_axis, tol: float = 1e-7) -> list[RegionCell]:
+    """Equilibrium winner map under the symmetric model c_i = c, c_i' = c/2.
+
+    Cells are emitted row-major with c as the outer axis and alpha2 inner.
+    A cell whose solve exhausts MAX_ITER is recorded with converged=False
+    and the sweep continues.
+    """
+    return _sweep(alpha1, alpha2_axis, c_axis, tol, assumed_c=False)
+
+
+def sweep_regions_assumed_c(alpha1, alpha2_axis, c_axis, tol: float = 1e-7) -> list[RegionCell]:
+    """Winner map when both managers plan for c = alpha1 + alpha2.
+
+    Strategies come from the equilibrium under the assumed (minimum
+    rational) c; payoffs and winners are then evaluated under the actual
+    axis c. Same cell order as sweep_regions.
+    """
+    return _sweep(alpha1, alpha2_axis, c_axis, tol, assumed_c=True)
 
 
 def write_sweep_csv(cells) -> str:

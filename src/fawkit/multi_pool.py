@@ -40,6 +40,11 @@ TABLE2_POWERS = {
 
 POOL_PRESETS = {"table2": TABLE2_POWERS}
 
+ALLOC_REWARD_TOL = 1e-8  # optimize_allocation stops when a sweep gains less reward
+ALLOC_MAX_SWEEPS = 200   # ... or after this many sweeps, unconverged
+ALLOC_COORD_GRID = 200   # coarse scan points per coordinate
+ALLOC_XTOL = 1e-10       # golden-section bracket width per coordinate
+
 
 def preset_attack(name: str = "table2", attacker: str = "F2Pool"):
     """(attacker power, target pool powers) for a named distribution preset.
@@ -65,18 +70,18 @@ def reward_two_pools(alpha, beta1, beta2, tau1, tau2,
 
     ``ci_two`` is the chance pool i's withheld block wins a two-branch fork;
     ``ci_three`` the three-branch analogue (c1_three + c2_three <= 1). The
-    c/k model is the special case ci_two = c, ci_three = c/2.
+    c/k model is the special case ci_two = c, ci_three = c/2. Powers and
+    taus are checked as a two-pool MultiPoolScenario.
     """
-    for name, v in (("tau1", tau1), ("tau2", tau2), ("c1_two", c1_two),
-                    ("c2_two", c2_two), ("c1_three", c1_three), ("c2_three", c2_three)):
+    for name, v in (("c1_two", c1_two), ("c2_two", c2_two),
+                    ("c1_three", c1_three), ("c2_three", c2_three)):
         if not 0.0 <= v <= 1.0:
             raise ConstraintViolated(f"{name}={v!r} outside [0, 1]")
     if tau1 + tau2 > 1.0 + 1e-15:
         raise ConstraintViolated(f"tau1 + tau2 = {tau1 + tau2!r} exceeds 1")
-    if alpha + beta1 + beta2 > 1.0 + 1e-15:
-        raise ConstraintViolated("alpha + beta1 + beta2 exceeds 1")
     if c1_three + c2_three > 1.0 + 1e-15:
         raise ConstraintViolated("c1_three + c2_three exceeds 1")
+    validate_multi(MultiPoolScenario(alpha, (beta1, beta2), (tau1, tau2), c1_two))
 
     ta1, ta2 = tau1 * alpha, tau2 * alpha
     total_ta = ta1 + ta2
@@ -146,16 +151,14 @@ class AllocationResult:
     converged: bool
 
 
-def optimize_allocation(alpha, betas, c, budget: float = 1.0,
-                        reward_tol: float = 1e-8, max_sweeps: int = 200,
-                        coord_grid: int = 200, xtol: float = 1e-10) -> AllocationResult:
+def optimize_allocation(alpha, betas, c, budget: float = 1.0) -> AllocationResult:
     """Maximize reward_npool over the simplex {tau_i >= 0, sum <= budget}.
 
     Projected coordinate ascent: pools with equal power are tied to one
     shared variable (the optimum is symmetric across them), each coordinate
     is solved by a coarse scan plus golden-section, and sweeps repeat until
-    the reward improves by less than ``reward_tol``. Exhausting
-    ``max_sweeps`` returns the best point found with converged=False.
+    the reward improves by less than ALLOC_REWARD_TOL. Exhausting
+    ALLOC_MAX_SWEEPS returns the best point found with converged=False.
     """
     betas = tuple(float(b) for b in betas)
     if any(b <= 0.0 for b in betas):
@@ -185,7 +188,7 @@ def optimize_allocation(alpha, betas, c, budget: float = 1.0,
 
     current = objective()
     converged = False
-    for _ in range(max_sweeps):
+    for _ in range(ALLOC_MAX_SWEEPS):
         previous = current
         for g, idxs in enumerate(members):
             size = len(idxs)
@@ -196,11 +199,11 @@ def optimize_allocation(alpha, betas, c, budget: float = 1.0,
                 shared[g] = float(x)
                 return objective()
 
-            x_star, _ = grid_golden_max(coord, 0.0, hi, n_grid=coord_grid,
-                                        xtol=xtol, vectorized=False)
+            x_star, _ = grid_golden_max(coord, 0.0, hi, n_grid=ALLOC_COORD_GRID,
+                                        xtol=ALLOC_XTOL, vectorized=False)
             shared[g] = x_star
             current = objective()
-        if abs(current - previous) < reward_tol:
+        if abs(current - previous) < ALLOC_REWARD_TOL:
             converged = True
             break
 

@@ -25,6 +25,8 @@ from .optimize import grid_golden_max
 from .scenarios import SinglePoolScenario, validate_single
 
 TAU_AGREEMENT_TOL = 1e-6  # closed form and numeric optimum must agree to this
+TAU_GRID = 1000           # optimal_tau: coarse scan points over [0, 1]
+TAU_XTOL = 1e-9           # optimal_tau: golden-section bracket width, also the boundary band
 
 
 def attacker_reward_formula(alpha, beta, tau, c):
@@ -50,8 +52,6 @@ def victim_reward_formula(alpha, beta, tau, c):
 def reward_single(s: SinglePoolScenario) -> float:
     """Attacker's expected per-round reward for a validated scenario."""
     validate_single(s)
-    if 1.0 - s.tau * s.alpha <= 0.0:
-        raise DegenerateInput("tau * alpha = 1 leaves no one to end a round")
     return float(attacker_reward_formula(s.alpha, s.beta, s.tau, s.c))
 
 
@@ -68,8 +68,6 @@ def victim_reward(s: SinglePoolScenario) -> float:
     block quickly shrinks his own loss.
     """
     validate_single(s)
-    if 1.0 - s.tau * s.alpha <= 0.0:
-        raise DegenerateInput("tau * alpha = 1 leaves no one to end a round")
     return float(victim_reward_formula(s.alpha, s.beta, s.tau, s.c))
 
 
@@ -111,11 +109,10 @@ class OptimalTauResult:
     discrepancy: bool
 
 
-def optimal_tau(alpha: float, beta: float, c: float,
-                n_grid: int = 1000, xtol: float = 1e-9) -> OptimalTauResult:
+def optimal_tau(alpha: float, beta: float, c: float) -> OptimalTauResult:
     """Maximize the attacker reward over tau in [0, 1].
 
-    Computes both the closed form and a numeric maximum (n_grid coarse scan
+    Computes both the closed form and a numeric maximum (TAU_GRID coarse scan
     plus golden-section refinement of the best bracket). beta must be
     positive: infiltrating an empty pool is meaningless and the closed form
     degenerates there.
@@ -127,14 +124,14 @@ def optimal_tau(alpha: float, beta: float, c: float,
     def f(tau):
         return attacker_reward_formula(alpha, beta, tau, c)
 
-    numeric, _ = grid_golden_max(f, 0.0, 1.0, n_grid=n_grid, xtol=xtol)
+    numeric, _ = grid_golden_max(f, 0.0, 1.0, n_grid=TAU_GRID, xtol=TAU_XTOL)
 
     try:
         closed = optimal_tau_closed_form(alpha, beta, c)
     except ValueError:
         closed = None
 
-    boundary = numeric <= xtol or numeric >= 1.0 - xtol
+    boundary = numeric <= TAU_XTOL or numeric >= 1.0 - TAU_XTOL
     if closed is not None and not boundary and abs(closed - numeric) < TAU_AGREEMENT_TOL:
         tau_bar, method, discrepancy = closed, "closed_form", False
     else:

@@ -7,11 +7,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fawkit import multi_pool
 from fawkit.cli import build_parser, main, parse_range
 from fawkit.errors import UnknownFixture
 from fawkit.reproduce import load_fixture, reproduce
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+GOLDEN = Path(__file__).resolve().parent / "golden"
+SWEEP_FLAGS = ("game-sweep", "--alpha1", "0.2", "--alpha2", "0.05:0.45:0.05", "--c", "0.1:1.0:0.3")
 
 
 def run_cli(capsys, *argv):
@@ -116,6 +119,27 @@ def test_game_solve_and_exit_codes(capsys):
                            "--c", "1", "--max-iter", "1")
     assert code == 2
     assert json.loads(out)["converged"] is False
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (SWEEP_FLAGS, "game_sweep.csv"),
+    ((*SWEEP_FLAGS, "--assumed-c"), "game_sweep_assumed_c.csv"),
+    (("game-solve", "--alpha1", "0.25", "--alpha2", "0.15", "--c1", "0.9", "--c2", "0.7",
+      "--c1p", "0.5", "--c2p", "0.3"), "game_solve.json"),
+], ids=["sweep", "sweep-assumed-c", "solve"])
+def test_game_output_matches_golden(capsys, argv, golden):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == (GOLDEN / golden).read_text()
+
+
+def test_optimize_alloc_exits_2_when_sweeps_run_out(capsys, monkeypatch):
+    monkeypatch.setattr(multi_pool, "ALLOC_MAX_SWEEPS", 1)
+    code, out, _ = run_cli(capsys, "optimize-alloc", "--preset", "table2", "--c", "1")
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["converged"] is False
+    assert len(doc["taus"]) == 4
 
 
 def test_game_sweep_csv(capsys):
@@ -282,6 +306,40 @@ def test_counter_commands(capsys):
     from fawkit.single_pool import reward_single
     unguarded = reward_single(SinglePoolScenario(0.2, 0.2, 0.4, 0.5))
     assert 0.0 < doc["reward_lower_bound"] < unguarded
+
+
+# every analytic with the flags it is run with and those it cannot do without
+ANALYTICS = [
+    ("bounds c-max", {"--alpha": "0.2", "--beta": "0.1", "--shares": "0.2,0.1,0.1",
+                      "--atomized": "0.3"}, ("--alpha", "--beta")),
+    ("bounds c-min", {"--alpha": "0.2", "--beta": "0.1"}, ("--alpha", "--beta")),
+    ("bounds c-from-gamma", {"--gamma": "0.5", "--alpha": "0.2", "--beta": "0.1"},
+     ("--gamma", "--alpha", "--beta")),
+    ("bounds selfish-threshold", {"--gamma": "0.89"}, ("--gamma",)),
+    ("bounds gamma-bound", {"--alpha": "0.2", "--shares": "0.5,0.3"}, ("--alpha",)),
+    ("counter detection", {"--alpha": "0.2", "--beta": "0.2", "--tau": "0.4", "--c": "0.5",
+                           "-L": "10"}, ("--alpha", "--beta", "--tau", "--c")),
+    ("counter honeypot", {"--alpha": "0.2", "--beta": "0.2", "--tau": "0.4", "-L": "10"},
+     ("--alpha", "--beta", "--tau")),
+    ("counter bonus", {"--alpha": "0.2", "--beta": "0.2", "--tau": "0.4", "--c": "0.5",
+                       "--t": "0.1"}, ("--alpha", "--beta", "--tau", "--c", "--t")),
+    ("counter bonus-threshold", {"--pool-power": "0.3", "--c-max": "0.5"},
+     ("--pool-power", "--c-max")),
+]
+
+
+@pytest.mark.parametrize("command, flags, required", ANALYTICS,
+                         ids=[command.split()[1] for command, _, _ in ANALYTICS])
+def test_analytic_needs_every_flag_it_reads(capsys, command, flags, required):
+    def argv(without=None):
+        pairs = [item for flag, value in flags.items() if flag != without
+                 for item in (flag, value)]
+        return (*command.split(), *pairs)
+
+    assert run_cli(capsys, *argv())[0] == 0
+    for flag in required:
+        assert run_cli(capsys, *argv(without=flag)) == (
+            1, "", f"error: missing required flag {flag}\n")
 
 
 def test_output_to_file(capsys, tmp_path):

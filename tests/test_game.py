@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 import warnings
 
 import numpy as np
@@ -7,13 +8,14 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from fawkit.errors import ConstraintViolated, RationalFloorWarning
+from fawkit.errors import ConstraintViolated, DegenerateInput, RationalFloorWarning
 from fawkit.game import (
     WINNER_BOTH_LOSE,
     WINNER_POOL1,
     WINNER_POOL2,
     WINNER_TIE,
     SWEEP_CSV_HEADER,
+    RegionCell,
     best_response,
     classify_winner,
     game_payoffs,
@@ -22,6 +24,7 @@ from fawkit.game import (
     solve_equilibrium,
     sweep_regions,
     sweep_regions_assumed_c,
+    unilateral_gain,
     write_sweep_csv,
 )
 from fawkit.scenarios import GameScenario, SinglePoolScenario, validate_game
@@ -137,6 +140,33 @@ def test_best_response_bounded_by_alpha():
     assert 0.0 <= best_response(g, responder=2) <= 1e-6
 
 
+def test_best_response_rejects_a_powerless_opponent():
+    # pool 2 holds only pool 1's infiltrator: the scan at f1 = 0 would cross an empty pool
+    g = GameScenario(0.2, 0.0, 0.1, 0.0, 1.0, 1.0, 0.5, 0.5)
+    with pytest.raises(DegenerateInput, match="alpha2"):
+        best_response(g, responder=1)
+    with pytest.raises(DegenerateInput, match="alpha2"):
+        unilateral_gain(0.2, 0.0, 1.0, 1.0, 0.5, 0.5, 0.1, 0.0)
+
+
+@given(st.floats(0.01, 0.49), st.floats(0.01, 0.49), st.sampled_from((1, 2)),
+       st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+       st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+def test_best_response_matches_dense_scan(a1, a2, responder, opp_frac, c1, c2, c1p, c2p_frac):
+    """The fixed scan-and-refine settings find the best pot anywhere in the valid domain."""
+    c2p = c2p_frac * (1.0 - c1p)
+    cap, f_opp = (a1, opp_frac * a2) if responder == 1 else (a2, opp_frac * a1)
+    f1, f2 = (0.0, f_opp) if responder == 1 else (f_opp, 0.0)
+    br = best_response(GameScenario(a1, a2, f1, f2, c1, c2, c1p, c2p), responder)
+    assert 0.0 <= br <= cap
+
+    def pot(x):
+        args = (x, f_opp) if responder == 1 else (f_opp, x)
+        return pot_payoffs_raw(a1, a2, *args, c1, c2, c1p, c2p)[responder - 1]
+
+    assert float(pot(br)) >= float(np.max(pot(np.linspace(0.0, cap, 20001)))) - 1e-12
+
+
 def test_best_response_rejects_unknown_responder():
     g = GameScenario(0.2, 0.1, 0.0, 0.0, 0.5, 0.5, 0.25, 0.25)
     with pytest.raises(ConstraintViolated, match="responder"):
@@ -223,6 +253,26 @@ def test_sweep_borderline_near_equal_sizes_at_full_c():
             assert cell.winner == WINNER_POOL1, cell
         elif cell.alpha2 > 0.2 + 0.006:
             assert cell.winner == WINNER_POOL2, cell
+
+
+def test_sweep_cells_are_solve_and_classify():
+    axis_a2, axis_c = [0.1, 0.25], [0.15, 0.6, 1.0]
+    cells = sweep_regions(0.2, axis_a2, axis_c)
+    for cell, (c, a2) in zip(cells, itertools.product(axis_c, axis_a2), strict=True):
+        res = solve_equilibrium(0.2, a2, c, c, c / 2, c / 2)
+        assert cell == RegionCell(a2, c, res.f1_star, res.f2_star, res.rer1_pct, res.rer2_pct,
+                                  classify_winner(res.rer1_pct, res.rer2_pct), res.converged)
+
+
+def test_assumed_c_cell_at_its_planning_c_is_the_plain_cell():
+    axis_a2 = [0.1, 0.15, 0.3]
+    axis_c = [0.2 + a2 for a2 in axis_a2]
+    plain = sweep_regions(0.2, axis_a2, axis_c)
+    assumed = sweep_regions_assumed_c(0.2, axis_a2, axis_c)
+    at_floor = [(p, a) for p, a in zip(plain, assumed) if a.c == 0.2 + a.alpha2]
+    assert len(at_floor) == len(axis_a2)
+    for p, a in at_floor:
+        assert a == p
 
 
 def test_both_lose_region_exists_at_low_c():

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fawkit.errors import ConstraintViolated, DegenerateInput, TooManyPools
+from fawkit import multi_pool
+from fawkit.errors import ConstraintViolated, DegenerateInput, PowerOutOfRange, TooManyPools
 from fawkit.multi_pool import (
     POOL_PRESETS,
     TABLE2_POWERS,
@@ -131,6 +132,19 @@ def test_two_pool_precondition_errors():
         reward_two_pools(0.2, 0.1, 0.1, 0.1, 0.1, 1, 1, 0.7, 0.7)
 
 
+@pytest.mark.parametrize("args", [
+    (0.6, 0.1, 0.1, 0.5, 0.5, 1, 1, 0.5, 0.5),
+    (0.2, -0.1, 0.1, 0.1, 0.1, 1, 1, 0.5, 0.5),
+    (1.0, 0.0, 0.0, 1.0, 0.0, 1, 1, 0.5, 0.5),
+], ids=["majority-attacker", "negative-beta", "whole-network-attacker"])
+def test_two_pools_rejects_what_npool_rejects(args):
+    alpha, b1, b2, t1, t2, c = args[:6]
+    with pytest.raises(PowerOutOfRange):
+        reward_npool(MultiPoolScenario(alpha, (b1, b2), (t1, t2), c))
+    with pytest.raises(PowerOutOfRange):
+        reward_two_pools(*args)
+
+
 def test_npool_pool_cap():
     with pytest.raises(TooManyPools):
         reward_npool(MultiPoolScenario(0.2, (0.05,) * 9, (0.05,) * 9, 0.5))
@@ -193,6 +207,14 @@ def test_reward_nondecreasing_in_c():
         lo = reward_npool(MultiPoolScenario(alpha, betas, taus, c_lo))
         hi = reward_npool(MultiPoolScenario(alpha, betas, taus, c_hi))
         assert hi >= lo - 1e-15
+
+
+def test_optimizer_reports_exhausted_sweeps(monkeypatch):
+    monkeypatch.setattr(multi_pool, "ALLOC_MAX_SWEEPS", 1)
+    alpha, betas = preset_attack()
+    res = optimize_allocation(alpha, betas, 1.0)
+    assert not res.converged
+    assert res.reward == reward_npool(MultiPoolScenario(alpha, betas, res.taus, 1.0))
 
 
 def test_optimizer_rejects_empty_pool():
