@@ -46,8 +46,10 @@ class HonestPowerDistribution:
 
     def __post_init__(self):
         object.__setattr__(self, "shares", tuple(float(x) for x in self.shares))
-        if any(x < 0.0 for x in self.shares) or self.atomized_remainder < 0.0:
-            raise ConstraintViolated("honest shares must be nonnegative")
+        named = [(f"shares[{i}]", x) for i, x in enumerate(self.shares)]
+        for name, x in (*named, ("atomized_remainder", self.atomized_remainder)):
+            if not 0.0 <= x < math.inf:
+                raise ConstraintViolated(f"honest {name}={x!r} must be finite and nonnegative")
 
     @property
     def total(self) -> float:
@@ -58,8 +60,13 @@ class HonestPowerDistribution:
         return sum(x * x for x in self.shares)
 
 
+def _check_powers(alpha: float, beta: float = 0.0) -> None:
+    """The scenario checks on the attacker's and the pool's power: [0, 1] and the majority guard."""
+    validate_single(SinglePoolScenario(alpha, beta, 0.0, 0.0))
+
+
 def _require_total(dist: HonestPowerDistribution, expected: float, what: str):
-    if abs(dist.total - expected) > _TOTAL_TOL:
+    if not abs(dist.total - expected) <= _TOTAL_TOL:
         raise InconsistentDistribution(
             f"honest shares sum to {dist.total!r}, expected {what} = {expected!r}"
         )
@@ -75,15 +82,15 @@ def c_max_single(alpha: float, beta: float, dist: HonestPowerDistribution) -> fl
     minus the participants' total. Fully atomized honest power gives 1; a
     single honest node owning everything gives alpha + beta.
     """
+    _check_powers(alpha, beta)
     external = 1.0 - alpha - beta
-    if external <= 0.0:
-        raise ConstraintViolated("no external honest power: alpha + beta >= 1")
     _require_total(dist, external, "1 - alpha - beta")
     return 1.0 - dist.square_sum / external
 
 
 def c_min_rational(alpha: float, beta: float) -> float:
     """Lower bound on c when the victim manager is rational: alpha + beta."""
+    _check_powers(alpha, beta)
     return alpha + beta
 
 
@@ -96,6 +103,7 @@ def c_from_gamma(gamma: float, alpha: float, beta: float) -> float:
     """
     if not 0.0 <= gamma <= 1.0:
         raise ConstraintViolated(f"gamma={gamma!r} outside [0, 1]")
+    _check_powers(alpha, beta)
     return gamma * (1.0 - alpha - beta) + alpha + beta
 
 
@@ -115,6 +123,7 @@ def gamma_upper_bound(dist: HonestPowerDistribution, alpha: float) -> float:
     This is the weakest link of the chain of inequalities and therefore the
     safest cap; the honest shares must sum to 1 - alpha.
     """
+    _check_powers(alpha)
     _require_total(dist, 1.0 - alpha, "1 - alpha")
     return 1.0 - dist.square_sum
 

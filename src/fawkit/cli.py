@@ -284,67 +284,49 @@ def cmd_sim(args) -> int:
     return 0
 
 
-def cmd_bounds(args) -> int:
-    what = args.what
-    doc: dict
-    if what == "c-max":
-        _require(args, "alpha", "beta")
-        dist = bounds_mod.HonestPowerDistribution(args.shares or (), args.atomized)
-        value = bounds_mod.c_max_single(args.alpha, args.beta, dist)
-        doc = {"what": what, "alpha": args.alpha, "beta": args.beta,
-               "shares": list(dist.shares), "atomized_remainder": dist.atomized_remainder,
-               "c_max": value}
-    elif what == "c-min":
-        _require(args, "alpha", "beta")
-        doc = {"what": what, "alpha": args.alpha, "beta": args.beta,
-               "c_min": bounds_mod.c_min_rational(args.alpha, args.beta)}
-    elif what == "c-from-gamma":
-        _require(args, "gamma", "alpha", "beta")
-        doc = {"what": what, "gamma": args.gamma, "alpha": args.alpha, "beta": args.beta,
-               "c": bounds_mod.c_from_gamma(args.gamma, args.alpha, args.beta)}
-    elif what == "selfish-threshold":
-        _require(args, "gamma")
-        doc = {"what": what, "gamma": args.gamma,
-               "threshold": bounds_mod.selfish_mining_threshold(args.gamma)}
-    else:  # gamma-bound
-        _require(args, "alpha")
-        dist = bounds_mod.HonestPowerDistribution(args.shares or (), args.atomized)
-        doc = {"what": what, "alpha": args.alpha, "shares": list(dist.shares),
-               "atomized_remainder": dist.atomized_remainder,
-               "gamma_bound": bounds_mod.gamma_upper_bound(dist, args.alpha)}
-    emit(doc, args.format, args.output)
-    return 0
+def _c_max(alpha, beta, shares, atomized_remainder):
+    return bounds_mod.c_max_single(
+        alpha, beta, bounds_mod.HonestPowerDistribution(shares, atomized_remainder))
 
 
-def cmd_counter(args) -> int:
-    what = args.what
-    if what == "detection":
-        _require(args, "alpha", "beta", "tau", "c")
-        value = bounds_mod.detection_resilient_reward(args.alpha, args.beta, args.tau,
-                                                      args.c, args.identities)
-        doc = {"what": what, "alpha": args.alpha, "beta": args.beta, "tau": args.tau,
-               "c": args.c, "L": args.identities, "reward_lower_bound": value,
-               "rer_pct": rer(value, args.alpha),
-               "note": bounds_mod.GAMMA_AS_TAU_NOTE}
-    elif what == "honeypot":
-        _require(args, "alpha", "beta", "tau")
-        value = bounds_mod.honeypot_bwh_bound(args.alpha, args.beta, args.tau, args.identities)
-        doc = {"what": what, "alpha": args.alpha, "beta": args.beta, "tau": args.tau,
-               "L": args.identities, "reward_lower_bound": value,
-               "rer_pct": rer(value, args.alpha),
-               "note": bounds_mod.GAMMA_AS_TAU_NOTE}
-    elif what == "bonus":
-        _require(args, "alpha", "beta", "tau", "c", "t")
-        value = bounds_mod.bonus_scheme_reward(args.alpha, args.beta, args.tau, args.c, args.t)
-        doc = {"what": what, "alpha": args.alpha, "beta": args.beta, "tau": args.tau,
-               "c": args.c, "t": args.t, "reward": value,
-               "rer_pct": rer(value, args.alpha)}
-    else:  # bonus-threshold
-        _require(args, "pool_power", "c_max")
-        value = bounds_mod.safe_bonus_threshold(args.pool_power, args.c_max)
-        doc = {"what": what, "pool_power": args.pool_power, "c_max": args.c_max,
-               "threshold": value,
-               "feasible": bounds_mod.bonus_threshold_feasible(value)}
+def _gamma_bound(alpha, shares, atomized_remainder):
+    return bounds_mod.gamma_upper_bound(
+        bounds_mod.HonestPowerDistribution(shares, atomized_remainder), alpha)
+
+
+# subcommand -> analytic -> (flags it reads, in output order; library call; result key)
+_ANALYTICS = {
+    "bounds": {
+        "c-max": (("alpha", "beta", "shares", "atomized_remainder"), _c_max, "c_max"),
+        "c-min": (("alpha", "beta"), bounds_mod.c_min_rational, "c_min"),
+        "c-from-gamma": (("gamma", "alpha", "beta"), bounds_mod.c_from_gamma, "c"),
+        "selfish-threshold": (("gamma",), bounds_mod.selfish_mining_threshold, "threshold"),
+        "gamma-bound": (("alpha", "shares", "atomized_remainder"), _gamma_bound, "gamma_bound"),
+    },
+    "counter": {
+        "detection": (("alpha", "beta", "tau", "c", "L"),
+                      bounds_mod.detection_resilient_reward, "reward_lower_bound"),
+        "honeypot": (("alpha", "beta", "tau", "L"), bounds_mod.honeypot_bwh_bound,
+                     "reward_lower_bound"),
+        "bonus": (("alpha", "beta", "tau", "c", "t"), bounds_mod.bonus_scheme_reward, "reward"),
+        "bonus-threshold": (("pool_power", "c_max"), bounds_mod.safe_bonus_threshold,
+                            "threshold"),
+    },
+}
+
+
+def cmd_analytic(args) -> int:
+    flags, call, key = _ANALYTICS[args.command][args.what]
+    _require(args, *flags)
+    inputs = {name: getattr(args, name) for name in flags}
+    value = call(*inputs.values())
+    doc = {"what": args.what, **inputs, key: value}
+    if key.startswith("reward"):
+        doc["rer_pct"] = rer(value, args.alpha)
+    if hasattr(call, "substitution_note"):
+        doc["note"] = call.substitution_note
+    if args.what == "bonus-threshold":
+        doc["feasible"] = bounds_mod.bonus_threshold_feasible(value)
     emit(doc, args.format, args.output)
     return 0
 
@@ -477,28 +459,28 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=cmd_sim, build=build)
 
     p = sub.add_parser("bounds", help="fork-win probability bounds and related thresholds")
-    p.add_argument("what", choices=("c-max", "c-min", "c-from-gamma",
-                                    "selfish-threshold", "gamma-bound"))
+    p.add_argument("what", choices=tuple(_ANALYTICS["bounds"]))
     p.add_argument("--alpha", type=float)
     p.add_argument("--beta", type=float)
     p.add_argument("--gamma", type=float)
-    p.add_argument("--shares", type=parse_floats, default=None)
-    p.add_argument("--atomized", type=float, default=0.0)
+    p.add_argument("--shares", type=parse_floats, default=())
+    p.add_argument("--atomized", type=float, default=0.0, dest="atomized_remainder",
+                   metavar="ATOMIZED")
     _add_common(p)
-    p.set_defaults(func=cmd_bounds)
+    p.set_defaults(func=cmd_analytic)
 
     p = sub.add_parser("counter", help="countermeasure economics")
-    p.add_argument("what", choices=("detection", "honeypot", "bonus", "bonus-threshold"))
+    p.add_argument("what", choices=tuple(_ANALYTICS["counter"]))
     p.add_argument("--alpha", type=float)
     p.add_argument("--beta", type=float)
     p.add_argument("--tau", type=float)
     p.add_argument("--c", type=float)
-    p.add_argument("-L", "--identities", type=int, default=1)
+    p.add_argument("-L", "--identities", type=int, default=1, dest="L", metavar="IDENTITIES")
     p.add_argument("--t", type=float)
     p.add_argument("--pool-power", type=float)
-    p.add_argument("--c-max", type=float, dest="c_max")
+    p.add_argument("--c-max", type=float)
     _add_common(p)
-    p.set_defaults(func=cmd_counter)
+    p.set_defaults(func=cmd_analytic)
 
     p = sub.add_parser("reproduce", help="run a built-in golden fixture")
     p.add_argument("fixture", choices=FIXTURE_NAMES)

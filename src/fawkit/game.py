@@ -43,6 +43,7 @@ BR_GRID = 1000         # best response: coarse scan points over [0, alpha]
 BR_XTOL = 1e-9         # best response: golden-section bracket width
 DEVIATION_GRID = 2000  # unilateral_gain: line-scan points per pool
 MAX_ITER = 10000       # best-response rounds per solve: the default, and every sweep cell's cap
+TOL_FLOOR = 5e-8       # finest solve tol: best responses resolved to BR_XTOL can cycle below it
 
 SWEEP_CSV_HEADER = ("alpha2", "c", "f1", "f2", "rer1_pct", "rer2_pct", "winner", "converged")
 
@@ -165,10 +166,13 @@ def solve_equilibrium(alpha1, alpha2, c1, c2, c1p, c2p,
     The game is strictly concave in each pool's own infiltration over the
     valid domain, so the dynamics contract to the unique fixed point from
     any start. A run that exhausts max_iter returns converged=False with
-    the trace kept for diagnosis.
+    the trace kept for diagnosis. A tol below TOL_FLOOR is rejected: the
+    best responses jitter at the golden-section width, so such a solve can
+    cycle until max_iter without converging.
     """
-    if not tol > 0.0:
-        raise ConstraintViolated(f"tol={tol!r} must be positive")
+    if not tol >= TOL_FLOOR:
+        raise ConstraintViolated(
+            f"tol={tol!r} is below the floor {TOL_FLOOR!r} set by the best-response resolution")
     if max_iter < 1:
         raise ConstraintViolated(f"max_iter={max_iter!r} must be >= 1")
     _require_powers(alpha1, alpha2)

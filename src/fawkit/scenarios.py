@@ -106,8 +106,6 @@ def validate_single(s: SinglePoolScenario) -> SinglePoolScenario:
     _check_actor_power("beta", s.beta)
     _check_unit("tau", s.tau)
     _check_unit("c", s.c)
-    if s.alpha + s.beta > 1.0:
-        raise BudgetExceeded(f"alpha + beta = {s.alpha + s.beta!r} exceeds 1")
     return s
 
 
@@ -147,8 +145,6 @@ def validate_game(s: GameScenario) -> GameScenario:
     """
     _check_actor_power("alpha1", s.alpha1)
     _check_actor_power("alpha2", s.alpha2)
-    if s.alpha1 + s.alpha2 > 1.0:
-        raise BudgetExceeded(f"alpha1 + alpha2 = {s.alpha1 + s.alpha2!r} exceeds 1")
     for name, f, cap in (("f1", s.f1, s.alpha1), ("f2", s.f2, s.alpha2)):
         if not 0.0 <= f <= cap:
             raise ConstraintViolated(f"{name}={f!r} outside [0, alpha]={cap!r}")

@@ -80,7 +80,6 @@ class SimConfig:
     seed: int
     scenario: Scenario
     workers: int = 1
-    block_rounds: int = BLOCK_ROUNDS
 
     def __post_init__(self):
         if self.rounds < 1:
@@ -89,8 +88,6 @@ class SimConfig:
             raise ConstraintViolated(f"workers={self.workers!r} must be >= 1")
         if not 0 <= int(self.seed) < 2 ** 64:
             raise ConstraintViolated(f"seed={self.seed!r} must fit in an unsigned 64-bit integer")
-        if self.block_rounds < 1:
-            raise ConstraintViolated(f"block_rounds={self.block_rounds!r} must be >= 1")
 
 
 @dataclass
@@ -266,9 +263,9 @@ def _block_rng(seed: int, block_index: int) -> np.random.Generator:
 
 
 def _run_blocks(cfg: SimConfig, block_fn):
-    """Run block_fn(rng, n) over all blocks, returning results in block order."""
-    sizes = [min(cfg.block_rounds, cfg.rounds - start)
-             for start in range(0, cfg.rounds, cfg.block_rounds)]
+    """Run block_fn(rng, n) over blocks of BLOCK_ROUNDS, returning results in block order."""
+    sizes = [min(BLOCK_ROUNDS, cfg.rounds - start)
+             for start in range(0, cfg.rounds, BLOCK_ROUNDS)]
 
     def one(i):
         return block_fn(_block_rng(cfg.seed, i), sizes[i])
@@ -369,7 +366,7 @@ def simulate(cfg: SimConfig) -> SimOutcome:
         rng={
             "algorithm": RNG_ALGORITHM,
             "seed": int(cfg.seed),
-            "block_rounds": cfg.block_rounds,
+            "block_rounds": BLOCK_ROUNDS,
             "substream": "SeedSequence((seed, block_index))",
         },
         config={

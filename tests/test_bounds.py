@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,17 @@ def test_c_max_two_pool_game_reference():
 def test_c_max_checks_totals():
     with pytest.raises(InconsistentDistribution):
         c_max_single(0.2, 0.2, HonestPowerDistribution(shares=(0.5,)))
+
+
+@pytest.mark.parametrize("shares, atomized, named", [
+    ((float("nan"), 0.7), 0.0, "shares[0]=nan"),
+    ((0.2, 0.1, 0.1), float("nan"), "atomized_remainder=nan"),
+    ((0.7,), float("inf"), "atomized_remainder=inf"),
+    ((-0.1, 0.8), 0.0, "shares[0]=-0.1"),
+], ids=["nan-share", "nan-atomized", "inf-atomized", "negative-share"])
+def test_distribution_rejects_non_finite_or_negative_power(shares, atomized, named):
+    with pytest.raises(ConstraintViolated, match=re.escape(named)):
+        HonestPowerDistribution(shares, atomized)
 
 
 def test_c_max_antitone_under_merging():

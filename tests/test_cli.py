@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from fawkit import multi_pool
 from fawkit.cli import build_parser, main, parse_range
 from fawkit.errors import UnknownFixture
-from fawkit.reproduce import load_fixture, reproduce
+from fawkit.game import SWEEP_CSV_HEADER
+from fawkit.reproduce import FIXTURE_NAMES, load_fixture, reproduce
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -216,7 +217,9 @@ def test_invalid_sim_input_is_a_typed_error(capsys, monkeypatch, flags, seed_env
     ("game-sweep", "0.1:0.2:0.1", "--tol", "0"),
     ("game-solve", "0.1", "--tol", "nan"),
     ("game-solve", "0.1", "--max-iter", "0"),
-], ids=["solve-0", "sweep-0", "solve-nan", "solve-max-iter-0"])
+    ("game-solve", "0.1", "--tol", "1e-9"),
+    ("game-sweep", "0.1:0.2:0.1", "--tol", "1e-9"),
+], ids=["solve-0", "sweep-0", "solve-nan", "solve-max-iter-0", "solve-1e-9", "sweep-1e-9"])
 def test_bad_tol_is_a_typed_error(capsys, command, alpha2, flag, value):
     code, out, err = run_cli(capsys, command, "--alpha1", "0.2", "--alpha2", alpha2,
                              "--c", "1", flag, value)
@@ -342,6 +345,77 @@ def test_analytic_needs_every_flag_it_reads(capsys, command, flags, required):
             1, "", f"error: missing required flag {flag}\n")
 
 
+@pytest.mark.parametrize("argv, named", [
+    (("c-min", "--alpha", "0.7", "--beta", "0.9"), "alpha=0.7 reaches the majority guard"),
+    (("c-from-gamma", "--gamma", "0.5", "--alpha", "-1", "--beta", "0.9"),
+     "alpha=-1.0 outside [0, 1]"),
+    (("gamma-bound", "--alpha", "0.9", "--atomized", "0.1"), "alpha=0.9 reaches the majority guard"),
+    (("c-max", "--alpha", "0.6", "--beta", "0.1", "--atomized", "0.3"),
+     "alpha=0.6 reaches the majority guard"),
+    (("c-max", "--alpha", "0.2", "--beta", "0.1", "--shares", "0.2,0.1,0.1", "--atomized", "nan"),
+     "atomized_remainder=nan"),
+    (("c-max", "--alpha", "0.2", "--beta", "0.1", "--shares", "nan,0.7"), "shares[0]=nan"),
+], ids=["c-min-majority", "c-from-gamma-negative", "gamma-bound-majority", "c-max-majority",
+        "c-max-nan-atomized", "c-max-nan-share"])
+def test_bounds_reject_impossible_powers(capsys, argv, named):
+    code, out, err = run_cli(capsys, "bounds", *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and named in err
+
+
+def test_csv_output_is_one_header_and_one_row(capsys):
+    code, out, _ = run_cli(capsys, "optimal-tau", "--alpha", "0.2", "--beta", "0.2",
+                           "--c", "1", "--format", "csv")
+    assert code == 0
+    header, row = (line.split(",") for line in out.splitlines())
+    assert header[:4] == ["schema_version", "alpha", "beta", "c"]
+    assert row[:4] == ["1", "0.2", "0.2", "1.0"]
+    assert len(row) == len(header)
+
+
+@pytest.mark.parametrize("kind, flags", [
+    ("single", ("--alpha", "0.2", "--beta", "0.2", "--c", "1", "--tau", "0.4")),
+    ("multi", ("--preset", "table2", "--taus", "0.12,0.06,0.06,0.06", "--c", "1")),
+    ("game", ("--alpha1", "0.2", "--alpha2", "0.1", "--f1", "0.05", "--f2", "0.02",
+              "--c", "1")),
+])
+def test_sim_csv_and_table_match_json(capsys, kind, flags):
+    argv = (f"sim-{kind}", *flags, "--rounds", "5000", "--seed", "9")
+    doc = json.loads(run_cli(capsys, *argv)[1])
+    code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    header, row = (line.split(",") for line in out.splitlines())
+    assert len(header) == len(row)
+    csv_doc = dict(zip(header, row))
+    assert (csv_doc["kind"], csv_doc["rounds"], csv_doc["seed"]) == (kind, "5000", "9")
+    for tag, count in doc["case_counts"].items():
+        assert int(csv_doc[tag]) == count
+    for actor, total in doc["reward_sums"].items():
+        assert float(csv_doc[f"{actor}_mean"]) == total / 5000
+    code, out, _ = run_cli(capsys, *argv, "--format", "table")
+    assert code == 0
+    table = dict(line.split(None, 1) for line in out.splitlines())
+    assert table["kind"] == kind
+    assert table["config.rounds"] == "5000"
+    assert table["rng.block_rounds"] == str(doc["rng"]["block_rounds"])
+    for actor, total in doc["reward_sums"].items():
+        assert float(table[f"reward_sums.{actor}"]) == total
+
+
+def test_game_sweep_json_matches_csv(capsys):
+    code, out, _ = run_cli(capsys, *SWEEP_FLAGS, "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["alpha1"] == 0.2 and doc["assumed_c"] is False
+    rows = (GOLDEN / "game_sweep.csv").read_text().splitlines()[1:]
+    assert len(doc["cells"]) == len(rows) == 36
+    for cell, row in zip(doc["cells"], rows):
+        assert tuple(cell) == SWEEP_CSV_HEADER
+        assert row.split(",")[-2:] == [cell["winner"], str(cell["converged"]).lower()]
+        assert float(row.split(",")[2]) == pytest.approx(cell["f1"], abs=1e-12)
+
+
 def test_output_to_file(capsys, tmp_path):
     dest = tmp_path / "out.json"
     code, out, _ = run_cli(capsys, "optimal-tau", "--alpha", "0.2", "--beta", "0.2",
@@ -352,7 +426,7 @@ def test_output_to_file(capsys, tmp_path):
 
 
 def test_reproduce_fixtures_cheap_ones(capsys):
-    for name in ("cmax-0914", "selfish-009", "changing-c"):
+    for name in FIXTURE_NAMES:
         code, out, _ = run_cli(capsys, "reproduce", name)
         assert code == 0, out
         assert "result: PASS" in out

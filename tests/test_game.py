@@ -15,6 +15,7 @@ from fawkit.game import (
     WINNER_POOL2,
     WINNER_TIE,
     SWEEP_CSV_HEADER,
+    TOL_FLOOR,
     RegionCell,
     best_response,
     classify_winner,
@@ -216,6 +217,26 @@ def test_equilibrium_unique_across_starts():
 def test_equilibrium_deviation_stable():
     res = solve_equilibrium(0.25, 0.15, 0.9, 0.7, 0.5, 0.3, tol=1e-7)
     assert res.deviation_gain <= 10 * 1e-7
+
+
+@pytest.mark.parametrize("solve", [
+    lambda tol: solve_equilibrium(0.3, 0.1, 1.0, 1.0, 0.5, 0.5, tol=tol),
+    lambda tol: sweep_regions(0.3, [0.1], [1.0], tol=tol),
+    lambda tol: sweep_regions_assumed_c(0.3, [0.1], [1.0], tol=tol),
+], ids=["solve", "sweep", "sweep-assumed-c"])
+def test_tol_below_the_floor_is_rejected(solve):
+    # at tol = 1e-9 this game used to spin through all MAX_ITER rounds
+    with pytest.raises(ConstraintViolated, match=f"tol=1e-09 is below the floor {TOL_FLOOR!r}"):
+        solve(1e-9)
+
+
+@given(st.floats(0.001, 0.4999), st.floats(0.001, 0.4999), st.floats(0.0, 1.0),
+       st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+def test_solve_at_the_floor_converges(a1, a2, c1, c2, c1p, c2p_frac):
+    """Converged solves take at most 12 rounds, so 50 leave room; a cycling one never stops."""
+    res = solve_equilibrium(a1, a2, c1, c2, c1p, c2p_frac * (1.0 - c1p), tol=TOL_FLOOR,
+                            max_iter=50, keep_trace=False)
+    assert res.converged
 
 
 def test_equilibrium_trace_and_iteration_cap():

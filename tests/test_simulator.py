@@ -43,10 +43,9 @@ def _table2_at_optimum():
 ], ids=["single", "multi", "game"])
 def test_worker_count_only_partitions(make_scenario):
     scenario = make_scenario()
-    base = SimConfig(rounds=600_000, seed=7, scenario=scenario, workers=1,
-                     block_rounds=1 << 16)
-    threaded = SimConfig(rounds=600_000, seed=7, scenario=scenario, workers=4,
-                         block_rounds=1 << 16)
+    # 600k rounds are 3 blocks of BLOCK_ROUNDS, spread over up to 4 workers
+    base = SimConfig(rounds=600_000, seed=7, scenario=scenario, workers=1)
+    threaded = SimConfig(rounds=600_000, seed=7, scenario=scenario, workers=4)
     a = simulate(base)
     b = simulate(threaded)
     assert a.case_counts == b.case_counts
