@@ -47,8 +47,6 @@ from .game import (
 from .multi_pool import (
     AllocationResult,
     POOL_PRESETS,
-    TABLE2_POWERS,
-    fixed_tau_reward_mismatched_c,
     optimize_allocation,
     preset_attack,
     reward_npool,
@@ -66,18 +64,10 @@ from .scenarios import (
     validate_multi,
     validate_single,
 )
-from .simulator import (
-    SimConfig,
-    SimOutcome,
-    simulate,
-    simulate_game,
-    simulate_multi,
-    simulate_single,
-)
+from .simulator import SimConfig, SimOutcome, simulate
 from .single_pool import (
     OptimalTauResult,
     optimal_tau,
-    optimal_tau_closed_form,
     reward_bwh,
     reward_single,
     victim_reward,

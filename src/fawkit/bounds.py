@@ -6,6 +6,10 @@ with perfect propagation c is capped by how concentrated external honest
 power is, while a rational victim manager who prefers his own pool's block
 floors c at alpha + beta.
 
+The countermeasure rewards are single-pool rewards with changed shares:
+the attacker's solo income plus the victim pool's honest and fork pots
+(single_pool._pots), each times the share the countermeasure leaves it.
+
 Several expressions here substitute the infiltration fraction tau where the
 source derivations print an undefined gamma; every function doing so says
 so in its docstring and carries GAMMA_AS_TAU_NOTE as ``substitution_note``.
@@ -23,6 +27,7 @@ from .errors import (
     NegativeEffectiveMinersWarning,
 )
 from .scenarios import SinglePoolScenario, validate_single
+from .single_pool import _pots
 
 GAMMA_AS_TAU_NOTE = (
     "expelled-identity formulas are evaluated with the infiltration fraction "
@@ -128,15 +133,21 @@ def gamma_upper_bound(dist: HonestPowerDistribution, alpha: float) -> float:
     return 1.0 - dist.square_sum
 
 
-def _effective(count: float, what: str) -> float:
+def _diluted(pot, ta, beta, L, count, what):
+    """The attacker's part of ``pot`` when ``count`` of its L identities keep theirs.
+
+    A negative count (expulsions outpace identities) is floored at 0 with a warning.
+    """
     if count < 0.0:
         warnings.warn(
             f"{what} went negative and was floored at 0; expulsions outpace identities",
             NegativeEffectiveMinersWarning,
             stacklevel=3,
         )
-        return 0.0
-    return count
+        count = 0.0
+    if L * beta + count * ta > 0.0:
+        return pot * (count * ta) / (L * beta + count * ta)
+    return 0.0
 
 
 def detection_resilient_reward(alpha, beta, tau, c, L: int) -> float:
@@ -159,20 +170,15 @@ def detection_resilient_reward(alpha, beta, tau, c, L: int) -> float:
     if L < 1:
         raise ConstraintViolated(f"L={L!r} must be >= 1")
     validate_single(SinglePoolScenario(alpha, beta, tau, c))
-    ta = tau * alpha
+    ta, innocent, honest_pot, fork_pot = _pots(alpha, beta, tau, c)
     ext = 1.0 - alpha - beta
-    reward = (1.0 - tau) * alpha / (1.0 - ta)
     wins = beta + c * ta * ext
     if wins == 0.0:
-        return reward  # the pool can never win a block, so d is undefined and nothing is shared
+        return innocent  # the pool can never win a block, so d is undefined and nothing is shared
     d = (1.0 - c) * ta * ext / wins
-    eff_share = _effective(L - d, "L - d")
-    if beta + ta > 0.0 and L * beta + eff_share * ta > 0.0:
-        reward += beta / (1.0 - ta) * (eff_share * ta) / (L * beta + eff_share * ta)
-    eff_fork = _effective(L - d - 1.0, "L - d - 1")
-    if L * beta + eff_fork * ta > 0.0:
-        reward += c * ta * ext / (1.0 - ta) * (eff_fork * ta) / (L * beta + eff_fork * ta)
-    return reward
+    return (innocent
+            + _diluted(honest_pot, ta, beta, L, L - d, "L - d")
+            + _diluted(fork_pot, ta, beta, L, L - d - 1.0, "L - d - 1"))
 
 
 detection_resilient_reward.substitution_note = GAMMA_AS_TAU_NOTE
@@ -191,15 +197,11 @@ def honeypot_bwh_bound(alpha, beta, tau, L: int) -> float:
     if L < 1:
         raise ConstraintViolated(f"L={L!r} must be >= 1")
     validate_single(SinglePoolScenario(alpha, beta, tau, 0.0))
-    ta = tau * alpha
-    reward = (1.0 - tau) * alpha / (1.0 - ta)
+    ta, innocent, honest_pot, _ = _pots(alpha, beta, tau, 0.0)
     if ta == 0.0:
-        return reward  # == alpha
+        return innocent  # == alpha
     d = ta * (1.0 - ta) / beta if beta > 0.0 else math.inf
-    eff = _effective(L - d, "L - d")
-    if L * beta + eff * ta > 0.0:
-        reward += beta / (1.0 - ta) * (eff * ta) / (L * beta + eff * ta)
-    return reward
+    return innocent + _diluted(honest_pot, ta, beta, L, L - d, "L - d")
 
 
 honeypot_bwh_bound.substitution_note = GAMMA_AS_TAU_NOTE
@@ -221,14 +223,9 @@ def bonus_scheme_reward(alpha, beta, tau, c, t: float) -> float:
     if not 0.0 <= t <= 1.0:
         raise ConstraintViolated(f"t={t!r} outside [0, 1]")
     validate_single(SinglePoolScenario(alpha, beta, tau, c))
-    ta = tau * alpha
-    ext = 1.0 - alpha - beta
+    ta, innocent, honest_pot, fork_pot = _pots(alpha, beta, tau, c)
     share = ta / (beta + ta) if beta + ta > 0.0 else 0.0
-    return (
-        (1.0 - tau) * alpha / (1.0 - ta)
-        + beta / (1.0 - ta) * (1.0 - t) * share
-        + c * ta * ext / (1.0 - ta) * (t + (1.0 - t) * share)
-    )
+    return innocent + honest_pot * (1.0 - t) * share + fork_pot * (t + (1.0 - t) * share)
 
 
 def safe_bonus_threshold(pool_power: float, c_max: float) -> float:

@@ -15,6 +15,7 @@ import io
 import json
 import os
 import sys
+import warnings
 from dataclasses import asdict
 
 from . import bounds as bounds_mod
@@ -431,8 +432,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha1", type=float, required=True)
     p.add_argument("--alpha2", type=float, required=True)
     _game_c_flags(p)
-    p.add_argument("--tol", type=float, default=1e-7)
-    p.add_argument("--max-iter", type=int, default=10000)
+    p.add_argument("--tol", type=float, default=game_mod.TOL)
+    p.add_argument("--max-iter", type=int, default=game_mod.MAX_ITER)
     _add_common(p)
     p.set_defaults(func=cmd_game_solve)
 
@@ -442,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", type=parse_range, required=True, help="FLOAT or START:STOP:STEP")
     p.add_argument("--assumed-c", action="store_true",
                    help="plan strategies at c = alpha1+alpha2, evaluate at the axis c")
-    p.add_argument("--tol", type=float, default=1e-7)
+    p.add_argument("--tol", type=float, default=game_mod.TOL)
     _add_common(p)
     p.set_defaults(func=cmd_game_sweep, format="csv")
 
@@ -492,11 +493,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except FawError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():
+        # one line per warning, without the source line Python would echo
+        warnings.showwarning = lambda message, category, *_: print(
+            f"warning: {category.__name__}: {message}", file=sys.stderr)
+        try:
+            return args.func(args)
+        except FawError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

@@ -43,6 +43,7 @@ BR_GRID = 1000         # best response: coarse scan points over [0, alpha]
 BR_XTOL = 1e-9         # best response: golden-section bracket width
 DEVIATION_GRID = 2000  # unilateral_gain: line-scan points per pool
 MAX_ITER = 10000       # best-response rounds per solve: the default, and every sweep cell's cap
+TOL = 1e-7             # default solve tol: best-response rounds stop when max |df| < TOL
 TOL_FLOOR = 5e-8       # finest solve tol: best responses resolved to BR_XTOL can cycle below it
 
 SWEEP_CSV_HEADER = ("alpha2", "c", "f1", "f2", "rer1_pct", "rer2_pct", "winner", "converged")
@@ -158,7 +159,7 @@ def unilateral_gain(a1, a2, c1, c2, c1p, c2p, f1, f2) -> float:
 
 
 def solve_equilibrium(alpha1, alpha2, c1, c2, c1p, c2p,
-                      tol: float = 1e-7, max_iter: int = MAX_ITER,
+                      tol: float = TOL, max_iter: int = MAX_ITER,
                       start: tuple[float, float] = (0.0, 0.0),
                       keep_trace: bool = True) -> EquilibriumResult:
     """Alternating best-response dynamics until max |df| < tol.
@@ -284,7 +285,7 @@ def _sweep(alpha1, alpha2_axis, c_axis, tol, assumed_c):
     return cells
 
 
-def sweep_regions(alpha1, alpha2_axis, c_axis, tol: float = 1e-7) -> list[RegionCell]:
+def sweep_regions(alpha1, alpha2_axis, c_axis, tol: float = TOL) -> list[RegionCell]:
     """Equilibrium winner map under the symmetric model c_i = c, c_i' = c/2.
 
     Cells are emitted row-major with c as the outer axis and alpha2 inner.
@@ -294,7 +295,7 @@ def sweep_regions(alpha1, alpha2_axis, c_axis, tol: float = 1e-7) -> list[Region
     return _sweep(alpha1, alpha2_axis, c_axis, tol, assumed_c=False)
 
 
-def sweep_regions_assumed_c(alpha1, alpha2_axis, c_axis, tol: float = 1e-7) -> list[RegionCell]:
+def sweep_regions_assumed_c(alpha1, alpha2_axis, c_axis, tol: float = TOL) -> list[RegionCell]:
     """Winner map when both managers plan for c = alpha1 + alpha2.
 
     Strategies come from the equilibrium under the assumed (minimum

@@ -17,11 +17,17 @@ over S. (1-a-B) * reach(S) is the probability that the attacker withholds
 in exactly the pools of S and then an external miner finds a block; c/k is
 one branch's win probability in a (k+1)-branch fork. Pool counts are capped
 at MAX_POOLS by the simulator's uint8 withheld-set bitmask.
+
+The kernel _reward_raw takes each tau as a float or an ndarray: reward_npool
+validates and calls it on floats, and optimize_allocation scores each
+coordinate's whole grid as one array in one call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import ConstraintViolated, DegenerateInput
 from .optimize import grid_golden_max
@@ -104,12 +110,12 @@ def reward_two_pools(alpha, beta1, beta2, tau1, tau2,
     return r
 
 
-def _fork_pots(alpha, betas, taus, c):
-    """Per-pool expected fork income (before the in-pool share factor)."""
+def _reward_raw(alpha, betas, taus, c):
+    """reward_npool's sum, unvalidated; each tau is a float or a broadcastable ndarray."""
     n = len(betas)
     ta = [t * alpha for t in taus]
     ext = 1.0 - alpha - sum(betas)
-    pots = [0.0] * n
+    pots = [0.0] * n  # per-pool expected fork income
     reach = [1.0] * (1 << n)  # indexed by withheld-set bitmask, see the module docstring
     for s in range(1, 1 << n):
         members = [j for j in range(n) if s >> j & 1]
@@ -118,7 +124,15 @@ def _fork_pots(alpha, betas, taus, c):
         w = (c / len(members)) * ext * reach[s]
         for i in members:
             pots[i] += w
-    return pots
+    total_tau = sum(taus)
+    total_ta = total_tau * alpha
+    r = (1.0 - total_tau) * alpha / (1.0 - total_ta)
+    for b, t, pot in zip(betas, ta, pots):
+        # a pool with no power of its own pays its infiltrator everything,
+        # and with no infiltrator either its fork pot is 0
+        share = t / (b + t) if b > 0.0 else 1.0
+        r += share * (b / (1.0 - total_ta) + pot)
+    return r
 
 
 def reward_npool(s: MultiPoolScenario) -> float:
@@ -128,16 +142,7 @@ def reward_npool(s: MultiPoolScenario) -> float:
     (c, c/2) at n=2.
     """
     validate_multi(s)
-    total_tau = sum(s.taus)
-    total_ta = total_tau * s.alpha
-    r = (1.0 - total_tau) * s.alpha / (1.0 - total_ta)
-    pots = _fork_pots(s.alpha, s.betas, s.taus, s.c)
-    for b, t, pot in zip(s.betas, s.taus, pots):
-        ta = t * s.alpha
-        if b + ta <= 0.0:
-            continue
-        r += ta / (b + ta) * (b / (1.0 - total_ta) + pot)
-    return r
+    return _reward_raw(s.alpha, s.betas, s.taus, s.c)
 
 
 @dataclass(frozen=True)
@@ -167,47 +172,33 @@ def optimize_allocation(alpha, betas, c, budget: float = 1.0) -> AllocationResul
         raise ConstraintViolated(f"budget={budget!r} outside (0, 1]")
     validate_multi(MultiPoolScenario(alpha, betas, (0.0,) * len(betas), c))
 
-    groups: dict[float, list[int]] = {}
-    for i, b in enumerate(betas):
-        groups.setdefault(b, []).append(i)
-    members = list(groups.values())
-    shared = [0.0] * len(members)
+    powers = list(dict.fromkeys(betas))  # pools of equal power share one tau
+    group = [powers.index(b) for b in betas]
+    sizes = [group.count(g) for g in range(len(powers))]
+    shared = [0.0] * len(sizes)
     evals = 0
 
-    def taus_of(values):
-        taus = [0.0] * len(betas)
-        for g, idxs in enumerate(members):
-            for i in idxs:
-                taus[i] = values[g]
-        return tuple(taus)
-
-    def objective():
+    def objective(g, x):
+        """Reward with group g's tau at x (a float or a grid), the others at ``shared``."""
         nonlocal evals
-        evals += 1
-        return reward_npool(MultiPoolScenario(alpha, betas, taus_of(shared), c))
+        evals += np.size(x)
+        return _reward_raw(alpha, betas, [x if h == g else shared[h] for h in group], c)
 
-    current = objective()
+    current = objective(0, shared[0])
     converged = False
     for _ in range(ALLOC_MAX_SWEEPS):
         previous = current
-        for g, idxs in enumerate(members):
-            size = len(idxs)
-            others = sum(len(members[h]) * shared[h] for h in range(len(members)) if h != g)
+        for g, size in enumerate(sizes):
+            others = sum(sizes[h] * shared[h] for h in range(len(sizes)) if h != g)
             hi = min(1.0, max((budget - others) / size, 0.0))
-
-            def coord(x, g=g):
-                shared[g] = float(x)
-                return objective()
-
-            x_star, _ = grid_golden_max(coord, 0.0, hi, n_grid=ALLOC_COORD_GRID,
-                                        xtol=ALLOC_XTOL, vectorized=False)
-            shared[g] = x_star
-            current = objective()
+            shared[g], _ = grid_golden_max(lambda x: objective(g, x), 0.0, hi,
+                                           n_grid=ALLOC_COORD_GRID, xtol=ALLOC_XTOL)
+            current = objective(g, shared[g])
         if abs(current - previous) < ALLOC_REWARD_TOL:
             converged = True
             break
 
-    taus = taus_of(shared)
+    taus = tuple(shared[g] for g in group)
     reward = reward_npool(MultiPoolScenario(alpha, betas, taus, c))
     return AllocationResult(
         taus=taus,

@@ -15,7 +15,7 @@ from . import game
 from . import multi_pool
 from . import single_pool
 from .errors import UnknownFixture
-from .scenarios import rer
+from .scenarios import MultiPoolScenario, rer
 
 
 def load_fixture(name: str) -> dict:
@@ -56,12 +56,11 @@ def _reproduce_case4(fx, rows):
 
 def _reproduce_changing_c(fx, rows):
     tol = fx["tolerances"]
-    planned = fx["planned_taus"]
-    bwh = multi_pool.fixed_tau_reward_mismatched_c(fx["alpha"], fx["betas"], planned, 0.0)
-    mis = multi_pool.fixed_tau_reward_mismatched_c(fx["alpha"], fx["betas"], planned,
-                                                   fx["c_actual"])
-    bwh_rer = rer(bwh, fx["alpha"])
-    mis_rer = rer(mis, fx["alpha"])
+    alpha, betas, planned = fx["alpha"], tuple(fx["betas"]), tuple(fx["planned_taus"])
+    bwh = multi_pool.reward_npool(MultiPoolScenario(alpha, betas, planned, 0.0))
+    mis = multi_pool.reward_npool(MultiPoolScenario(alpha, betas, planned, fx["c_actual"]))
+    bwh_rer = rer(bwh, alpha)
+    mis_rer = rer(mis, alpha)
     improvement = (mis_rer - bwh_rer) / bwh_rer * 100.0
     exp = fx["expected"]
     _check(rows, "rer_pct", exp["rer_pct"], round(mis_rer, 4),

@@ -29,24 +29,29 @@ TAU_GRID = 1000           # optimal_tau: coarse scan points over [0, 1]
 TAU_XTOL = 1e-9           # optimal_tau: golden-section bracket width, also the boundary band
 
 
+def _pots(alpha, beta, tau, c):
+    """(ta, innocent, honest_pot, fork_pot); ufunc-friendly, no validation.
+
+    The attacker's solo income, and the victim pool's income from its own
+    miners and from forks won by the withheld block.
+    """
+    ta = tau * alpha
+    innocent = (1.0 - tau) * alpha / (1.0 - ta)
+    honest_pot = beta / (1.0 - ta)
+    fork_pot = c * ta * (1.0 - alpha - beta) / (1.0 - ta)
+    return ta, innocent, honest_pot, fork_pot
+
+
 def attacker_reward_formula(alpha, beta, tau, c):
     """Raw reward expression; ufunc-friendly, no validation.
 
     At tau = 0 this is exactly alpha. With beta = 0 and tau > 0 the in-pool
     share factor ta/(beta+ta) is 1.
     """
-    ta = tau * alpha
-    innocent = (1.0 - tau) * alpha / (1.0 - ta)
-    pool_pot = beta / (1.0 - ta) + c * ta * (1.0 - alpha - beta) / (1.0 - ta)
+    ta, innocent, honest_pot, fork_pot = _pots(alpha, beta, tau, c)
     denom = beta + ta
     share = np.where(denom > 0.0, ta / np.where(denom > 0.0, denom, 1.0), 0.0)
-    return innocent + pool_pot * share
-
-
-def victim_reward_formula(alpha, beta, tau, c):
-    """Victim pool's expected per-round pot; ufunc-friendly, no validation."""
-    ta = tau * alpha
-    return beta / (1.0 - ta) + c * ta * (1.0 - alpha - beta) / (1.0 - ta)
+    return innocent + (honest_pot + fork_pot) * share
 
 
 def reward_single(s: SinglePoolScenario) -> float:
@@ -68,7 +73,8 @@ def victim_reward(s: SinglePoolScenario) -> float:
     block quickly shrinks his own loss.
     """
     validate_single(s)
-    return float(victim_reward_formula(s.alpha, s.beta, s.tau, s.c))
+    _, _, honest_pot, fork_pot = _pots(s.alpha, s.beta, s.tau, s.c)
+    return float(honest_pot + fork_pot)
 
 
 def optimal_tau_closed_form(alpha: float, beta: float, c: float) -> float:

@@ -1,7 +1,11 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import single_scenarios
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fawkit.bounds import (
     GAMMA_AS_TAU_NOTE,
@@ -196,6 +200,21 @@ def test_bonus_scheme_collapses_at_zero_bonus():
         c = rng.uniform(0, 1)
         plain = reward_single(SinglePoolScenario(alpha, beta, tau, c))
         assert bonus_scheme_reward(alpha, beta, tau, c, 0.0) == pytest.approx(plain, abs=1e-14)
+
+
+@given(single_scenarios(), st.floats(0.0, 1.0), st.integers(1, 10**6))
+def test_no_infiltration_earns_exactly_alpha(s, t, L):
+    # every member of the single-pool reward family, whatever its countermeasure
+    alpha, beta, c = s.alpha, s.beta, s.c
+    assert reward_single(replace(s, tau=0.0)) == alpha
+    assert bonus_scheme_reward(alpha, beta, 0.0, c, t) == alpha
+    assert detection_resilient_reward(alpha, beta, 0.0, c, L) == alpha
+    assert honeypot_bwh_bound(alpha, beta, 0.0, L) == alpha
+
+
+@given(single_scenarios())
+def test_bonus_at_zero_is_the_unguarded_reward(s):
+    assert abs(bonus_scheme_reward(s.alpha, s.beta, s.tau, s.c, 0.0) - reward_single(s)) <= 1e-15
 
 
 def test_bonus_scheme_tau_zero():

@@ -1,6 +1,7 @@
 import argparse
 import json
 import shlex
+import warnings
 from pathlib import Path
 
 import pytest
@@ -253,6 +254,22 @@ def test_detection_when_the_pool_never_wins(capsys):
                            "--tau", "0.4", "--c", "0", "-L", "3")
     assert code == 0
     assert json.loads(out)["reward_lower_bound"] == pytest.approx(0.6 * 0.2 / (1 - 0.08))
+
+
+@pytest.mark.parametrize("argv, line", [
+    ("counter detection --alpha 0.2 --beta 0.2 --tau 0.4 --c 0.5",
+     "warning: NegativeEffectiveMinersWarning: L - d - 1 went negative and was floored at 0; "
+     "expulsions outpace identities\n"),
+    ("game-solve --alpha1 0.2 --alpha2 0.1 --c 0.1",
+     "warning: RationalFloorWarning: branch-win probability below the rational-manager floor "
+     "alpha1 + alpha2\n"),
+], ids=("detection", "game-solve"))
+def test_warning_is_one_stderr_line(capsys, argv, line):
+    code, out, err = run_cli(capsys, *shlex.split(argv))
+    assert (code, err) == (0, line)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert run_cli(capsys, *shlex.split(argv)) == (0, out, "")
 
 
 @pytest.mark.parametrize("command, flags", [

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from conftest import multi_scenarios
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fawkit import multi_pool
@@ -73,18 +74,7 @@ def test_matches_ordered_walk(n):
         assert abs(reward_npool(s) - _ordered_walk_reward(s)) <= 1e-12
 
 
-@st.composite
-def _multi_scenarios(draw, max_pools=6):
-    n = draw(st.integers(1, max_pools))
-    alpha = draw(st.floats(0.0, 0.49))
-    beta_cap = min(0.49, (1.0 - alpha) / n)
-    betas = draw(st.lists(st.floats(0.0, beta_cap), min_size=n, max_size=n))
-    taus = draw(st.lists(st.floats(0.0, 1.0 / n), min_size=n, max_size=n))
-    c = draw(st.floats(0.0, 1.0))
-    return MultiPoolScenario(alpha, tuple(betas), tuple(taus), c)
-
-
-@given(_multi_scenarios())
+@given(multi_scenarios())
 def test_matches_ordered_walk_property(s):
     assert abs(reward_npool(s) - _ordered_walk_reward(s)) <= 1e-12
 
@@ -239,3 +229,38 @@ def test_changing_c_reference_values():
     assert abs(mis_rer - 3.99) <= 0.05
     improvement = (mis_rer - bwh_rer) / bwh_rer * 100
     assert abs(improvement - 34.62) <= 1.0
+
+
+@given(multi_scenarios(max_pools=8), st.data())
+def test_kernel_scores_columns_like_rows(s, data):
+    # the optimizer's scan: some pools' taus are grid columns, the rest floats
+    n, rows = len(s.betas), data.draw(st.integers(1, 4))
+    columns = [
+        np.array(data.draw(st.lists(st.floats(0.0, 1.0 / n), min_size=rows, max_size=rows)))
+        if data.draw(st.booleans()) else t
+        for t in s.taus
+    ]
+    got = np.broadcast_to(multi_pool._reward_raw(s.alpha, s.betas, columns, s.c), rows)
+    for k in range(rows):
+        row = tuple(float(np.broadcast_to(col, rows)[k]) for col in columns)
+        assert got[k] == reward_npool(MultiPoolScenario(s.alpha, s.betas, row, s.c))
+
+
+@given(multi_scenarios(max_pools=8))
+def test_no_infiltration_earns_exactly_alpha(s):
+    assert reward_npool(MultiPoolScenario(s.alpha, s.betas, (0.0,) * len(s.betas), s.c)) == s.alpha
+
+
+@settings(max_examples=25)
+@given(st.floats(0.01, 0.4), st.lists(st.floats(0.01, 0.14), min_size=1, max_size=4),
+       st.floats(0.0, 1.0), st.floats(0.05, 1.0))
+def test_optimizer_beats_honest_mining_and_every_single_pool_vertex(alpha, betas, c, budget):
+    betas = tuple(betas)
+    res = optimize_allocation(alpha, betas, c, budget=budget)
+    n = len(betas)
+    vertices = [
+        reward_npool(MultiPoolScenario(alpha, betas, tuple(budget if j == i else 0.0
+                                                            for j in range(n)), c))
+        for i in range(n)
+    ]
+    assert res.reward >= max(alpha, *vertices) - 1e-12

@@ -1,5 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from conftest import single_scenarios
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fawkit.errors import DegenerateInput
 from fawkit.scenarios import SinglePoolScenario, rer
@@ -72,6 +77,12 @@ def test_rewards_increase_with_c():
         assert hi > lo
         assert victim_reward(SinglePoolScenario(alpha, beta, tau, c_hi)) > \
             victim_reward(SinglePoolScenario(alpha, beta, tau, c_lo))
+
+
+@given(single_scenarios(), st.floats(0.0, 1.0))
+def test_victim_pot_does_not_fall_as_c_grows(s, other_c):
+    lo, hi = sorted((s.c, other_c))
+    assert victim_reward(replace(s, c=hi)) >= victim_reward(replace(s, c=lo))
 
 
 def test_dominance_chain_small_grid():
