@@ -18,6 +18,11 @@ opponent's infiltrator; that net take is what decides winning and losing
 exactly, and the win/lose borderline is the pool-size diagonal). Best
 responses are identical under pot or net because the outgoing-share factor
 does not depend on the pool's own infiltration choice.
+
+A sweep solves all of its equilibria at once: every plan runs the same
+alternating best responses as ``solve_equilibrium``, in lockstep on
+arrays. Each step is elementwise float64 arithmetic, which rounds exactly
+as the scalar path does, so every sweep cell equals its per-cell solve.
 """
 
 from __future__ import annotations
@@ -25,12 +30,13 @@ from __future__ import annotations
 import csv
 import io
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConstraintViolated, DegenerateInput
-from .optimize import grid_golden_max
+from .errors import ConstraintViolated, DegenerateInput, RationalFloorWarning
+from .optimize import INV_PHI, INV_PHI2, grid_golden_max
 from .scenarios import GameScenario, validate_game
 
 WINNER_POOL1 = "pool1"
@@ -45,6 +51,7 @@ DEVIATION_GRID = 2000  # unilateral_gain: line-scan points per pool
 MAX_ITER = 10000       # best-response rounds per solve: the default, and every sweep cell's cap
 TOL = 1e-7             # default solve tol: best-response rounds stop when max |df| < TOL
 TOL_FLOOR = 5e-8       # finest solve tol: best responses resolved to BR_XTOL can cycle below it
+SWEEP_BLOCK = 8        # sweep grid scans: plans per kernel call, which bounds the scan's memory
 
 SWEEP_CSV_HEADER = ("alpha2", "c", "f1", "f2", "rer1_pct", "rer2_pct", "winner", "converged")
 
@@ -99,6 +106,12 @@ def _require_powers(alpha1, alpha2):
             raise DegenerateInput(f"{name}={power!r} must be positive: a powerless pool has no RER")
 
 
+def _require_tol(tol):
+    if not tol >= TOL_FLOOR:
+        raise ConstraintViolated(
+            f"tol={tol!r} is below the floor {TOL_FLOOR!r} set by the best-response resolution")
+
+
 def best_response(g: GameScenario, responder: int) -> float:
     """Most profitable infiltration power for one pool, opponent held fixed.
 
@@ -114,13 +127,92 @@ def best_response(g: GameScenario, responder: int) -> float:
                               g.f2 if responder == 1 else g.f1)
 
 
+def _responder_pot(a1, a2, c1, c2, c1p, c2p, responder, f_opp, x):
+    """The responder's pot when it infiltrates with x against the opponent's f_opp."""
+    f1, f2 = (x, f_opp) if responder == 1 else (f_opp, x)
+    return pot_payoffs_raw(a1, a2, f1, f2, c1, c2, c1p, c2p)[responder - 1]
+
+
 def _best_response_raw(a1, a2, c1, c2, c1p, c2p, responder, f_opp):
-    if responder == 1:
-        f = lambda x: pot_payoffs_raw(a1, a2, x, f_opp, c1, c2, c1p, c2p)[0]
-    else:
-        f = lambda x: pot_payoffs_raw(a1, a2, f_opp, x, c1, c2, c1p, c2p)[1]
+    f = lambda x: _responder_pot(a1, a2, c1, c2, c1p, c2p, responder, f_opp, x)
     x, _ = grid_golden_max(f, 0.0, a1 if responder == 1 else a2, n_grid=BR_GRID, xtol=BR_XTOL)
     return x
+
+
+def _scan_grids(caps):
+    """Rows np.linspace(0, cap, BR_GRID + 1), bit for bit, for a 1-D array of caps."""
+    if (caps / BR_GRID == 0.0).any():
+        # numpy rescales every row once any row's step underflows, so build rows one by one
+        return np.array([np.linspace(0.0, cap, BR_GRID + 1) for cap in caps])
+    return np.linspace(0.0, caps, BR_GRID + 1, axis=-1)
+
+
+def _lockstep_best_responses(a1, a2, c, responder, f_opp):
+    """``_best_response_raw`` for many symmetric-c plans at once, bit for bit.
+
+    a2, c and f_opp are 1-D arrays with one entry per plan. Every step of
+    ``grid_golden_max`` runs on all plans together: the grid scan in blocks
+    of SWEEP_BLOCK plans, then golden-section with a per-plan live mask and
+    the same grid-winner fallback.
+    """
+    a2, c, f_opp = a2[:, None], c[:, None], f_opp[:, None]
+    half = c / 2.0
+    shared = np.linspace(0.0, a1, BR_GRID + 1)[None, :] if responder == 1 else None
+
+    def pot(x, k=slice(None)):
+        return _responder_pot(a1, a2[k], c[k], c[k], half[k], half[k], responder, f_opp[k], x)
+
+    # grid scan: per plan, the first grid maximum and its neighbours
+    lo, hi, x_top, y_top = (np.empty((len(a2), 1)) for _ in range(4))
+    for s in range(0, len(a2), SWEEP_BLOCK):
+        k = slice(s, s + SWEEP_BLOCK)
+        xs = shared if responder == 1 else _scan_grids(a2[k, 0])
+        ys = pot(xs, k)
+        xs = np.broadcast_to(xs, ys.shape)
+        r, i = np.arange(len(ys)), ys.argmax(axis=1)
+        y_top[k, 0], x_top[k, 0] = ys[r, i], xs[r, i]
+        lo[k, 0], hi[k, 0] = xs[r, np.maximum(i - 1, 0)], xs[r, np.minimum(i + 1, BR_GRID)]
+
+    # golden-section on each bracket, as optimize.golden_section_max
+    h = hi - lo
+    xc, xd = lo + INV_PHI2 * h, lo + INV_PHI * h
+    yc, yd = pot(xc), pot(xd)
+    while (live := h > BR_XTOL).any():
+        up = yc > yd               # the maximum lies left of xd
+        left, right = live & up, live & ~up
+        hi = np.where(left, xd, hi)
+        lo = np.where(right, xc, lo)
+        xc, yc, xd, yd = (np.where(right, xd, xc), np.where(right, yd, yc),
+                          np.where(left, xc, xd), np.where(left, yc, yd))
+        h = np.where(live, h * INV_PHI, h)
+        x = np.where(left, lo + INV_PHI2 * h, lo + INV_PHI * h)
+        y = pot(x)
+        xc, yc = np.where(left, x, xc), np.where(left, y, yc)
+        xd, yd = np.where(right, x, xd), np.where(right, y, yd)
+    x = 0.5 * (lo + hi)
+    # the refined point can only improve on the grid winner
+    return np.where(pot(x) < y_top, x_top, x)[:, 0]
+
+
+def _lockstep_equilibria(a1, a2, c, tol):
+    """``solve_equilibrium`` from (0, 0) for every (a2, c) plan at once: f1, f2 and converged.
+
+    Each plan leaves the lockstep by the per-cell rule: max |df| < tol, or
+    MAX_ITER rounds.
+    """
+    f1, f2 = np.zeros(len(a2)), np.zeros(len(a2))
+    converged = np.zeros(len(a2), dtype=bool)
+    live = np.arange(len(a2))
+    for _ in range(MAX_ITER):
+        if not live.size:
+            break
+        new_f1 = _lockstep_best_responses(a1, a2[live], c[live], 1, f2[live])
+        new_f2 = _lockstep_best_responses(a1, a2[live], c[live], 2, new_f1)
+        done = np.maximum(np.abs(new_f1 - f1[live]), np.abs(new_f2 - f2[live])) < tol
+        f1[live], f2[live] = new_f1, new_f2
+        converged[live[done]] = True
+        live = live[~done]
+    return f1, f2, converged
 
 
 @dataclass(frozen=True)
@@ -171,9 +263,7 @@ def solve_equilibrium(alpha1, alpha2, c1, c2, c1p, c2p,
     best responses jitter at the golden-section width, so such a solve can
     cycle until max_iter without converging.
     """
-    if not tol >= TOL_FLOOR:
-        raise ConstraintViolated(
-            f"tol={tol!r} is below the floor {TOL_FLOOR!r} set by the best-response resolution")
+    _require_tol(tol)
     if max_iter < 1:
         raise ConstraintViolated(f"max_iter={max_iter!r} must be >= 1")
     _require_powers(alpha1, alpha2)
@@ -261,28 +351,51 @@ def _sweep(alpha1, alpha2_axis, c_axis, tol, assumed_c):
     """Winner cells in c-major order, each scored at its axis c.
 
     A cell plays the equilibrium solved at its planning c: alpha1 + alpha2
-    when ``assumed_c``, else the axis c. One solve serves every cell that
-    shares its (alpha2, planning c).
+    when ``assumed_c``, else the axis c. A plan is one (alpha2, planning c)
+    pair, and one solve serves every cell that shares it. Every plan is
+    checked before any is solved, each as ``solve_equilibrium`` checks it,
+    so the first invalid plan in cell order raises. Plans below the
+    rational-manager floor raise one RationalFloorWarning with their count.
+    All plans are then solved together in lockstep.
     """
-    plans = {}
-    cells = []
-    for c in c_axis:
-        for a2 in alpha2_axis:
-            cp = alpha1 + a2 if assumed_c else c
-            if (a2, cp) not in plans:
-                plans[a2, cp] = solve_equilibrium(alpha1, a2, cp, cp, cp / 2.0, cp / 2.0,
-                                                  tol=tol, keep_trace=False)
-            plan = plans[a2, cp]
-            _, _, (rer1, rer2) = _score(alpha1, a2, plan.f1_star, plan.f2_star,
-                                        c, c, c / 2.0, c / 2.0)
-            cells.append(RegionCell(
-                alpha2=float(a2), c=float(c),
-                f1=plan.f1_star, f2=plan.f2_star,
-                rer1_pct=float(rer1), rer2_pct=float(rer2),
-                winner=classify_winner(rer1, rer2),
-                converged=plan.converged,
-            ))
-    return cells
+    _require_tol(tol)
+    plans, cells = {}, []
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for c in c_axis:
+            for a2 in alpha2_axis:
+                plan = (a2, alpha1 + a2 if assumed_c else c)
+                if plan not in plans:
+                    _require_powers(alpha1, a2)
+                    validate_game(GameScenario(alpha1, a2, 0.0, 0.0, plan[1], plan[1],
+                                               plan[1] / 2.0, plan[1] / 2.0))
+                    plans[plan] = len(plans)
+                cells.append((a2, c, plans[plan]))
+    below = 0
+    for w in caught:
+        if issubclass(w.category, RationalFloorWarning):
+            below += 1
+        else:
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+    if below:
+        warnings.warn(f"{below} of {len(plans)} sweep plans have a branch-win probability "
+                      "below the rational-manager floor alpha1 + alpha2",
+                      RationalFloorWarning, stacklevel=3)
+    if not plans:
+        return []
+    a2s, cps = (np.array(axis, dtype=float) for axis in zip(*plans))
+    f1s, f2s, converged = _lockstep_equilibria(alpha1, a2s, cps, tol)
+    out = []
+    for a2, c, k in cells:
+        f1, f2 = float(f1s[k]), float(f2s[k])
+        _, _, (rer1, rer2) = _score(alpha1, a2, f1, f2, c, c, c / 2.0, c / 2.0)
+        out.append(RegionCell(
+            alpha2=float(a2), c=float(c), f1=f1, f2=f2,
+            rer1_pct=float(rer1), rer2_pct=float(rer2),
+            winner=classify_winner(rer1, rer2),
+            converged=bool(converged[k]),
+        ))
+    return out
 
 
 def sweep_regions(alpha1, alpha2_axis, c_axis, tol: float = TOL) -> list[RegionCell]:

@@ -1,5 +1,6 @@
 import argparse
 import json
+import re
 import shlex
 import warnings
 from pathlib import Path
@@ -270,6 +271,16 @@ def test_warning_is_one_stderr_line(capsys, argv, line):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         assert run_cli(capsys, *shlex.split(argv)) == (0, out, "")
+
+
+def test_game_sweep_warns_in_one_stderr_line(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")  # the sweep itself must not repeat the warning
+        code, _, err = run_cli(capsys, *SWEEP_FLAGS)
+    assert code == 0
+    assert re.fullmatch(r"warning: RationalFloorWarning: \d+ of 36 sweep plans have a "
+                        r"branch-win probability below the rational-manager floor "
+                        r"alpha1 \+ alpha2\n", err)
 
 
 @pytest.mark.parametrize("command, flags", [

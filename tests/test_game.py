@@ -1,14 +1,16 @@
 import csv
 import io
 import itertools
+import re
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fawkit.errors import ConstraintViolated, DegenerateInput, RationalFloorWarning
+from fawkit import game
+from fawkit.errors import ConstraintViolated, DegenerateInput, FawError, RationalFloorWarning
 from fawkit.game import (
     WINNER_BOTH_LOSE,
     WINNER_POOL1,
@@ -17,6 +19,7 @@ from fawkit.game import (
     SWEEP_CSV_HEADER,
     TOL_FLOOR,
     RegionCell,
+    _score,
     best_response,
     classify_winner,
     game_payoffs,
@@ -323,3 +326,110 @@ def test_assumed_c_shrinks_both_lose_region():
     known_lose = {(c.alpha2, c.c) for c in known if c.winner == WINNER_BOTH_LOSE}
     assumed_lose = {(c.alpha2, c.c) for c in assumed if c.winner == WINNER_BOTH_LOSE}
     assert assumed_lose <= known_lose
+
+
+_SWEEPS = {False: sweep_regions, True: sweep_regions_assumed_c}
+
+
+def _sweep_and_per_cell(alpha1, axis_a2, axis_c, assumed_c, max_iter=game.MAX_ITER):
+    """A sweep's cells, and the same cells built the slow way: one solve_equilibrium each."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RationalFloorWarning)
+        cells = _SWEEPS[assumed_c](alpha1, axis_a2, axis_c)
+        expected = []
+        for c, a2 in itertools.product(axis_c, axis_a2):
+            cp = alpha1 + a2 if assumed_c else c
+            res = solve_equilibrium(alpha1, a2, cp, cp, cp / 2, cp / 2, max_iter=max_iter,
+                                    keep_trace=False)
+            _, _, (rer1, rer2) = _score(alpha1, a2, res.f1_star, res.f2_star, c, c, c / 2, c / 2)
+            expected.append(RegionCell(a2, c, res.f1_star, res.f2_star, float(rer1), float(rer2),
+                                       classify_winner(rer1, rer2), res.converged))
+    return cells, expected
+
+
+@settings(max_examples=20)
+@given(st.floats(0.001, 0.49),
+       st.lists(st.floats(0.001, 0.49), min_size=1, max_size=3),
+       st.lists(st.floats(0.0, 1.0), min_size=0, max_size=2),
+       st.booleans())
+def test_lockstep_sweep_is_the_per_cell_solve(alpha1, axis_a2, axis_c, assumed_c):
+    """Every cell, c below the floor and repeated alpha2 included, equals its own solve bit for bit."""
+    axis_a2 = axis_a2 + axis_a2[:1]  # a repeated alpha2 shares its plans
+    axis_c = axis_c + [1.0]
+    cells, expected = _sweep_and_per_cell(alpha1, axis_a2, axis_c, assumed_c)
+    assert cells == expected
+    for cell in cells[-len(axis_a2):]:  # c = 1: the external side never wins a fork
+        net1 = alpha1 * (1.0 + cell.rer1_pct / 100.0)
+        net2 = cell.alpha2 * (1.0 + cell.rer2_pct / 100.0)
+        assert net1 + net2 == pytest.approx(alpha1 + cell.alpha2, abs=1e-12)
+
+
+@pytest.mark.parametrize("assumed_c", [False, True], ids=["plain", "assumed-c"])
+def test_subnormal_alpha2_sweeps_as_the_per_cell_solve(assumed_c):
+    # a grid step that underflows to 0 makes numpy build every row of a batched grid differently
+    cells, expected = _sweep_and_per_cell(0.2, [1e-320, 0.1, 0.13, 5e-324], [0.3, 1.0], assumed_c)
+    assert cells == expected
+
+
+@pytest.mark.parametrize("assumed_c", [False, True], ids=["plain", "assumed-c"])
+@pytest.mark.parametrize("max_iter", [1, 2])
+def test_sweep_cells_cut_at_max_iter_are_the_per_cell_cut(monkeypatch, max_iter, assumed_c):
+    monkeypatch.setattr(game, "MAX_ITER", max_iter)
+    cells, expected = _sweep_and_per_cell(0.2, [0.1, 0.25, 0.1], [0.3, 1.0], assumed_c,
+                                          max_iter=max_iter)
+    assert cells == expected
+    assert not any(cell.converged for cell in cells)
+
+
+def _first_solve_error(alpha1, axis_a2, axis_c):
+    for c, a2 in itertools.product(axis_c, axis_a2):
+        try:
+            solve_equilibrium(alpha1, a2, c, c, c / 2, c / 2)
+        except FawError as exc:
+            return exc
+    raise AssertionError("every cell is valid")
+
+
+@pytest.mark.parametrize("axis_a2, axis_c", [
+    ([0.1], [0.5, 1.5]),
+    ([0.1, 0.0], [1.0]),
+    ([0.0, 0.1], [1.5]),
+    ([0.1, 0.5], [1.0]),
+], ids=["c-above-1", "alpha2-0", "alpha2-0-first", "alpha2-majority"])
+def test_invalid_axis_raises_the_per_cell_error(axis_a2, axis_c):
+    err = _first_solve_error(0.2, axis_a2, axis_c)
+    with pytest.raises(type(err), match=re.escape(str(err))):
+        sweep_regions(0.2, axis_a2, axis_c)
+    if isinstance(err, DegenerateInput):  # assumed-c plans differ from plain ones only in c
+        with pytest.raises(DegenerateInput, match=re.escape(str(err))):
+            sweep_regions_assumed_c(0.2, axis_a2, axis_c)
+
+
+@pytest.mark.parametrize("sweep", _SWEEPS.values(), ids=["plain", "assumed-c"])
+@pytest.mark.parametrize("axis_a2, axis_c", [([], [0.5]), ([0.1], []), ([], [])])
+def test_empty_axis_sweeps_to_no_cells(sweep, axis_a2, axis_c):
+    assert sweep(0.2, axis_a2, axis_c) == []
+
+
+def test_sweep_warns_once_with_the_count_of_plans_below_the_floor():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        cells = sweep_regions(0.2, [0.1, 0.2], [0.1, 0.2, 0.5])
+        assert sweep_regions_assumed_c(0.2, [0.1, 0.2], [0.1, 0.2, 0.5]) != []
+    assert len(cells) == 6
+    assert [(w.category, str(w.message), w.filename) for w in caught] == [
+        (RationalFloorWarning, "4 of 6 sweep plans have a branch-win probability below the "
+         "rational-manager floor alpha1 + alpha2", __file__)]
+
+
+def test_sweep_passes_other_warnings_through(monkeypatch):
+    def noisy_validate(g):
+        warnings.warn("not about the floor", UserWarning)
+        return validate_game(g)
+
+    monkeypatch.setattr(game, "validate_game", noisy_validate)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        sweep_regions(0.2, [0.1], [0.5, 1.0])
+    assert [(w.category, str(w.message)) for w in caught] == [
+        (UserWarning, "not about the floor")] * 2
