@@ -107,9 +107,17 @@ def _require_powers(alpha1, alpha2):
 
 
 def _require_tol(tol):
-    if not tol >= TOL_FLOOR:
+    if not math.isfinite(tol):  # at tol = inf every round would pass as converged
+        raise ConstraintViolated(f"tol={tol!r} must be finite")
+    if tol < TOL_FLOOR:
         raise ConstraintViolated(
             f"tol={tol!r} is below the floor {TOL_FLOOR!r} set by the best-response resolution")
+
+
+def _check_game(alpha1, alpha2, c1, c2, c1p, c2p, f1=0.0, f2=0.0):
+    """The checks of one solve: both pools hold power, and the game is valid."""
+    _require_powers(alpha1, alpha2)
+    validate_game(GameScenario(alpha1, alpha2, f1, f2, c1, c2, c1p, c2p))
 
 
 def best_response(g: GameScenario, responder: int) -> float:
@@ -266,8 +274,7 @@ def solve_equilibrium(alpha1, alpha2, c1, c2, c1p, c2p,
     _require_tol(tol)
     if max_iter < 1:
         raise ConstraintViolated(f"max_iter={max_iter!r} must be >= 1")
-    _require_powers(alpha1, alpha2)
-    validate_game(GameScenario(alpha1, alpha2, start[0], start[1], c1, c2, c1p, c2p))
+    _check_game(alpha1, alpha2, c1, c2, c1p, c2p, *start)
     f1, f2 = float(start[0]), float(start[1])
     trace = [(f1, f2)] if keep_trace else []
     converged = False
@@ -352,38 +359,31 @@ def _sweep(alpha1, alpha2_axis, c_axis, tol, assumed_c):
 
     A cell plays the equilibrium solved at its planning c: alpha1 + alpha2
     when ``assumed_c``, else the axis c. A plan is one (alpha2, planning c)
-    pair, and one solve serves every cell that shares it. Every plan is
-    checked before any is solved, each as ``solve_equilibrium`` checks it,
-    so the first invalid plan in cell order raises. Plans below the
-    rational-manager floor raise one RationalFloorWarning with their count.
-    All plans are then solved together in lockstep.
+    pair, and one solve serves every cell that shares it. Every cell is
+    checked first, as its solve and score would check it (each plan once,
+    and each assumed-c axis c once), so the first invalid cell raises. Plans
+    below the rational-manager floor raise one RationalFloorWarning with
+    their count. All plans are then solved together in lockstep.
     """
     _require_tol(tol)
-    plans, cells = {}, []
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+    plans, scored, cells = {}, set(), []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RationalFloorWarning)
         for c in c_axis:
             for a2 in alpha2_axis:
                 plan = (a2, alpha1 + a2 if assumed_c else c)
                 if plan not in plans:
-                    _require_powers(alpha1, a2)
-                    validate_game(GameScenario(alpha1, a2, 0.0, 0.0, plan[1], plan[1],
-                                               plan[1] / 2.0, plan[1] / 2.0))
+                    _check_game(alpha1, a2, plan[1], plan[1], plan[1] / 2.0, plan[1] / 2.0)
                     plans[plan] = len(plans)
+                if assumed_c and c not in scored:
+                    _check_game(alpha1, a2, c, c, c / 2.0, c / 2.0)
+                    scored.add(c)
                 cells.append((a2, c, plans[plan]))
-    below = 0
-    for w in caught:
-        if issubclass(w.category, RationalFloorWarning):
-            below += 1
-        else:
-            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
-    if below:
+    if below := sum(cp < alpha1 + a2 for a2, cp in plans):  # validate_game's test at c1 = c2
         warnings.warn(f"{below} of {len(plans)} sweep plans have a branch-win probability "
                       "below the rational-manager floor alpha1 + alpha2",
                       RationalFloorWarning, stacklevel=3)
-    if not plans:
-        return []
-    a2s, cps = (np.array(axis, dtype=float) for axis in zip(*plans))
+    a2s, cps = np.array(list(plans), dtype=float).reshape(-1, 2).T
     f1s, f2s, converged = _lockstep_equilibria(alpha1, a2s, cps, tol)
     out = []
     for a2, c, k in cells:

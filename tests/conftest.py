@@ -17,8 +17,8 @@ def single_scenarios(draw):
 
 
 @st.composite
-def multi_scenarios(draw, max_pools=6):
-    n = draw(st.integers(1, max_pools))
+def multi_scenarios(draw, max_pools=6, min_pools=1):
+    n = draw(st.integers(min_pools, max_pools))
     alpha = draw(st.floats(0.0, 0.49))
     beta_cap = min(0.49, (1.0 - alpha) / n)
     betas = draw(st.lists(st.floats(0.0, beta_cap), min_size=n, max_size=n))

@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import re
 import shlex
@@ -6,7 +8,7 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fawkit import multi_pool
@@ -477,3 +479,97 @@ def test_reproduce_api():
     ok, rows = reproduce("case4")
     assert ok
     assert {r["check"] for r in rows} == {"bwh_rer_pct", "faw_rer_pct", "improvement_pct"}
+
+
+@pytest.mark.parametrize("c", ["1.5", "-0.5"])
+def test_assumed_c_axis_out_of_range_is_a_typed_error(capsys, c):
+    code, out, err = run_cli(capsys, "game-sweep", "--alpha1", "0.2", "--alpha2", "0.1",
+                             f"--c={c}", "--assumed-c")
+    assert (code, out, err) == (1, "", f"error: c1={c} outside [0, 1]\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("game-solve", "--alpha2", "0.1"),
+    ("game-sweep", "--alpha2", "0.1:0.2:0.1"),
+    ("game-sweep", "--alpha2", "0.1:0.2:0.1", "--assumed-c"),
+], ids=["solve", "sweep", "sweep-assumed-c"])
+def test_infinite_tol_is_a_typed_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--alpha1", "0.2", "--c", "1", "--tol", "inf")
+    assert (code, out, err) == (1, "", "error: tol=inf must be finite\n")
+
+
+# the first two values of each flag are valid on their own
+_NUMBERS = ("0.1", "0.2", "0", "0.3", "0.49", "0.5", "1", "1.5", "-0.5", "1e-300",
+            "nan", "inf", "-inf")
+_JUNK = ("junk", "")
+_GAME = {flag: _NUMBERS for flag in ("--alpha1", "--alpha2", "--c", "--c1", "--c2", "--c1p",
+                                      "--c2p")}
+_SINGLE = {"--alpha": _NUMBERS, "--beta": _NUMBERS, "--c": _NUMBERS, "--tau": _NUMBERS + ("auto",)}
+_POOLS = ("0.1", "0.1,0.2", "0.2,0.1,0.05", "0.3,0.3", "nan,0.1", "-0.1", "0,0")
+_MULTI = {"--alpha": _NUMBERS, "--betas": _POOLS, "--c": _NUMBERS,
+          "--preset": tuple(sorted(multi_pool.POOL_PRESETS))}
+# every sim run is small and on at most two threads
+_SIM = {"--rounds": ("1", "2000", "0", "-1"), "--workers": ("1", "2"),
+        "--seed": ("1", "0", "-1", str(2**64))}
+# a range flag gives at most a few points: a small step on both axes asks for 10^12 cells
+_RANGES = ("0.1", "0.05:0.15:0.05", "0:1:0.5", "0.3:0.1:0.1", "0:1:0", "0:nan:0.1", "0:1:1e-9",
+           "nan", "1.5", "-0.5")
+_TOLS = ("1e-7", "5e-8", "1e-3", "1e-9", "0", "-1", "nan", "inf")
+# subcommand -> flag -> values ("" is the positional argument, () a switch)
+_FUZZ = {
+    "reward-single": {**_SINGLE, "--optimal-tau": ()},
+    "optimal-tau": {"--alpha": _NUMBERS, "--beta": _NUMBERS, "--c": _NUMBERS},
+    "reward-multi": {**_MULTI, "--taus": _POOLS},
+    "optimize-alloc": {**_MULTI, "--budget": _NUMBERS},
+    "game-solve": {**_GAME, "--tol": _TOLS, "--max-iter": ("50", "1", "0", "-1")},
+    "game-sweep": {"--alpha1": _NUMBERS, "--alpha2": _RANGES, "--c": _RANGES,
+                   "--assumed-c": (), "--tol": _TOLS},
+    "sim-single": {**_SINGLE, **_SIM},
+    "sim-multi": {**_MULTI, "--taus": _POOLS, **_SIM},
+    "sim-game": {**_GAME, "--f1": _NUMBERS, "--f2": _NUMBERS, "--equilibrium": (), **_SIM},
+    "bounds": {"": ("c-max", "c-min", "c-from-gamma", "selfish-threshold", "gamma-bound"),
+               "--alpha": _NUMBERS, "--beta": _NUMBERS, "--gamma": _NUMBERS,
+               "--shares": ("0.1", "0.2,0.3", "0.5,0.6", "nan"), "--atomized": _NUMBERS},
+    "counter": {"": ("detection", "honeypot", "bonus", "bonus-threshold"),
+                "--alpha": _NUMBERS, "--beta": _NUMBERS, "--tau": _NUMBERS, "--c": _NUMBERS,
+                "-L": ("1", "3", "0", "-1", "1000000"), "--t": _NUMBERS,
+                "--pool-power": _NUMBERS, "--c-max": _NUMBERS},
+}
+# flags argparse requires, and --workers, which defaults to every core
+_ALWAYS = {"", "--workers", "--rounds", "--alpha1", "--alpha2", "optimal-tau --alpha",
+           "optimal-tau --beta", "optimal-tau --c", "optimize-alloc --c", "game-sweep --c"}
+
+
+@st.composite
+def _cli_argvs(draw):
+    """A subcommand and a flag set: valid values only, any values, or any values and junk."""
+    command = draw(st.sampled_from(sorted(_FUZZ)))
+    mode = draw(st.sampled_from(("valid", "any", "junk")))
+    argv = [command]
+    for flag, values in _FUZZ[command].items():
+        if flag in _ALWAYS or f"{command} {flag}" in _ALWAYS or draw(st.booleans()):
+            if not values:
+                argv.append(flag)
+                continue
+            if mode == "valid" and flag not in ("", "--preset"):
+                values = values[:2]
+            elif mode == "junk":
+                values += _JUNK
+            value = draw(st.sampled_from(values))
+            argv.append(value if flag == "" else f"{flag}={value}")
+    if draw(st.booleans()):
+        formats = ("json", "csv", "table") + (_JUNK if mode == "junk" else ())
+        argv.append(f"--format={draw(st.sampled_from(formats))}")
+    return argv
+
+
+@settings(max_examples=150)
+@given(_cli_argvs())
+def test_no_flag_set_escapes_main(argv):
+    """Any flag set ends in exit 0, 1 or 2: nothing but SystemExit leaves main."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2)

@@ -10,7 +10,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fawkit import game
-from fawkit.errors import ConstraintViolated, DegenerateInput, FawError, RationalFloorWarning
+from fawkit.errors import (
+    ConstraintViolated,
+    DegenerateInput,
+    FawError,
+    PowerOutOfRange,
+    RationalFloorWarning,
+)
 from fawkit.game import (
     WINNER_BOTH_LOSE,
     WINNER_POOL1,
@@ -242,6 +248,18 @@ def test_solve_at_the_floor_converges(a1, a2, c1, c2, c1p, c2p_frac):
     assert res.converged
 
 
+@settings(max_examples=100)
+@given(st.floats(0.001, 0.4999), st.floats(0.001, 0.4999), st.floats(0.0, 1.0),
+       st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+       st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.sampled_from([TOL_FLOOR, game.TOL]))
+def test_converged_solve_is_deviation_stable(a1, a2, c1, c2, c1p, c2p_frac, s1, s2, tol):
+    """Criterion 6 on 100 seeded games, widened to any game, start and tol."""
+    res = solve_equilibrium(a1, a2, c1, c2, c1p, c2p_frac * (1.0 - c1p), tol=tol,
+                            start=(s1 * a1, s2 * a2), keep_trace=False)
+    assert res.converged
+    assert res.deviation_gain <= 10 * tol
+
+
 def test_equilibrium_trace_and_iteration_cap():
     res = solve_equilibrium(0.2, 0.1, 1.0, 1.0, 0.5, 0.5, max_iter=1)
     assert not res.converged
@@ -433,3 +451,62 @@ def test_sweep_passes_other_warnings_through(monkeypatch):
         sweep_regions(0.2, [0.1], [0.5, 1.0])
     assert [(w.category, str(w.message)) for w in caught] == [
         (UserWarning, "not about the floor")] * 2
+
+
+@pytest.mark.parametrize("tol", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("solve", [
+    lambda tol: solve_equilibrium(0.2, 0.1, 1.0, 1.0, 0.5, 0.5, tol=tol),
+    lambda tol: sweep_regions(0.2, [0.1], [1.0], tol=tol),
+    lambda tol: sweep_regions_assumed_c(0.2, [0.1], [1.0], tol=tol),
+], ids=["solve", "sweep", "sweep-assumed-c"])
+def test_non_finite_tol_is_rejected(solve, tol):
+    # at tol = inf the first round passed as converged, short of the equilibrium
+    with pytest.raises(ConstraintViolated, match=re.escape(f"tol={tol!r} must be finite")):
+        solve(tol)
+
+
+def _first_assumed_c_error(alpha1, axis_a2, axis_c):
+    """The first error of the per-cell route: solve at the planning c, then score at the axis c."""
+    for c, a2 in itertools.product(axis_c, axis_a2):
+        cp = alpha1 + a2
+        try:
+            res = solve_equilibrium(alpha1, a2, cp, cp, cp / 2, cp / 2, keep_trace=False)
+            net_payoffs(GameScenario(alpha1, a2, res.f1_star, res.f2_star, c, c, c / 2, c / 2))
+        except FawError as exc:
+            return exc
+    raise AssertionError("every cell is valid")
+
+
+@pytest.mark.parametrize("axis_c", [[1.5], [-0.5], [np.nan], [0.5, 1.5]],
+                         ids=["1.5", "-0.5", "nan", "second-c"])
+def test_assumed_c_rejects_an_axis_c_as_the_plain_sweep_does(axis_c):
+    err = _first_assumed_c_error(0.2, [0.1], axis_c)
+    assert type(err) is PowerOutOfRange
+    for sweep in (sweep_regions, sweep_regions_assumed_c):
+        with pytest.raises(PowerOutOfRange, match=re.escape(str(err))):
+            sweep(0.2, [0.1], axis_c)
+
+
+@pytest.mark.parametrize("axis_a2, axis_c", [
+    ([0.0, 0.1], [1.5]),
+    ([0.5, 0.1], [1.5]),
+    ([0.1, 0.5], [1.5]),
+    ([0.1, 0.0], [0.5, -0.5]),
+], ids=["alpha2-0-first", "alpha2-majority-first", "c-before-alpha2", "alpha2-0-before-a-bad-c"])
+def test_assumed_c_raises_the_first_cell_error(axis_a2, axis_c):
+    err = _first_assumed_c_error(0.2, axis_a2, axis_c)
+    with pytest.raises(type(err), match=re.escape(str(err))):
+        sweep_regions_assumed_c(0.2, axis_a2, axis_c)
+
+
+def test_assumed_c_checks_each_axis_c_once(monkeypatch):
+    checked = []
+
+    def counting_validate(g):
+        checked.append((g.alpha2, g.c1))
+        return validate_game(g)
+
+    monkeypatch.setattr(game, "validate_game", counting_validate)
+    sweep_regions_assumed_c(0.2, [0.1, 0.15, 0.1], [0.5, 1.0, 0.5])
+    # each plan once, and each distinct axis c once, after the plan of its first cell
+    assert checked == [(0.1, 0.2 + 0.1), (0.1, 0.5), (0.15, 0.2 + 0.15), (0.1, 1.0)]

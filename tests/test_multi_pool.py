@@ -1,6 +1,8 @@
+import sys
+
 import numpy as np
 import pytest
-from conftest import multi_scenarios
+from conftest import multi_scenarios, single_scenarios
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -264,3 +266,30 @@ def test_optimizer_beats_honest_mining_and_every_single_pool_vertex(alpha, betas
         for i in range(n)
     ]
     assert res.reward >= max(alpha, *vertices) - 1e-12
+
+
+def _close(x, y, alpha):
+    """Within 1e-14 of alpha, the scale of the reward's terms.
+
+    The routes round differently in the last bits on a few percent of draws.
+    Relative to the reward itself the gap is unbounded where terms cancel
+    (taus summing to 1 - 1e-16 leave a reward near 5e-17 that the routes
+    put a factor 2 apart), and a subnormal alpha keeps too few bits, so the
+    scale is alpha, and at least the smallest normal float.
+    """
+    return abs(x - y) <= 1e-14 * max(alpha, sys.float_info.min)
+
+
+@settings(max_examples=150)
+@given(single_scenarios())
+def test_one_pool_is_the_single_pool_reward(s):
+    assert _close(reward_npool(MultiPoolScenario(s.alpha, (s.beta,), (s.tau,), s.c)),
+                  reward_single(s), s.alpha)
+
+
+@settings(max_examples=150)
+@given(multi_scenarios(min_pools=2, max_pools=2))
+def test_two_pools_are_the_two_pool_reward_under_c_over_k(s):
+    (b1, b2), (t1, t2), c = s.betas, s.taus, s.c
+    two = reward_two_pools(s.alpha, b1, b2, t1, t2, c, c, c / 2, c / 2)
+    assert _close(reward_npool(s), two, s.alpha)
