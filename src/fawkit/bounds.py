@@ -25,6 +25,7 @@ from .errors import (
     ConstraintViolated,
     InconsistentDistribution,
     NegativeEffectiveMinersWarning,
+    _caller_stacklevel,
 )
 from .scenarios import SinglePoolScenario, validate_single
 from .single_pool import _pots
@@ -142,7 +143,7 @@ def _diluted(pot, ta, beta, L, count, what):
         warnings.warn(
             f"{what} went negative and was floored at 0; expulsions outpace identities",
             NegativeEffectiveMinersWarning,
-            stacklevel=3,
+            stacklevel=_caller_stacklevel(),
         )
         count = 0.0
     if L * beta + count * ta > 0.0:

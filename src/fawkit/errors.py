@@ -1,4 +1,21 @@
-"""Exception and warning types shared across the toolkit."""
+"""Exception and warning types shared across the toolkit, and where a warning points."""
+
+import os
+import sys
+
+_PACKAGE_DIR = os.path.dirname(__file__) + os.sep
+
+
+def _caller_stacklevel() -> int:
+    """``warnings.warn`` stacklevel of the first frame outside this package.
+
+    Called by the function that warns, so that a warning names the user's
+    line however deep in the package it was raised.
+    """
+    frame, level = sys._getframe(1), 1
+    while frame is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
+        frame, level = frame.f_back, level + 1
+    return level
 
 
 class FawError(Exception):

@@ -35,7 +35,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConstraintViolated, DegenerateInput, RationalFloorWarning
+from .errors import (
+    ConstraintViolated,
+    DegenerateInput,
+    RationalFloorWarning,
+    _caller_stacklevel,
+)
 from .optimize import INV_PHI, INV_PHI2, grid_golden_max
 from .scenarios import GameScenario, validate_game
 
@@ -382,7 +387,7 @@ def _sweep(alpha1, alpha2_axis, c_axis, tol, assumed_c):
     if below := sum(cp < alpha1 + a2 for a2, cp in plans):  # validate_game's test at c1 = c2
         warnings.warn(f"{below} of {len(plans)} sweep plans have a branch-win probability "
                       "below the rational-manager floor alpha1 + alpha2",
-                      RationalFloorWarning, stacklevel=3)
+                      RationalFloorWarning, stacklevel=_caller_stacklevel())
     a2s, cps = np.array(list(plans), dtype=float).reshape(-1, 2).T
     f1s, f2s, converged = _lockstep_equilibria(alpha1, a2s, cps, tol)
     out = []

@@ -21,11 +21,30 @@ at MAX_POOLS by the simulator's uint8 withheld-set bitmask.
 The kernel _reward_raw takes each tau as a float or an ndarray: reward_npool
 validates and calls it on floats, and optimize_allocation scores each
 coordinate's whole grid as one array in one call.
+
+It runs the recursion one popcount layer at a time: layer k computes
+reach for all C(n, k) sets of k pools at once, from layer k-1 through index
+tables built once per n (_layers). Every sum is sequential, in a fixed
+order, so the result is the same to the last bit whether a tau is a float
+or a grid column:
+
+    ta(S)    = ta(S - h) + ta_h                       h the highest pool of S
+    reach(S) = ((reach(S - j1) ta_j1 + reach(S - j2) ta_j2) + ...) / (1 - ta(S))
+                                                       j1 < j2 < ... the pools of S
+    w(S)     = ((c/k) (1-a-B)) reach(S)
+    pot_i    = (w(S1) + w(S2)) + ...                  S1 < S2 < ... as bitmasks
+
+Memory: reach and w hold 2^n x grid floats each (0.4 MB at n = 8 with a
+201-point grid, 105 MB at n = 16), and a layer's gathers are up to 1.6
+times that, so one call peaks at about 5.3 such arrays. A 16-pool scan of
+a 201-point grid would need about 0.56 GB and must be split into chunks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from math import comb
 
 import numpy as np
 
@@ -110,28 +129,64 @@ def reward_two_pools(alpha, beta1, beta2, tau1, tau2,
     return r
 
 
+@lru_cache(maxsize=None)
+def _layers(n):
+    """Index tables of the DP over n pools' withheld sets, built on first use.
+
+    Sets are stored by popcount, ascending within a popcount, so layer k is
+    one slice. Returns (layers, containing): each layer is (k, its slice,
+    members, subsets), members[j] the j-th lowest pool of each k-set and
+    subsets[j] the position of that set without it, both (k, C(n, k));
+    containing[i] holds the positions of the sets containing pool i in
+    ascending bitmask order, shape (n, 2^(n-1)).
+    """
+    masks = np.arange(1 << n)
+    bits = masks[:, None] >> np.arange(n) & 1
+    order = np.argsort(bits.sum(axis=1), kind="stable")
+    position = np.empty_like(order)
+    position[order] = masks
+    layers, lo = [], 1
+    for k in range(1, n + 1):
+        sets = order[lo:lo + comb(n, k)]
+        # contiguous: gathers through a transposed view are several times slower
+        members = np.nonzero(bits[sets])[1].reshape(-1, k).T.copy()
+        layers.append((k, slice(lo, lo + len(sets)), members,
+                       position[sets ^ 1 << members]))
+        lo += len(sets)
+    return layers, position[np.nonzero(bits.T)[1].reshape(n, -1)]
+
+
 def _reward_raw(alpha, betas, taus, c):
     """reward_npool's sum, unvalidated; each tau is a float or a broadcastable ndarray."""
     n = len(betas)
     ta = [t * alpha for t in taus]
     ext = 1.0 - alpha - sum(betas)
-    pots = [0.0] * n  # per-pool expected fork income
-    reach = [1.0] * (1 << n)  # indexed by withheld-set bitmask, see the module docstring
-    for s in range(1, 1 << n):
-        members = [j for j in range(n) if s >> j & 1]
-        found = sum(ta[j] for j in members)
-        reach[s] = sum(reach[s ^ 1 << j] * ta[j] for j in members) / (1.0 - found)
-        w = (c / len(members)) * ext * reach[s]
-        for i in members:
-            pots[i] += w
+    ta_rows = np.empty((n,) + np.broadcast(*ta).shape)
+    for j, t in enumerate(ta):
+        ta_rows[j] = t
+    layers, containing = _layers(n)
+    reach = np.empty((1 << n,) + ta_rows.shape[1:])  # by set position, see _layers
+    reach[0] = 1.0
+    w = np.empty_like(reach)  # each set's fork income to each of its pools
+    for k, layer, members, subsets in layers:
+        ta_sets = ta_rows[members]
+        parts = reach[subsets]
+        parts *= ta_sets
+        found, pushed = ta_sets[0], parts[0]
+        for j in range(1, k):  # sequential sums over the ascending members
+            found += ta_sets[j]
+            pushed += parts[j]
+        np.divide(pushed, 1.0 - found, out=reach[layer])
+        np.multiply((c / k) * ext, reach[layer], out=w[layer])
+        del ta_sets, parts, found, pushed  # free this layer's gathers before the next one's
     total_tau = sum(taus)
     total_ta = total_tau * alpha
     r = (1.0 - total_tau) * alpha / (1.0 - total_ta)
-    for b, t, pot in zip(betas, ta, pots):
+    for b, t, sets in zip(betas, ta, containing):
         # a pool with no power of its own pays its infiltrator everything,
         # and with no infiltrator either its fork pot is 0
         share = t / (b + t) if b > 0.0 else 1.0
-        r += share * (b / (1.0 - total_ta) + pot)
+        r += share * (b / (1.0 - total_ta) + np.add.accumulate(w[sets])[-1])
     return r
 
 
@@ -142,7 +197,7 @@ def reward_npool(s: MultiPoolScenario) -> float:
     (c, c/2) at n=2.
     """
     validate_multi(s)
-    return _reward_raw(s.alpha, s.betas, s.taus, s.c)
+    return float(_reward_raw(s.alpha, s.betas, s.taus, s.c))
 
 
 @dataclass(frozen=True)

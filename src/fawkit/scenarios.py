@@ -25,6 +25,7 @@ from .errors import (
     RationalFloorWarning,
     ScenarioFileError,
     TooManyPools,
+    _caller_stacklevel,
 )
 
 MAX_SINGLE_ACTOR = 0.5  # strict bound: any one miner or pool stays below half the network
@@ -159,7 +160,7 @@ def validate_game(s: GameScenario) -> GameScenario:
         warnings.warn(
             "branch-win probability below the rational-manager floor alpha1 + alpha2",
             RationalFloorWarning,
-            stacklevel=2,
+            stacklevel=_caller_stacklevel(),
         )
     return s
 

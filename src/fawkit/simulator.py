@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConstraintViolated
+from .errors import ConstraintViolated, _caller_stacklevel
 from .scenarios import (
     GameScenario,
     MultiPoolScenario,
@@ -347,7 +347,7 @@ def simulate(cfg: SimConfig) -> SimOutcome:
     model = _model(cfg.scenario)
     if cfg.rounds < 100:
         warnings.warn("fewer than 100 rounds; statistics will be degenerate",
-                      UserWarning, stacklevel=2)
+                      UserWarning, stacklevel=_caller_stacklevel())
     counts = np.sum(_run_blocks(cfg, lambda rng, n: _block(model, rng, n)), axis=0)
     ends, fork_wins = counts[:-2].reshape(2, -1)
     wins = ends + fork_wins

@@ -38,6 +38,7 @@ from fawkit.game import (
     write_sweep_csv,
 )
 from fawkit.scenarios import GameScenario, SinglePoolScenario, validate_game
+from fawkit.simulator import SimConfig, simulate
 from fawkit.single_pool import reward_single, victim_reward
 
 warnings.simplefilter("ignore", RationalFloorWarning)
@@ -438,6 +439,21 @@ def test_sweep_warns_once_with_the_count_of_plans_below_the_floor():
     assert [(w.category, str(w.message), w.filename) for w in caught] == [
         (RationalFloorWarning, "4 of 6 sweep plans have a branch-win probability below the "
          "rational-manager floor alpha1 + alpha2", __file__)]
+
+
+_BELOW_FLOOR = GameScenario(0.2, 0.1, 0.0, 0.0, 0.1, 0.1, 0.05, 0.05)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: solve_equilibrium(0.2, 0.1, 0.1, 0.1, 0.05, 0.05),
+    lambda: net_payoffs(_BELOW_FLOOR),
+    lambda: best_response(_BELOW_FLOOR, 1),
+    lambda: simulate(SimConfig(rounds=1000, seed=1, scenario=_BELOW_FLOOR)),
+], ids=["solve_equilibrium", "net_payoffs", "best_response", "simulate"])
+def test_floor_warning_names_the_callers_line(call):
+    with pytest.warns(RationalFloorWarning) as caught:
+        call()
+    assert {w.filename for w in caught} == {__file__}
 
 
 def test_sweep_passes_other_warnings_through(monkeypatch):

@@ -18,7 +18,7 @@ from fawkit.multi_pool import (
     reward_two_pools,
 )
 from fawkit.scenarios import MultiPoolScenario, SinglePoolScenario, rer
-from fawkit.single_pool import reward_single
+from fawkit.single_pool import reward_bwh, reward_single
 
 
 def _random_single_compatible(rng):
@@ -60,6 +60,82 @@ def _ordered_walk_reward(s):
         if b + t > 0.0:
             r += t / (b + t) * (b / (1.0 - total_ta) + pot)
     return r
+
+
+def _per_mask_reward(alpha, betas, taus, c):
+    """The n-pool kernel as one Python loop over the 2^n withheld-set bitmasks.
+
+    The bitwise reference for multi_pool._reward_raw: the same recursion
+    with the same order of every sum (members ascending within a set, sets
+    ascending as bitmasks into each pool's pot), one set at a time. Each tau
+    is a float or an ndarray.
+    """
+    n = len(betas)
+    ta = [t * alpha for t in taus]
+    ext = 1.0 - alpha - sum(betas)
+    pots = [0.0] * n
+    reach = [1.0] * (1 << n)
+    for s in range(1, 1 << n):
+        members = [j for j in range(n) if s >> j & 1]
+        found = sum(ta[j] for j in members)
+        reach[s] = sum(reach[s ^ 1 << j] * ta[j] for j in members) / (1.0 - found)
+        w = (c / len(members)) * ext * reach[s]
+        for i in members:
+            pots[i] += w
+    total_tau = sum(taus)
+    total_ta = total_tau * alpha
+    r = (1.0 - total_tau) * alpha / (1.0 - total_ta)
+    for b, t, pot in zip(betas, ta, pots):
+        share = t / (b + t) if b > 0.0 else 1.0
+        r += share * (b / (1.0 - total_ta) + pot)
+    return r
+
+
+def _bitwise_equal(got, want):
+    return np.shape(got) == np.shape(want) and bool(np.all(np.asarray(got) == want))
+
+
+@settings(max_examples=60)
+@given(multi_scenarios(max_pools=8), st.data())
+def test_kernel_is_the_per_mask_loop_to_the_bit(s, data):
+    n = len(s.betas)
+    taus = [
+        np.array(data.draw(st.lists(st.floats(0.0, 1.0 / n), min_size=3, max_size=3)))
+        if data.draw(st.booleans()) else t
+        for t in s.taus
+    ]
+    for args in ((s.alpha, s.betas, s.taus, s.c), (s.alpha, s.betas, taus, s.c)):
+        assert _bitwise_equal(multi_pool._reward_raw(*args), _per_mask_reward(*args))
+
+
+def test_kernel_is_the_per_mask_loop_where_forks_pay_everything():
+    # powerless pools and taus summing to 1: the reward is the sum of the fork
+    # pots, so a sum taken in another order shows in its last bits
+    rng = np.random.default_rng(60)
+    for trial in range(200):
+        n = int(rng.integers(3, 9))
+        alpha = rng.uniform(0.3, 0.49)
+        taus = rng.uniform(0.0, 1.0, size=n)
+        taus = list(taus / taus.sum())
+        if trial % 4 == 0:  # the optimizer's scan of one coordinate
+            taus[0] = np.linspace(0.0, taus[0], 201)
+        args = (alpha, (0.0,) * n, taus, rng.uniform())
+        assert _bitwise_equal(multi_pool._reward_raw(*args), _per_mask_reward(*args))
+
+
+@pytest.mark.parametrize("n, seed", [(12, 0), (12, 1), (12, 2), (16, 0), (16, 1)])
+def test_kernel_is_the_per_mask_loop_past_the_pool_cap(n, seed):
+    # the kernel itself has no cap; MAX_POOLS only guards reward_npool
+    rng = np.random.default_rng(seed)
+    alpha = rng.uniform(0.05, 0.45)
+    betas = tuple(rng.uniform(0.0, 1.0, size=n) * (1.0 - alpha) / n)
+    taus = list(rng.uniform(0.0, 1.0 / n, size=n))
+    taus[seed] = 0.0
+    if n == 12:
+        taus[-1] = np.linspace(0.0, 1.0 / n, 3)
+    c = (0.0, 1.0, rng.uniform())[seed]
+    assert _bitwise_equal(multi_pool._reward_raw(alpha, betas, taus, c),
+                          _per_mask_reward(alpha, betas, taus, c))
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
@@ -293,3 +369,23 @@ def test_two_pools_are_the_two_pool_reward_under_c_over_k(s):
     (b1, b2), (t1, t2), c = s.betas, s.taus, s.c
     two = reward_two_pools(s.alpha, b1, b2, t1, t2, c, c, c / 2, c / 2)
     assert _close(reward_npool(s), two, s.alpha)
+
+
+def _bwh_closed_form(alpha, betas, taus):
+    """(1-T)a/(1-Ta) + sum_i ta_i/(b_i+ta_i) * b_i/(1-Ta): the reward with no fork income."""
+    total_tau = sum(taus)
+    total_ta = total_tau * alpha
+    r = (1.0 - total_tau) * alpha / (1.0 - total_ta)
+    for b, t in zip(betas, taus):
+        if b > 0.0:  # a powerless pool pays out nothing without forks
+            r += t * alpha / (b + t * alpha) * (b / (1.0 - total_ta))
+    return r
+
+
+@given(multi_scenarios(max_pools=8))
+def test_no_fork_credit_at_c_zero_is_the_bwh_closed_form(s):
+    s = MultiPoolScenario(s.alpha, s.betas, s.taus, 0.0)
+    got = reward_npool(s)
+    assert got == _bwh_closed_form(s.alpha, s.betas, s.taus)  # fork terms 0.0, never 0 * inf
+    if len(s.betas) == 1:
+        assert _close(got, reward_bwh(s.alpha, s.betas[0], s.taus[0]), s.alpha)
