@@ -33,6 +33,10 @@ or a grid column:
                                                        j1 < j2 < ... the pools of S
     w(S)     = ((c/k) (1-a-B)) reach(S)
     pot_i    = (w(S1) + w(S2)) + ...                  S1 < S2 < ... as bitmasks
+    T, B     = (x_1 + x_2) + ...                      pools in order
+
+T and B are not taken with the builtin sum, which compensates float sums
+from Python 3.12 on but adds an ndarray plainly.
 
 Memory: reach and w hold 2^n x grid floats each (0.4 MB at n = 8 with a
 201-point grid, 105 MB at n = 16), and a layer's gathers are up to 1.6
@@ -43,8 +47,9 @@ a 201-point grid would need about 0.56 GB and must be split into chunks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import comb
+from operator import add
 
 import numpy as np
 
@@ -160,7 +165,8 @@ def _reward_raw(alpha, betas, taus, c):
     """reward_npool's sum, unvalidated; each tau is a float or a broadcastable ndarray."""
     n = len(betas)
     ta = [t * alpha for t in taus]
-    ext = 1.0 - alpha - sum(betas)
+    ext = 1.0 - alpha - reduce(add, betas)
+    # filled row by row: np.array(np.broadcast_arrays(*ta)) takes 2-4 times as long
     ta_rows = np.empty((n,) + np.broadcast(*ta).shape)
     for j, t in enumerate(ta):
         ta_rows[j] = t
@@ -179,7 +185,7 @@ def _reward_raw(alpha, betas, taus, c):
         np.divide(pushed, 1.0 - found, out=reach[layer])
         np.multiply((c / k) * ext, reach[layer], out=w[layer])
         del ta_sets, parts, found, pushed  # free this layer's gathers before the next one's
-    total_tau = sum(taus)
+    total_tau = reduce(add, taus)
     total_ta = total_tau * alpha
     r = (1.0 - total_tau) * alpha / (1.0 - total_ta)
     for b, t, sets in zip(betas, ta, containing):

@@ -1,4 +1,6 @@
 import sys
+from functools import reduce
+from operator import add
 
 import numpy as np
 import pytest
@@ -68,21 +70,22 @@ def _per_mask_reward(alpha, betas, taus, c):
     The bitwise reference for multi_pool._reward_raw: the same recursion
     with the same order of every sum (members ascending within a set, sets
     ascending as bitmasks into each pool's pot), one set at a time. Each tau
-    is a float or an ndarray.
+    is a float or an ndarray. Every sum is an explicit left-to-right add:
+    the builtin sum compensates float sums from Python 3.12 on.
     """
     n = len(betas)
     ta = [t * alpha for t in taus]
-    ext = 1.0 - alpha - sum(betas)
+    ext = 1.0 - alpha - reduce(add, betas)
     pots = [0.0] * n
     reach = [1.0] * (1 << n)
     for s in range(1, 1 << n):
         members = [j for j in range(n) if s >> j & 1]
-        found = sum(ta[j] for j in members)
-        reach[s] = sum(reach[s ^ 1 << j] * ta[j] for j in members) / (1.0 - found)
+        found = reduce(add, [ta[j] for j in members])
+        reach[s] = reduce(add, [reach[s ^ 1 << j] * ta[j] for j in members]) / (1.0 - found)
         w = (c / len(members)) * ext * reach[s]
         for i in members:
             pots[i] += w
-    total_tau = sum(taus)
+    total_tau = reduce(add, taus)
     total_ta = total_tau * alpha
     r = (1.0 - total_tau) * alpha / (1.0 - total_ta)
     for b, t, pot in zip(betas, ta, pots):
@@ -116,7 +119,7 @@ def test_kernel_is_the_per_mask_loop_where_forks_pay_everything():
         n = int(rng.integers(3, 9))
         alpha = rng.uniform(0.3, 0.49)
         taus = rng.uniform(0.0, 1.0, size=n)
-        taus = list(taus / taus.sum())
+        taus = (taus / taus.sum()).tolist()  # Python floats: from 3.12 on, builtin sum compensates these
         if trial % 4 == 0:  # the optimizer's scan of one coordinate
             taus[0] = np.linspace(0.0, taus[0], 201)
         args = (alpha, (0.0,) * n, taus, rng.uniform())
@@ -373,7 +376,7 @@ def test_two_pools_are_the_two_pool_reward_under_c_over_k(s):
 
 def _bwh_closed_form(alpha, betas, taus):
     """(1-T)a/(1-Ta) + sum_i ta_i/(b_i+ta_i) * b_i/(1-Ta): the reward with no fork income."""
-    total_tau = sum(taus)
+    total_tau = reduce(add, taus)  # as the kernel adds T
     total_ta = total_tau * alpha
     r = (1.0 - total_tau) * alpha / (1.0 - total_ta)
     for b, t in zip(betas, taus):
