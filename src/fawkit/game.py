@@ -19,10 +19,13 @@ exactly, and the win/lose borderline is the pool-size diagonal). Best
 responses are identical under pot or net because the outgoing-share factor
 does not depend on the pool's own infiltration choice.
 
-A sweep solves all of its equilibria at once: every plan runs the same
-alternating best responses as ``solve_equilibrium``, in lockstep on
-arrays. Each step is elementwise float64 arithmetic, which rounds exactly
-as the scalar path does, so every sweep cell equals its per-cell solve.
+With the opponent held fixed, a pool's pot is N(x)/D(x) for cubics N and D
+in its own infiltration x, so a best response is the best-scoring of x = 0,
+x = alpha and the roots of the quartic Q = N'D - ND' in between (the x^5
+terms cancel), found as eigenvalues of Q's companion matrix. A sweep runs
+every plan's alternating best responses in lockstep on arrays, through the
+same kernel and with the same bits per plan, so every sweep cell equals
+its per-cell solve.
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ from .errors import (
     RationalFloorWarning,
     _caller_stacklevel,
 )
-from .optimize import INV_PHI, INV_PHI2, grid_golden_max
 from .scenarios import GameScenario, validate_game
 
 WINNER_POOL1 = "pool1"
@@ -50,13 +52,10 @@ WINNER_BOTH_LOSE = "both_lose"
 WINNER_TIE = "both_gain_tie"
 
 TIE_EPS_PP = 1e-4      # |RER| below this (in percentage points) counts as the borderline
-BR_GRID = 1000         # best response: coarse scan points over [0, alpha]
-BR_XTOL = 1e-9         # best response: golden-section bracket width
 DEVIATION_GRID = 2000  # unilateral_gain: line-scan points per pool
 MAX_ITER = 10000       # best-response rounds per solve: the default, and every sweep cell's cap
 TOL = 1e-7             # default solve tol: best-response rounds stop when max |df| < TOL
-TOL_FLOOR = 5e-8       # finest solve tol: best responses resolved to BR_XTOL can cycle below it
-SWEEP_BLOCK = 8        # sweep grid scans: plans per kernel call, which bounds the scan's memory
+TOL_FLOOR = 5e-8       # finest solve tol: the finest that convergence and deviation tests cover
 
 SWEEP_CSV_HEADER = ("alpha2", "c", "f1", "f2", "rer1_pct", "rer2_pct", "winner", "converged")
 
@@ -116,7 +115,7 @@ def _require_tol(tol):
         raise ConstraintViolated(f"tol={tol!r} must be finite")
     if tol < TOL_FLOOR:
         raise ConstraintViolated(
-            f"tol={tol!r} is below the floor {TOL_FLOOR!r} set by the best-response resolution")
+            f"tol={tol!r} is below the floor {TOL_FLOOR!r}, the finest tol the solver is tested at")
 
 
 def _check_game(alpha1, alpha2, c1, c2, c1p, c2p, f1=0.0, f2=0.0):
@@ -128,83 +127,81 @@ def _check_game(alpha1, alpha2, c1, c2, c1p, c2p, f1=0.0, f2=0.0):
 def best_response(g: GameScenario, responder: int) -> float:
     """Most profitable infiltration power for one pool, opponent held fixed.
 
-    Grid scan over [0, alpha_responder] then golden-section on the winning
-    bracket. Boundary optima are returned as-is. Both pools need power of
-    their own: the scan would otherwise pass through an empty pool.
+    The best-scoring of x = 0, x = alpha_responder and the pot's stationary
+    points between them (see the module docstring), the smallest x on a
+    tie. Both pools need power of their own, or a candidate empties a pool.
     """
     validate_game(g)
     if responder not in (1, 2):
         raise ConstraintViolated(f"responder={responder!r} must be 1 or 2")
     _require_powers(g.alpha1, g.alpha2)
-    return _best_response_raw(g.alpha1, g.alpha2, g.c1, g.c2, g.c1p, g.c2p, responder,
-                              g.f2 if responder == 1 else g.f1)
+    return float(_best_response_raw(g.alpha1, g.alpha2, g.c1, g.c2, g.c1p, g.c2p, responder,
+                                    g.f2 if responder == 1 else g.f1))
 
 
-def _responder_pot(a1, a2, c1, c2, c1p, c2p, responder, f_opp, x):
-    """The responder's pot when it infiltrates with x against the opponent's f_opp."""
-    f1, f2 = (x, f_opp) if responder == 1 else (f_opp, x)
-    return pot_payoffs_raw(a1, a2, f1, f2, c1, c2, c1p, c2p)[responder - 1]
+def _pot_fraction(a, b, f_opp, c, cp, c_opp, cp_opp):
+    """Cubics N and D, lowest coefficient first, with the responder's pot = N(x)/D(x).
+
+    a, c and cp are the responder's power and branch probabilities, the
+    rest the opponent's. Times (s - x)(1 - x), with s = 1 - f_opp, the
+    hosts' pots without the recursion are quadratics hr and ho; then
+    N = hr*(b + x) + x*ho and D = (s - x)(1 - x)(b + x*a/(a + f_opp)).
+    """
+    ext, s = 1.0 - a - b, 1.0 - f_opp
+    g = f_opp * ext
+    w = c_opp * g / s  # the forks the opponent's infiltrator wins for the responder's pool
+    cross1, cross2 = g * (1.0 + 1.0 / s), g / s  # cross * (s - x)(1 - x) = cross1*x - cross2*x^2
+    hr0 = a + w * s
+    hr1 = -(1.0 + a) - w * (1.0 + s) + cp_opp * cross1
+    hr2 = 1.0 + w - cp_opp * cross2
+    ho0 = b - f_opp
+    ho1 = -ho0 + c * ext * s + cp * cross1
+    ho2 = -c * ext - cp * cross2
+    k = a / (a + f_opp)
+    return ((b * hr0, hr0 + b * hr1 + ho0, hr1 + b * hr2 + ho1, hr2 + ho2),
+            (s * b, s * k - (1.0 + s) * b, b - (1.0 + s) * k, k))
+
+
+def _derivative_numerator(n, d):
+    """Q = N'D - ND', lowest coefficient first; its x^5 terms cancel, so Q is a quartic."""
+    n0, n1, n2, n3 = n
+    d0, d1, d2, d3 = d
+    return (n1 * d0 - n0 * d1,
+            2.0 * (n2 * d0 - n0 * d2),
+            3.0 * (n3 * d0 - n0 * d3) + (n2 * d1 - n1 * d2),
+            2.0 * (n3 * d1 - n1 * d3),
+            n3 * d2 - n2 * d3)
 
 
 def _best_response_raw(a1, a2, c1, c2, c1p, c2p, responder, f_opp):
-    f = lambda x: _responder_pot(a1, a2, c1, c2, c1p, c2p, responder, f_opp, x)
-    x, _ = grid_golden_max(f, 0.0, a1 if responder == 1 else a2, n_grid=BR_GRID, xtol=BR_XTOL)
-    return x
+    """The responder's most profitable infiltration against f_opp, for floats or 1-D arrays.
 
-
-def _scan_grids(caps):
-    """Rows np.linspace(0, cap, BR_GRID + 1), bit for bit, for a 1-D array of caps."""
-    if (caps / BR_GRID == 0.0).any():
-        # numpy rescales every row once any row's step underflows, so build rows one by one
-        return np.array([np.linspace(0.0, cap, BR_GRID + 1) for cap in caps])
-    return np.linspace(0.0, caps, BR_GRID + 1, axis=-1)
-
-
-def _lockstep_best_responses(a1, a2, c, responder, f_opp):
-    """``_best_response_raw`` for many symmetric-c plans at once, bit for bit.
-
-    a2, c and f_opp are 1-D arrays with one entry per plan. Every step of
-    ``grid_golden_max`` runs on all plans together: the grid scan in blocks
-    of SWEEP_BLOCK plans, then golden-section with a per-plan live mask and
-    the same grid-winner fallback.
+    The best by ``pot_payoffs_raw`` of x = 0, x = cap and the real parts of
+    Q's roots clipped to [0, cap], the smallest x on a tie. The candidates
+    hold every maximum, and a spurious one can only lose. Each array entry
+    is one plan, with the scalar call's arithmetic and so its bits.
     """
-    a2, c, f_opp = a2[:, None], c[:, None], f_opp[:, None]
-    half = c / 2.0
-    shared = np.linspace(0.0, a1, BR_GRID + 1)[None, :] if responder == 1 else None
-
-    def pot(x, k=slice(None)):
-        return _responder_pot(a1, a2[k], c[k], c[k], half[k], half[k], responder, f_opp[k], x)
-
-    # grid scan: per plan, the first grid maximum and its neighbours
-    lo, hi, x_top, y_top = (np.empty((len(a2), 1)) for _ in range(4))
-    for s in range(0, len(a2), SWEEP_BLOCK):
-        k = slice(s, s + SWEEP_BLOCK)
-        xs = shared if responder == 1 else _scan_grids(a2[k, 0])
-        ys = pot(xs, k)
-        xs = np.broadcast_to(xs, ys.shape)
-        r, i = np.arange(len(ys)), ys.argmax(axis=1)
-        y_top[k, 0], x_top[k, 0] = ys[r, i], xs[r, i]
-        lo[k, 0], hi[k, 0] = xs[r, np.maximum(i - 1, 0)], xs[r, np.minimum(i + 1, BR_GRID)]
-
-    # golden-section on each bracket, as optimize.golden_section_max
-    h = hi - lo
-    xc, xd = lo + INV_PHI2 * h, lo + INV_PHI * h
-    yc, yd = pot(xc), pot(xd)
-    while (live := h > BR_XTOL).any():
-        up = yc > yd               # the maximum lies left of xd
-        left, right = live & up, live & ~up
-        hi = np.where(left, xd, hi)
-        lo = np.where(right, xc, lo)
-        xc, yc, xd, yd = (np.where(right, xd, xc), np.where(right, yd, yc),
-                          np.where(left, xc, xd), np.where(left, yc, yd))
-        h = np.where(live, h * INV_PHI, h)
-        x = np.where(left, lo + INV_PHI2 * h, lo + INV_PHI * h)
-        y = pot(x)
-        xc, yc = np.where(left, x, xc), np.where(left, y, yc)
-        xd, yd = np.where(right, x, xd), np.where(right, y, yd)
-    x = 0.5 * (lo + hi)
-    # the refined point can only improve on the grid winner
-    return np.where(pot(x) < y_top, x_top, x)[:, 0]
+    own, opp = ((a1, c1, c1p), (a2, c2, c2p)) if responder == 1 else ((a2, c2, c2p), (a1, c1, c1p))
+    (cap, c, cp), (b, c_opp, cp_opp) = own, opp
+    q = np.array(_derivative_numerator(*_pot_fraction(cap, b, f_opp, c, cp, c_opp, cp_opp))).T
+    # a leading coefficient below the rounding of the others is raised to it: the root it
+    # moves lies beyond cap/eps, and Q changes on [0, cap] by no more than its rounding;
+    # the smallest subnormal keeps a zero Q, where every x ties, from dividing by zero
+    floor = np.maximum(math.ulp(1.0) * np.abs(q).max(axis=-1), math.ulp(0.0))
+    lead = np.copysign(np.maximum(np.abs(q[..., 4]), floor), q[..., 4])
+    companion = np.zeros(q.shape[:-1] + (4, 4))
+    companion[..., 0, :] = -q[..., 3::-1] / lead[..., None]
+    companion[..., 1:, :3] = np.eye(3)
+    xs = np.empty(q.shape[:-1] + (6,))
+    xs[..., :4] = np.linalg.eigvals(companion).real
+    xs[..., 4], xs[..., 5] = 0.0, cap
+    # floats stay floats, which round as numpy does at less cost
+    a1, a2, c1, c2, c1p, c2p, f_opp, cap = (v[..., None] if isinstance(v, np.ndarray) else v
+                                            for v in (a1, a2, c1, c2, c1p, c2p, f_opp, cap))
+    xs = np.minimum(np.maximum(xs, 0.0), cap)
+    f1, f2 = (xs, f_opp) if responder == 1 else (f_opp, xs)
+    pot = pot_payoffs_raw(a1, a2, f1, f2, c1, c2, c1p, c2p)[responder - 1]
+    return np.where(pot == pot.max(axis=-1, keepdims=True), xs, np.inf).min(axis=-1)[()]
 
 
 def _lockstep_equilibria(a1, a2, c, tol):
@@ -219,8 +216,9 @@ def _lockstep_equilibria(a1, a2, c, tol):
     for _ in range(MAX_ITER):
         if not live.size:
             break
-        new_f1 = _lockstep_best_responses(a1, a2[live], c[live], 1, f2[live])
-        new_f2 = _lockstep_best_responses(a1, a2[live], c[live], 2, new_f1)
+        a2_, c_, half = a2[live], c[live], c[live] / 2.0
+        new_f1 = _best_response_raw(a1, a2_, c_, c_, half, half, 1, f2[live])
+        new_f2 = _best_response_raw(a1, a2_, c_, c_, half, half, 2, new_f1)
         done = np.maximum(np.abs(new_f1 - f1[live]), np.abs(new_f2 - f2[live])) < tol
         f1[live], f2[live] = new_f1, new_f2
         converged[live[done]] = True
@@ -253,7 +251,7 @@ class EquilibriumResult:
 
 
 def unilateral_gain(a1, a2, c1, c2, c1p, c2p, f1, f2) -> float:
-    """Best pot improvement available to either pool by deviating alone."""
+    """Best pot gain for either pool deviating alone: a line scan, kept to check best responses."""
     _require_powers(a1, a2)
     base1, base2 = pot_payoffs_raw(a1, a2, f1, f2, c1, c2, c1p, c2p)
     xs1 = np.linspace(0.0, a1, DEVIATION_GRID + 1)
@@ -269,12 +267,12 @@ def solve_equilibrium(alpha1, alpha2, c1, c2, c1p, c2p,
                       keep_trace: bool = True) -> EquilibriumResult:
     """Alternating best-response dynamics until max |df| < tol.
 
-    The game is strictly concave in each pool's own infiltration over the
-    valid domain, so the dynamics contract to the unique fixed point from
-    any start. A run that exhausts max_iter returns converged=False with
-    the trace kept for diagnosis. A tol below TOL_FLOOR is rejected: the
-    best responses jitter at the golden-section width, so such a solve can
-    cycle until max_iter without converging.
+    Each best response is the maximum over [0, alpha_i] whatever the pot's
+    shape; concavity in each pool's own infiltration is needed only for
+    the dynamics to contract to the unique fixed point from any start. A
+    run that exhausts max_iter returns converged=False with the trace kept
+    for diagnosis. A tol below TOL_FLOOR, the finest tol the convergence
+    and deviation tests cover, is rejected.
     """
     _require_tol(tol)
     if max_iter < 1:
@@ -285,10 +283,10 @@ def solve_equilibrium(alpha1, alpha2, c1, c2, c1p, c2p,
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        new_f1 = _best_response_raw(alpha1, alpha2, c1, c2, c1p, c2p, 1, f2)
+        new_f1 = float(_best_response_raw(alpha1, alpha2, c1, c2, c1p, c2p, 1, f2))
         if keep_trace:
             trace.append((new_f1, f2))
-        new_f2 = _best_response_raw(alpha1, alpha2, c1, c2, c1p, c2p, 2, new_f1)
+        new_f2 = float(_best_response_raw(alpha1, alpha2, c1, c2, c1p, c2p, 2, new_f1))
         if keep_trace:
             trace.append((new_f1, new_f2))
         delta = max(abs(new_f1 - f1), abs(new_f2 - f2))

@@ -178,6 +178,101 @@ def test_best_response_matches_dense_scan(a1, a2, responder, opp_frac, c1, c2, c
     assert float(pot(br)) >= float(np.max(pot(np.linspace(0.0, cap, 20001)))) - 1e-12
 
 
+def _responder_pot(a1, a2, c1, c2, c1p, c2p, responder, f_opp, x):
+    f1, f2 = (x, f_opp) if responder == 1 else (f_opp, x)
+    return pot_payoffs_raw(a1, a2, f1, f2, c1, c2, c1p, c2p)[responder - 1]
+
+
+def _fraction(a1, a2, c1, c2, c1p, c2p, responder, f_opp):
+    """The kernel's N and D coefficients, from the responder's side of the game."""
+    own, opp = ((a1, c1, c1p), (a2, c2, c2p)) if responder == 1 else ((a2, c2, c2p), (a1, c1, c1p))
+    return game._pot_fraction(own[0], opp[0], f_opp, own[1], own[2], opp[1], opp[2])
+
+
+@st.composite
+def _responder_games(draw):
+    """A valid game where both pools hold power, a responder, the opponent's f and a point x."""
+    a1, a2 = draw(st.floats(1e-6, 0.4999)), draw(st.floats(1e-6, 0.4999))
+    c1, c2, c1p = (draw(st.floats(0.0, 1.0)) for _ in range(3))
+    c2p = draw(st.floats(0.0, 1.0 - c1p))
+    responder = draw(st.sampled_from((1, 2)))
+    cap, opp = (a1, a2) if responder == 1 else (a2, a1)
+    return (a1, a2, c1, c2, c1p, c2p, responder, draw(st.floats(0.0, opp)),
+            draw(st.floats(0.0, cap)))
+
+
+@given(_responder_games())
+def test_q_is_the_numerator_of_the_pot_derivative(game_at_x):
+    """Q/D^2 is d pot/dx (complex step, no subtraction to cancel), and Q drops no x^5 term."""
+    *args, x = game_at_x
+    n, d = _fraction(*args)
+    q = game._derivative_numerator(n, d)
+    h = 1e-30
+    slope = _responder_pot(*args, x + 1j * h).imag / h
+    poly = np.polynomial.polynomial
+    dx = poly.polyval(x, d)
+    # the size of the terms N'D and ND' whose difference is Q: below it Q is rounding
+    terms = (poly.polyval(x, np.abs(poly.polyder(n))) * poly.polyval(x, np.abs(d))
+             + poly.polyval(x, np.abs(n)) * poly.polyval(x, np.abs(poly.polyder(d))))
+    assert abs(poly.polyval(x, q) / dx**2 - slope) <= 1e-9 * max(abs(slope), terms / dx**2)
+    full = np.convolve(poly.polyder(n), d) - np.convolve(n, poly.polyder(d))
+    assert abs(full[5]) <= 1e-13 * np.abs(full).max()
+    assert np.abs(full[:5] - q).max() <= 1e-13 * np.abs(full).max()
+
+
+@pytest.mark.parametrize("a1, a2, c1, c2, c1p, c2p, responder, f_opp", [
+    (0.2, 0.1, 0.8, 0.6, 0.4, 0.3, 1, 0.0),
+    (0.2, 0.1, 0.8, 0.6, 0.4, 0.3, 2, 0.0),
+    (0.2, 0.1, 0.0, 0.0, 0.0, 0.0, 1, 0.05),
+    (0.2, 0.1, 0.0, 0.0, 0.0, 0.0, 2, 0.0),
+    (0.2, 5e-324, 1.0, 1.0, 0.5, 0.5, 2, 0.1),
+    (5e-324, 0.3, 0.9, 0.7, 0.5, 0.3, 1, 0.2),
+    (0.2, 5e-324, 1.0, 1.0, 0.5, 0.5, 1, 5e-324),  # Q is rounding noise: pot is flat
+    (5e-324, 5e-324, 1.0, 0.0, 0.0, 0.0, 1, 5e-324),  # every coefficient of Q is 0
+    (1e-18, 0.2, 1.0, 1.0, 0.5, 0.5, 1, 0.1),  # both ends score the same pot
+], ids=["f-opp-0-r1", "f-opp-0-r2", "c-0-r1", "c-0-both-f-0", "subnormal-cap-r2",
+        "subnormal-cap-r1", "subnormal-opponent", "zero-q", "tied-ends"])
+def test_kernel_edge_cases(a1, a2, c1, c2, c1p, c2p, responder, f_opp):
+    """No RuntimeWarning (pytest makes one an error), x in [0, cap], the best pot, ties to 0."""
+    args = (a1, a2, c1, c2, c1p, c2p, responder, f_opp)
+    x = game._best_response_raw(*args)
+    cap = a1 if responder == 1 else a2
+    assert 0.0 <= x <= cap
+    best = _responder_pot(*args, x)
+    assert best >= _responder_pot(*args, np.linspace(0.0, cap, 2001)).max() - 1e-15
+    assert best >= _responder_pot(*args, cap)
+    if best == _responder_pot(*args, 0.0):
+        assert x == 0.0
+
+
+def test_tied_ends_pick_the_smaller_x():
+    args = (1e-18, 0.2, 1.0, 1.0, 0.5, 0.5, 1, 0.1)
+    assert _responder_pot(*args, 0.0) == _responder_pot(*args, 1e-18)
+    assert game._best_response_raw(*args) == 0.0
+
+
+@pytest.mark.parametrize("args, root, end", [
+    ((0.45, 0.1, 1.0, 1.0, 0.5, 0.5, 1, 0.05), 0.0, 0.45),  # pot(cap) > pot(0)
+    ((0.45, 0.1, 0.0, 0.0, 0.0, 0.0, 1, 0.05), 0.45, 0.0),  # pot(0) > pot(cap)
+], ids=["cap-end", "zero-end"])
+def test_both_ends_are_candidates(monkeypatch, args, root, end):
+    """With every root of Q moved onto one end, the other end still competes and wins."""
+    monkeypatch.setattr(np.linalg, "eigvals", lambda m: np.full(m.shape[:-1], root, complex))
+    assert game._best_response_raw(*args) == end
+
+
+@given(_responder_games())
+def test_interior_best_response_is_a_local_maximum(game_at_x):
+    *args, _ = game_at_x
+    x = game._best_response_raw(*args)
+    cap = args[0] if args[6] == 1 else args[1]
+    assume(0.0 < x < cap)
+    best = _responder_pot(*args, x)
+    for step in (1e-9, 1e-6, 1e-3):
+        for y in (max(x - step * cap, 0.0), min(x + step * cap, cap)):
+            assert _responder_pot(*args, y) <= best + 4 * np.finfo(float).eps * abs(best)
+
+
 def test_best_response_rejects_unknown_responder():
     g = GameScenario(0.2, 0.1, 0.0, 0.0, 0.5, 0.5, 0.25, 0.25)
     with pytest.raises(ConstraintViolated, match="responder"):
