@@ -139,14 +139,16 @@ def best_response(g: GameScenario, responder: int) -> float:
                                     g.f2 if responder == 1 else g.f1))
 
 
-def _pot_fraction(a, b, f_opp, c, cp, c_opp, cp_opp):
+def _pot_fraction(a1, a2, c1, c2, c1p, c2p, responder, f_opp):
     """Cubics N and D, lowest coefficient first, with the responder's pot = N(x)/D(x).
 
-    a, c and cp are the responder's power and branch probabilities, the
-    rest the opponent's. Times (s - x)(1 - x), with s = 1 - f_opp, the
-    hosts' pots without the recursion are quadratics hr and ho; then
-    N = hr*(b + x) + x*ho and D = (s - x)(1 - x)(b + x*a/(a + f_opp)).
+    x is the responder's infiltration; a, c and cp are its power and branch
+    probabilities, b, c_opp and cp_opp the opponent's. Times (s - x)(1 - x),
+    with s = 1 - f_opp, the hosts' pots without the recursion are quadratics
+    hr and ho; then N = hr*(b + x) + x*ho and D = (s - x)(1 - x)(b + x*a/(a + f_opp)).
     """
+    sides = ((a1, c1, c1p), (a2, c2, c2p))
+    (a, c, cp), (b, c_opp, cp_opp) = sides if responder == 1 else sides[::-1]
     ext, s = 1.0 - a - b, 1.0 - f_opp
     g = f_opp * ext
     w = c_opp * g / s  # the forks the opponent's infiltrator wins for the responder's pool
@@ -164,8 +166,7 @@ def _pot_fraction(a, b, f_opp, c, cp, c_opp, cp_opp):
 
 def _derivative_numerator(n, d):
     """Q = N'D - ND', lowest coefficient first; its x^5 terms cancel, so Q is a quartic."""
-    n0, n1, n2, n3 = n
-    d0, d1, d2, d3 = d
+    (n0, n1, n2, n3), (d0, d1, d2, d3) = n, d
     return (n1 * d0 - n0 * d1,
             2.0 * (n2 * d0 - n0 * d2),
             3.0 * (n3 * d0 - n0 * d3) + (n2 * d1 - n1 * d2),
@@ -181,9 +182,9 @@ def _best_response_raw(a1, a2, c1, c2, c1p, c2p, responder, f_opp):
     hold every maximum, and a spurious one can only lose. Each array entry
     is one plan, with the scalar call's arithmetic and so its bits.
     """
-    own, opp = ((a1, c1, c1p), (a2, c2, c2p)) if responder == 1 else ((a2, c2, c2p), (a1, c1, c1p))
-    (cap, c, cp), (b, c_opp, cp_opp) = own, opp
-    q = np.array(_derivative_numerator(*_pot_fraction(cap, b, f_opp, c, cp, c_opp, cp_opp))).T
+    cap = a1 if responder == 1 else a2
+    n, d = _pot_fraction(a1, a2, c1, c2, c1p, c2p, responder, f_opp)
+    q = np.array(_derivative_numerator(n, d)).T
     # a leading coefficient below the rounding of the others is raised to it: the root it
     # moves lies beyond cap/eps, and Q changes on [0, cap] by no more than its rounding;
     # the smallest subnormal keeps a zero Q, where every x ties, from dividing by zero
@@ -251,7 +252,7 @@ class EquilibriumResult:
 
 
 def unilateral_gain(a1, a2, c1, c2, c1p, c2p, f1, f2) -> float:
-    """Best pot gain for either pool deviating alone: a line scan, kept to check best responses."""
+    """Best gain from a lone deviation: a 2001-point scan per pool, kept as an independent check."""
     _require_powers(a1, a2)
     base1, base2 = pot_payoffs_raw(a1, a2, f1, f2, c1, c2, c1p, c2p)
     xs1 = np.linspace(0.0, a1, DEVIATION_GRID + 1)
