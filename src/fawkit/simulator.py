@@ -8,6 +8,12 @@ If the ender is external while blocks are withheld, the round ends in a
 fork, resolved by one uniform draw. Exactly one unit of reward is paid out
 per round.
 
+A block of rounds is raced in passes that draw one uniform per round still
+racing, in round order. The first pass only counts the rounds that end at
+once; the rounds that withheld a block race on in compact arrays of their
+own. A fork's branch is the number of branch-table columns at or below its
+draw.
+
 Each scenario kind only supplies a model (``_Model``) with four parts:
 
 - **powers**: category powers, ordered as infiltration categories, then
@@ -38,6 +44,7 @@ count given the same (seed, rounds, scenario).
 from __future__ import annotations
 
 import json
+import numbers
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -69,7 +76,6 @@ CASE_TAGS = (
 # Withheld sets are uint8 bitmasks, one bit per infiltration category:
 # enough for MAX_POOLS = 8 pools.
 _BITS = (1 << np.arange(8)).astype(np.uint8)
-_POPCOUNT = np.array([bin(m).count("1") for m in range(256)], dtype=np.uint8)
 
 
 @dataclass(frozen=True)
@@ -82,11 +88,16 @@ class SimConfig:
     workers: int = 1
 
     def __post_init__(self):
+        for name in ("rounds", "seed", "workers"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConstraintViolated(f"{name}={value!r} must be an integer")
+            object.__setattr__(self, name, int(value))  # numpy integers do not serialise
         if self.rounds < 1:
             raise ConstraintViolated(f"rounds={self.rounds!r} must be >= 1")
         if self.workers < 1:
             raise ConstraintViolated(f"workers={self.workers!r} must be >= 1")
-        if not 0 <= int(self.seed) < 2 ** 64:
+        if not 0 <= self.seed < 2 ** 64:
             raise ConstraintViolated(f"seed={self.seed!r} must fit in an unsigned 64-bit integer")
 
 
@@ -284,26 +295,6 @@ def _categories(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     return cat
 
 
-def _race(rng, n, cum, n_infil):
-    """Vectorized draw-until-ending-find loop for one block of n rounds.
-
-    ``cum`` is the inclusive cumulative power over the categories. Returns
-    the ending category of each round as an offset past the infiltration
-    categories (int8) and each round's withheld set as a uint8 bitmask.
-    """
-    terminal = _categories(cum, rng.random(n)) - n_infil
-    mask = np.zeros(n, dtype=np.uint8)
-    active = np.flatnonzero(terminal < 0)
-    found = terminal[active] + n_infil
-    while active.size:
-        mask[active] |= _BITS[found]
-        cat = _categories(cum, rng.random(active.size))
-        terminal[active] = cat - n_infil  # rounds still racing are overwritten later
-        racing = cat < n_infil
-        active, found = active[racing], cat[racing]
-    return terminal, mask
-
-
 def _block(model: _Model, rng, n) -> np.ndarray:
     """Race, then fork, n rounds; returns one count vector.
 
@@ -311,21 +302,29 @@ def _block(model: _Model, rng, n) -> np.ndarray:
     (m entries; external's are case E), the forks each ender won (m), then
     the case C and case D counts.
     """
-    m = len(model.actors)
-    terminal, mask = _race(rng, n, model.cum, model.table.shape[1])
-    counts = np.zeros(2 * m + 2, dtype=np.int64)
-    for e in range(m):
-        counts[e] = np.count_nonzero(terminal == e)
-    held = np.flatnonzero(mask)
-    forked = mask[held[terminal[held] == m - 1]]
-    counts[m - 1] -= forked.size
-    counts[-2] = np.count_nonzero(_POPCOUNT[forked] == 1)
-    counts[-1] = forked.size - counts[-2]
-    if forked.size:
-        u = rng.random(forked.size)
-        branch = np.count_nonzero(model.table[forked] <= u[:, None], axis=1)
-        counts[m:2 * m] = np.bincount(model.host[branch], minlength=m)
-    return counts
+    cum, n_infil, m = model.cum, model.table.shape[1], len(model.actors)
+    u = rng.random(n)
+    held = np.flatnonzero(u < cum[n_infil - 1])
+    # rounds whose first draw is at or past each ender's lower edge
+    reached = [n - held.size] + [np.count_nonzero(u >= edge) for edge in cum[n_infil:-1]]
+    # each held round's withheld set and, once it has ended, its ender
+    mask = _BITS[_categories(cum[:n_infil], u[held])]
+    ender = np.empty(held.size, dtype=np.int8)
+    active = np.arange(held.size)
+    while active.size:
+        cat = _categories(cum, rng.random(active.size))
+        ender[active] = cat - n_infil  # rounds still racing are overwritten later
+        racing = cat < n_infil
+        active = active[racing]
+        mask[active] |= _BITS[cat[racing]]
+    forked = mask[ender == m - 1]  # a held round that external ends forks
+    ends = -np.diff(reached, append=0) + np.bincount(ender, minlength=m)
+    ends[-1] -= forked.size
+    single = np.count_nonzero((forked & (forked - 1)) == 0)  # case C: one bit set
+    u = rng.random(forked.size)
+    branch = sum(column[forked] <= u for column in model.table.T)
+    fork_wins = np.bincount(model.host[branch], minlength=m)
+    return np.concatenate((ends, fork_wins, [single, forked.size - single]), dtype=np.int64)
 
 
 def _moments(actors, wins: np.ndarray, payout: np.ndarray) -> tuple[dict, dict]:
@@ -365,13 +364,13 @@ def simulate(cfg: SimConfig) -> SimOutcome:
         std_error=_std_errors(sums, sumsq, cfg.rounds),
         rng={
             "algorithm": RNG_ALGORITHM,
-            "seed": int(cfg.seed),
+            "seed": cfg.seed,
             "block_rounds": BLOCK_ROUNDS,
             "substream": "SeedSequence((seed, block_index))",
         },
         config={
             "rounds": cfg.rounds,
-            "seed": int(cfg.seed),
+            "seed": cfg.seed,
             "workers": cfg.workers,
             "scenario": scenario_to_dict(cfg.scenario),
         },

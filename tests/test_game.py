@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import game_scenarios
 from fawkit import game
 from fawkit.errors import (
     ConstraintViolated,
@@ -90,21 +91,7 @@ def test_payoff_system_exactness():
         assert abs(r2 - rhs2) <= 1e-10
 
 
-@st.composite
-def _game_scenarios(draw):
-    a1 = draw(st.floats(0.0, 0.49))
-    a2 = draw(st.floats(0.0, 0.49))
-    f1 = draw(st.floats(0.0, a1))
-    f2 = draw(st.floats(0.0, a2))
-    assume(a2 + f1 > 0.0 and a1 + f2 > 0.0)  # validate_game rejects an empty pool
-    c1 = draw(st.floats(0.0, 1.0))
-    c2 = draw(st.floats(0.0, 1.0))
-    c1p = draw(st.floats(0.0, 1.0))
-    c2p = draw(st.floats(0.0, 1.0 - c1p))
-    return validate_game(GameScenario(a1, a2, f1, f2, c1, c2, c1p, c2p))
-
-
-@given(_game_scenarios())
+@given(game_scenarios())
 def test_pot_system_determinant_at_least_three_quarters(g):
     """det = 1 - k1*k2 >= 3/4 on every valid scenario, so the pot solve is never singular.
 

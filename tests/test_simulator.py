@@ -1,14 +1,19 @@
+import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import game_scenarios, single_scenarios
 from fawkit import simulator
-from fawkit.errors import RationalFloorWarning
+from fawkit.errors import ConstraintViolated, RationalFloorWarning
 from fawkit.game import game_payoffs, solve_equilibrium
 from fawkit.multi_pool import optimize_allocation, preset_attack
-from fawkit.scenarios import GameScenario, MultiPoolScenario, SinglePoolScenario
+from fawkit.scenarios import GameScenario, MultiPoolScenario, SinglePoolScenario, scenario_from_dict
 from fawkit.simulator import (
     SimConfig,
     SimOutcome,
@@ -22,6 +27,10 @@ from fawkit.single_pool import reward_single
 warnings.simplefilter("ignore", RationalFloorWarning)
 
 SINGLE = SinglePoolScenario(0.2, 0.2, 0.44151844, 1.0)
+# to_json_dict() of the single, table2-optimum multi and game scenarios at
+# seed 7 with 1, 150 and 600 000 rounds (two full blocks and a partial one),
+# written by the per-round engine that _oracle_block keeps below
+SEEDED = json.loads((Path(__file__).resolve().parent / "golden" / "sim_seeded.json").read_text())
 
 
 def test_bitwise_reproducible():
@@ -52,6 +61,19 @@ def test_worker_count_only_partitions(make_scenario):
     assert a.reward_sums == b.reward_sums
     assert a.reward_sumsq == b.reward_sumsq
     assert a.extras == b.extras
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("run", sorted(SEEDED))
+def test_seeded_outputs_match_golden(run, workers):
+    want = SEEDED[run]
+    config = want["config"]
+    cfg = SimConfig(config["rounds"], config["seed"], scenario_from_dict(config["scenario"]),
+                    workers)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # the short runs warn
+        doc = simulate(cfg).to_json_dict()
+    assert json.loads(json.dumps(doc)) == {**want, "config": {**config, "workers": workers}}
 
 
 def test_different_seeds_differ():
@@ -237,3 +259,79 @@ def test_typed_entry_points_reject_wrong_scenarios():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         assert simulate_single(cfg).rounds_run == 10
+
+
+@pytest.mark.parametrize("value", [True, 2.0, 1.5, float("nan"), "3", None])
+@pytest.mark.parametrize("name", ["rounds", "seed", "workers"])
+def test_config_rejects_non_integers(name, value):
+    kwargs = {"rounds": 10, "seed": 1, "scenario": SINGLE, "workers": 1, name: value}
+    with pytest.raises(ConstraintViolated, match=f"^{name}=.* must be an integer$"):
+        SimConfig(**kwargs)
+
+
+def test_config_takes_numpy_integers():
+    cfg = SimConfig(rounds=np.int64(150), seed=np.uint64(2 ** 63), scenario=SINGLE,
+                    workers=np.int32(2))
+    config = json.loads(simulate(cfg).to_json())["config"]
+    assert [config[k] for k in ("rounds", "seed", "workers")] == [150, 2 ** 63, 2]
+
+
+# The block engine as it was with one withheld-set mask per round of the
+# block: the reference that _block must match count for count.
+_POPCOUNT = np.array([bin(m).count("1") for m in range(256)], dtype=np.uint8)
+
+
+def _oracle_race(rng, n, cum, n_infil):
+    terminal = simulator._categories(cum, rng.random(n)) - n_infil
+    mask = np.zeros(n, dtype=np.uint8)
+    active = np.flatnonzero(terminal < 0)
+    found = terminal[active] + n_infil
+    while active.size:
+        mask[active] |= simulator._BITS[found]
+        cat = simulator._categories(cum, rng.random(active.size))
+        terminal[active] = cat - n_infil  # rounds still racing are overwritten later
+        racing = cat < n_infil
+        active, found = active[racing], cat[racing]
+    return terminal, mask
+
+
+def _oracle_block(model, rng, n):
+    m = len(model.actors)
+    terminal, mask = _oracle_race(rng, n, model.cum, model.table.shape[1])
+    counts = np.zeros(2 * m + 2, dtype=np.int64)
+    for e in range(m):
+        counts[e] = np.count_nonzero(terminal == e)
+    held = np.flatnonzero(mask)
+    forked = mask[held[terminal[held] == m - 1]]
+    counts[m - 1] -= forked.size
+    counts[-2] = np.count_nonzero(_POPCOUNT[forked] == 1)
+    counts[-1] = forked.size - counts[-2]
+    if forked.size:
+        u = rng.random(forked.size)
+        branch = np.count_nonzero(model.table[forked] <= u[:, None], axis=1)
+        counts[m:2 * m] = np.bincount(model.host[branch], minlength=m)
+    return counts
+
+
+@st.composite
+def _sparse_multi_scenarios(draw):
+    """Up to 8 pools, where any beta or tau may be 0 and c is often exactly 0 or 1."""
+    n = draw(st.integers(1, 8))
+    alpha = draw(st.floats(0.0, 0.49))
+    powers = st.floats(0.0, min(0.49, (1.0 - alpha) / n))
+    betas = draw(st.lists(st.just(0.0) | powers, min_size=n, max_size=n))
+    taus = draw(st.lists(st.just(0.0) | st.floats(0.0, 1.0 / n), min_size=n, max_size=n))
+    c = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    return MultiPoolScenario(alpha, tuple(betas), tuple(taus), c)
+
+
+@pytest.mark.filterwarnings("ignore::fawkit.errors.RationalFloorWarning")
+@settings(max_examples=150)
+@given(st.one_of(single_scenarios(), _sparse_multi_scenarios(), game_scenarios()),
+       st.integers(1, 4096), st.integers(0, 2 ** 64 - 1), st.integers(0, 3))
+def test_block_counts_match_the_per_round_oracle(scenario, n, seed, index):
+    model = simulator._model(scenario)
+    got = simulator._block(model, simulator._block_rng(seed, index), n)
+    want = _oracle_block(model, simulator._block_rng(seed, index), n)
+    assert got.dtype == want.dtype
+    assert got.tolist() == want.tolist()
