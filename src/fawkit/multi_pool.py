@@ -1,47 +1,42 @@
 """Rewards for infiltrating several pools at once, and the split optimizer.
 
 The attacker keeps at most one withheld block per target pool, so a round
-can end in a fork of up to n+1 branches, one per pool in the withheld set S
-plus the external block. The chance of forking from S does not depend on
-the order in which S was found, so the n-pool reward sums over the 2^n
-withheld sets:
+can end in a fork of up to n+1 branches, one per pool in the withheld set
+plus the external block; each of k withheld branches wins with chance c/k.
+With T = sum(tau), B = sum(beta), ta_i = tau_i * a and ta(S) the sum of ta
+over a set S of pools, the n-pool reward is
 
-    R_a = (1-T)a/(1-Ta)
-        + sum_i  ta_i/(b_i+ta_i) * ( b_i/(1-Ta)
-            + sum_{S containing i}  c/|S| * (1-a-B) * reach(S) )
+    R_a   = (1-T)a/(1-Ta) + sum_i  ta_i/(b_i+ta_i) * (b_i/(1-Ta) + pot_i)
+    pot_i = c(1-a-B) ta_i  sum_{P of pools other than i}
+                w_|P| / ((1 - ta(P)) (1 - ta(P) - ta_i))
 
-    reach({}) = 1,  reach(S) = sum_{j in S} reach(S - j) * ta_j / (1 - ta(S))
+where w_k = 1 / (n C(n-1, k)) is the chance that exactly the pools of P
+come before pool i in a uniformly random order of the n pools. pot_i is
+pool i's fork income. Give each pool's first infiltration find an
+exponential clock of rate ta_j and let y_j = e^(ta_j t) - 1: the attacker
+withholds in exactly the pools of S before an external find with
+probability (1-a-B) reach(S), reach(S) = int_0^inf e^-t prod_{j in S} y_j dt.
 
-with T = sum(tau), B = sum(beta), ta_i = tau_i * a and ta(S) the sum of ta
-over S. (1-a-B) * reach(S) is the probability that the attacker withholds
-in exactly the pools of S and then an external miner finds a block; c/k is
-one branch's win probability in a (k+1)-branch fork. Pool counts are capped
-at MAX_POOLS by the simulator's uint8 withheld-set bitmask.
+  1. Expanding the product, reach(S) is the sum over the sets U in S of
+     (-1)^|S-U| / (1 - ta(U)).
+  2. With 1/|S| = int_0^1 x^(|S|-1) dx, the sum of reach(S)/|S| over the
+     sets S containing i is int_0^inf e^-t y_i int_0^1 prod_{j != i}
+     (1 - x + x e^(ta_j t)) dx dt; expanded, each set P of other pools
+     gets the Beta integral B(|P|+1, n-|P|) = w_|P| in x.
+  3. Pairing P with P + i leaves 1/(1 - ta(P) - ta_i) - 1/(1 - ta(P)),
+     which is the term above.
+
+Every term is positive: 1 - ta(P) - ta_i >= 1 - Ta > 1/2 under the majority
+guard, so no sum cancels. Pool counts are capped at MAX_POOLS by the
+simulator's uint8 withheld-set bitmask; the kernel itself has no cap.
 
 The kernel _reward_raw takes each tau as a float or an ndarray: reward_npool
 validates and calls it on floats, and optimize_allocation scores each
-coordinate's whole grid as one array in one call.
-
-It runs the recursion one popcount layer at a time: layer k computes
-reach for all C(n, k) sets of k pools at once, from layer k-1 through index
-tables built once per n (_layers). Every sum is sequential, in a fixed
-order, so the result is the same to the last bit whether a tau is a float
-or a grid column:
-
-    ta(S)    = ta(S - h) + ta_h                       h the highest pool of S
-    reach(S) = ((reach(S - j1) ta_j1 + reach(S - j2) ta_j2) + ...) / (1 - ta(S))
-                                                       j1 < j2 < ... the pools of S
-    w(S)     = ((c/k) (1-a-B)) reach(S)
-    pot_i    = (w(S1) + w(S2)) + ...                  S1 < S2 < ... as bitmasks
-    T, B     = (x_1 + x_2) + ...                      pools in order
-
-T and B are not taken with the builtin sum, which compensates float sums
-from Python 3.12 on but adds an ndarray plainly.
-
-Memory: reach and w hold 2^n x grid floats each (0.4 MB at n = 8 with a
-201-point grid, 105 MB at n = 16), and a layer's gathers are up to 1.6
-times that, so one call peaks at about 5.3 such arrays. A 16-pool scan of
-a 201-point grid would need about 0.56 GB and must be split into chunks.
+coordinate's whole grid as one array in one call. Every sum is sequential,
+in a fixed order (1 - ta(S) pool by pool, each pot over P ascending as
+bitmasks, T and B pool by pool), so a float call and a grid column give the
+same bits. T and B are not taken with the builtin sum, which compensates
+float sums from Python 3.12 on but adds an ndarray plainly.
 """
 
 from __future__ import annotations
@@ -135,64 +130,38 @@ def reward_two_pools(alpha, beta1, beta2, tau1, tau2,
 
 
 @lru_cache(maxsize=None)
-def _layers(n):
-    """Index tables of the DP over n pools' withheld sets, built on first use.
+def _predecessors(n):
+    """Each pool's sets P of other pools and their weights w_|P|, built on first use.
 
-    Sets are stored by popcount, ascending within a popcount, so layer k is
-    one slice. Returns (layers, containing): each layer is (k, its slice,
-    members, subsets), members[j] the j-th lowest pool of each k-set and
-    subsets[j] the position of that set without it, both (k, C(n, k));
-    containing[i] holds the positions of the sets containing pool i in
-    ascending bitmask order, shape (n, 2^(n-1)).
+    Row i holds the 2^(n-1) bitmasks without pool i, ascending, and the
+    weights 1 / (n C(n-1, |P|)) of those sets; both are (n, 2^(n-1)).
     """
     masks = np.arange(1 << n)
-    bits = masks[:, None] >> np.arange(n) & 1
-    order = np.argsort(bits.sum(axis=1), kind="stable")
-    position = np.empty_like(order)
-    position[order] = masks
-    layers, lo = [], 1
-    for k in range(1, n + 1):
-        sets = order[lo:lo + comb(n, k)]
-        # contiguous: gathers through a transposed view are several times slower
-        members = np.nonzero(bits[sets])[1].reshape(-1, k).T.copy()
-        layers.append((k, slice(lo, lo + len(sets)), members,
-                       position[sets ^ 1 << members]))
-        lo += len(sets)
-    return layers, position[np.nonzero(bits.T)[1].reshape(n, -1)]
+    sizes = (masks[:, None] >> np.arange(n) & 1).sum(axis=1)
+    others = np.array([masks[masks >> i & 1 == 0] for i in range(n)])
+    k_sets = np.array([comb(n - 1, k) for k in range(n)])  # sets of k other pools
+    return others, 1.0 / (n * k_sets[sizes[others]])
 
 
 def _reward_raw(alpha, betas, taus, c):
     """reward_npool's sum, unvalidated; each tau is a float or a broadcastable ndarray."""
-    n = len(betas)
     ta = [t * alpha for t in taus]
     ext = 1.0 - alpha - reduce(add, betas)
-    # filled row by row: np.array(np.broadcast_arrays(*ta)) takes 2-4 times as long
-    ta_rows = np.empty((n,) + np.broadcast(*ta).shape)
-    for j, t in enumerate(ta):
-        ta_rows[j] = t
-    layers, containing = _layers(n)
-    reach = np.empty((1 << n,) + ta_rows.shape[1:])  # by set position, see _layers
-    reach[0] = 1.0
-    w = np.empty_like(reach)  # each set's fork income to each of its pools
-    for k, layer, members, subsets in layers:
-        ta_sets = ta_rows[members]
-        parts = reach[subsets]
-        parts *= ta_sets
-        found, pushed = ta_sets[0], parts[0]
-        for j in range(1, k):  # sequential sums over the ascending members
-            found += ta_sets[j]
-            pushed += parts[j]
-        np.divide(pushed, 1.0 - found, out=reach[layer])
-        np.multiply((c / k) * ext, reach[layer], out=w[layer])
-        del ta_sets, parts, found, pushed  # free this layer's gathers before the next one's
+    free = np.ones((1,) + np.broadcast(*ta).shape)  # 1 - ta(S), sets as bitmasks
+    for t in ta:
+        free = np.concatenate((free, free - t))
+    others, weights = _predecessors(len(betas))
+    weights = weights.reshape(weights.shape + (1,) * (free.ndim - 1))
     total_tau = reduce(add, taus)
     total_ta = total_tau * alpha
     r = (1.0 - total_tau) * alpha / (1.0 - total_ta)
-    for b, t, sets in zip(betas, ta, containing):
+    for b, t, sets, w in zip(betas, ta, others, weights):
+        before = free[sets]
+        forks = np.add.accumulate(w / (before * (before - t)))[-1]
         # a pool with no power of its own pays its infiltrator everything,
         # and with no infiltrator either its fork pot is 0
         share = t / (b + t) if b > 0.0 else 1.0
-        r += share * (b / (1.0 - total_ta) + np.add.accumulate(w[sets])[-1])
+        r += share * (b / (1.0 - total_ta) + c * ext * t * forks)
     return r
 
 

@@ -5,7 +5,7 @@ from operator import add
 import numpy as np
 import pytest
 from conftest import multi_scenarios, single_scenarios
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fawkit import multi_pool
@@ -19,7 +19,7 @@ from fawkit.multi_pool import (
     reward_npool,
     reward_two_pools,
 )
-from fawkit.scenarios import MultiPoolScenario, SinglePoolScenario, rer
+from fawkit.scenarios import MAX_POOLS, MultiPoolScenario, SinglePoolScenario, rer
 from fawkit.single_pool import reward_bwh, reward_single
 
 
@@ -65,13 +65,14 @@ def _ordered_walk_reward(s):
 
 
 def _per_mask_reward(alpha, betas, taus, c):
-    """The n-pool kernel as one Python loop over the 2^n withheld-set bitmasks.
+    """The n-pool reward as one Python loop over the 2^n withheld-set bitmasks.
 
-    The bitwise reference for multi_pool._reward_raw: the same recursion
-    with the same order of every sum (members ascending within a set, sets
-    ascending as bitmasks into each pool's pot), one set at a time. Each tau
-    is a float or an ndarray. Every sum is an explicit left-to-right add:
-    the builtin sum compensates float sums from Python 3.12 on.
+    The exact reference for multi_pool._reward_raw, by another route: the
+    recursion reach(S) = sum_{j in S} reach(S - j) ta_j / (1 - ta(S)) over
+    the withheld sets, with c/|S| of each set's fork income to each of its
+    pools, one set at a time. Each tau is a float or an ndarray. Every sum
+    is an explicit left-to-right add: the builtin sum compensates float
+    sums from Python 3.12 on.
     """
     n = len(betas)
     ta = [t * alpha for t in taus]
@@ -94,13 +95,26 @@ def _per_mask_reward(alpha, betas, taus, c):
     return r
 
 
-def _bitwise_equal(got, want):
-    return np.shape(got) == np.shape(want) and bool(np.all(np.asarray(got) == want))
+def _close(x, y, alpha):
+    """Within 1e-14 of alpha, the scale of the reward's terms.
+
+    The routes round differently in the last bits on a few percent of draws.
+    Relative to the reward itself the gap is unbounded where terms cancel
+    (taus summing to 1 - 1e-16 leave a reward near 5e-17 that the routes
+    put a factor 2 apart), and a subnormal alpha keeps too few bits, so the
+    scale is alpha, and at least the smallest normal float.
+    """
+    return abs(x - y) <= 1e-14 * max(alpha, sys.float_info.min)
+
+
+def _close_elementwise(got, want, alpha):
+    """Same shape, and every element within _close of the other."""
+    return np.shape(got) == np.shape(want) and bool(np.all(_close(got, want, alpha)))
 
 
 @settings(max_examples=60)
 @given(multi_scenarios(max_pools=8), st.data())
-def test_kernel_is_the_per_mask_loop_to_the_bit(s, data):
+def test_kernel_is_close_to_the_per_mask_loop(s, data):
     n = len(s.betas)
     taus = [
         np.array(data.draw(st.lists(st.floats(0.0, 1.0 / n), min_size=3, max_size=3)))
@@ -108,12 +122,12 @@ def test_kernel_is_the_per_mask_loop_to_the_bit(s, data):
         for t in s.taus
     ]
     for args in ((s.alpha, s.betas, s.taus, s.c), (s.alpha, s.betas, taus, s.c)):
-        assert _bitwise_equal(multi_pool._reward_raw(*args), _per_mask_reward(*args))
+        assert _close_elementwise(multi_pool._reward_raw(*args), _per_mask_reward(*args), s.alpha)
 
 
-def test_kernel_is_the_per_mask_loop_where_forks_pay_everything():
+def test_kernel_is_close_to_the_per_mask_loop_where_forks_pay_everything():
     # powerless pools and taus summing to 1: the reward is the sum of the fork
-    # pots, so a sum taken in another order shows in its last bits
+    # pots, so an error in any pot shows in the reward
     rng = np.random.default_rng(60)
     for trial in range(200):
         n = int(rng.integers(3, 9))
@@ -123,11 +137,11 @@ def test_kernel_is_the_per_mask_loop_where_forks_pay_everything():
         if trial % 4 == 0:  # the optimizer's scan of one coordinate
             taus[0] = np.linspace(0.0, taus[0], 201)
         args = (alpha, (0.0,) * n, taus, rng.uniform())
-        assert _bitwise_equal(multi_pool._reward_raw(*args), _per_mask_reward(*args))
+        assert _close_elementwise(multi_pool._reward_raw(*args), _per_mask_reward(*args), alpha)
 
 
 @pytest.mark.parametrize("n, seed", [(12, 0), (12, 1), (12, 2), (16, 0), (16, 1)])
-def test_kernel_is_the_per_mask_loop_past_the_pool_cap(n, seed):
+def test_kernel_is_close_to_the_per_mask_loop_past_the_pool_cap(n, seed):
     # the kernel itself has no cap; MAX_POOLS only guards reward_npool
     rng = np.random.default_rng(seed)
     alpha = rng.uniform(0.05, 0.45)
@@ -137,8 +151,8 @@ def test_kernel_is_the_per_mask_loop_past_the_pool_cap(n, seed):
     if n == 12:
         taus[-1] = np.linspace(0.0, 1.0 / n, 3)
     c = (0.0, 1.0, rng.uniform())[seed]
-    assert _bitwise_equal(multi_pool._reward_raw(alpha, betas, taus, c),
-                          _per_mask_reward(alpha, betas, taus, c))
+    assert _close_elementwise(multi_pool._reward_raw(alpha, betas, taus, c),
+                              _per_mask_reward(alpha, betas, taus, c), alpha)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
@@ -347,18 +361,6 @@ def test_optimizer_beats_honest_mining_and_every_single_pool_vertex(alpha, betas
     assert res.reward >= max(alpha, *vertices) - 1e-12
 
 
-def _close(x, y, alpha):
-    """Within 1e-14 of alpha, the scale of the reward's terms.
-
-    The routes round differently in the last bits on a few percent of draws.
-    Relative to the reward itself the gap is unbounded where terms cancel
-    (taus summing to 1 - 1e-16 leave a reward near 5e-17 that the routes
-    put a factor 2 apart), and a subnormal alpha keeps too few bits, so the
-    scale is alpha, and at least the smallest normal float.
-    """
-    return abs(x - y) <= 1e-14 * max(alpha, sys.float_info.min)
-
-
 @settings(max_examples=150)
 @given(single_scenarios())
 def test_one_pool_is_the_single_pool_reward(s):
@@ -372,6 +374,33 @@ def test_two_pools_are_the_two_pool_reward_under_c_over_k(s):
     (b1, b2), (t1, t2), c = s.betas, s.taus, s.c
     two = reward_two_pools(s.alpha, b1, b2, t1, t2, c, c, c / 2, c / 2)
     assert _close(reward_npool(s), two, s.alpha)
+
+
+def _proportional_split(alpha, betas, scale, c):
+    """tau_i = scale * beta_i / sum(beta), and the reward of one pool of the summed power.
+
+    Each pool then pays out the same share of its revenue, so the n pools
+    act as one pool of power sum(beta) infiltrated with sum(tau).
+    """
+    taus = tuple(scale * b / sum(betas) for b in betas)
+    return taus, reward_single(SinglePoolScenario(alpha, sum(betas), sum(taus), c))
+
+
+@given(multi_scenarios(max_pools=MAX_POOLS), st.floats(0.0, 1.0))
+def test_proportional_split_is_one_pool_of_the_summed_power(s, scale):
+    assume(0.0 < sum(s.betas) < 0.5)  # the summed pool is under the majority guard
+    taus, single = _proportional_split(s.alpha, s.betas, scale, s.c)
+    assert _close(reward_npool(MultiPoolScenario(s.alpha, s.betas, taus, s.c)), single, s.alpha)
+
+
+@pytest.mark.parametrize("n, seed", [(12, 0), (12, 1), (16, 0), (16, 1)])
+def test_proportional_split_past_the_pool_cap(n, seed):
+    rng = np.random.default_rng(seed)
+    alpha = rng.uniform(0.05, 0.45)
+    betas = tuple(rng.uniform(0.0, 1.0, size=n) * rng.uniform(0.1, 0.49) / n)
+    c = rng.uniform()
+    taus, single = _proportional_split(alpha, betas, rng.uniform(), c)
+    assert _close(multi_pool._reward_raw(alpha, betas, taus, c), single, alpha)
 
 
 def _bwh_closed_form(alpha, betas, taus):
