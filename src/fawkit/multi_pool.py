@@ -68,7 +68,7 @@ POOL_PRESETS = {"table2": TABLE2_POWERS}
 ALLOC_REWARD_TOL = 1e-8  # optimize_allocation stops when a sweep gains less reward
 ALLOC_MAX_SWEEPS = 200   # ... or after this many sweeps, unconverged
 ALLOC_COORD_GRID = 200   # coarse scan points per coordinate
-ALLOC_XTOL = 1e-10       # golden-section bracket width per coordinate
+ALLOC_XTOL = 1e-10       # final zoom bracket width per coordinate
 
 
 def preset_attack(name: str = "table2", attacker: str = "F2Pool"):
@@ -177,7 +177,11 @@ def reward_npool(s: MultiPoolScenario) -> float:
 
 @dataclass(frozen=True)
 class AllocationResult:
-    """Optimized infiltration split. ``reward`` re-evaluates at ``taus``."""
+    """Optimized infiltration split. ``reward`` re-evaluates at ``taus``.
+
+    ``evaluations`` counts the points the kernel scored, not its calls: a
+    coarse scan scores ALLOC_COORD_GRID + 1 points in one call.
+    """
 
     taus: tuple[float, ...]
     reward: float
@@ -191,7 +195,8 @@ def optimize_allocation(alpha, betas, c, budget: float = 1.0) -> AllocationResul
 
     Projected coordinate ascent: pools with equal power are tied to one
     shared variable (the optimum is symmetric across them), each coordinate
-    is solved by a coarse scan plus golden-section, and sweeps repeat until
+    is solved by a coarse scan and zoomed rescans of its best bracket (each
+    one kernel call on a grid column), and sweeps repeat until
     the reward improves by less than ALLOC_REWARD_TOL. Exhausting
     ALLOC_MAX_SWEEPS returns the best point found with converged=False.
     """

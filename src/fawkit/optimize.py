@@ -1,4 +1,4 @@
-"""Scalar maximization helpers: coarse grid scan plus golden-section refine."""
+"""Scalar maximization helper: a coarse grid scan, then zoomed rescans of the winner."""
 
 from __future__ import annotations
 
@@ -6,55 +6,31 @@ import math
 
 import numpy as np
 
-INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0   # 1/phi
-INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
-
-
-def golden_section_max(f, lo: float, hi: float, xtol: float = 1e-9) -> float:
-    """Return an argmax of ``f`` on [lo, hi], located to interval width xtol.
-
-    Assumes f is unimodal on the bracket; f is called on scalars.
-    """
-    h = hi - lo
-    if h <= xtol:
-        return 0.5 * (lo + hi)
-    c = lo + INV_PHI2 * h
-    d = lo + INV_PHI * h
-    yc, yd = f(c), f(d)
-    while h > xtol:
-        if yc > yd:
-            hi, d, yd = d, c, yc
-            h *= INV_PHI
-            c = lo + INV_PHI2 * h
-            yc = f(c)
-        else:
-            lo, c, yc = c, d, yd
-            h *= INV_PHI
-            d = lo + INV_PHI * h
-            yd = f(d)
-    return 0.5 * (lo + hi)
+ZOOM_CELLS = 32  # cells per rescan of the winner's bracket; each rescan narrows it 16x
 
 
 def grid_golden_max(f, lo: float, hi: float, n_grid: int = 1000,
                     xtol: float = 1e-9, vectorized: bool = True):
-    """Coarse n_grid scan of [lo, hi] then golden-section on the best bracket.
+    """Scan n_grid cells of [lo, hi], then rescan the winner's two neighbouring
+    cells with ZOOM_CELLS cells until that bracket is at most xtol wide.
 
-    Returns ``(x_star, f(x_star))``. With ``vectorized`` the grid is evaluated
-    in one call, so f must accept ndarrays; otherwise f is called per point.
+    Returns the best ``(x, f(x))`` scanned, so never worse than the coarse
+    winner; an end is returned exactly. xtol is floored at 4 ulps of the
+    ends, below which rounding stops the bracket from narrowing. With
+    ``vectorized`` each scan is one call, so f must accept ndarrays;
+    otherwise f is called per point.
     """
     if hi <= lo:
         return lo, float(f(lo))
-    xs = np.linspace(lo, hi, n_grid + 1)
-    if vectorized:
-        ys = np.asarray(f(xs), dtype=float)
-    else:
-        ys = np.array([f(x) for x in xs], dtype=float)
-    i = int(np.argmax(ys))
-    bracket_lo = xs[max(i - 1, 0)]
-    bracket_hi = xs[min(i + 1, n_grid)]
-    x = golden_section_max(lambda t: float(f(t)), float(bracket_lo), float(bracket_hi), xtol)
-    fx = float(f(x))
-    # the refined point can only improve on the grid winner
-    if fx < ys[i]:
-        x, fx = float(xs[i]), float(ys[i])
-    return x, fx
+    xtol = max(xtol, 4.0 * math.ulp(max(abs(lo), abs(hi))))
+    best_x, best_y, cells = lo, -np.inf, n_grid
+    while True:
+        xs = np.linspace(lo, hi, cells + 1)
+        ys = np.asarray(f(xs) if vectorized else [f(x) for x in xs], dtype=float)
+        i = int(np.argmax(ys))
+        if ys[i] > best_y:
+            best_x, best_y = float(xs[i]), float(ys[i])
+        lo, hi = xs[max(i - 1, 0)], xs[min(i + 1, cells)]
+        if hi - lo <= xtol:
+            return best_x, best_y
+        cells = ZOOM_CELLS

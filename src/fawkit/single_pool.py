@@ -26,7 +26,7 @@ from .scenarios import SinglePoolScenario, validate_single
 
 TAU_AGREEMENT_TOL = 1e-6  # closed form and numeric optimum must agree to this
 TAU_GRID = 1000           # optimal_tau: coarse scan points over [0, 1]
-TAU_XTOL = 1e-9           # optimal_tau: golden-section bracket width, also the boundary band
+TAU_XTOL = 1e-9           # optimal_tau: final zoom bracket width, also the boundary band
 
 
 def _pots(alpha, beta, tau, c):
@@ -118,8 +118,8 @@ class OptimalTauResult:
 def optimal_tau(alpha: float, beta: float, c: float) -> OptimalTauResult:
     """Maximize the attacker reward over tau in [0, 1].
 
-    Computes both the closed form and a numeric maximum (TAU_GRID coarse scan
-    plus golden-section refinement of the best bracket). beta must be
+    Computes both the closed form and a numeric maximum (TAU_GRID coarse scan,
+    then zoomed rescans of the best bracket down to TAU_XTOL). beta must be
     positive: infiltrating an empty pool is meaningless and the closed form
     degenerates there.
     """

@@ -7,9 +7,9 @@ Tolerances are pinned here, not configurable.
 
 import math
 import time
-import warnings
 
 import numpy as np
+import pytest
 
 from fawkit.bounds import (
     HonestPowerDistribution,
@@ -20,7 +20,6 @@ from fawkit.bounds import (
     safe_bonus_threshold,
     selfish_mining_threshold,
 )
-from fawkit.errors import RationalFloorWarning
 from fawkit.game import (
     WINNER_POOL1,
     solve_equilibrium,
@@ -37,7 +36,7 @@ from fawkit.scenarios import MultiPoolScenario, SinglePoolScenario, rer
 from fawkit.simulator import SimConfig, simulate
 from fawkit.single_pool import optimal_tau, victim_reward
 
-warnings.simplefilter("ignore", RationalFloorWarning)
+pytestmark = pytest.mark.filterwarnings("ignore::fawkit.errors.RationalFloorWarning")
 
 TABLE1_EXPECTED = {
     # c: RER(%) by alpha = 0.1, 0.2, 0.3, 0.4 at beta = 0.2

@@ -42,7 +42,7 @@ from fawkit.scenarios import GameScenario, SinglePoolScenario, validate_game
 from fawkit.simulator import SimConfig, simulate
 from fawkit.single_pool import reward_single, victim_reward
 
-warnings.simplefilter("ignore", RationalFloorWarning)
+pytestmark = pytest.mark.filterwarnings("ignore::fawkit.errors.RationalFloorWarning")
 
 
 def _payoff_rhs(g, r1, r2):

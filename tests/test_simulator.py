@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import game_scenarios, single_scenarios
 from fawkit import simulator
-from fawkit.errors import ConstraintViolated, RationalFloorWarning
+from fawkit.errors import ConstraintViolated
 from fawkit.game import game_payoffs, solve_equilibrium
 from fawkit.multi_pool import optimize_allocation, preset_attack
 from fawkit.scenarios import GameScenario, MultiPoolScenario, SinglePoolScenario, scenario_from_dict
@@ -24,7 +24,7 @@ from fawkit.simulator import (
 )
 from fawkit.single_pool import reward_single
 
-warnings.simplefilter("ignore", RationalFloorWarning)
+pytestmark = pytest.mark.filterwarnings("ignore::fawkit.errors.RationalFloorWarning")
 
 SINGLE = SinglePoolScenario(0.2, 0.2, 0.44151844, 1.0)
 # to_json_dict() of the single, table2-optimum multi and game scenarios at
@@ -325,7 +325,6 @@ def _sparse_multi_scenarios(draw):
     return MultiPoolScenario(alpha, tuple(betas), tuple(taus), c)
 
 
-@pytest.mark.filterwarnings("ignore::fawkit.errors.RationalFloorWarning")
 @settings(max_examples=150)
 @given(st.one_of(single_scenarios(), _sparse_multi_scenarios(), game_scenarios()),
        st.integers(1, 4096), st.integers(0, 2 ** 64 - 1), st.integers(0, 3))
