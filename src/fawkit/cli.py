@@ -1,10 +1,12 @@
 """Command-line surface: analytics, game solver, sweeps, simulation, fixtures.
 
-Every subcommand wraps exactly one library operation (or a sweep of one) and
-emits plot-ready JSON, CSV, or an aligned key/value table. Exit codes: 0 on
-success, 1 on validation errors (the message names the violated constraint),
-2 when an iterative solve did not converge (the best-effort result is still
-emitted with converged=false).
+Every subcommand runs one library operation (or a sweep of one) and emits
+plot-ready JSON, CSV, or an aligned key/value table. A ``reward-*`` or
+``sim-*`` subcommand given no attack strategy first solves for it: tau by
+``optimal_tau``, the taus by ``optimize_allocation``, f1 and f2 by
+``solve_equilibrium``. Exit codes: 0 on success, 1 on validation errors (the
+message names the violated constraint), 2 when an iterative solve did not
+converge (the best-effort result is still emitted with converged=false).
 """
 
 from __future__ import annotations
@@ -59,10 +61,6 @@ def parse_range(text: str) -> list[float]:
 
 def parse_floats(text: str) -> tuple[float, ...]:
     return tuple(float(p) for p in text.split(",") if p.strip() != "")
-
-
-def _tau_arg(text: str):
-    return text if text == "auto" else float(text)
 
 
 def _default_seed() -> int:
@@ -129,16 +127,13 @@ def _scenario_file(path, kind):
     return s
 
 
-def _single_scenario(args, auto: bool) -> tuple[SinglePoolScenario, dict]:
-    """The scenario and how its tau was chosen; ``auto`` or ``--tau auto`` takes the optimum."""
+def _single_scenario(args) -> tuple[SinglePoolScenario, dict]:
+    """The scenario and how its tau was chosen; without ``--tau``, the optimum."""
     if args.scenario:
         s = _scenario_file(args.scenario, SinglePoolScenario)
         return s, {"tau": s.tau, "tau_method": "given"}
-    auto = auto or args.tau == "auto"
-    if not auto and args.tau is None:
-        raise FawError("need --tau (or --optimal-tau / --tau auto)")
     _require(args, "alpha", "beta", "c")
-    if not auto:
+    if args.tau is not None:
         s = validate(SinglePoolScenario(args.alpha, args.beta, args.tau, args.c))
         return s, {"tau": s.tau, "tau_method": "given"}
     res = single_pool.optimal_tau(args.alpha, args.beta, args.c)
@@ -154,15 +149,13 @@ def _multi_powers(args) -> tuple[float, tuple[float, ...]]:
     return args.alpha, args.betas
 
 
-def _multi_scenario(args, optimize: bool) -> MultiPoolScenario:
-    """Without ``--taus``, ``optimize`` takes the optimal split."""
+def _multi_scenario(args) -> MultiPoolScenario:
+    """Without ``--taus``, the optimal split."""
     if args.scenario:
         return _scenario_file(args.scenario, MultiPoolScenario)
     alpha, betas = _multi_powers(args)
     taus = args.taus
     if taus is None:
-        if not optimize:
-            raise FawError("need --taus (or use optimize-alloc)")
         taus = multi_pool.optimize_allocation(alpha, betas, args.c).taus
     return validate(MultiPoolScenario(alpha, betas, taus, args.c))
 
@@ -177,23 +170,24 @@ def _game_cs(args):
 
 
 def _game_scenario(args) -> GameScenario:
+    """Without ``--f1`` and ``--f2``, the equilibrium."""
     if args.scenario:
         return _scenario_file(args.scenario, GameScenario)
     _require(args, "alpha1", "alpha2")
     c1, c2, c1p, c2p = _game_cs(args)
     f1, f2 = args.f1, args.f2
-    if args.equilibrium:
+    if (f1 is None) != (f2 is None):
+        raise FawError("give both --f1 and --f2, or neither for the equilibrium")
+    if f1 is None:
         res = game_mod.solve_equilibrium(args.alpha1, args.alpha2, c1, c2, c1p, c2p)
         f1, f2 = res.f1_star, res.f2_star
-    if f1 is None or f2 is None:
-        raise FawError("need --f1 and --f2 (or --equilibrium)")
     return validate(GameScenario(args.alpha1, args.alpha2, f1, f2, c1, c2, c1p, c2p))
 
 
 # --- subcommand handlers ------------------------------------------------------
 
 def cmd_reward_single(args) -> int:
-    s, tau_doc = _single_scenario(args, auto=args.optimal_tau)
+    s, tau_doc = _single_scenario(args)
     attacker = single_pool.reward_single(s)
     victim = single_pool.victim_reward(s)
     emit({
@@ -223,7 +217,7 @@ def cmd_optimal_tau(args) -> int:
 
 
 def cmd_reward_multi(args) -> int:
-    s = _multi_scenario(args, optimize=False)
+    s = _multi_scenario(args)
     reward = multi_pool.reward_npool(s)
     emit({
         "scenario": scenario_to_dict(s),
@@ -361,13 +355,13 @@ def _single_flags(p):
     p.add_argument("--alpha", type=float)
     p.add_argument("--beta", type=float)
     p.add_argument("--c", type=float)
-    p.add_argument("--tau", type=_tau_arg, default=None, help="infiltration fraction, or 'auto'")
+    p.add_argument("--tau", type=float, help="infiltration fraction (default: the optimal tau)")
 
 
 def _multi_flags(p):
     p.add_argument("--alpha", type=float)
     p.add_argument("--betas", type=parse_floats)
-    p.add_argument("--taus", type=parse_floats)
+    p.add_argument("--taus", type=parse_floats, help="default: the optimal split")
     p.add_argument("--c", type=float, default=0.0)
     p.add_argument("--preset", choices=sorted(multi_pool.POOL_PRESETS))
 
@@ -381,16 +375,15 @@ def _game_c_flags(p):
 def _sim_game_flags(p):
     p.add_argument("--alpha1", type=float)
     p.add_argument("--alpha2", type=float)
-    p.add_argument("--f1", type=float, default=None)
-    p.add_argument("--f2", type=float, default=None)
+    for name in ("f1", "f2"):
+        p.add_argument(f"--{name}", type=float,
+                       help=f"pool {name[1]}'s infiltration; omit both for the equilibrium")
     _game_c_flags(p)
-    p.add_argument("--equilibrium", action="store_true",
-                   help="simulate at the solved equilibrium point")
 
 
 _SIM_KINDS = (
-    ("single", _single_flags, lambda args: _single_scenario(args, auto=args.tau is None)[0]),
-    ("multi", _multi_flags, lambda args: _multi_scenario(args, optimize=True)),
+    ("single", _single_flags, lambda args: _single_scenario(args)[0]),
+    ("multi", _multi_flags, _multi_scenario),
     ("game", _sim_game_flags, _game_scenario),
 )
 
@@ -401,7 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reward-single", help="closed-form single-pool attacker reward")
     _single_flags(p)
-    p.add_argument("--optimal-tau", action="store_true", help="use the optimal infiltration fraction")
     _add_scenario_opt(p)
     _add_common(p)
     p.set_defaults(func=cmd_reward_single)

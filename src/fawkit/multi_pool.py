@@ -226,9 +226,8 @@ def optimize_allocation(alpha, betas, c, budget: float = 1.0) -> AllocationResul
         for g, size in enumerate(sizes):
             others = sum(sizes[h] * shared[h] for h in range(len(sizes)) if h != g)
             hi = min(1.0, max((budget - others) / size, 0.0))
-            shared[g], _ = grid_golden_max(lambda x: objective(g, x), 0.0, hi,
-                                           n_grid=ALLOC_COORD_GRID, xtol=ALLOC_XTOL)
-            current = objective(g, shared[g])
+            shared[g], current = grid_golden_max(lambda x: objective(g, x), 0.0, hi,
+                                                 n_grid=ALLOC_COORD_GRID, xtol=ALLOC_XTOL)
         if abs(current - previous) < ALLOC_REWARD_TOL:
             converged = True
             break

@@ -12,10 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fawkit import multi_pool
-from fawkit.cli import build_parser, main, parse_range
+from fawkit.cli import main, parse_range
 from fawkit.errors import UnknownFixture
-from fawkit.game import SWEEP_CSV_HEADER
+from fawkit.game import SWEEP_CSV_HEADER, solve_equilibrium
 from fawkit.reproduce import FIXTURE_NAMES, load_fixture, reproduce
+from fawkit.single_pool import optimal_tau
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -62,18 +63,24 @@ def test_parse_range_rejects_unbounded_ranges(capsys, text, named):
     assert named in capsys.readouterr().err
 
 
-def test_readme_cli_lines_parse():
+def test_readme_cli_lines_parse(capsys, tmp_path):
+    """Every faw line of the README's CLI block runs to exit 0, at most 2*10^4 rounds each."""
     block = README.read_text().split("\n## CLI\n", 1)[1].split("```")[1]
     lines = [line.split("#")[0] for line in block.splitlines() if line.startswith("faw ")]
     assert len(lines) >= 15
     for line in lines:
         argv = shlex.split(line)[1:]
-        assert build_parser().parse_args(argv).command == argv[0]
+        for i, flag in enumerate(argv[:-1]):
+            if flag == "--rounds":
+                argv[i + 1] = str(min(int(argv[i + 1]), 20000))
+            elif flag == "--output":
+                argv[i + 1] = str(tmp_path / argv[i + 1])
+        assert run_cli(capsys, *argv)[0] == 0, line
 
 
 def test_reward_single_optimal(capsys):
     code, out, _ = run_cli(capsys, "reward-single", "--alpha", "0.2", "--beta", "0.2",
-                           "--c", "0", "--optimal-tau")
+                           "--c", "0")
     assert code == 0
     doc = json.loads(out)
     assert doc["schema_version"] == 1
@@ -82,12 +89,42 @@ def test_reward_single_optimal(capsys):
     assert doc["pool_rer_pct"] < 0
 
 
-def test_reward_single_tau_auto_matches_flag(capsys):
-    _, out_a, _ = run_cli(capsys, "reward-single", "--alpha", "0.2", "--beta", "0.2",
-                          "--c", "0.5", "--tau", "auto")
-    _, out_b, _ = run_cli(capsys, "reward-single", "--alpha", "0.2", "--beta", "0.2",
-                          "--c", "0.5", "--optimal-tau")
-    assert json.loads(out_a) == json.loads(out_b)
+def _taus(*args):
+    return ",".join(map(repr, multi_pool.optimize_allocation(*args).taus))
+
+
+def _infiltrations(*game):
+    res = solve_equilibrium(*game)
+    return "--f1", repr(res.f1_star), "--f2", repr(res.f2_star)
+
+
+_SINGLE_AT = ("--alpha", "0.2", "--beta", "0.2", "--c", "0.5")
+_SIM_AT = ("--rounds", "20000", "--seed", "4")
+
+
+# a subcommand with its strategy omitted, and the strategy the library solves for it
+@pytest.mark.parametrize("argv, strategy", [
+    (("reward-single", *_SINGLE_AT), lambda: ("--tau", repr(optimal_tau(0.2, 0.2, 0.5).tau_bar))),
+    (("sim-single", *_SINGLE_AT, *_SIM_AT),
+     lambda: ("--tau", repr(optimal_tau(0.2, 0.2, 0.5).tau_bar))),
+    (("reward-multi", "--preset", "table2", "--c", "0.7"),
+     lambda: ("--taus", _taus(*multi_pool.preset_attack("table2"), 0.7))),
+    (("sim-multi", "--alpha", "0.15", "--betas", "0.1,0.05,0.05", "--c", "1", *_SIM_AT),
+     lambda: ("--taus", _taus(0.15, (0.1, 0.05, 0.05), 1.0))),
+    (("sim-game", "--alpha1", "0.2", "--alpha2", "0.1", "--c", "1", *_SIM_AT),
+     lambda: _infiltrations(0.2, 0.1, 1.0, 1.0, 0.5, 0.5)),
+], ids=["reward-single", "sim-single", "reward-multi", "sim-multi", "sim-game"])
+def test_omitted_strategy_is_solved_for(capsys, argv, strategy):
+    """Omitting the strategy gives the run at the solved strategy, bit for bit."""
+    code, solved, _ = run_cli(capsys, *argv)
+    assert code == 0
+    code, given, _ = run_cli(capsys, *argv, *strategy())
+    assert code == 0
+    solved, given = json.loads(solved), json.loads(given)
+    if argv[0] == "reward-single":  # only the record of how tau was chosen differs
+        assert (solved.pop("tau_method"), given.pop("tau_method")) == ("closed_form", "given")
+        assert solved.pop("tau_discrepancy") is False
+    assert solved == given
 
 
 def test_validation_error_exit_code(capsys):
@@ -183,15 +220,6 @@ def test_sim_multi_preset(capsys):
     assert sum(doc["case_counts"].values()) == 50000
 
 
-def test_sim_game_equilibrium(capsys):
-    code, out, _ = run_cli(capsys, "sim-game", "--alpha1", "0.2", "--alpha2", "0.1",
-                           "--c", "1", "--equilibrium", "--rounds", "50000",
-                           "--seed", "4")
-    assert code == 0
-    doc = json.loads(out)
-    assert "pool1" in doc["gross_reward_means"]
-
-
 def test_seed_env_override(capsys, monkeypatch):
     monkeypatch.setenv("FAW_SEED", "12345")
     code, out, _ = run_cli(capsys, "sim-single", "--alpha", "0.2", "--beta", "0.2",
@@ -221,9 +249,9 @@ def test_invalid_sim_input_is_a_typed_error(capsys, monkeypatch, flags, seed_env
     ("game-sweep", "0.1:0.2:0.1", "--tol", "0"),
     ("game-solve", "0.1", "--tol", "nan"),
     ("game-solve", "0.1", "--max-iter", "0"),
-    ("game-solve", "0.1", "--tol", "1e-9"),
-    ("game-sweep", "0.1:0.2:0.1", "--tol", "1e-9"),
-], ids=["solve-0", "sweep-0", "solve-nan", "solve-max-iter-0", "solve-1e-9", "sweep-1e-9"])
+    ("game-solve", "0.1", "--tol", "1e-15"),
+    ("game-sweep", "0.1:0.2:0.1", "--tol", "1e-15"),
+], ids=["solve-0", "sweep-0", "solve-nan", "solve-max-iter-0", "solve-1e-15", "sweep-1e-15"])
 def test_bad_tol_is_a_typed_error(capsys, command, alpha2, flag, value):
     code, out, err = run_cli(capsys, command, "--alpha1", "0.2", "--alpha2", alpha2,
                              "--c", "1", flag, value)
@@ -233,16 +261,26 @@ def test_bad_tol_is_a_typed_error(capsys, command, alpha2, flag, value):
     assert "Traceback" not in err
 
 
+def test_solve_converges_at_a_tol_finer_than_the_default(capsys):
+    code, out, _ = run_cli(capsys, "game-solve", "--alpha1", "0.3", "--alpha2", "0.1",
+                           "--c", "1", "--tol", "1e-9")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["converged"] is True and doc["iterations"] <= 10
+
+
 @pytest.mark.parametrize("argv, named", [
     (("game-solve", "--alpha1", "0", "--alpha2", "0.1", "--c", "1"), "alpha1"),
     (("game-solve", "--alpha1", "0.2", "--alpha2", "0", "--c", "1"), "alpha2"),
     (("game-sweep", "--alpha1", "0.2", "--alpha2", "0:0.2:0.1", "--c", "1"), "alpha2"),
     (("sim-game", "--alpha1", "0.2", "--alpha2", "0", "--f1", "0", "--f2", "0", "--c", "1",
       "--rounds", "100"), "alpha2 + f1"),
+    (("sim-game", "--alpha1", "0.2", "--alpha2", "0.1", "--f1", "0.05", "--c", "1",
+      "--rounds", "100"), "both --f1 and --f2"),
     (("counter", "detection", "--alpha", "0", "--beta", "0.2", "--tau", "0.4", "--c", "0.5"),
      "honest power is zero"),
 ], ids=["solve-alpha1-0", "solve-alpha2-0", "sweep-alpha2-0", "sim-game-empty-pool",
-        "detection-alpha-0"])
+        "sim-game-one-infiltration", "detection-alpha-0"])
 def test_degenerate_input_is_a_typed_error(capsys, argv, named):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1
@@ -504,7 +542,7 @@ _NUMBERS = ("0.1", "0.2", "0", "0.3", "0.49", "0.5", "1", "1.5", "-0.5", "1e-300
 _JUNK = ("junk", "")
 _GAME = {flag: _NUMBERS for flag in ("--alpha1", "--alpha2", "--c", "--c1", "--c2", "--c1p",
                                       "--c2p")}
-_SINGLE = {"--alpha": _NUMBERS, "--beta": _NUMBERS, "--c": _NUMBERS, "--tau": _NUMBERS + ("auto",)}
+_SINGLE = {"--alpha": _NUMBERS, "--beta": _NUMBERS, "--c": _NUMBERS, "--tau": _NUMBERS}
 _POOLS = ("0.1", "0.1,0.2", "0.2,0.1,0.05", "0.3,0.3", "nan,0.1", "-0.1", "0,0")
 _MULTI = {"--alpha": _NUMBERS, "--betas": _POOLS, "--c": _NUMBERS,
           "--preset": tuple(sorted(multi_pool.POOL_PRESETS))}
@@ -514,10 +552,10 @@ _SIM = {"--rounds": ("1", "2000", "0", "-1"), "--workers": ("1", "2"),
 # a range flag gives at most a few points: a small step on both axes asks for 10^12 cells
 _RANGES = ("0.1", "0.05:0.15:0.05", "0:1:0.5", "0.3:0.1:0.1", "0:1:0", "0:nan:0.1", "0:1:1e-9",
            "nan", "1.5", "-0.5")
-_TOLS = ("1e-7", "5e-8", "1e-3", "1e-9", "0", "-1", "nan", "inf")
+_TOLS = ("1e-7", "1e-13", "1e-3", "1e-9", "1e-15", "0", "-1", "nan", "inf")
 # subcommand -> flag -> values ("" is the positional argument, () a switch)
 _FUZZ = {
-    "reward-single": {**_SINGLE, "--optimal-tau": ()},
+    "reward-single": _SINGLE,
     "optimal-tau": {"--alpha": _NUMBERS, "--beta": _NUMBERS, "--c": _NUMBERS},
     "reward-multi": {**_MULTI, "--taus": _POOLS},
     "optimize-alloc": {**_MULTI, "--budget": _NUMBERS},
@@ -526,7 +564,7 @@ _FUZZ = {
                    "--assumed-c": (), "--tol": _TOLS},
     "sim-single": {**_SINGLE, **_SIM},
     "sim-multi": {**_MULTI, "--taus": _POOLS, **_SIM},
-    "sim-game": {**_GAME, "--f1": _NUMBERS, "--f2": _NUMBERS, "--equilibrium": (), **_SIM},
+    "sim-game": {**_GAME, "--f1": _NUMBERS, "--f2": _NUMBERS, **_SIM},
     "bounds": {"": ("c-max", "c-min", "c-from-gamma", "selfish-threshold", "gamma-bound"),
                "--alpha": _NUMBERS, "--beta": _NUMBERS, "--gamma": _NUMBERS,
                "--shares": ("0.1", "0.2,0.3", "0.5,0.6", "nan"), "--atomized": _NUMBERS},
