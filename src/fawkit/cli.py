@@ -2,11 +2,14 @@
 
 Every subcommand runs one library operation (or a sweep of one) and emits
 plot-ready JSON, CSV, or an aligned key/value table. A ``reward-*`` or
-``sim-*`` subcommand given no attack strategy first solves for it: tau by
+``sim-*`` subcommand given no attack strategy first solves for it (tau by
 ``optimal_tau``, the taus by ``optimize_allocation``, f1 and f2 by
-``solve_equilibrium``. Exit codes: 0 on success, 1 on validation errors (the
-message names the violated constraint), 2 when an iterative solve did not
-converge (the best-effort result is still emitted with converged=false).
+``solve_equilibrium``) and records that solve under ``"solve"``: the
+library result's fields, or game-solve's for the game. A run given its
+strategy has no ``"solve"`` key. Exit codes: 0 on success, 1 on validation
+errors (the message names the violated constraint), 2 when an iterative
+solve, one that fills in a strategy included, did not converge (the
+best-effort result is still emitted with converged=false).
 """
 
 from __future__ import annotations
@@ -87,13 +90,7 @@ def emit(doc: dict, fmt: str, dest) -> None:
     if fmt == "json":
         text = json.dumps(doc, indent=2) + "\n"
     elif fmt == "csv":
-        flat = _flatten(doc)
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(list(flat))
-        writer.writerow([json.dumps(v) if isinstance(v, (list, tuple)) else v
-                         for v in flat.values()])
-        text = buf.getvalue()
+        text = _csv(_flatten(doc))
     else:  # table
         flat = _flatten(doc)
         width = max(len(k) for k in flat)
@@ -102,6 +99,15 @@ def emit(doc: dict, fmt: str, dest) -> None:
             for k, v in flat.items()
         )
     _write(text, dest)
+
+
+def _csv(flat: dict) -> str:
+    """A header line and one row; list values as JSON."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(list(flat))
+    writer.writerow([json.dumps(v) if isinstance(v, (list, tuple)) else v for v in flat.values()])
+    return buf.getvalue()
 
 
 def _write(text: str, dest) -> None:
@@ -119,6 +125,8 @@ def _require(args, *names):
 
 
 # --- scenarios from flags or a --scenario file --------------------------------
+# Each builder returns (scenario, solve): solve is None when the strategy was
+# given, else the record of the solve that filled it in.
 
 def _scenario_file(path, kind):
     s = load_scenario(path)
@@ -127,37 +135,32 @@ def _scenario_file(path, kind):
     return s
 
 
-def _single_scenario(args) -> tuple[SinglePoolScenario, dict]:
-    """The scenario and how its tau was chosen; without ``--tau``, the optimum."""
+def _single_scenario(args) -> tuple[SinglePoolScenario, dict | None]:
+    """Without ``--tau``, the optimal tau."""
     if args.scenario:
-        s = _scenario_file(args.scenario, SinglePoolScenario)
-        return s, {"tau": s.tau, "tau_method": "given"}
+        return _scenario_file(args.scenario, SinglePoolScenario), None
     _require(args, "alpha", "beta", "c")
     if args.tau is not None:
-        s = validate(SinglePoolScenario(args.alpha, args.beta, args.tau, args.c))
-        return s, {"tau": s.tau, "tau_method": "given"}
+        return validate(SinglePoolScenario(args.alpha, args.beta, args.tau, args.c)), None
     res = single_pool.optimal_tau(args.alpha, args.beta, args.c)
-    s = validate(SinglePoolScenario(args.alpha, args.beta, res.tau_bar, args.c))
-    return s, {"tau": res.tau_bar, "tau_method": res.method, "tau_discrepancy": res.discrepancy}
+    return validate(SinglePoolScenario(args.alpha, args.beta, res.tau_bar, args.c)), asdict(res)
 
 
-def _multi_powers(args) -> tuple[float, tuple[float, ...]]:
-    if args.preset:
-        return multi_pool.preset_attack(args.preset)
-    if args.alpha is None or args.betas is None:
-        raise FawError("need --alpha and --betas (or --preset)")
-    return args.alpha, args.betas
-
-
-def _multi_scenario(args) -> MultiPoolScenario:
+def _multi_scenario(args) -> tuple[MultiPoolScenario, dict | None]:
     """Without ``--taus``, the optimal split."""
     if args.scenario:
-        return _scenario_file(args.scenario, MultiPoolScenario)
-    alpha, betas = _multi_powers(args)
-    taus = args.taus
-    if taus is None:
-        taus = multi_pool.optimize_allocation(alpha, betas, args.c).taus
-    return validate(MultiPoolScenario(alpha, betas, taus, args.c))
+        return _scenario_file(args.scenario, MultiPoolScenario), None
+    inline = (args.alpha, args.betas)
+    if args.preset and inline != (None, None):
+        raise FawError("give --preset or --alpha with --betas, not both")
+    if not args.preset and None in inline:
+        raise FawError("need --alpha and --betas (or --preset)")
+    alpha, betas = multi_pool.preset_attack(args.preset) if args.preset else inline
+    _require(args, "c")
+    if args.taus is not None:
+        return validate(MultiPoolScenario(alpha, betas, args.taus, args.c)), None
+    res = multi_pool.optimize_allocation(alpha, betas, args.c)
+    return validate(MultiPoolScenario(alpha, betas, res.taus, args.c)), asdict(res)
 
 
 def _game_cs(args):
@@ -169,89 +172,72 @@ def _game_cs(args):
     return args.c1, args.c2, args.c1p, args.c2p
 
 
-def _game_scenario(args) -> GameScenario:
+def _equilibrium(alpha1, alpha2, cs, **solve_opts) -> dict:
+    """``solve_equilibrium`` at these powers and costs, as ``game-solve`` prints it."""
+    res = game_mod.solve_equilibrium(alpha1, alpha2, *cs, **solve_opts)
+    c1, c2, c1p, c2p = cs
+    return {
+        "alpha1": alpha1, "alpha2": alpha2, "c1": c1, "c2": c2, "c1p": c1p, "c2p": c2p,
+        "f1_star": res.f1_star, "f2_star": res.f2_star, "r1": res.r1, "r2": res.r2,
+        "net1": res.net1, "net2": res.net2, "rer1_pct": res.rer1_pct, "rer2_pct": res.rer2_pct,
+        "winner": game_mod.classify_winner(res.rer1_pct, res.rer2_pct),
+        "iterations": res.iterations, "converged": res.converged,
+        "deviation_gain": res.deviation_gain,
+    }
+
+
+def _game_scenario(args) -> tuple[GameScenario, dict | None]:
     """Without ``--f1`` and ``--f2``, the equilibrium."""
     if args.scenario:
-        return _scenario_file(args.scenario, GameScenario)
+        return _scenario_file(args.scenario, GameScenario), None
     _require(args, "alpha1", "alpha2")
-    c1, c2, c1p, c2p = _game_cs(args)
-    f1, f2 = args.f1, args.f2
-    if (f1 is None) != (f2 is None):
+    cs = _game_cs(args)
+    if (args.f1 is None) != (args.f2 is None):
         raise FawError("give both --f1 and --f2, or neither for the equilibrium")
-    if f1 is None:
-        res = game_mod.solve_equilibrium(args.alpha1, args.alpha2, c1, c2, c1p, c2p)
-        f1, f2 = res.f1_star, res.f2_star
-    return validate(GameScenario(args.alpha1, args.alpha2, f1, f2, c1, c2, c1p, c2p))
+    if args.f1 is not None:
+        return validate(GameScenario(args.alpha1, args.alpha2, args.f1, args.f2, *cs)), None
+    solve = _equilibrium(args.alpha1, args.alpha2, cs)
+    f1, f2 = solve["f1_star"], solve["f2_star"]
+    return validate(GameScenario(args.alpha1, args.alpha2, f1, f2, *cs)), solve
+
+
+def _single_rewards(s) -> dict:
+    """closed-form single-pool attacker reward"""
+    attacker = single_pool.reward_single(s)
+    victim = single_pool.victim_reward(s)
+    return {"attacker_reward": attacker, "pool_reward": victim, "rer_pct": rer(attacker, s.alpha),
+            "pool_rer_pct": rer(victim, s.beta + s.tau * s.alpha)}
+
+
+def _multi_rewards(s) -> dict:
+    """closed-form n-pool attacker reward"""
+    reward = multi_pool.reward_npool(s)
+    return {"reward": reward, "rer_pct": rer(reward, s.alpha)}
 
 
 # --- subcommand handlers ------------------------------------------------------
 
-def cmd_reward_single(args) -> int:
-    s, tau_doc = _single_scenario(args)
-    attacker = single_pool.reward_single(s)
-    victim = single_pool.victim_reward(s)
-    emit({
-        "scenario": scenario_to_dict(s),
-        **tau_doc,
-        "attacker_reward": attacker,
-        "pool_reward": victim,
-        "rer_pct": rer(attacker, s.alpha),
-        "pool_rer_pct": rer(victim, s.beta + s.tau * s.alpha),
-    }, args.format, args.output)
-    return 0
+def _with_solve(doc: dict, solve: dict | None) -> dict:
+    return doc if solve is None else {**doc, "solve": solve}
 
 
-def cmd_optimal_tau(args) -> int:
-    res = single_pool.optimal_tau(args.alpha, args.beta, args.c)
-    emit({
-        "alpha": args.alpha, "beta": args.beta, "c": args.c,
-        "tau_bar": res.tau_bar,
-        "method": res.method,
-        "numeric_tau": res.numeric_tau,
-        "closed_form_tau": res.closed_form_tau,
-        "discrepancy": res.discrepancy,
-        "reward_at_optimum": res.reward_at_optimum,
-        "rer_pct": rer(res.reward_at_optimum, args.alpha),
-    }, args.format, args.output)
-    return 0
+def _exit_code(solve: dict | None) -> int:
+    """2 when a solve ran and did not converge (an optimal tau has no such flag)."""
+    return 2 if solve is not None and solve.get("converged") is False else 0
 
 
-def cmd_reward_multi(args) -> int:
-    s = _multi_scenario(args)
-    reward = multi_pool.reward_npool(s)
-    emit({
-        "scenario": scenario_to_dict(s),
-        "reward": reward,
-        "rer_pct": rer(reward, s.alpha),
-    }, args.format, args.output)
-    return 0
-
-
-def cmd_optimize_alloc(args) -> int:
-    alpha, betas = _multi_powers(args)
-    res = multi_pool.optimize_allocation(alpha, betas, args.c, budget=args.budget)
-    emit({"alpha": alpha, "betas": list(betas), "c": args.c, "budget": args.budget,
-          **asdict(res)}, args.format, args.output)
-    return 0 if res.converged else 2
+def cmd_reward(args) -> int:
+    s, solve = args.build(args)
+    emit(_with_solve({"scenario": scenario_to_dict(s), **args.rewards(s)}, solve),
+         args.format, args.output)
+    return _exit_code(solve)
 
 
 def cmd_game_solve(args) -> int:
-    c1, c2, c1p, c2p = _game_cs(args)
-    res = game_mod.solve_equilibrium(args.alpha1, args.alpha2, c1, c2, c1p, c2p,
-                                     tol=args.tol, max_iter=args.max_iter)
-    emit({
-        "alpha1": args.alpha1, "alpha2": args.alpha2,
-        "c1": c1, "c2": c2, "c1p": c1p, "c2p": c2p,
-        "f1_star": res.f1_star, "f2_star": res.f2_star,
-        "r1": res.r1, "r2": res.r2,
-        "net1": res.net1, "net2": res.net2,
-        "rer1_pct": res.rer1_pct, "rer2_pct": res.rer2_pct,
-        "winner": game_mod.classify_winner(res.rer1_pct, res.rer2_pct),
-        "iterations": res.iterations,
-        "converged": res.converged,
-        "deviation_gain": res.deviation_gain,
-    }, args.format, args.output)
-    return 0 if res.converged else 2
+    solve = _equilibrium(args.alpha1, args.alpha2, _game_cs(args),
+                         tol=args.tol, max_iter=args.max_iter)
+    emit(solve, args.format, args.output)
+    return _exit_code(solve)
 
 
 def cmd_game_sweep(args) -> int:
@@ -266,17 +252,15 @@ def cmd_game_sweep(args) -> int:
 
 
 def cmd_sim(args) -> int:
-    scenario = args.build(args)
+    scenario, solve = args.build(args)
     cfg = simulator.SimConfig(rounds=args.rounds, scenario=scenario, workers=args.workers,
                               seed=_default_seed() if args.seed is None else args.seed)
     out = simulator.simulate(cfg)
     if args.format == "csv":
-        header, values = out.csv_row()
-        _write(",".join(map(str, header)) + "\n" + ",".join(map(str, values)) + "\n",
-               args.output)
+        _write(_csv(_flatten(_with_solve(dict(zip(*out.csv_row())), solve))), args.output)
     else:
-        emit(out.to_json_dict(), args.format, args.output)
-    return 0
+        emit(_with_solve(out.to_json_dict(), solve), args.format, args.output)
+    return _exit_code(solve)
 
 
 def _c_max(alpha, beta, shares, atomized_remainder):
@@ -362,7 +346,7 @@ def _multi_flags(p):
     p.add_argument("--alpha", type=float)
     p.add_argument("--betas", type=parse_floats)
     p.add_argument("--taus", type=parse_floats, help="default: the optimal split")
-    p.add_argument("--c", type=float, default=0.0)
+    p.add_argument("--c", type=float)
     p.add_argument("--preset", choices=sorted(multi_pool.POOL_PRESETS))
 
 
@@ -381,10 +365,13 @@ def _sim_game_flags(p):
     _game_c_flags(p)
 
 
-_SIM_KINDS = (
-    ("single", _single_flags, lambda args: _single_scenario(args)[0]),
-    ("multi", _multi_flags, _multi_scenario),
-    ("game", _sim_game_flags, _game_scenario),
+# kind -> (its flag group, its scenario builder, its closed-form rewards or None);
+# each kind gets a sim-KIND subcommand, and reward-KIND, helped by the rewards'
+# docstring, when it has closed-form rewards
+_KINDS = (
+    ("single", _single_flags, _single_scenario, _single_rewards),
+    ("multi", _multi_flags, _multi_scenario, _multi_rewards),
+    ("game", _sim_game_flags, _game_scenario, None),
 )
 
 
@@ -392,33 +379,23 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="faw", description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("reward-single", help="closed-form single-pool attacker reward")
-    _single_flags(p)
-    _add_scenario_opt(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_reward_single)
-
-    p = sub.add_parser("optimal-tau", help="optimal infiltration fraction for one pool")
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--c", type=float, required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_optimal_tau)
-
-    p = sub.add_parser("reward-multi", help="closed-form n-pool attacker reward")
-    _multi_flags(p)
-    _add_scenario_opt(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_reward_multi)
-
-    p = sub.add_parser("optimize-alloc", help="optimal infiltration split over n pools")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--betas", type=parse_floats)
-    p.add_argument("--c", type=float, required=True)
-    p.add_argument("--budget", type=float, default=1.0)
-    p.add_argument("--preset", choices=sorted(multi_pool.POOL_PRESETS))
-    _add_common(p)
-    p.set_defaults(func=cmd_optimize_alloc)
+    for kind, add_flags, build, rewards in _KINDS:
+        if rewards is not None:
+            p = sub.add_parser(f"reward-{kind}", help=rewards.__doc__)
+            add_flags(p)
+            _add_scenario_opt(p)
+            _add_common(p)
+            p.set_defaults(func=cmd_reward, build=build, rewards=rewards)
+        p = sub.add_parser(f"sim-{kind}", help=f"Monte Carlo {kind} run")
+        add_flags(p)
+        p.add_argument("--rounds", type=int, required=True)
+        p.add_argument("--seed", type=int, default=None,
+                       help=f"default 42, overridable via ${DEFAULT_SEED_ENV}")
+        p.add_argument("--workers", type=int, default=os.cpu_count() or 1,
+                       help="worker threads; results do not depend on this")
+        _add_scenario_opt(p)
+        _add_common(p)
+        p.set_defaults(func=cmd_sim, build=build)
 
     p = sub.add_parser("game-solve", help="two-pool game equilibrium")
     p.add_argument("--alpha1", type=float, required=True)
@@ -438,18 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=game_mod.TOL)
     _add_common(p)
     p.set_defaults(func=cmd_game_sweep, format="csv")
-
-    for kind, add_flags, build in _SIM_KINDS:
-        p = sub.add_parser(f"sim-{kind}", help=f"Monte Carlo {kind} run")
-        add_flags(p)
-        p.add_argument("--rounds", type=int, required=True)
-        p.add_argument("--seed", type=int, default=None,
-                       help=f"default 42, overridable via ${DEFAULT_SEED_ENV}")
-        p.add_argument("--workers", type=int, default=os.cpu_count() or 1,
-                       help="worker threads; results do not depend on this")
-        _add_scenario_opt(p)
-        _add_common(p)
-        p.set_defaults(func=cmd_sim, build=build)
 
     p = sub.add_parser("bounds", help="fork-win probability bounds and related thresholds")
     p.add_argument("what", choices=tuple(_ANALYTICS["bounds"]))

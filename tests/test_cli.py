@@ -1,21 +1,25 @@
 import argparse
 import contextlib
+import csv
 import io
 import json
 import re
 import shlex
 import warnings
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fawkit import game as game_mod
 from fawkit import multi_pool
 from fawkit.cli import main, parse_range
 from fawkit.errors import UnknownFixture
-from fawkit.game import SWEEP_CSV_HEADER, solve_equilibrium
+from fawkit.game import SWEEP_CSV_HEADER
 from fawkit.reproduce import FIXTURE_NAMES, load_fixture, reproduce
+from fawkit.scenarios import rer
 from fawkit.single_pool import optimal_tau
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -78,6 +82,20 @@ def test_readme_cli_lines_parse(capsys, tmp_path):
         assert run_cli(capsys, *argv)[0] == 0, line
 
 
+def test_readme_library_tour_runs(capsys):
+    """The README's Python block runs and gives the values its comments state."""
+    block = README.read_text().split("\n## Library tour\n", 1)[1].split("```python\n", 1)[1]
+    names = {}
+    exec(block.split("```")[0], names)
+    res, alloc = names["res"], names["alloc"]
+    assert res.tau_bar == pytest.approx(0.187, abs=5e-4)
+    assert res.reward_at_optimum == pytest.approx(0.2035, abs=5e-5)
+    assert rer(res.reward_at_optimum, 0.2) == pytest.approx(1.74, abs=5e-3)
+    assert (names["alpha"], names["betas"]) == (0.2, (0.2, 0.1, 0.1, 0.1))
+    assert alloc.rer_pct == pytest.approx(4.63, abs=5e-3)
+    assert len(capsys.readouterr().out.splitlines()) == 4
+
+
 def test_reward_single_optimal(capsys):
     code, out, _ = run_cli(capsys, "reward-single", "--alpha", "0.2", "--beta", "0.2",
                            "--c", "0")
@@ -89,41 +107,52 @@ def test_reward_single_optimal(capsys):
     assert doc["pool_rer_pct"] < 0
 
 
-def _taus(*args):
-    return ",".join(map(repr, multi_pool.optimize_allocation(*args).taus))
-
-
-def _infiltrations(*game):
-    res = solve_equilibrium(*game)
-    return "--f1", repr(res.f1_star), "--f2", repr(res.f2_star)
+def _game_solve(capsys, *flags):
+    doc = json.loads(run_cli(capsys, "game-solve", *flags)[1])
+    del doc["schema_version"]
+    return doc
 
 
 _SINGLE_AT = ("--alpha", "0.2", "--beta", "0.2", "--c", "0.5")
 _SIM_AT = ("--rounds", "20000", "--seed", "4")
+_GAME_AT = ("--alpha1", "0.2", "--alpha2", "0.1", "--c", "1")
 
 
-# a subcommand with its strategy omitted, and the strategy the library solves for it
-@pytest.mark.parametrize("argv, strategy", [
-    (("reward-single", *_SINGLE_AT), lambda: ("--tau", repr(optimal_tau(0.2, 0.2, 0.5).tau_bar))),
-    (("sim-single", *_SINGLE_AT, *_SIM_AT),
-     lambda: ("--tau", repr(optimal_tau(0.2, 0.2, 0.5).tau_bar))),
+def _tau(solve):
+    return "--tau", repr(solve["tau_bar"])
+
+
+def _split(solve):
+    return "--taus", ",".join(map(repr, solve["taus"]))
+
+
+def _infiltrations(solve):
+    return "--f1", repr(solve["f1_star"]), "--f2", repr(solve["f2_star"])
+
+
+# a subcommand with its strategy omitted, the solve it should record, and the
+# flags that give the solved strategy
+@pytest.mark.parametrize("argv, solve, strategy", [
+    (("reward-single", *_SINGLE_AT), lambda _: asdict(optimal_tau(0.2, 0.2, 0.5)), _tau),
+    (("sim-single", *_SINGLE_AT, *_SIM_AT), lambda _: asdict(optimal_tau(0.2, 0.2, 0.5)), _tau),
     (("reward-multi", "--preset", "table2", "--c", "0.7"),
-     lambda: ("--taus", _taus(*multi_pool.preset_attack("table2"), 0.7))),
+     lambda _: asdict(multi_pool.optimize_allocation(*multi_pool.preset_attack("table2"), 0.7)),
+     _split),
     (("sim-multi", "--alpha", "0.15", "--betas", "0.1,0.05,0.05", "--c", "1", *_SIM_AT),
-     lambda: ("--taus", _taus(0.15, (0.1, 0.05, 0.05), 1.0))),
-    (("sim-game", "--alpha1", "0.2", "--alpha2", "0.1", "--c", "1", *_SIM_AT),
-     lambda: _infiltrations(0.2, 0.1, 1.0, 1.0, 0.5, 0.5)),
+     lambda _: asdict(multi_pool.optimize_allocation(0.15, (0.1, 0.05, 0.05), 1.0)), _split),
+    (("sim-game", *_GAME_AT, *_SIM_AT), lambda capsys: _game_solve(capsys, *_GAME_AT),
+     _infiltrations),
 ], ids=["reward-single", "sim-single", "reward-multi", "sim-multi", "sim-game"])
-def test_omitted_strategy_is_solved_for(capsys, argv, strategy):
-    """Omitting the strategy gives the run at the solved strategy, bit for bit."""
+def test_omitted_strategy_is_solved_for(capsys, argv, solve, strategy):
+    """Omitting the strategy gives the run at the solved strategy, bit for bit, plus its solve."""
     code, solved, _ = run_cli(capsys, *argv)
     assert code == 0
-    code, given, _ = run_cli(capsys, *argv, *strategy())
+    record = solve(capsys)
+    code, given, _ = run_cli(capsys, *argv, *strategy(record))
     assert code == 0
     solved, given = json.loads(solved), json.loads(given)
-    if argv[0] == "reward-single":  # only the record of how tau was chosen differs
-        assert (solved.pop("tau_method"), given.pop("tau_method")) == ("closed_form", "given")
-        assert solved.pop("tau_discrepancy") is False
+    assert "solve" not in given
+    assert solved.pop("solve") == json.loads(json.dumps(record))  # tuples as JSON lists
     assert solved == given
 
 
@@ -135,20 +164,22 @@ def test_validation_error_exit_code(capsys):
 
 
 def test_optimal_tau_table_format(capsys):
-    code, out, _ = run_cli(capsys, "optimal-tau", "--alpha", "0.2", "--beta", "0.2",
+    code, out, _ = run_cli(capsys, "reward-single", "--alpha", "0.2", "--beta", "0.2",
                            "--c", "1", "--format", "table")
     assert code == 0
-    assert "tau_bar" in out
-    assert "closed_form" in out
+    table = dict(line.split(None, 1) for line in out.splitlines())
+    assert table["solve.method"] == "closed_form"
+    assert table["solve.tau_bar"] == table["scenario.tau"]
 
 
 def test_optimize_alloc_preset(capsys):
-    code, out, _ = run_cli(capsys, "optimize-alloc", "--preset", "table2", "--c", "1")
+    code, out, _ = run_cli(capsys, "reward-multi", "--preset", "table2", "--c", "1")
     assert code == 0
     doc = json.loads(out)
     assert abs(doc["rer_pct"] - 4.63) <= 0.05
-    assert doc["converged"]
-    assert len(doc["taus"]) == 4
+    assert doc["solve"]["converged"] is True
+    assert doc["solve"]["taus"] == doc["scenario"]["taus"]
+    assert len(doc["solve"]["taus"]) == 4
 
 
 def test_game_solve_and_exit_codes(capsys):
@@ -177,11 +208,45 @@ def test_game_output_matches_golden(capsys, argv, golden):
 
 def test_optimize_alloc_exits_2_when_sweeps_run_out(capsys, monkeypatch):
     monkeypatch.setattr(multi_pool, "ALLOC_MAX_SWEEPS", 1)
-    code, out, _ = run_cli(capsys, "optimize-alloc", "--preset", "table2", "--c", "1")
+    for argv in (("reward-multi",), ("sim-multi", "--rounds", "1000")):
+        code, out, _ = run_cli(capsys, *argv, "--preset", "table2", "--c", "1")
+        assert code == 2
+        solve = json.loads(out)["solve"]
+        assert solve["converged"] is False
+        assert len(solve["taus"]) == 4
+        # a given split runs no solve, so it neither records one nor exits 2
+        code, out, _ = run_cli(capsys, *argv, "--preset", "table2", "--c", "1",
+                               "--taus", "0.12,0.06,0.06,0.06")
+        assert code == 0 and "solve" not in json.loads(out)
+
+
+def test_sim_game_exits_2_when_the_equilibrium_does_not_converge(capsys, monkeypatch):
+    # MAX_ITER is bound as solve_equilibrium's default, so wrap the solve instead
+    solve = game_mod.solve_equilibrium
+    monkeypatch.setattr(game_mod, "solve_equilibrium",
+                        lambda *args, **kw: solve(*args, **{**kw, "max_iter": 1}))
+    code, out, _ = run_cli(capsys, "sim-game", *_GAME_AT, "--rounds", "1000")
     assert code == 2
-    doc = json.loads(out)
-    assert doc["converged"] is False
-    assert len(doc["taus"]) == 4
+    assert json.loads(out)["solve"]["converged"] is False
+    code, out, _ = run_cli(capsys, "sim-game", *_GAME_AT, "--f1", "0.05", "--f2", "0.02",
+                           "--rounds", "1000")
+    assert code == 0 and "solve" not in json.loads(out)
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("reward-multi", ()),
+    ("sim-multi", ("--rounds", "1000")),
+])
+def test_multi_powers_come_from_one_source(capsys, command, flags):
+    argv = (command, *flags, "--taus", "0.1,0.1,0.1,0.1")
+    code, out, err = run_cli(capsys, *argv, "--preset", "table2", "--alpha", "0.3",
+                             "--betas", "0.1", "--c", "1")
+    assert (code, out, err) == (1, "", "error: give --preset or --alpha with --betas, not both\n")
+    assert run_cli(capsys, *argv, "--preset", "table2", "--betas", "0.1", "--c", "1")[0] == 1
+    code, out, err = run_cli(capsys, *argv, "--preset", "table2")
+    assert (code, out, err) == (1, "", "error: missing required flag --c\n")
+    code, out, err = run_cli(capsys, command, *flags, "--alpha", "0.2", "--betas", "0.1")
+    assert (code, out, err) == (1, "", "error: missing required flag --c\n")
 
 
 def test_game_sweep_csv(capsys):
@@ -433,13 +498,25 @@ def test_bounds_reject_impossible_powers(capsys, argv, named):
 
 
 def test_csv_output_is_one_header_and_one_row(capsys):
-    code, out, _ = run_cli(capsys, "optimal-tau", "--alpha", "0.2", "--beta", "0.2",
+    code, out, _ = run_cli(capsys, "reward-single", "--alpha", "0.2", "--beta", "0.2",
                            "--c", "1", "--format", "csv")
     assert code == 0
     header, row = (line.split(",") for line in out.splitlines())
-    assert header[:4] == ["schema_version", "alpha", "beta", "c"]
-    assert row[:4] == ["1", "0.2", "0.2", "1.0"]
+    assert header[:3] == ["schema_version", "scenario.alpha", "scenario.beta"]
+    assert row[:3] == ["1", "0.2", "0.2"]
+    assert header[-6:] == [f"solve.{key}" for key in asdict(optimal_tau(0.2, 0.2, 1.0))]
     assert len(row) == len(header)
+
+
+def test_sim_csv_records_the_solve(capsys):
+    argv = ("sim-multi", "--preset", "table2", "--c", "1", "--rounds", "1000")
+    solve = json.loads(run_cli(capsys, *argv)[1])["solve"]
+    code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    header, row = csv.reader(io.StringIO(out))
+    assert header[-5:] == [f"solve.{key}" for key in solve]
+    assert json.loads(row[-5]) == solve["taus"]
+    assert row[-1] == "True"
 
 
 @pytest.mark.parametrize("kind, flags", [
@@ -486,11 +563,11 @@ def test_game_sweep_json_matches_csv(capsys):
 
 def test_output_to_file(capsys, tmp_path):
     dest = tmp_path / "out.json"
-    code, out, _ = run_cli(capsys, "optimal-tau", "--alpha", "0.2", "--beta", "0.2",
+    code, out, _ = run_cli(capsys, "reward-single", "--alpha", "0.2", "--beta", "0.2",
                            "--c", "0", "--output", str(dest))
     assert code == 0
     assert out == ""
-    assert json.loads(dest.read_text())["method"] == "closed_form"
+    assert json.loads(dest.read_text())["solve"]["method"] == "closed_form"
 
 
 def test_reproduce_fixtures_cheap_ones(capsys):
@@ -556,9 +633,7 @@ _TOLS = ("1e-7", "1e-13", "1e-3", "1e-9", "1e-15", "0", "-1", "nan", "inf")
 # subcommand -> flag -> values ("" is the positional argument, () a switch)
 _FUZZ = {
     "reward-single": _SINGLE,
-    "optimal-tau": {"--alpha": _NUMBERS, "--beta": _NUMBERS, "--c": _NUMBERS},
     "reward-multi": {**_MULTI, "--taus": _POOLS},
-    "optimize-alloc": {**_MULTI, "--budget": _NUMBERS},
     "game-solve": {**_GAME, "--tol": _TOLS, "--max-iter": ("50", "1", "0", "-1")},
     "game-sweep": {"--alpha1": _NUMBERS, "--alpha2": _RANGES, "--c": _RANGES,
                    "--assumed-c": (), "--tol": _TOLS},
@@ -574,8 +649,7 @@ _FUZZ = {
                 "--pool-power": _NUMBERS, "--c-max": _NUMBERS},
 }
 # flags argparse requires, and --workers, which defaults to every core
-_ALWAYS = {"", "--workers", "--rounds", "--alpha1", "--alpha2", "optimal-tau --alpha",
-           "optimal-tau --beta", "optimal-tau --c", "optimize-alloc --c", "game-sweep --c"}
+_ALWAYS = {"", "--workers", "--rounds", "--alpha1", "--alpha2", "game-sweep --c"}
 
 
 @st.composite
