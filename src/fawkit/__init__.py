@@ -68,7 +68,6 @@ from .simulator import SimConfig, SimOutcome, simulate
 from .single_pool import (
     OptimalTauResult,
     optimal_tau,
-    reward_bwh,
     reward_single,
     victim_reward,
 )

@@ -2,7 +2,10 @@
 
 Every subcommand runs one library operation (or a sweep of one) and emits
 plot-ready JSON, CSV, or an aligned key/value table. A ``reward-*`` or
-``sim-*`` subcommand given no attack strategy first solves for it (tau by
+``sim-*`` subcommand reads its scenario from the file ``--scenario PATH`` or
+from its kind's flags, never from both; a game's costs come from ``--c`` or
+from all four of ``--c1/--c2/--c1p/--c2p``, never from both. Given no attack
+strategy, such a subcommand first solves for it (tau by
 ``optimal_tau``, the taus by ``optimize_allocation``, f1 and f2 by
 ``solve_equilibrium``) and records that solve under ``"solve"``: the
 library result's fields, or game-solve's for the game. A run given its
@@ -33,6 +36,7 @@ from .reproduce import FIXTURE_NAMES, load_fixture, reproduce  # noqa: F401 (re-
 from .scenarios import (
     GameScenario,
     MultiPoolScenario,
+    Scenario,
     SinglePoolScenario,
     load_scenario,
     rer,
@@ -124,21 +128,25 @@ def _require(args, *names):
             raise FawError(f"missing required flag --{name.replace('_', '-')}")
 
 
-# --- scenarios from flags or a --scenario file --------------------------------
-# Each builder returns (scenario, solve): solve is None when the strategy was
-# given, else the record of the solve that filled it in.
+# --- scenarios from a --scenario file or from flags ---------------------------
+# Each builder returns (scenario, solve) from its kind's flags: solve is None
+# when the strategy was given, else the record of the solve that filled it in.
 
-def _scenario_file(path, kind):
-    s = load_scenario(path)
-    if not isinstance(s, kind):
-        raise FawError(f"scenario file holds a {type(s).__name__}, need {kind.__name__}")
-    return s
+def _scenario(args) -> tuple[Scenario, dict | None]:
+    """The ``--scenario`` file, of the subcommand's kind, or the scenario its flags build."""
+    if args.scenario is None:
+        return args.build(args)
+    for name in args.inline:
+        if getattr(args, name) is not None:
+            raise FawError(f"give --scenario or --{name}, not both")
+    s = load_scenario(args.scenario)
+    if not isinstance(s, args.kind):
+        raise FawError(f"scenario file holds a {type(s).__name__}, need {args.kind.__name__}")
+    return s, None
 
 
 def _single_scenario(args) -> tuple[SinglePoolScenario, dict | None]:
     """Without ``--tau``, the optimal tau."""
-    if args.scenario:
-        return _scenario_file(args.scenario, SinglePoolScenario), None
     _require(args, "alpha", "beta", "c")
     if args.tau is not None:
         return validate(SinglePoolScenario(args.alpha, args.beta, args.tau, args.c)), None
@@ -148,8 +156,6 @@ def _single_scenario(args) -> tuple[SinglePoolScenario, dict | None]:
 
 def _multi_scenario(args) -> tuple[MultiPoolScenario, dict | None]:
     """Without ``--taus``, the optimal split."""
-    if args.scenario:
-        return _scenario_file(args.scenario, MultiPoolScenario), None
     inline = (args.alpha, args.betas)
     if args.preset and inline != (None, None):
         raise FawError("give --preset or --alpha with --betas, not both")
@@ -164,12 +170,17 @@ def _multi_scenario(args) -> tuple[MultiPoolScenario, dict | None]:
 
 
 def _game_cs(args):
+    """(c1, c2, c1p, c2p) from ``--c`` or from all four of ``--c1/--c2/--c1p/--c2p``."""
+    names = ("c1", "c2", "c1p", "c2p")
+    cs = tuple(getattr(args, n) for n in names)
     if args.c is not None:
+        if cs != (None,) * 4:
+            raise FawError("give --c or --c1/--c2/--c1p/--c2p, not both")
         return args.c, args.c, args.c / 2.0, args.c / 2.0
-    missing = [n for n in ("c1", "c2", "c1p", "c2p") if getattr(args, n) is None]
-    if missing:
-        raise FawError(f"need --c (symmetric) or all of --c1/--c2/--c1p/--c2p; missing --{missing[0]}")
-    return args.c1, args.c2, args.c1p, args.c2p
+    if None in cs:
+        raise FawError("need --c (symmetric) or all of --c1/--c2/--c1p/--c2p; "
+                       f"missing --{names[cs.index(None)]}")
+    return cs
 
 
 def _equilibrium(alpha1, alpha2, cs, **solve_opts) -> dict:
@@ -188,8 +199,6 @@ def _equilibrium(alpha1, alpha2, cs, **solve_opts) -> dict:
 
 def _game_scenario(args) -> tuple[GameScenario, dict | None]:
     """Without ``--f1`` and ``--f2``, the equilibrium."""
-    if args.scenario:
-        return _scenario_file(args.scenario, GameScenario), None
     _require(args, "alpha1", "alpha2")
     cs = _game_cs(args)
     if (args.f1 is None) != (args.f2 is None):
@@ -227,7 +236,7 @@ def _exit_code(solve: dict | None) -> int:
 
 
 def cmd_reward(args) -> int:
-    s, solve = args.build(args)
+    s, solve = _scenario(args)
     emit(_with_solve({"scenario": scenario_to_dict(s), **args.rewards(s)}, solve),
          args.format, args.output)
     return _exit_code(solve)
@@ -252,7 +261,7 @@ def cmd_game_sweep(args) -> int:
 
 
 def cmd_sim(args) -> int:
-    scenario, solve = args.build(args)
+    scenario, solve = _scenario(args)
     cfg = simulator.SimConfig(rounds=args.rounds, scenario=scenario, workers=args.workers,
                               seed=_default_seed() if args.seed is None else args.seed)
     out = simulator.simulate(cfg)
@@ -365,13 +374,13 @@ def _sim_game_flags(p):
     _game_c_flags(p)
 
 
-# kind -> (its flag group, its scenario builder, its closed-form rewards or None);
-# each kind gets a sim-KIND subcommand, and reward-KIND, helped by the rewards'
-# docstring, when it has closed-form rewards
+# kind -> (its scenario type, its flag group, its scenario builder, its
+# closed-form rewards or None); each kind gets a sim-KIND subcommand, and
+# reward-KIND, helped by the rewards' docstring, when it has closed-form rewards
 _KINDS = (
-    ("single", _single_flags, _single_scenario, _single_rewards),
-    ("multi", _multi_flags, _multi_scenario, _multi_rewards),
-    ("game", _sim_game_flags, _game_scenario, None),
+    ("single", SinglePoolScenario, _single_flags, _single_scenario, _single_rewards),
+    ("multi", MultiPoolScenario, _multi_flags, _multi_scenario, _multi_rewards),
+    ("game", GameScenario, _sim_game_flags, _game_scenario, None),
 )
 
 
@@ -379,15 +388,17 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="faw", description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)
 
-    for kind, add_flags, build, rewards in _KINDS:
+    for kind, cls, add_flags, build, rewards in _KINDS:
+        flags = argparse.ArgumentParser(add_help=False)
+        add_flags(flags)
+        # the kind's flags, each None unless given
+        scenario = {"kind": cls, "build": build, "inline": tuple(vars(flags.parse_args([])))}
         if rewards is not None:
-            p = sub.add_parser(f"reward-{kind}", help=rewards.__doc__)
-            add_flags(p)
+            p = sub.add_parser(f"reward-{kind}", parents=[flags], help=rewards.__doc__)
             _add_scenario_opt(p)
             _add_common(p)
-            p.set_defaults(func=cmd_reward, build=build, rewards=rewards)
-        p = sub.add_parser(f"sim-{kind}", help=f"Monte Carlo {kind} run")
-        add_flags(p)
+            p.set_defaults(func=cmd_reward, rewards=rewards, **scenario)
+        p = sub.add_parser(f"sim-{kind}", parents=[flags], help=f"Monte Carlo {kind} run")
         p.add_argument("--rounds", type=int, required=True)
         p.add_argument("--seed", type=int, default=None,
                        help=f"default 42, overridable via ${DEFAULT_SEED_ENV}")
@@ -395,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="worker threads; results do not depend on this")
         _add_scenario_opt(p)
         _add_common(p)
-        p.set_defaults(func=cmd_sim, build=build)
+        p.set_defaults(func=cmd_sim, **scenario)
 
     p = sub.add_parser("game-solve", help="two-pool game equilibrium")
     p.add_argument("--alpha1", type=float, required=True)

@@ -71,22 +71,18 @@ ALLOC_COORD_GRID = 200   # coarse scan points per coordinate
 ALLOC_XTOL = 1e-10       # final zoom bracket width per coordinate
 
 
-def preset_attack(name: str = "table2", attacker: str = "F2Pool"):
+def preset_attack(name: str = "table2"):
     """(attacker power, target pool powers) for a named distribution preset.
 
-    Targets are the open pools other than the attacker; the Unknown share is
-    closed pools and solo miners, which cannot be joined.
+    F2Pool attacks, and its targets are the other open pools; the Unknown
+    share is closed pools and solo miners, which cannot be joined.
     """
     try:
         powers = POOL_PRESETS[name]
     except KeyError:
         raise ConstraintViolated(f"unknown pool preset {name!r}") from None
-    if attacker not in powers or attacker == "Unknown":
-        raise ConstraintViolated(f"{attacker!r} is not an open pool in preset {name!r}")
-    targets = tuple(
-        p for owner, p in powers.items() if owner not in ("Unknown", attacker)
-    )
-    return powers[attacker], targets
+    targets = tuple(p for owner, p in powers.items() if owner not in ("Unknown", "F2Pool"))
+    return powers["F2Pool"], targets
 
 
 def reward_two_pools(alpha, beta1, beta2, tau1, tau2,
@@ -190,8 +186,8 @@ class AllocationResult:
     converged: bool
 
 
-def optimize_allocation(alpha, betas, c, budget: float = 1.0) -> AllocationResult:
-    """Maximize reward_npool over the simplex {tau_i >= 0, sum <= budget}.
+def optimize_allocation(alpha, betas, c) -> AllocationResult:
+    """Maximize reward_npool over the simplex {tau_i >= 0, sum(tau) <= 1}.
 
     Projected coordinate ascent: pools with equal power are tied to one
     shared variable (the optimum is symmetric across them), each coordinate
@@ -203,8 +199,6 @@ def optimize_allocation(alpha, betas, c, budget: float = 1.0) -> AllocationResul
     betas = tuple(float(b) for b in betas)
     if any(b <= 0.0 for b in betas):
         raise DegenerateInput("every target pool needs beta > 0")
-    if not 0.0 < budget <= 1.0:
-        raise ConstraintViolated(f"budget={budget!r} outside (0, 1]")
     validate_multi(MultiPoolScenario(alpha, betas, (0.0,) * len(betas), c))
 
     powers = list(dict.fromkeys(betas))  # pools of equal power share one tau
@@ -225,7 +219,7 @@ def optimize_allocation(alpha, betas, c, budget: float = 1.0) -> AllocationResul
         previous = current
         for g, size in enumerate(sizes):
             others = sum(sizes[h] * shared[h] for h in range(len(sizes)) if h != g)
-            hi = min(1.0, max((budget - others) / size, 0.0))
+            hi = min(1.0, max((1.0 - others) / size, 0.0))
             shared[g], current = grid_golden_max(lambda x: objective(g, x), 0.0, hi,
                                                  n_grid=ALLOC_COORD_GRID, xtol=ALLOC_XTOL)
         if abs(current - previous) < ALLOC_REWARD_TOL:

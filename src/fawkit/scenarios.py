@@ -189,9 +189,9 @@ def rer(reward: float, honest_power: float) -> float:
 # --- scenario files ---------------------------------------------------------
 #
 # A scenario file is a flat JSON object whose keys exactly match the field
-# names of one scenario type. Emitted result documents wrap the echo under a
-# "scenario" key; load_scenario unwraps that automatically so outputs can be
-# fed straight back in.
+# names of one scenario type. A reward document wraps the echo under a
+# "scenario" key, which scenario_from_dict unwraps, so it can be fed straight
+# back in.
 
 _FIELD_SETS = {
     frozenset(("alpha", "beta", "tau", "c")): SinglePoolScenario,
@@ -240,17 +240,12 @@ def scenario_from_dict(data: dict) -> Scenario:
     return validate(cls(**kwargs))
 
 
-def load_scenario(source) -> Scenario:
-    """Load a scenario from a dict, a JSON string, or a file path."""
-    if isinstance(source, dict):
-        return scenario_from_dict(source)
-    if isinstance(source, (str, Path)) and not str(source).lstrip().startswith("{"):
-        try:
-            text = Path(source).read_text()
-        except OSError as exc:
-            raise ScenarioFileError(f"cannot read scenario file {source}: {exc}") from exc
-    else:
-        text = str(source)
+def load_scenario(path) -> Scenario:
+    """Load and validate a scenario from the JSON file at ``path``."""
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ScenarioFileError(f"cannot read scenario file {path}: {exc}") from exc
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -60,11 +60,6 @@ def reward_single(s: SinglePoolScenario) -> float:
     return float(attacker_reward_formula(s.alpha, s.beta, s.tau, s.c))
 
 
-def reward_bwh(alpha: float, beta: float, tau: float) -> float:
-    """Plain block-withholding baseline: the c = 0 special case."""
-    return reward_single(SinglePoolScenario(alpha, beta, tau, 0.0))
-
-
 def victim_reward(s: SinglePoolScenario) -> float:
     """Victim pool's expected per-round reward.
 

@@ -27,7 +27,7 @@ from fawkit.errors import (
     NegativeEffectiveMinersWarning,
 )
 from fawkit.scenarios import SinglePoolScenario
-from fawkit.single_pool import optimal_tau, reward_bwh, reward_single
+from fawkit.single_pool import optimal_tau, reward_single
 
 
 def test_c_max_single_node_owns_everything():
@@ -139,7 +139,7 @@ def test_detection_reward_nondecreasing_in_identities():
 
 def test_detection_reward_bwh_limit():
     guarded = detection_resilient_reward(0.2, 0.2, 0.4, 0.0, L=10 ** 6)
-    assert abs(guarded - reward_bwh(0.2, 0.2, 0.4)) <= 1e-6
+    assert abs(guarded - reward_single(SinglePoolScenario(0.2, 0.2, 0.4, 0.0))) <= 1e-6
 
 
 @pytest.mark.parametrize("tau, c", [(0.4, 0.0), (0.0, 0.7)])
@@ -148,7 +148,8 @@ def test_detection_reward_when_the_pool_never_wins(tau, c):
     # innocent mining is left, exactly as under plain withholding
     for L in (1, 3, 10):
         got = detection_resilient_reward(0.2, 0.0, tau, c, L)
-        assert got == pytest.approx(reward_bwh(0.2, 0.0, tau), abs=1e-15)
+        bwh = reward_single(SinglePoolScenario(0.2, 0.0, tau, 0.0))
+        assert got == pytest.approx(bwh, abs=1e-15)
 
 
 def test_detection_floors_negative_identity_counts():
@@ -177,7 +178,7 @@ def test_detection_specific_value_by_independent_arithmetic():
 def test_honeypot_limits():
     assert honeypot_bwh_bound(0.2, 0.2, 0.0, L=5) == pytest.approx(0.2)
     big_l = honeypot_bwh_bound(0.2, 0.2, 0.5, L=10 ** 7)
-    assert abs(big_l - reward_bwh(0.2, 0.2, 0.5)) <= 1e-6
+    assert abs(big_l - reward_single(SinglePoolScenario(0.2, 0.2, 0.5, 0.0))) <= 1e-6
 
 
 def test_honeypot_specific_value():

@@ -388,23 +388,35 @@ def test_game_sweep_warns_in_one_stderr_line(capsys):
                         r"alpha1 \+ alpha2\n", err)
 
 
-@pytest.mark.parametrize("command, flags", [
+# one scenario file per kind, each valid on its own
+_SCENARIO_FILES = {
+    "SinglePoolScenario": {"alpha": 0.2, "beta": 0.2, "tau": 0.4, "c": 1.0},
+    "MultiPoolScenario": {"alpha": 0.2, "betas": [0.2, 0.1], "taus": [0.1, 0.05], "c": 1.0},
+    "GameScenario": {"alpha1": 0.2, "alpha2": 0.1, "f1": 0.05, "f2": 0.02,
+                     "c1": 0.5, "c2": 0.5, "c1p": 0.25, "c2p": 0.25},
+}
+_NEEDED = {"single": "SinglePoolScenario", "multi": "MultiPoolScenario", "game": "GameScenario"}
+# each kind's scenario flags, each with a value it parses
+_INLINE = {
+    "single": {"--alpha": "0.2", "--beta": "0.2", "--c": "1", "--tau": "0.4"},
+    "multi": {"--alpha": "0.2", "--betas": "0.1", "--taus": "0.1", "--c": "1",
+              "--preset": "table2"},
+    "game": {"--alpha1": "0.2", "--alpha2": "0.1", "--f1": "0.05", "--f2": "0.02", "--c": "1",
+             "--c1": "0.5", "--c2": "0.5", "--c1p": "0.25", "--c2p": "0.25"},
+}
+_SCENARIO_COMMANDS = [
     ("reward-single", ()),
     ("reward-multi", ()),
     ("sim-single", ("--rounds", "100")),
     ("sim-multi", ("--rounds", "100")),
     ("sim-game", ("--rounds", "100")),
-])
+]
+
+
+@pytest.mark.parametrize("command, flags", _SCENARIO_COMMANDS)
 def test_scenario_file_of_another_kind_is_rejected(capsys, tmp_path, command, flags):
-    files = {
-        "SinglePoolScenario": {"alpha": 0.2, "beta": 0.2, "tau": 0.4, "c": 1.0},
-        "MultiPoolScenario": {"alpha": 0.2, "betas": [0.2, 0.1], "taus": [0.1, 0.05], "c": 1.0},
-        "GameScenario": {"alpha1": 0.2, "alpha2": 0.1, "f1": 0.05, "f2": 0.02,
-                         "c1": 0.5, "c2": 0.5, "c1p": 0.25, "c2p": 0.25},
-    }
-    needed = {"single": "SinglePoolScenario", "multi": "MultiPoolScenario",
-              "game": "GameScenario"}[command.split("-")[1]]
-    for kind, doc in files.items():
+    needed = _NEEDED[command.split("-")[1]]
+    for kind, doc in _SCENARIO_FILES.items():
         path = tmp_path / f"{kind}.json"
         path.write_text(json.dumps(doc))
         code, out, err = run_cli(capsys, command, "--scenario", str(path), *flags)
@@ -414,6 +426,43 @@ def test_scenario_file_of_another_kind_is_rejected(capsys, tmp_path, command, fl
         assert code == 1
         assert out == ""
         assert err == f"error: scenario file holds a {kind}, need {needed}\n"
+
+
+@pytest.mark.parametrize("command, flags", _SCENARIO_COMMANDS)
+def test_scenario_file_with_a_scenario_flag_is_rejected(capsys, tmp_path, command, flags):
+    kind = command.split("-")[1]
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(_SCENARIO_FILES[_NEEDED[kind]]))
+    for flag, value in _INLINE[kind].items():
+        code, out, err = run_cli(capsys, command, "--scenario", str(path), *flags, flag, value)
+        assert (code, out, err) == (1, "", f"error: give --scenario or {flag}, not both\n")
+
+
+@pytest.mark.parametrize("command", ["sim-single", "sim-multi", "sim-game"])
+def test_scenario_file_takes_the_run_flags(capsys, tmp_path, command):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(_SCENARIO_FILES[_NEEDED[command.split("-")[1]]]))
+    dest = tmp_path / "out.csv"
+    code, out, err = run_cli(capsys, command, "--scenario", str(path), "--rounds", "100",
+                             "--seed", "3", "--workers", "1", "--format", "csv",
+                             "--output", str(dest))
+    assert (code, out, err) == (0, "", "")
+    assert len(dest.read_text().splitlines()) == 2
+
+
+def test_scenario_path_may_start_with_a_brace(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("{run}.json").write_text(json.dumps(_SCENARIO_FILES["SinglePoolScenario"]))
+    code, out, _ = run_cli(capsys, "reward-single", "--scenario", "{run}.json")
+    assert code == 0
+    assert json.loads(out)["scenario"] == _SCENARIO_FILES["SinglePoolScenario"]
+
+
+@pytest.mark.parametrize("command, flags", [("game-solve", ()), ("sim-game", ("--rounds", "100"))])
+@pytest.mark.parametrize("split", ["--c1", "--c2", "--c1p", "--c2p"])
+def test_game_costs_come_from_one_source(capsys, command, flags, split):
+    code, out, err = run_cli(capsys, command, *_GAME_AT, *flags, split, "0.3")
+    assert (code, out, err) == (1, "", "error: give --c or --c1/--c2/--c1p/--c2p, not both\n")
 
 
 def test_bounds_commands(capsys):

@@ -1,0 +1,49 @@
+"""The names ``import fawkit`` exports: adding or removing one changes the public API."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import fawkit
+
+EXPORTS = {
+    # submodules that the package imports
+    "bounds", "errors", "game", "multi_pool", "optimize", "scenarios", "simulator",
+    "single_pool",
+    # bounds
+    "HonestPowerDistribution", "bonus_scheme_reward", "bonus_threshold_feasible",
+    "c_from_gamma", "c_max_single", "c_min_rational", "detection_resilient_reward",
+    "gamma_upper_bound", "honeypot_bwh_bound", "safe_bonus_threshold",
+    "selfish_mining_threshold",
+    # errors
+    "BudgetExceeded", "ConstraintViolated", "DegenerateInput", "FawError",
+    "InconsistentDistribution", "NegativeEffectiveMinersWarning", "PowerOutOfRange",
+    "RationalFloorWarning", "ScenarioFileError", "TooManyPools", "UnknownFixture",
+    # game
+    "EquilibriumResult", "RegionCell", "best_response", "classify_winner", "game_payoffs",
+    "net_payoffs", "solve_equilibrium", "sweep_regions", "sweep_regions_assumed_c",
+    "write_sweep_csv",
+    # multi_pool
+    "AllocationResult", "POOL_PRESETS", "optimize_allocation", "preset_attack",
+    "reward_npool", "reward_two_pools",
+    # scenarios
+    "GameScenario", "MultiPoolScenario", "SinglePoolScenario", "load_scenario", "rer",
+    "scenario_to_dict", "validate", "validate_game", "validate_multi", "validate_single",
+    # simulator
+    "SimConfig", "SimOutcome", "simulate",
+    # single_pool
+    "OptimalTauResult", "optimal_tau", "reward_single", "victim_reward",
+}
+
+
+def test_exported_names_are_pinned():
+    # a fresh interpreter: importing fawkit.cli elsewhere in the suite would add "cli"
+    src = str(Path(fawkit.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    listing = "import fawkit; print(*(n for n in dir(fawkit) if not n.startswith('_')))"
+    names = subprocess.run([sys.executable, "-c", listing], env=env, capture_output=True,
+                           text=True, check=True).stdout.split()
+    assert set(names) == EXPORTS
+    assert len(names) == 63

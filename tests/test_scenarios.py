@@ -144,7 +144,7 @@ def test_scenario_roundtrip_all_kinds():
         MultiPoolScenario(0.2, (0.2, 0.1), (0.1, 0.05), 1.0),
         GameScenario(0.2, 0.1, 0.05, 0.02, 0.5, 0.5, 0.25, 0.25),
     ):
-        assert load_scenario(scenario_to_dict(s)) == s
+        assert scenario_from_dict(scenario_to_dict(s)) == s
 
 
 def test_scenario_file_from_path(tmp_path):
@@ -170,12 +170,23 @@ def test_scenario_errors_cite_offending_key():
 def test_scenario_wrapper_unwrapped():
     doc = {"scenario": {"alpha": 0.2, "beta": 0.2, "tau": 0.1, "c": 0.5}, }
     s = scenario_from_dict(doc["scenario"])
-    assert load_scenario({"scenario": scenario_to_dict(s)}) == s
+    assert scenario_from_dict({"scenario": scenario_to_dict(s)}) == s
 
 
-def test_invalid_json_reported():
+def test_invalid_json_reported(tmp_path):
+    path = tmp_path / "scen.json"
+    path.write_text("{not json")
     with pytest.raises(ScenarioFileError, match="invalid JSON"):
-        load_scenario("{not json")
+        load_scenario(path)
+
+
+def test_unreadable_file_reported(tmp_path):
+    path = tmp_path / "scen.json"
+    path.write_bytes(b"\xff\xfe{}")  # not UTF-8
+    with pytest.raises(ScenarioFileError, match="cannot read scenario file"):
+        load_scenario(path)
+    with pytest.raises(ScenarioFileError, match="cannot read scenario file"):
+        load_scenario(tmp_path / "missing.json")
 
 
 def test_validate_dispatch_rejects_non_scenarios():

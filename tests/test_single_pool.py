@@ -12,7 +12,6 @@ from fawkit.single_pool import (
     attacker_reward_formula,
     optimal_tau,
     optimal_tau_closed_form,
-    reward_bwh,
     reward_single,
     victim_reward,
 )
@@ -38,10 +37,10 @@ def test_reference_rer_values_at_optimum(alpha, c, expected):
 
 def test_bwh_baseline_values():
     tau = optimal_tau(0.2, 0.2, 0.0).tau_bar
-    assert abs(rer(reward_bwh(0.2, 0.2, tau), 0.2) - 1.14) <= 0.05
+    assert abs(rer(reward_single(SinglePoolScenario(0.2, 0.2, tau, 0.0)), 0.2) - 1.14) <= 0.05
     tau = optimal_tau(0.4, 0.2, 0.0).tau_bar
-    assert abs(rer(reward_bwh(0.4, 0.2, tau), 0.4) - 2.70) <= 0.05
-    assert reward_bwh(0.2, 0.2, 0.0) == pytest.approx(0.2, abs=1e-12)
+    assert abs(rer(reward_single(SinglePoolScenario(0.4, 0.2, tau, 0.0)), 0.4) - 2.70) <= 0.05
+    assert reward_single(SinglePoolScenario(0.2, 0.2, 0.0, 0.0)) == pytest.approx(0.2, abs=1e-12)
 
 
 def test_victim_reward_values():
