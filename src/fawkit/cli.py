@@ -1,18 +1,22 @@
-"""Command-line surface: analytics, game solver, sweeps, simulation, fixtures.
+"""Command-line surface: analytics, the game, sweeps, simulation, fixtures.
 
 Every subcommand runs one library operation (or a sweep of one) and emits
-plot-ready JSON, CSV, or an aligned key/value table. A ``reward-*`` or
-``sim-*`` subcommand reads its scenario from the file ``--scenario PATH`` or
-from its kind's flags, never from both; a game's costs come from ``--c`` or
+one document: plot-ready JSON, the CSV header and row of the flattened
+document, or the same flattened keys as an aligned key/value table; a sweep
+emits JSON or its cells as CSV, a fixture run JSON or a report table. Each
+scenario kind (single, multi, game) has a ``reward-KIND`` and a ``sim-KIND``
+subcommand, which read the scenario from the file ``--scenario PATH`` or
+from the kind's flags, never from both; a game's costs come from ``--c`` or
 from all four of ``--c1/--c2/--c1p/--c2p``, never from both. Given no attack
-strategy, such a subcommand first solves for it (tau by
-``optimal_tau``, the taus by ``optimize_allocation``, f1 and f2 by
-``solve_equilibrium``) and records that solve under ``"solve"``: the
-library result's fields, or game-solve's for the game. A run given its
-strategy has no ``"solve"`` key. Exit codes: 0 on success, 1 on validation
-errors (the message names the violated constraint), 2 when an iterative
-solve, one that fills in a strategy included, did not converge (the
-best-effort result is still emitted with converged=false).
+strategy, such a subcommand first solves for it (tau by ``optimal_tau``,
+the taus by ``optimize_allocation``, f1 and f2 by ``solve_equilibrium``)
+and records that solve under ``"solve"``: the library result's fields. A
+run given its strategy has no ``"solve"`` key. ``bounds`` and ``counter``
+reject a flag their analytic does not read. Exit codes: 0 on success, 1 on
+validation errors (the message names the violated constraint) and on an
+unwritable ``--output``, 2 when an iterative solve, one that fills in a
+strategy included, did not converge (the best-effort result is still
+emitted with converged=false).
 """
 
 from __future__ import annotations
@@ -92,34 +96,30 @@ def _flatten(doc, prefix=""):
 def emit(doc: dict, fmt: str, dest) -> None:
     doc = {"schema_version": SCHEMA_VERSION, **doc}
     if fmt == "json":
-        text = json.dumps(doc, indent=2) + "\n"
-    elif fmt == "csv":
-        text = _csv(_flatten(doc))
-    else:  # table
-        flat = _flatten(doc)
-        width = max(len(k) for k in flat)
-        text = "".join(
-            f"{k:<{width}}  {json.dumps(v) if isinstance(v, (list, tuple)) else v}\n"
-            for k, v in flat.items()
-        )
+        _write(json.dumps(doc, indent=2) + "\n", dest)
+        return
+    # csv and table: the flattened document, list values as JSON
+    flat = {k: json.dumps(v) if isinstance(v, (list, tuple)) else v
+            for k, v in _flatten(doc).items()}
+    if fmt == "csv":
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows((flat, flat.values()))
+        text = buf.getvalue()
+    else:
+        width = max(map(len, flat))
+        text = "".join(f"{k:<{width}}  {v}\n" for k, v in flat.items())
     _write(text, dest)
-
-
-def _csv(flat: dict) -> str:
-    """A header line and one row; list values as JSON."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(list(flat))
-    writer.writerow([json.dumps(v) if isinstance(v, (list, tuple)) else v for v in flat.values()])
-    return buf.getvalue()
 
 
 def _write(text: str, dest) -> None:
     if dest in (None, "-"):
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(dest, "w") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise FawError(f"cannot write {dest}: {exc.strerror or exc}") from None
 
 
 def _require(args, *names):
@@ -183,20 +183,6 @@ def _game_cs(args):
     return cs
 
 
-def _equilibrium(alpha1, alpha2, cs, **solve_opts) -> dict:
-    """``solve_equilibrium`` at these powers and costs, as ``game-solve`` prints it."""
-    res = game_mod.solve_equilibrium(alpha1, alpha2, *cs, **solve_opts)
-    c1, c2, c1p, c2p = cs
-    return {
-        "alpha1": alpha1, "alpha2": alpha2, "c1": c1, "c2": c2, "c1p": c1p, "c2p": c2p,
-        "f1_star": res.f1_star, "f2_star": res.f2_star, "r1": res.r1, "r2": res.r2,
-        "net1": res.net1, "net2": res.net2, "rer1_pct": res.rer1_pct, "rer2_pct": res.rer2_pct,
-        "winner": game_mod.classify_winner(res.rer1_pct, res.rer2_pct),
-        "iterations": res.iterations, "converged": res.converged,
-        "deviation_gain": res.deviation_gain,
-    }
-
-
 def _game_scenario(args) -> tuple[GameScenario, dict | None]:
     """Without ``--f1`` and ``--f2``, the equilibrium."""
     _require(args, "alpha1", "alpha2")
@@ -205,9 +191,9 @@ def _game_scenario(args) -> tuple[GameScenario, dict | None]:
         raise FawError("give both --f1 and --f2, or neither for the equilibrium")
     if args.f1 is not None:
         return validate(GameScenario(args.alpha1, args.alpha2, args.f1, args.f2, *cs)), None
-    solve = _equilibrium(args.alpha1, args.alpha2, cs)
-    f1, f2 = solve["f1_star"], solve["f2_star"]
-    return validate(GameScenario(args.alpha1, args.alpha2, f1, f2, *cs)), solve
+    res = game_mod.solve_equilibrium(args.alpha1, args.alpha2, *cs)
+    s = GameScenario(args.alpha1, args.alpha2, res.f1_star, res.f2_star, *cs)
+    return validate(s), asdict(res)
 
 
 def _single_rewards(s) -> dict:
@@ -222,6 +208,15 @@ def _multi_rewards(s) -> dict:
     """closed-form n-pool attacker reward"""
     reward = multi_pool.reward_npool(s)
     return {"reward": reward, "rer_pct": rer(reward, s.alpha)}
+
+
+def _game_rewards(g) -> dict:
+    """closed-form two-pool game payoffs and winner"""
+    r1, r2 = game_mod.game_payoffs(g)
+    net1, net2 = game_mod.net_payoffs(g)
+    rer1, rer2 = rer(net1, g.alpha1), rer(net2, g.alpha2)
+    return {"r1": r1, "r2": r2, "net1": net1, "net2": net2, "rer1_pct": rer1, "rer2_pct": rer2,
+            "winner": game_mod.classify_winner(rer1, rer2)}
 
 
 # --- subcommand handlers ------------------------------------------------------
@@ -242,16 +237,9 @@ def cmd_reward(args) -> int:
     return _exit_code(solve)
 
 
-def cmd_game_solve(args) -> int:
-    solve = _equilibrium(args.alpha1, args.alpha2, _game_cs(args),
-                         tol=args.tol, max_iter=args.max_iter)
-    emit(solve, args.format, args.output)
-    return _exit_code(solve)
-
-
 def cmd_game_sweep(args) -> int:
     sweep = game_mod.sweep_regions_assumed_c if args.assumed_c else game_mod.sweep_regions
-    cells = sweep(args.alpha1, args.alpha2, args.c, tol=args.tol)
+    cells = sweep(args.alpha1, args.alpha2, args.c)
     if args.format == "json":
         emit({"alpha1": args.alpha1, "assumed_c": bool(args.assumed_c),
               "cells": [asdict(c) for c in cells]}, "json", args.output)
@@ -264,11 +252,7 @@ def cmd_sim(args) -> int:
     scenario, solve = _scenario(args)
     cfg = simulator.SimConfig(rounds=args.rounds, scenario=scenario, workers=args.workers,
                               seed=_default_seed() if args.seed is None else args.seed)
-    out = simulator.simulate(cfg)
-    if args.format == "csv":
-        _write(_csv(_flatten(_with_solve(dict(zip(*out.csv_row())), solve))), args.output)
-    else:
-        emit(_with_solve(out.to_json_dict(), solve), args.format, args.output)
+    emit(_with_solve(simulator.simulate(cfg).to_json_dict(), solve), args.format, args.output)
     return _exit_code(solve)
 
 
@@ -303,8 +287,17 @@ _ANALYTICS = {
 }
 
 
+# what an analytic reads for these flags when they are not given; it needs every other one
+_ANALYTIC_DEFAULTS = {"shares": (), "atomized_remainder": 0.0, "L": 1}
+
+
 def cmd_analytic(args) -> int:
     flags, call, key = _ANALYTICS[args.command][args.what]
+    for name, option in args.options.items():
+        if getattr(args, name) is None:
+            setattr(args, name, _ANALYTIC_DEFAULTS.get(name))
+        elif name not in flags:
+            raise FawError(f"{args.what} does not read {option}")
     _require(args, *flags)
     inputs = {name: getattr(args, name) for name in flags}
     value = call(*inputs.values())
@@ -335,8 +328,9 @@ def cmd_reproduce(args) -> int:
 
 # --- parser -------------------------------------------------------------------
 
-def _add_common(p):
-    p.add_argument("--format", choices=("json", "csv", "table"), default="json")
+def _add_common(p, formats=("json", "csv", "table")):
+    """``--format``, one of the formats the subcommand emits (the first is the default)."""
+    p.add_argument("--format", choices=formats, default=formats[0])
     p.add_argument("--output", default=None, help="destination path (default stdout)")
 
 
@@ -359,28 +353,24 @@ def _multi_flags(p):
     p.add_argument("--preset", choices=sorted(multi_pool.POOL_PRESETS))
 
 
-def _game_c_flags(p):
-    p.add_argument("--c", type=float, default=None, help="symmetric model: c_i=c, c_i'=c/2")
-    for name in ("c1", "c2", "c1p", "c2p"):
-        p.add_argument(f"--{name}", type=float, default=None)
-
-
-def _sim_game_flags(p):
+def _game_flags(p):
     p.add_argument("--alpha1", type=float)
     p.add_argument("--alpha2", type=float)
     for name in ("f1", "f2"):
         p.add_argument(f"--{name}", type=float,
                        help=f"pool {name[1]}'s infiltration; omit both for the equilibrium")
-    _game_c_flags(p)
+    p.add_argument("--c", type=float, default=None, help="symmetric model: c_i=c, c_i'=c/2")
+    for name in ("c1", "c2", "c1p", "c2p"):
+        p.add_argument(f"--{name}", type=float, default=None)
 
 
 # kind -> (its scenario type, its flag group, its scenario builder, its
-# closed-form rewards or None); each kind gets a sim-KIND subcommand, and
-# reward-KIND, helped by the rewards' docstring, when it has closed-form rewards
+# closed-form rewards); each kind gets a reward-KIND subcommand, helped by the
+# rewards' docstring, and a sim-KIND subcommand
 _KINDS = (
     ("single", SinglePoolScenario, _single_flags, _single_scenario, _single_rewards),
     ("multi", MultiPoolScenario, _multi_flags, _multi_scenario, _multi_rewards),
-    ("game", GameScenario, _sim_game_flags, _game_scenario, None),
+    ("game", GameScenario, _game_flags, _game_scenario, _game_rewards),
 )
 
 
@@ -393,11 +383,10 @@ def build_parser() -> argparse.ArgumentParser:
         add_flags(flags)
         # the kind's flags, each None unless given
         scenario = {"kind": cls, "build": build, "inline": tuple(vars(flags.parse_args([])))}
-        if rewards is not None:
-            p = sub.add_parser(f"reward-{kind}", parents=[flags], help=rewards.__doc__)
-            _add_scenario_opt(p)
-            _add_common(p)
-            p.set_defaults(func=cmd_reward, rewards=rewards, **scenario)
+        p = sub.add_parser(f"reward-{kind}", parents=[flags], help=rewards.__doc__)
+        _add_scenario_opt(p)
+        _add_common(p)
+        p.set_defaults(func=cmd_reward, rewards=rewards, **scenario)
         p = sub.add_parser(f"sim-{kind}", parents=[flags], help=f"Monte Carlo {kind} run")
         p.add_argument("--rounds", type=int, required=True)
         p.add_argument("--seed", type=int, default=None,
@@ -408,53 +397,47 @@ def build_parser() -> argparse.ArgumentParser:
         _add_common(p)
         p.set_defaults(func=cmd_sim, **scenario)
 
-    p = sub.add_parser("game-solve", help="two-pool game equilibrium")
-    p.add_argument("--alpha1", type=float, required=True)
-    p.add_argument("--alpha2", type=float, required=True)
-    _game_c_flags(p)
-    p.add_argument("--tol", type=float, default=game_mod.TOL)
-    p.add_argument("--max-iter", type=int, default=game_mod.MAX_ITER)
-    _add_common(p)
-    p.set_defaults(func=cmd_game_solve)
-
     p = sub.add_parser("game-sweep", help="winner-region sweep over (alpha2, c)")
     p.add_argument("--alpha1", type=float, required=True)
     p.add_argument("--alpha2", type=parse_range, required=True, help="FLOAT or START:STOP:STEP")
     p.add_argument("--c", type=parse_range, required=True, help="FLOAT or START:STOP:STEP")
     p.add_argument("--assumed-c", action="store_true",
                    help="plan strategies at c = alpha1+alpha2, evaluate at the axis c")
-    p.add_argument("--tol", type=float, default=game_mod.TOL)
-    _add_common(p)
-    p.set_defaults(func=cmd_game_sweep, format="csv")
+    _add_common(p, ("csv", "json"))
+    p.set_defaults(func=cmd_game_sweep)
 
+    # each analytic flag is None unless given; options maps its dest to its name
     p = sub.add_parser("bounds", help="fork-win probability bounds and related thresholds")
     p.add_argument("what", choices=tuple(_ANALYTICS["bounds"]))
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--shares", type=parse_floats, default=())
-    p.add_argument("--atomized", type=float, default=0.0, dest="atomized_remainder",
-                   metavar="ATOMIZED")
+    options = [
+        p.add_argument("--alpha", type=float),
+        p.add_argument("--beta", type=float),
+        p.add_argument("--gamma", type=float),
+        p.add_argument("--shares", type=parse_floats),
+        p.add_argument("--atomized", type=float, dest="atomized_remainder", metavar="ATOMIZED"),
+    ]
     _add_common(p)
-    p.set_defaults(func=cmd_analytic)
+    p.set_defaults(func=cmd_analytic, options={a.dest: a.option_strings[0] for a in options})
 
     p = sub.add_parser("counter", help="countermeasure economics")
     p.add_argument("what", choices=tuple(_ANALYTICS["counter"]))
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--tau", type=float)
-    p.add_argument("--c", type=float)
-    p.add_argument("-L", "--identities", type=int, default=1, dest="L", metavar="IDENTITIES")
-    p.add_argument("--t", type=float)
-    p.add_argument("--pool-power", type=float)
-    p.add_argument("--c-max", type=float)
+    options = [
+        p.add_argument("--alpha", type=float),
+        p.add_argument("--beta", type=float),
+        p.add_argument("--tau", type=float),
+        p.add_argument("--c", type=float),
+        p.add_argument("-L", "--identities", type=int, dest="L", metavar="IDENTITIES"),
+        p.add_argument("--t", type=float),
+        p.add_argument("--pool-power", type=float),
+        p.add_argument("--c-max", type=float),
+    ]
     _add_common(p)
-    p.set_defaults(func=cmd_analytic)
+    p.set_defaults(func=cmd_analytic, options={a.dest: a.option_strings[0] for a in options})
 
     p = sub.add_parser("reproduce", help="run a built-in golden fixture")
     p.add_argument("fixture", choices=FIXTURE_NAMES)
-    _add_common(p)
-    p.set_defaults(func=cmd_reproduce, format="table")
+    _add_common(p, ("table", "json"))
+    p.set_defaults(func=cmd_reproduce)
 
     return ap
 

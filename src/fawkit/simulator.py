@@ -156,18 +156,6 @@ class SimOutcome:
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2)
 
-    def csv_row(self):
-        """Flat summary row for sweep aggregation: (header, values)."""
-        header = ["kind", "rounds", "seed"]
-        values = [self.kind, self.rounds_run, self.config.get("seed")]
-        for actor in sorted(self.reward_sums):
-            header += [f"{actor}_mean", f"{actor}_se"]
-            values += [self.reward_sums[actor] / self.rounds_run, self.std_error[actor]]
-        for tag in CASE_TAGS:
-            header.append(tag)
-            values.append(self.case_counts.get(tag, 0))
-        return header, values
-
 
 def _std_errors(sums: dict, sumsq: dict, n: int) -> dict:
     """Standard error of each actor's per-round mean; 0 for a single round."""

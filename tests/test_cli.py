@@ -1,8 +1,10 @@
 import argparse
 import contextlib
 import csv
+import errno
 import io
 import json
+import os
 import re
 import shlex
 import warnings
@@ -107,12 +109,6 @@ def test_reward_single_optimal(capsys):
     assert doc["pool_rer_pct"] < 0
 
 
-def _game_solve(capsys, *flags):
-    doc = json.loads(run_cli(capsys, "game-solve", *flags)[1])
-    del doc["schema_version"]
-    return doc
-
-
 _SINGLE_AT = ("--alpha", "0.2", "--beta", "0.2", "--c", "0.5")
 _SIM_AT = ("--rounds", "20000", "--seed", "4")
 _GAME_AT = ("--alpha1", "0.2", "--alpha2", "0.1", "--c", "1")
@@ -130,24 +126,28 @@ def _infiltrations(solve):
     return "--f1", repr(solve["f1_star"]), "--f2", repr(solve["f2_star"])
 
 
+def _equilibrium():
+    return asdict(game_mod.solve_equilibrium(0.2, 0.1, 1.0, 1.0, 0.5, 0.5))
+
+
 # a subcommand with its strategy omitted, the solve it should record, and the
 # flags that give the solved strategy
 @pytest.mark.parametrize("argv, solve, strategy", [
-    (("reward-single", *_SINGLE_AT), lambda _: asdict(optimal_tau(0.2, 0.2, 0.5)), _tau),
-    (("sim-single", *_SINGLE_AT, *_SIM_AT), lambda _: asdict(optimal_tau(0.2, 0.2, 0.5)), _tau),
+    (("reward-single", *_SINGLE_AT), lambda: asdict(optimal_tau(0.2, 0.2, 0.5)), _tau),
+    (("sim-single", *_SINGLE_AT, *_SIM_AT), lambda: asdict(optimal_tau(0.2, 0.2, 0.5)), _tau),
     (("reward-multi", "--preset", "table2", "--c", "0.7"),
-     lambda _: asdict(multi_pool.optimize_allocation(*multi_pool.preset_attack("table2"), 0.7)),
+     lambda: asdict(multi_pool.optimize_allocation(*multi_pool.preset_attack("table2"), 0.7)),
      _split),
     (("sim-multi", "--alpha", "0.15", "--betas", "0.1,0.05,0.05", "--c", "1", *_SIM_AT),
-     lambda _: asdict(multi_pool.optimize_allocation(0.15, (0.1, 0.05, 0.05), 1.0)), _split),
-    (("sim-game", *_GAME_AT, *_SIM_AT), lambda capsys: _game_solve(capsys, *_GAME_AT),
-     _infiltrations),
-], ids=["reward-single", "sim-single", "reward-multi", "sim-multi", "sim-game"])
+     lambda: asdict(multi_pool.optimize_allocation(0.15, (0.1, 0.05, 0.05), 1.0)), _split),
+    (("sim-game", *_GAME_AT, *_SIM_AT), _equilibrium, _infiltrations),
+    (("reward-game", *_GAME_AT), _equilibrium, _infiltrations),
+], ids=["reward-single", "sim-single", "reward-multi", "sim-multi", "sim-game", "reward-game"])
 def test_omitted_strategy_is_solved_for(capsys, argv, solve, strategy):
     """Omitting the strategy gives the run at the solved strategy, bit for bit, plus its solve."""
     code, solved, _ = run_cli(capsys, *argv)
     assert code == 0
-    record = solve(capsys)
+    record = solve()
     code, given, _ = run_cli(capsys, *argv, *strategy(record))
     assert code == 0
     solved, given = json.loads(solved), json.loads(given)
@@ -182,23 +182,30 @@ def test_optimize_alloc_preset(capsys):
     assert len(doc["solve"]["taus"]) == 4
 
 
-def test_game_solve_and_exit_codes(capsys):
-    code, out, _ = run_cli(capsys, "game-solve", "--alpha1", "0.2", "--alpha2", "0.1",
-                           "--c", "1")
+def _cap_solves_at_one_round(monkeypatch):
+    # MAX_ITER is bound as solve_equilibrium's default, so wrap the solve instead
+    solve = game_mod.solve_equilibrium
+    monkeypatch.setattr(game_mod, "solve_equilibrium",
+                        lambda *args, **kw: solve(*args, **{**kw, "max_iter": 1}))
+
+
+def test_game_solve_and_exit_codes(capsys, monkeypatch):
+    """reward-game at the game's solve, and exit 2 when that solve did not converge."""
+    code, out, _ = run_cli(capsys, "reward-game", *_GAME_AT)
     assert code == 0
     doc = json.loads(out)
     assert doc["rer1_pct"] > 0 > doc["rer2_pct"]
-    code, out, _ = run_cli(capsys, "game-solve", "--alpha1", "0.2", "--alpha2", "0.1",
-                           "--c", "1", "--max-iter", "1")
+    _cap_solves_at_one_round(monkeypatch)
+    code, out, _ = run_cli(capsys, "reward-game", *_GAME_AT)
     assert code == 2
-    assert json.loads(out)["converged"] is False
+    assert json.loads(out)["solve"]["converged"] is False
 
 
 @pytest.mark.parametrize("argv, golden", [
     (SWEEP_FLAGS, "game_sweep.csv"),
     ((*SWEEP_FLAGS, "--assumed-c"), "game_sweep_assumed_c.csv"),
-    (("game-solve", "--alpha1", "0.25", "--alpha2", "0.15", "--c1", "0.9", "--c2", "0.7",
-      "--c1p", "0.5", "--c2p", "0.3"), "game_solve.json"),
+    (("reward-game", "--alpha1", "0.25", "--alpha2", "0.15", "--c1", "0.9", "--c2", "0.7",
+      "--c1p", "0.5", "--c2p", "0.3"), "reward_game.json"),
 ], ids=["sweep", "sweep-assumed-c", "solve"])
 def test_game_output_matches_golden(capsys, argv, golden):
     code, out, _ = run_cli(capsys, *argv)
@@ -221,10 +228,7 @@ def test_optimize_alloc_exits_2_when_sweeps_run_out(capsys, monkeypatch):
 
 
 def test_sim_game_exits_2_when_the_equilibrium_does_not_converge(capsys, monkeypatch):
-    # MAX_ITER is bound as solve_equilibrium's default, so wrap the solve instead
-    solve = game_mod.solve_equilibrium
-    monkeypatch.setattr(game_mod, "solve_equilibrium",
-                        lambda *args, **kw: solve(*args, **{**kw, "max_iter": 1}))
+    _cap_solves_at_one_round(monkeypatch)
     code, out, _ = run_cli(capsys, "sim-game", *_GAME_AT, "--rounds", "1000")
     assert code == 2
     assert json.loads(out)["solve"]["converged"] is False
@@ -309,34 +313,9 @@ def test_invalid_sim_input_is_a_typed_error(capsys, monkeypatch, flags, seed_env
     assert err.startswith("error: ") and named in err
 
 
-@pytest.mark.parametrize("command, alpha2, flag, value", [
-    ("game-solve", "0.1", "--tol", "0"),
-    ("game-sweep", "0.1:0.2:0.1", "--tol", "0"),
-    ("game-solve", "0.1", "--tol", "nan"),
-    ("game-solve", "0.1", "--max-iter", "0"),
-    ("game-solve", "0.1", "--tol", "1e-15"),
-    ("game-sweep", "0.1:0.2:0.1", "--tol", "1e-15"),
-], ids=["solve-0", "sweep-0", "solve-nan", "solve-max-iter-0", "solve-1e-15", "sweep-1e-15"])
-def test_bad_tol_is_a_typed_error(capsys, command, alpha2, flag, value):
-    code, out, err = run_cli(capsys, command, "--alpha1", "0.2", "--alpha2", alpha2,
-                             "--c", "1", flag, value)
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error: ") and flag[2:].replace("-", "_") in err
-    assert "Traceback" not in err
-
-
-def test_solve_converges_at_a_tol_finer_than_the_default(capsys):
-    code, out, _ = run_cli(capsys, "game-solve", "--alpha1", "0.3", "--alpha2", "0.1",
-                           "--c", "1", "--tol", "1e-9")
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["converged"] is True and doc["iterations"] <= 10
-
-
 @pytest.mark.parametrize("argv, named", [
-    (("game-solve", "--alpha1", "0", "--alpha2", "0.1", "--c", "1"), "alpha1"),
-    (("game-solve", "--alpha1", "0.2", "--alpha2", "0", "--c", "1"), "alpha2"),
+    (("reward-game", "--alpha1", "0", "--alpha2", "0.1", "--c", "1"), "alpha1"),
+    (("reward-game", "--alpha1", "0.2", "--alpha2", "0", "--c", "1"), "alpha2"),
     (("game-sweep", "--alpha1", "0.2", "--alpha2", "0:0.2:0.1", "--c", "1"), "alpha2"),
     (("sim-game", "--alpha1", "0.2", "--alpha2", "0", "--f1", "0", "--f2", "0", "--c", "1",
       "--rounds", "100"), "alpha2 + f1"),
@@ -366,10 +345,10 @@ def test_detection_when_the_pool_never_wins(capsys):
     ("counter detection --alpha 0.2 --beta 0.2 --tau 0.4 --c 0.5",
      "warning: NegativeEffectiveMinersWarning: L - d - 1 went negative and was floored at 0; "
      "expulsions outpace identities\n"),
-    ("game-solve --alpha1 0.2 --alpha2 0.1 --c 0.1",
+    ("reward-game --alpha1 0.2 --alpha2 0.1 --c 0.1",
      "warning: RationalFloorWarning: branch-win probability below the rational-manager floor "
      "alpha1 + alpha2\n"),
-], ids=("detection", "game-solve"))
+], ids=("detection", "reward-game"))
 def test_warning_is_one_stderr_line(capsys, argv, line):
     code, out, err = run_cli(capsys, *shlex.split(argv))
     assert (code, err) == (0, line)
@@ -410,6 +389,7 @@ _SCENARIO_COMMANDS = [
     ("sim-single", ("--rounds", "100")),
     ("sim-multi", ("--rounds", "100")),
     ("sim-game", ("--rounds", "100")),
+    ("reward-game", ()),
 ]
 
 
@@ -458,7 +438,10 @@ def test_scenario_path_may_start_with_a_brace(capsys, tmp_path, monkeypatch):
     assert json.loads(out)["scenario"] == _SCENARIO_FILES["SinglePoolScenario"]
 
 
-@pytest.mark.parametrize("command, flags", [("game-solve", ()), ("sim-game", ("--rounds", "100"))])
+@pytest.mark.parametrize("command, flags", [
+    ("reward-game", ()),
+    ("sim-game", ("--rounds", "100")),
+])
 @pytest.mark.parametrize("split", ["--c1", "--c2", "--c1p", "--c2p"])
 def test_game_costs_come_from_one_source(capsys, command, flags, split):
     code, out, err = run_cli(capsys, command, *_GAME_AT, *flags, split, "0.3")
@@ -493,29 +476,33 @@ def test_counter_commands(capsys):
     assert 0.0 < doc["reward_lower_bound"] < unguarded
 
 
-# every analytic with the flags it is run with and those it cannot do without
+# every analytic with the flags it is run with, those it cannot do without,
+# and one it does not read
 ANALYTICS = [
     ("bounds c-max", {"--alpha": "0.2", "--beta": "0.1", "--shares": "0.2,0.1,0.1",
-                      "--atomized": "0.3"}, ("--alpha", "--beta")),
-    ("bounds c-min", {"--alpha": "0.2", "--beta": "0.1"}, ("--alpha", "--beta")),
+                      "--atomized": "0.3"}, ("--alpha", "--beta"), ("--gamma", "0.5")),
+    ("bounds c-min", {"--alpha": "0.2", "--beta": "0.1"}, ("--alpha", "--beta"),
+     ("--atomized", "0")),
     ("bounds c-from-gamma", {"--gamma": "0.5", "--alpha": "0.2", "--beta": "0.1"},
-     ("--gamma", "--alpha", "--beta")),
-    ("bounds selfish-threshold", {"--gamma": "0.89"}, ("--gamma",)),
-    ("bounds gamma-bound", {"--alpha": "0.2", "--shares": "0.5,0.3"}, ("--alpha",)),
+     ("--gamma", "--alpha", "--beta"), ("--shares", "0.2")),
+    ("bounds selfish-threshold", {"--gamma": "0.89"}, ("--gamma",), ("--alpha", "0.3")),
+    ("bounds gamma-bound", {"--alpha": "0.2", "--shares": "0.5,0.3"}, ("--alpha",),
+     ("--beta", "0.1")),
     ("counter detection", {"--alpha": "0.2", "--beta": "0.2", "--tau": "0.4", "--c": "0.5",
-                           "-L": "10"}, ("--alpha", "--beta", "--tau", "--c")),
+                           "-L": "10"}, ("--alpha", "--beta", "--tau", "--c"), ("--t", "0.1")),
     ("counter honeypot", {"--alpha": "0.2", "--beta": "0.2", "--tau": "0.4", "-L": "10"},
-     ("--alpha", "--beta", "--tau")),
+     ("--alpha", "--beta", "--tau"), ("--c", "0.5")),
     ("counter bonus", {"--alpha": "0.2", "--beta": "0.2", "--tau": "0.4", "--c": "0.5",
-                       "--t": "0.1"}, ("--alpha", "--beta", "--tau", "--c", "--t")),
+                       "--t": "0.1"}, ("--alpha", "--beta", "--tau", "--c", "--t"),
+     ("-L", "1")),
     ("counter bonus-threshold", {"--pool-power": "0.3", "--c-max": "0.5"},
-     ("--pool-power", "--c-max")),
+     ("--pool-power", "--c-max"), ("--tau", "0.9")),
 ]
+_ANALYTIC_IDS = [command.split()[1] for command, *_ in ANALYTICS]
 
 
-@pytest.mark.parametrize("command, flags, required", ANALYTICS,
-                         ids=[command.split()[1] for command, _, _ in ANALYTICS])
-def test_analytic_needs_every_flag_it_reads(capsys, command, flags, required):
+@pytest.mark.parametrize("command, flags, required, _", ANALYTICS, ids=_ANALYTIC_IDS)
+def test_analytic_needs_every_flag_it_reads(capsys, command, flags, required, _):
     def argv(without=None):
         pairs = [item for flag, value in flags.items() if flag != without
                  for item in (flag, value)]
@@ -525,6 +512,14 @@ def test_analytic_needs_every_flag_it_reads(capsys, command, flags, required):
     for flag in required:
         assert run_cli(capsys, *argv(without=flag)) == (
             1, "", f"error: missing required flag {flag}\n")
+
+
+@pytest.mark.parametrize("command, flags, _, unread", ANALYTICS, ids=_ANALYTIC_IDS)
+def test_analytic_rejects_a_flag_it_does_not_read(capsys, command, flags, _, unread):
+    """Even at its default value, a flag the analytic does not read ends the run."""
+    argv = (*command.split(), *(item for pair in flags.items() for item in pair), *unread)
+    what, flag = command.split()[1], unread[0]
+    assert run_cli(capsys, *argv) == (1, "", f"error: {what} does not read {flag}\n")
 
 
 @pytest.mark.parametrize("argv, named", [
@@ -575,21 +570,24 @@ def test_sim_csv_records_the_solve(capsys):
               "--c", "1")),
 ])
 def test_sim_csv_and_table_match_json(capsys, kind, flags):
+    """CSV and table both hold the flattened JSON document: the same keys, the same values."""
     argv = (f"sim-{kind}", *flags, "--rounds", "5000", "--seed", "9")
     doc = json.loads(run_cli(capsys, *argv)[1])
     code, out, _ = run_cli(capsys, *argv, "--format", "csv")
     assert code == 0
-    header, row = (line.split(",") for line in out.splitlines())
+    header, row = csv.reader(io.StringIO(out))
     assert len(header) == len(row)
     csv_doc = dict(zip(header, row))
-    assert (csv_doc["kind"], csv_doc["rounds"], csv_doc["seed"]) == (kind, "5000", "9")
+    assert (csv_doc["kind"], csv_doc["config.rounds"], csv_doc["config.seed"]) == (kind, "5000",
+                                                                                    "9")
     for tag, count in doc["case_counts"].items():
-        assert int(csv_doc[tag]) == count
+        assert int(csv_doc[f"case_counts.{tag}"]) == count
     for actor, total in doc["reward_sums"].items():
-        assert float(csv_doc[f"{actor}_mean"]) == total / 5000
+        assert float(csv_doc[f"reward_means.{actor}"]) == total / 5000
     code, out, _ = run_cli(capsys, *argv, "--format", "table")
     assert code == 0
     table = dict(line.split(None, 1) for line in out.splitlines())
+    assert table == csv_doc
     assert table["kind"] == kind
     assert table["config.rounds"] == "5000"
     assert table["rng.block_rounds"] == str(doc["rng"]["block_rounds"])
@@ -653,13 +651,34 @@ def test_assumed_c_axis_out_of_range_is_a_typed_error(capsys, c):
 
 
 @pytest.mark.parametrize("argv", [
-    ("game-solve", "--alpha2", "0.1"),
-    ("game-sweep", "--alpha2", "0.1:0.2:0.1"),
-    ("game-sweep", "--alpha2", "0.1:0.2:0.1", "--assumed-c"),
-], ids=["solve", "sweep", "sweep-assumed-c"])
-def test_infinite_tol_is_a_typed_error(capsys, argv):
-    code, out, err = run_cli(capsys, *argv, "--alpha1", "0.2", "--c", "1", "--tol", "inf")
-    assert (code, out, err) == (1, "", "error: tol=inf must be finite\n")
+    ("reward-single", *_SINGLE_AT),
+    ("reward-game", *_GAME_AT, "--format", "table"),
+    ("game-sweep", "--alpha1", "0.2", "--alpha2", "0.1", "--c", "1"),
+], ids=["reward-single", "reward-game", "game-sweep"])
+@pytest.mark.parametrize("where, reason", [
+    ("missing/out.json", errno.ENOENT),
+    (".", errno.EISDIR),
+], ids=["missing-directory", "directory"])
+def test_unwritable_output_is_a_typed_error(capsys, tmp_path, argv, where, reason):
+    dest = tmp_path / where
+    code, out, err = run_cli(capsys, *argv, "--output", str(dest))
+    assert (code, out, err) == (1, "", f"error: cannot write {dest}: {os.strerror(reason)}\n")
+
+
+@pytest.mark.parametrize("argv, emitted, ignored", [
+    (SWEEP_FLAGS, ("csv", "json"), "table"),
+    (("reproduce", "selfish-009"), ("table", "json"), "csv"),
+], ids=["game-sweep", "reproduce"])
+def test_format_is_one_the_subcommand_emits(capsys, argv, emitted, ignored):
+    """The default first; a format the subcommand would not emit is an argparse error."""
+    outputs = [run_cli(capsys, *argv, "--format", fmt) for fmt in emitted]
+    assert [code for code, _, _ in outputs] == [0, 0]
+    assert run_cli(capsys, *argv)[1] == outputs[0][1]
+    assert outputs[1][1].startswith("{")
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--format", ignored])
+    assert exc.value.code == 2
+    assert f"invalid choice: '{ignored}'" in capsys.readouterr().err
 
 
 # the first two values of each flag are valid on their own
@@ -678,14 +697,13 @@ _SIM = {"--rounds": ("1", "2000", "0", "-1"), "--workers": ("1", "2"),
 # a range flag gives at most a few points: a small step on both axes asks for 10^12 cells
 _RANGES = ("0.1", "0.05:0.15:0.05", "0:1:0.5", "0.3:0.1:0.1", "0:1:0", "0:nan:0.1", "0:1:1e-9",
            "nan", "1.5", "-0.5")
-_TOLS = ("1e-7", "1e-13", "1e-3", "1e-9", "1e-15", "0", "-1", "nan", "inf")
 # subcommand -> flag -> values ("" is the positional argument, () a switch)
 _FUZZ = {
     "reward-single": _SINGLE,
     "reward-multi": {**_MULTI, "--taus": _POOLS},
-    "game-solve": {**_GAME, "--tol": _TOLS, "--max-iter": ("50", "1", "0", "-1")},
+    "reward-game": {**_GAME, "--f1": _NUMBERS, "--f2": _NUMBERS},
     "game-sweep": {"--alpha1": _NUMBERS, "--alpha2": _RANGES, "--c": _RANGES,
-                   "--assumed-c": (), "--tol": _TOLS},
+                   "--assumed-c": ()},
     "sim-single": {**_SINGLE, **_SIM},
     "sim-multi": {**_MULTI, "--taus": _POOLS, **_SIM},
     "sim-game": {**_GAME, "--f1": _NUMBERS, "--f2": _NUMBERS, **_SIM},

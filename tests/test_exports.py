@@ -1,11 +1,14 @@
-"""The names ``import fawkit`` exports: adding or removing one changes the public API."""
+"""The public surface: the names ``import fawkit`` exports and the ``faw`` subcommands with
+their options. Adding or removing one changes the public API."""
 
+import argparse
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import fawkit
+from fawkit.cli import build_parser
 
 EXPORTS = {
     # submodules that the package imports
@@ -47,3 +50,34 @@ def test_exported_names_are_pinned():
                            text=True, check=True).stdout.split()
     assert set(names) == EXPORTS
     assert len(names) == 63
+
+
+_RUN = ("--format", "--output")
+_SIM = ("--rounds", "--seed", "--workers", "--scenario", *_RUN)
+_SINGLE = ("--alpha", "--beta", "--c", "--tau")
+_MULTI = ("--alpha", "--betas", "--taus", "--c", "--preset")
+_GAME = ("--alpha1", "--alpha2", "--f1", "--f2", "--c", "--c1", "--c2", "--c1p", "--c2p")
+# subcommand -> its option strings, in --help order, without -h/--help
+CLI_SURFACE = {
+    "reward-single": (*_SINGLE, "--scenario", *_RUN),
+    "sim-single": (*_SINGLE, *_SIM),
+    "reward-multi": (*_MULTI, "--scenario", *_RUN),
+    "sim-multi": (*_MULTI, *_SIM),
+    "reward-game": (*_GAME, "--scenario", *_RUN),
+    "sim-game": (*_GAME, *_SIM),
+    "game-sweep": ("--alpha1", "--alpha2", "--c", "--assumed-c", *_RUN),
+    "bounds": ("--alpha", "--beta", "--gamma", "--shares", "--atomized", *_RUN),
+    "counter": ("--alpha", "--beta", "--tau", "--c", "-L", "--identities", "--t", "--pool-power",
+                "--c-max", *_RUN),
+    "reproduce": _RUN,
+}
+
+
+def test_cli_surface_is_pinned():
+    (commands,) = (action for action in build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction))
+    surface = {name: tuple(option for action in parser._actions
+                           for option in action.option_strings if option not in ("-h", "--help"))
+               for name, parser in commands.choices.items()}
+    assert surface == CLI_SURFACE
+    assert list(surface) == list(CLI_SURFACE)

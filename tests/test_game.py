@@ -298,14 +298,16 @@ def test_equilibrium_deviation_stable():
     assert res.deviation_gain <= 10 * 1e-7
 
 
-@pytest.mark.parametrize("solve", [
-    lambda tol: solve_equilibrium(0.3, 0.1, 1.0, 1.0, 0.5, 0.5, tol=tol),
-    lambda tol: sweep_regions(0.3, [0.1], [1.0], tol=tol),
-    lambda tol: sweep_regions_assumed_c(0.3, [0.1], [1.0], tol=tol),
-], ids=["solve", "sweep", "sweep-assumed-c"])
-def test_tol_below_the_floor_is_rejected(solve):
-    with pytest.raises(ConstraintViolated, match=f"tol=1e-15 is below the floor {TOL_FLOOR!r}"):
-        solve(1e-15)
+@pytest.mark.parametrize("solve, tol", [
+    (lambda tol: solve_equilibrium(0.3, 0.1, 1.0, 1.0, 0.5, 0.5, tol=tol), 1e-15),
+    (lambda tol: sweep_regions(0.3, [0.1], [1.0], tol=tol), 1e-15),
+    (lambda tol: sweep_regions_assumed_c(0.3, [0.1], [1.0], tol=tol), 1e-15),
+    (lambda tol: solve_equilibrium(0.3, 0.1, 1.0, 1.0, 0.5, 0.5, tol=tol), 0.0),
+    (lambda tol: sweep_regions(0.3, [0.1], [1.0], tol=tol), 0.0),
+], ids=["solve", "sweep", "sweep-assumed-c", "solve-0", "sweep-0"])
+def test_tol_below_the_floor_is_rejected(solve, tol):
+    with pytest.raises(ConstraintViolated, match=f"tol={tol!r} is below the floor {TOL_FLOOR!r}"):
+        solve(tol)
 
 
 @given(st.floats(0.001, 0.4999), st.floats(0.001, 0.4999), st.floats(0.0, 1.0),
@@ -334,6 +336,8 @@ def test_equilibrium_trace_and_iteration_cap():
     assert not res.converged
     assert res.iterations == 1
     assert len(res.trace) == 3  # start plus two unilateral updates
+    with pytest.raises(ConstraintViolated, match="max_iter=0 must be >= 1"):
+        solve_equilibrium(0.2, 0.1, 1.0, 1.0, 0.5, 0.5, max_iter=0)
 
 
 def test_classify_winner():
