@@ -9,6 +9,7 @@ floors c at alpha + beta.
 The countermeasure rewards are single-pool rewards with changed shares:
 the attacker's solo income plus the victim pool's honest and fork pots
 (single_pool._pots), each times the share the countermeasure leaves it.
+A function of alpha and beta checks them by building their SinglePoolScenario.
 
 Several expressions here substitute the infiltration fraction tau where the
 source derivations print an undefined gamma; every function doing so says
@@ -27,7 +28,7 @@ from .errors import (
     NegativeEffectiveMinersWarning,
     _caller_stacklevel,
 )
-from .scenarios import SinglePoolScenario, validate_single
+from .scenarios import SinglePoolScenario
 from .single_pool import _pots
 
 GAMMA_AS_TAU_NOTE = (
@@ -66,11 +67,6 @@ class HonestPowerDistribution:
         return sum(x * x for x in self.shares)
 
 
-def _check_powers(alpha: float, beta: float = 0.0) -> None:
-    """The scenario checks on the attacker's and the pool's power: [0, 1] and the majority guard."""
-    validate_single(SinglePoolScenario(alpha, beta, 0.0, 0.0))
-
-
 def _require_total(dist: HonestPowerDistribution, expected: float, what: str):
     if not abs(dist.total - expected) <= _TOTAL_TOL:
         raise InconsistentDistribution(
@@ -88,7 +84,7 @@ def c_max_single(alpha: float, beta: float, dist: HonestPowerDistribution) -> fl
     minus the participants' total. Fully atomized honest power gives 1; a
     single honest node owning everything gives alpha + beta.
     """
-    _check_powers(alpha, beta)
+    SinglePoolScenario(alpha, beta, 0.0, 0.0)
     external = 1.0 - alpha - beta
     _require_total(dist, external, "1 - alpha - beta")
     return 1.0 - dist.square_sum / external
@@ -96,7 +92,7 @@ def c_max_single(alpha: float, beta: float, dist: HonestPowerDistribution) -> fl
 
 def c_min_rational(alpha: float, beta: float) -> float:
     """Lower bound on c when the victim manager is rational: alpha + beta."""
-    _check_powers(alpha, beta)
+    SinglePoolScenario(alpha, beta, 0.0, 0.0)
     return alpha + beta
 
 
@@ -109,7 +105,7 @@ def c_from_gamma(gamma: float, alpha: float, beta: float) -> float:
     """
     if not 0.0 <= gamma <= 1.0:
         raise ConstraintViolated(f"gamma={gamma!r} outside [0, 1]")
-    _check_powers(alpha, beta)
+    SinglePoolScenario(alpha, beta, 0.0, 0.0)
     return gamma * (1.0 - alpha - beta) + alpha + beta
 
 
@@ -129,7 +125,7 @@ def gamma_upper_bound(dist: HonestPowerDistribution, alpha: float) -> float:
     This is the weakest link of the chain of inequalities and therefore the
     safest cap; the honest shares must sum to 1 - alpha.
     """
-    _check_powers(alpha)
+    SinglePoolScenario(alpha, 0.0, 0.0, 0.0)
     _require_total(dist, 1.0 - alpha, "1 - alpha")
     return 1.0 - dist.square_sum
 
@@ -170,7 +166,7 @@ def detection_resilient_reward(alpha, beta, tau, c, L: int) -> float:
     """
     if L < 1:
         raise ConstraintViolated(f"L={L!r} must be >= 1")
-    validate_single(SinglePoolScenario(alpha, beta, tau, c))
+    SinglePoolScenario(alpha, beta, tau, c)
     ta, innocent, honest_pot, fork_pot = _pots(alpha, beta, tau, c)
     ext = 1.0 - alpha - beta
     wins = beta + c * ta * ext
@@ -197,7 +193,7 @@ def honeypot_bwh_bound(alpha, beta, tau, L: int) -> float:
     """
     if L < 1:
         raise ConstraintViolated(f"L={L!r} must be >= 1")
-    validate_single(SinglePoolScenario(alpha, beta, tau, 0.0))
+    SinglePoolScenario(alpha, beta, tau, 0.0)
     ta, innocent, honest_pot, _ = _pots(alpha, beta, tau, 0.0)
     if ta == 0.0:
         return innocent  # == alpha
@@ -223,7 +219,7 @@ def bonus_scheme_reward(alpha, beta, tau, c, t: float) -> float:
     """
     if not 0.0 <= t <= 1.0:
         raise ConstraintViolated(f"t={t!r} outside [0, 1]")
-    validate_single(SinglePoolScenario(alpha, beta, tau, c))
+    SinglePoolScenario(alpha, beta, tau, c)
     ta, innocent, honest_pot, fork_pot = _pots(alpha, beta, tau, c)
     share = ta / (beta + ta) if beta + ta > 0.0 else 0.0
     return innocent + honest_pot * (1.0 - t) * share + fork_pot * (t + (1.0 - t) * share)

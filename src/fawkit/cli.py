@@ -45,7 +45,6 @@ from .scenarios import (
     load_scenario,
     rer,
     scenario_to_dict,
-    validate,
 )
 
 SCHEMA_VERSION = simulator.SCHEMA_VERSION
@@ -149,9 +148,9 @@ def _single_scenario(args) -> tuple[SinglePoolScenario, dict | None]:
     """Without ``--tau``, the optimal tau."""
     _require(args, "alpha", "beta", "c")
     if args.tau is not None:
-        return validate(SinglePoolScenario(args.alpha, args.beta, args.tau, args.c)), None
+        return SinglePoolScenario(args.alpha, args.beta, args.tau, args.c), None
     res = single_pool.optimal_tau(args.alpha, args.beta, args.c)
-    return validate(SinglePoolScenario(args.alpha, args.beta, res.tau_bar, args.c)), asdict(res)
+    return SinglePoolScenario(args.alpha, args.beta, res.tau_bar, args.c), asdict(res)
 
 
 def _multi_scenario(args) -> tuple[MultiPoolScenario, dict | None]:
@@ -164,9 +163,9 @@ def _multi_scenario(args) -> tuple[MultiPoolScenario, dict | None]:
     alpha, betas = multi_pool.preset_attack(args.preset) if args.preset else inline
     _require(args, "c")
     if args.taus is not None:
-        return validate(MultiPoolScenario(alpha, betas, args.taus, args.c)), None
+        return MultiPoolScenario(alpha, betas, args.taus, args.c), None
     res = multi_pool.optimize_allocation(alpha, betas, args.c)
-    return validate(MultiPoolScenario(alpha, betas, res.taus, args.c)), asdict(res)
+    return MultiPoolScenario(alpha, betas, res.taus, args.c), asdict(res)
 
 
 def _game_cs(args):
@@ -190,10 +189,9 @@ def _game_scenario(args) -> tuple[GameScenario, dict | None]:
     if (args.f1 is None) != (args.f2 is None):
         raise FawError("give both --f1 and --f2, or neither for the equilibrium")
     if args.f1 is not None:
-        return validate(GameScenario(args.alpha1, args.alpha2, args.f1, args.f2, *cs)), None
+        return GameScenario(args.alpha1, args.alpha2, args.f1, args.f2, *cs), None
     res = game_mod.solve_equilibrium(args.alpha1, args.alpha2, *cs)
-    s = GameScenario(args.alpha1, args.alpha2, res.f1_star, res.f2_star, *cs)
-    return validate(s), asdict(res)
+    return GameScenario(args.alpha1, args.alpha2, res.f1_star, res.f2_star, *cs), asdict(res)
 
 
 def _single_rewards(s) -> dict:

@@ -9,11 +9,11 @@ _PACKAGE_DIR = os.path.dirname(__file__) + os.sep
 def _caller_stacklevel() -> int:
     """``warnings.warn`` stacklevel of the first frame outside this package.
 
-    Called by the function that warns, so that a warning names the user's
-    line however deep in the package it was raised.
+    Called by the function that warns, so that its warning names the user's line. Frames
+    are placed by module ``__file__``: a dataclass ``__init__``'s code file is ``<string>``.
     """
     frame, level = sys._getframe(1), 1
-    while frame is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
+    while frame is not None and (frame.f_globals.get("__file__") or "").startswith(_PACKAGE_DIR):
         frame, level = frame.f_back, level + 1
     return level
 
@@ -51,7 +51,7 @@ class UnknownFixture(FawError):
 
 
 class ScenarioFileError(FawError):
-    """A scenario file failed to parse; the message names the offending key."""
+    """A scenario file failed to read or parse; the message names the offending key or file."""
 
 
 class RationalFloorWarning(UserWarning):

@@ -44,7 +44,7 @@ from .errors import (
     RationalFloorWarning,
     _caller_stacklevel,
 )
-from .scenarios import GameScenario, validate_game
+from .scenarios import GameScenario
 
 WINNER_POOL1 = "pool1"
 WINNER_POOL2 = "pool2"
@@ -78,13 +78,12 @@ def pot_payoffs_raw(a1, a2, f1, f2, c1, c2, c1p, c2p):
 
 
 def game_payoffs(g: GameScenario) -> tuple[float, float]:
-    """Exact (pot1, pot2) for a validated scenario.
+    """Exact (pot1, pot2).
 
     Substituting the result back into the defining equations reproduces it
     to rounding error; with f1 = f2 = 0 it is exactly (alpha1, alpha2).
-    Validation keeps the system's determinant at 3/4 or more.
+    A valid scenario keeps the system's determinant at 3/4 or more.
     """
-    validate_game(g)
     r1, r2 = pot_payoffs_raw(g.alpha1, g.alpha2, g.f1, g.f2, g.c1, g.c2, g.c1p, g.c2p)
     return float(r1), float(r2)
 
@@ -101,7 +100,6 @@ def _score(a1, a2, f1, f2, c1, c2, c1p, c2p):
 
 def net_payoffs(g: GameScenario) -> tuple[float, float]:
     """Each pool's take after paying the opponent's infiltrator its share."""
-    validate_game(g)
     _, (net1, net2), _ = _score(g.alpha1, g.alpha2, g.f1, g.f2, g.c1, g.c2, g.c1p, g.c2p)
     return float(net1), float(net2)
 
@@ -123,7 +121,7 @@ def _require_tol(tol):
 def _check_game(alpha1, alpha2, c1, c2, c1p, c2p, f1=0.0, f2=0.0):
     """The checks of one solve: both pools hold power, and the game is valid."""
     _require_powers(alpha1, alpha2)
-    validate_game(GameScenario(alpha1, alpha2, f1, f2, c1, c2, c1p, c2p))
+    GameScenario(alpha1, alpha2, f1, f2, c1, c2, c1p, c2p)
 
 
 def best_response(g: GameScenario, responder: int) -> float:
@@ -133,7 +131,6 @@ def best_response(g: GameScenario, responder: int) -> float:
     points between them (see the module docstring), the smallest x on a
     tie. Both pools need power of their own, or a candidate empties a pool.
     """
-    validate_game(g)
     if responder not in (1, 2):
         raise ConstraintViolated(f"responder={responder!r} must be 1 or 2")
     _require_powers(g.alpha1, g.alpha2)
@@ -280,6 +277,8 @@ def solve_equilibrium(alpha1, alpha2, c1, c2, c1p, c2p,
     _require_tol(tol)
     if max_iter < 1:
         raise ConstraintViolated(f"max_iter={max_iter!r} must be >= 1")
+    if len(start) != 2:
+        raise ConstraintViolated(f"start={start!r} must be a pair (f1, f2)")
     _check_game(alpha1, alpha2, c1, c2, c1p, c2p, *start)
     f1, f2 = float(start[0]), float(start[1])
     trace = [(f1, f2)] if keep_trace else []

@@ -31,7 +31,7 @@ guard, so no sum cancels. Pool counts are capped at MAX_POOLS by the
 simulator's uint8 withheld-set bitmask; the kernel itself has no cap.
 
 The kernel _reward_raw takes each tau as a float or an ndarray: reward_npool
-validates and calls it on floats, and optimize_allocation scores each
+calls it on a scenario's floats, and optimize_allocation scores each
 coordinate's whole grid as one array in one call. Every sum is sequential,
 in a fixed order (1 - ta(S) pool by pool, each pot over P ascending as
 bitmasks, T and B pool by pool), so a float call and a grid column give the
@@ -50,7 +50,7 @@ import numpy as np
 
 from .errors import ConstraintViolated, DegenerateInput
 from .optimize import grid_golden_max
-from .scenarios import MultiPoolScenario, rer, validate_multi
+from .scenarios import MultiPoolScenario, rer
 
 # Approximate network power distribution used throughout the worked examples:
 # open pools plus an "Unknown" remainder of closed pools and solo miners.
@@ -102,7 +102,7 @@ def reward_two_pools(alpha, beta1, beta2, tau1, tau2,
         raise ConstraintViolated(f"tau1 + tau2 = {tau1 + tau2!r} exceeds 1")
     if c1_three + c2_three > 1.0 + 1e-15:
         raise ConstraintViolated("c1_three + c2_three exceeds 1")
-    validate_multi(MultiPoolScenario(alpha, (beta1, beta2), (tau1, tau2), c1_two))
+    MultiPoolScenario(alpha, (beta1, beta2), (tau1, tau2), c1_two)
 
     ta1, ta2 = tau1 * alpha, tau2 * alpha
     total_ta = ta1 + ta2
@@ -165,9 +165,8 @@ def reward_npool(s: MultiPoolScenario) -> float:
     """Attacker reward against n pools under the c/k branch-win model.
 
     Collapses to the single-pool formula at n=1 and to reward_two_pools with
-    (c, c/2) at n=2.
+    (c, c/2) at n=2. The scenario checked itself when it was built.
     """
-    validate_multi(s)
     return float(_reward_raw(s.alpha, s.betas, s.taus, s.c))
 
 
@@ -199,7 +198,7 @@ def optimize_allocation(alpha, betas, c) -> AllocationResult:
     betas = tuple(float(b) for b in betas)
     if any(b <= 0.0 for b in betas):
         raise DegenerateInput("every target pool needs beta > 0")
-    validate_multi(MultiPoolScenario(alpha, betas, (0.0,) * len(betas), c))
+    MultiPoolScenario(alpha, betas, (0.0,) * len(betas), c)  # checks the powers and c
 
     powers = list(dict.fromkeys(betas))  # pools of equal power share one tau
     group = [powers.index(b) for b in betas]

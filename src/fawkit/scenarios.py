@@ -6,8 +6,8 @@ round, so with everyone honest a miner's expected per-round reward equals
 its power fraction. No single miner or pool may hold 0.5 or more (majority
 guard), and unintentional forks are ignored throughout.
 
-All types are immutable after construction and safe to share between
-concurrent workers.
+Each scenario type runs its validate_* when built, so every instance is valid and
+no function taking one checks it again; all are immutable, safe to share across threads.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ def _check_actor_power(name: str, value: float) -> None:
 
 @dataclass(frozen=True)
 class SinglePoolScenario:
-    """One attacker infiltrating one proportional-payout pool.
+    """One attacker infiltrating one proportional-payout pool, checked by validate_single.
 
     alpha: attacker's total power
     beta:  victim pool's power, excluding the attacker's infiltration part
@@ -60,10 +60,13 @@ class SinglePoolScenario:
     tau: float
     c: float
 
+    def __post_init__(self):
+        validate_single(self)
+
 
 @dataclass(frozen=True)
 class MultiPoolScenario:
-    """One attacker infiltrating up to MAX_POOLS pools at once.
+    """One attacker infiltrating up to MAX_POOLS pools at once, checked by validate_multi.
 
     A fork with k attacker branches gives each branch win probability c/k,
     so the attacker side never exceeds c in total.
@@ -77,11 +80,12 @@ class MultiPoolScenario:
     def __post_init__(self):
         object.__setattr__(self, "betas", tuple(float(b) for b in self.betas))
         object.__setattr__(self, "taus", tuple(float(t) for t in self.taus))
+        validate_multi(self)
 
 
 @dataclass(frozen=True)
 class GameScenario:
-    """Two pools infiltrating each other.
+    """Two pools infiltrating each other, checked by validate_game.
 
     f1, f2 are absolute infiltration powers (f_i = tau_i * alpha_i).
     c1, c2 are two-branch win probabilities for the block found by pool i's
@@ -97,12 +101,15 @@ class GameScenario:
     c1p: float
     c2p: float
 
+    def __post_init__(self):
+        validate_game(self)
+
 
 Scenario = SinglePoolScenario | MultiPoolScenario | GameScenario
 
 
 def validate_single(s: SinglePoolScenario) -> SinglePoolScenario:
-    """Return ``s`` unchanged iff all invariants hold. Idempotent."""
+    """The checks a SinglePoolScenario runs on construction; returns ``s`` unchanged."""
     _check_actor_power("alpha", s.alpha)
     _check_actor_power("beta", s.beta)
     _check_unit("tau", s.tau)
@@ -111,7 +118,7 @@ def validate_single(s: SinglePoolScenario) -> SinglePoolScenario:
 
 
 def validate_multi(s: MultiPoolScenario) -> MultiPoolScenario:
-    """Return ``s`` unchanged iff all invariants hold. Idempotent."""
+    """The checks a MultiPoolScenario runs on construction; returns ``s`` unchanged."""
     n = len(s.betas)
     if n != len(s.taus):
         raise ConstraintViolated(
@@ -137,7 +144,7 @@ def validate_multi(s: MultiPoolScenario) -> MultiPoolScenario:
 
 
 def validate_game(s: GameScenario) -> GameScenario:
-    """Return ``s`` unchanged iff all invariants hold. Idempotent.
+    """The checks a GameScenario runs on construction; returns ``s`` unchanged.
 
     Each pool must hold some power, its own or the opponent's infiltrator.
     Branch-win probabilities below the rational-manager floor
@@ -166,6 +173,7 @@ def validate_game(s: GameScenario) -> GameScenario:
 
 
 def validate(s: Scenario) -> Scenario:
+    """Re-run the checks of ``s``'s type; a built scenario always passes them."""
     if isinstance(s, SinglePoolScenario):
         return validate_single(s)
     if isinstance(s, MultiPoolScenario):
@@ -205,7 +213,10 @@ _LIST_FIELDS = ("betas", "taus")
 def _coerce_number(key: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioFileError(f"field '{key}': expected a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ScenarioFileError(f"field '{key}': integer too large for a float") from None
 
 
 def _coerce_number_list(key: str, value) -> tuple[float, ...]:
@@ -215,7 +226,7 @@ def _coerce_number_list(key: str, value) -> tuple[float, ...]:
 
 
 def scenario_from_dict(data: dict) -> Scenario:
-    """Build and validate a scenario from a flat mapping."""
+    """Build a scenario, which validates itself, from a flat mapping."""
     if not isinstance(data, dict):
         raise ScenarioFileError(f"expected a JSON object, got {type(data).__name__}")
     if "scenario" in data and isinstance(data["scenario"], dict):
@@ -237,19 +248,17 @@ def scenario_from_dict(data: dict) -> Scenario:
             kwargs[key] = _coerce_number_list(key, value)
         else:
             kwargs[key] = _coerce_number(key, value)
-    return validate(cls(**kwargs))
+    return cls(**kwargs)
 
 
 def load_scenario(path) -> Scenario:
-    """Load and validate a scenario from the JSON file at ``path``."""
+    """Load a scenario from the JSON file at ``path``."""
     try:
-        text = Path(path).read_text()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ScenarioFileError(f"cannot read scenario file {path}: {exc}") from exc
-    try:
-        data = json.loads(text)
+        data = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ScenarioFileError(f"invalid JSON in scenario: {exc}") from exc
+    except (OSError, ValueError, RecursionError) as exc:  # not UTF-8, over 4300 digits, too deep
+        raise ScenarioFileError(f"cannot read scenario file {path}: {exc}") from exc
     return scenario_from_dict(data)
 
 

@@ -58,7 +58,6 @@ from .scenarios import (
     Scenario,
     SinglePoolScenario,
     scenario_to_dict,
-    validate,
 )
 
 SCHEMA_VERSION = 1
@@ -248,13 +247,14 @@ def _game_model(s: GameScenario) -> _Model:
 
 
 def _model(s) -> _Model:
-    validate(s)
     if isinstance(s, SinglePoolScenario):
         return _pool_model("single", s.alpha, (s.beta,), (s.tau,), s.c, ("pool",))
     if isinstance(s, MultiPoolScenario):
         pools = tuple(f"pool_{i + 1}" for i in range(len(s.betas)))
         return _pool_model("multi", s.alpha, s.betas, s.taus, s.c, pools)
-    return _game_model(s)
+    if isinstance(s, GameScenario):
+        return _game_model(s)
+    raise TypeError(f"not a scenario: {s!r}")
 
 
 def _block_rng(seed: int, block_index: int) -> np.random.Generator:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DegenerateInput
 from .optimize import grid_golden_max
-from .scenarios import SinglePoolScenario, validate_single
+from .scenarios import SinglePoolScenario
 
 TAU_AGREEMENT_TOL = 1e-6  # closed form and numeric optimum must agree to this
 TAU_GRID = 1000           # optimal_tau: coarse scan points over [0, 1]
@@ -55,8 +55,7 @@ def attacker_reward_formula(alpha, beta, tau, c):
 
 
 def reward_single(s: SinglePoolScenario) -> float:
-    """Attacker's expected per-round reward for a validated scenario."""
-    validate_single(s)
+    """Attacker's expected per-round reward."""
     return float(attacker_reward_formula(s.alpha, s.beta, s.tau, s.c))
 
 
@@ -67,7 +66,6 @@ def victim_reward(s: SinglePoolScenario) -> float:
     tau in (0, 1), and increasing in c: a manager who propagates the stale
     block quickly shrinks his own loss.
     """
-    validate_single(s)
     _, _, honest_pot, fork_pot = _pots(s.alpha, s.beta, s.tau, s.c)
     return float(honest_pot + fork_pot)
 
@@ -118,7 +116,7 @@ def optimal_tau(alpha: float, beta: float, c: float) -> OptimalTauResult:
     positive: infiltrating an empty pool is meaningless and the closed form
     degenerates there.
     """
-    validate_single(SinglePoolScenario(alpha, beta, 0.0, c))
+    SinglePoolScenario(alpha, beta, 0.0, c)  # checks the powers and c
     if beta <= 0.0:
         raise DegenerateInput("optimal_tau needs beta > 0")
 

@@ -357,6 +357,22 @@ def test_warning_is_one_stderr_line(capsys, argv, line):
         assert run_cli(capsys, *shlex.split(argv)) == (0, out, "")
 
 
+@pytest.mark.parametrize("argv, count", [
+    ("reward-game --f1 0.05 --f2 0.02", 1),
+    ("sim-game --f1 0.05 --f2 0.02 --rounds 1000 --workers 1", 1),
+    ("reward-game", 2),
+    ("sim-game --rounds 1000 --workers 1", 2),
+], ids=("reward-game", "sim-game", "reward-game-solved", "sim-game-solved"))
+def test_floor_warning_once_per_built_scenario(capsys, argv, count):
+    # a solved run builds two scenarios: the solve's start and the equilibrium
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        code, _, err = run_cli(capsys, *shlex.split(argv), "--alpha1", "0.2", "--alpha2", "0.1",
+                               "--c", "0.1")
+    assert code == 0
+    assert err.count("warning: RationalFloorWarning") == count
+
+
 def test_game_sweep_warns_in_one_stderr_line(capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("always")  # the sweep itself must not repeat the warning

@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import game_scenarios
-from fawkit import game
+from fawkit import game, scenarios
 from fawkit.errors import (
     ConstraintViolated,
     DegenerateInput,
@@ -338,6 +338,9 @@ def test_equilibrium_trace_and_iteration_cap():
     assert len(res.trace) == 3  # start plus two unilateral updates
     with pytest.raises(ConstraintViolated, match="max_iter=0 must be >= 1"):
         solve_equilibrium(0.2, 0.1, 1.0, 1.0, 0.5, 0.5, max_iter=0)
+    for start in ((0.1,), (0.1, 0.05, 0.0)):
+        with pytest.raises(ConstraintViolated, match=re.escape(f"start={start!r} must be a pair")):
+            solve_equilibrium(0.2, 0.1, 1.0, 1.0, 0.5, 0.5, start=start)
 
 
 def test_classify_winner():
@@ -513,19 +516,23 @@ def test_sweep_warns_once_with_the_count_of_plans_below_the_floor():
          "rational-manager floor alpha1 + alpha2", __file__)]
 
 
-_BELOW_FLOOR = GameScenario(0.2, 0.1, 0.0, 0.0, 0.1, 0.1, 0.05, 0.05)
+def _below_floor():
+    return GameScenario(0.2, 0.1, 0.0, 0.0, 0.1, 0.1, 0.05, 0.05)
 
 
 @pytest.mark.parametrize("call", [
+    _below_floor,
     lambda: solve_equilibrium(0.2, 0.1, 0.1, 0.1, 0.05, 0.05),
-    lambda: net_payoffs(_BELOW_FLOOR),
-    lambda: best_response(_BELOW_FLOOR, 1),
-    lambda: simulate(SimConfig(rounds=1000, seed=1, scenario=_BELOW_FLOOR)),
-], ids=["solve_equilibrium", "net_payoffs", "best_response", "simulate"])
+    lambda: net_payoffs(_below_floor()),
+    lambda: best_response(_below_floor(), 1),
+    lambda: simulate(SimConfig(rounds=1000, seed=1, scenario=_below_floor())),
+], ids=["GameScenario", "solve_equilibrium", "net_payoffs", "best_response", "simulate"])
 def test_floor_warning_names_the_callers_line(call):
-    with pytest.warns(RationalFloorWarning) as caught:
+    """The one warning comes from building the game: a call on a built scenario adds none."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         call()
-    assert {w.filename for w in caught} == {__file__}
+    assert [(w.category, w.filename) for w in caught] == [(RationalFloorWarning, __file__)]
 
 
 def test_sweep_passes_other_warnings_through(monkeypatch):
@@ -533,7 +540,7 @@ def test_sweep_passes_other_warnings_through(monkeypatch):
         warnings.warn("not about the floor", UserWarning)
         return validate_game(g)
 
-    monkeypatch.setattr(game, "validate_game", noisy_validate)
+    monkeypatch.setattr(scenarios, "validate_game", noisy_validate)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         sweep_regions(0.2, [0.1], [0.5, 1.0])
@@ -594,7 +601,7 @@ def test_assumed_c_checks_each_axis_c_once(monkeypatch):
         checked.append((g.alpha2, g.c1))
         return validate_game(g)
 
-    monkeypatch.setattr(game, "validate_game", counting_validate)
+    monkeypatch.setattr(scenarios, "validate_game", counting_validate)
     sweep_regions_assumed_c(0.2, [0.1, 0.15, 0.1], [0.5, 1.0, 0.5])
     # each plan once, and each distinct axis c once, after the plan of its first cell
     assert checked == [(0.1, 0.2 + 0.1), (0.1, 0.5), (0.15, 0.2 + 0.15), (0.1, 1.0)]

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -96,9 +98,8 @@ def test_fuzz_accepted_scenarios_satisfy_invariants():
     accepted = 0
     for _ in range(3000):
         vals = rng.uniform(-0.5, 1.5, size=4)
-        s = SinglePoolScenario(*vals)
         try:
-            validate_single(s)
+            s = SinglePoolScenario(*vals)
         except (PowerOutOfRange, BudgetExceeded):
             continue
         accepted += 1
@@ -113,14 +114,13 @@ def test_fuzz_multi_invariants():
     accepted = 0
     for _ in range(2000):
         n = rng.integers(1, 4)
-        s = MultiPoolScenario(
-            rng.uniform(-0.5, 1.5),
-            tuple(rng.uniform(-0.5, 1.5, n)),
-            tuple(rng.uniform(-0.5, 1.5, n)),
-            rng.uniform(-0.5, 1.5),
-        )
         try:
-            validate_multi(s)
+            s = MultiPoolScenario(
+                rng.uniform(-0.5, 1.5),
+                tuple(rng.uniform(-0.5, 1.5, n)),
+                tuple(rng.uniform(-0.5, 1.5, n)),
+                rng.uniform(-0.5, 1.5),
+            )
         except (PowerOutOfRange, BudgetExceeded, ConstraintViolated, TooManyPools):
             continue
         accepted += 1
@@ -128,6 +128,38 @@ def test_fuzz_multi_invariants():
         assert s.alpha + sum(s.betas) <= 1 + 1e-15
         assert all(0 <= b < 0.5 for b in s.betas)
     assert accepted > 0
+
+
+def test_fuzz_game_invariants():
+    rng = np.random.default_rng(13)
+    accepted = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RationalFloorWarning)
+        for _ in range(3000):
+            a1, a2 = rng.uniform(-0.1, 0.6, 2)
+            f1, f2 = rng.uniform(-0.1, 0.6, 2)
+            try:
+                g = GameScenario(a1, a2, f1, f2, *rng.uniform(-0.2, 1.2, 4))
+            except (PowerOutOfRange, ConstraintViolated, DegenerateInput):
+                continue
+            accepted += 1
+            assert 0 <= g.alpha1 < 0.5 and 0 <= g.alpha2 < 0.5
+            assert 0 <= g.f1 <= g.alpha1 and 0 <= g.f2 <= g.alpha2
+            assert all(0 <= c <= 1 for c in (g.c1, g.c2, g.c1p, g.c2p))
+            assert g.c1p + g.c2p <= 1 + 1e-15
+            assert g.alpha1 + g.f2 > 0 and g.alpha2 + g.f1 > 0
+    assert accepted > 0
+
+
+@pytest.mark.parametrize("valid, field", [
+    (SinglePoolScenario(0.2, 0.2, 0.5, 0.5), "alpha"),
+    (MultiPoolScenario(0.2, (0.2, 0.1), (0.1, 0.05), 1.0), "alpha"),
+    (GameScenario(0.2, 0.1, 0.05, 0.02, 0.5, 0.5, 0.25, 0.25), "alpha1"),
+], ids=["single", "multi", "game"])
+def test_replace_revalidates(valid, field):
+    # the invariants hold for a scenario made by replace as for one built directly
+    with pytest.raises(PowerOutOfRange, match=f"{field}=0.6 reaches the majority guard"):
+        dataclasses.replace(valid, **{field: 0.6})
 
 
 def test_rer_values():
@@ -177,6 +209,21 @@ def test_invalid_json_reported(tmp_path):
     path = tmp_path / "scen.json"
     path.write_text("{not json")
     with pytest.raises(ScenarioFileError, match="invalid JSON"):
+        load_scenario(path)
+
+
+@pytest.mark.parametrize("text, named", [
+    ('{"alpha": %s, "beta": 0.2, "tau": 0.1, "c": 0.5}' % ("1" * 401), "'alpha'"),
+    ('{"alpha": 0.2, "betas": [0.1, %s], "taus": [0.1, 0.1], "c": 0.5}' % ("1" * 401),
+     r"'betas\[1\]'"),
+    ('{"alpha": %s, "beta": 0.2, "tau": 0.1, "c": 0.5}' % ("1" * 4301), "scen.json|'alpha'"),
+    ("[" * 100_000 + "]" * 100_000, "scen.json"),
+], ids=["float-overflow", "list-float-overflow", "over-4300-digits", "100000-deep"])
+def test_unparsable_numbers_and_nesting_reported(tmp_path, text, named):
+    # a number or a depth Python cannot take is a file error, not a traceback
+    path = tmp_path / "scen.json"
+    path.write_text(text)
+    with pytest.raises(ScenarioFileError, match=named):
         load_scenario(path)
 
 
