@@ -48,7 +48,6 @@ from .scenarios import (
 )
 
 SCHEMA_VERSION = simulator.SCHEMA_VERSION
-DEFAULT_SEED_ENV = "FAW_SEED"
 
 
 # --- small helpers -----------------------------------------------------------
@@ -71,14 +70,6 @@ def parse_range(text: str) -> list[float]:
 
 def parse_floats(text: str) -> tuple[float, ...]:
     return tuple(float(p) for p in text.split(",") if p.strip() != "")
-
-
-def _default_seed() -> int:
-    raw = os.environ.get(DEFAULT_SEED_ENV, "42")
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConstraintViolated(f"{DEFAULT_SEED_ENV}={raw!r} is not an integer") from None
 
 
 def _flatten(doc, prefix=""):
@@ -249,7 +240,7 @@ def cmd_game_sweep(args) -> int:
 def cmd_sim(args) -> int:
     scenario, solve = _scenario(args)
     cfg = simulator.SimConfig(rounds=args.rounds, scenario=scenario, workers=args.workers,
-                              seed=_default_seed() if args.seed is None else args.seed)
+                              seed=args.seed)
     emit(_with_solve(simulator.simulate(cfg).to_json_dict(), solve), args.format, args.output)
     return _exit_code(solve)
 
@@ -387,8 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=cmd_reward, rewards=rewards, **scenario)
         p = sub.add_parser(f"sim-{kind}", parents=[flags], help=f"Monte Carlo {kind} run")
         p.add_argument("--rounds", type=int, required=True)
-        p.add_argument("--seed", type=int, default=None,
-                       help=f"default 42, overridable via ${DEFAULT_SEED_ENV}")
+        p.add_argument("--seed", type=int, default=42, help="default 42")
         p.add_argument("--workers", type=int, default=os.cpu_count() or 1,
                        help="worker threads; results do not depend on this")
         _add_scenario_opt(p)

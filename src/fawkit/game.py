@@ -53,11 +53,10 @@ WINNER_TIE = "both_gain_tie"
 
 TIE_EPS_PP = 1e-4      # |RER| below this (in percentage points) counts as the borderline
 DEVIATION_GRID = 2000  # unilateral_gain: line-scan points per pool
-MAX_ITER = 10000       # best-response rounds per solve: the default, and every sweep cell's cap
-TOL = 1e-7             # default solve tol: best-response rounds stop when max |df| < TOL
-# finest solve tol: over 1500 random games and starts every solve converges at 1e-14 (in at most
-# 17 rounds), while at 1e-16 about one in eight cycles at the level of rounding
-TOL_FLOOR = 1e-13
+# the stopping rule of every solve and sweep cell, read at call time: best-response rounds
+# stop when max |df| < TOL, or after MAX_ITER rounds unconverged
+TOL = 1e-7
+MAX_ITER = 10000
 
 SWEEP_CSV_HEADER = ("alpha2", "c", "f1", "f2", "rer1_pct", "rer2_pct", "winner", "converged")
 
@@ -108,14 +107,6 @@ def _require_powers(alpha1, alpha2):
     for name, power in (("alpha1", alpha1), ("alpha2", alpha2)):
         if power == 0.0:
             raise DegenerateInput(f"{name}={power!r} must be positive: a powerless pool has no RER")
-
-
-def _require_tol(tol):
-    if not math.isfinite(tol):  # at tol = inf every round would pass as converged
-        raise ConstraintViolated(f"tol={tol!r} must be finite")
-    if tol < TOL_FLOOR:
-        raise ConstraintViolated(
-            f"tol={tol!r} is below the floor {TOL_FLOOR!r}, the finest tol the solver is tested at")
 
 
 def _check_game(alpha1, alpha2, c1, c2, c1p, c2p, f1=0.0, f2=0.0):
@@ -204,10 +195,10 @@ def _best_response_raw(a1, a2, c1, c2, c1p, c2p, responder, f_opp):
     return np.where(pot == pot.max(axis=-1, keepdims=True), xs, np.inf).min(axis=-1)[()]
 
 
-def _lockstep_equilibria(a1, a2, c, tol):
+def _lockstep_equilibria(a1, a2, c):
     """``solve_equilibrium`` from (0, 0) for every (a2, c) plan at once: f1, f2 and converged.
 
-    Each plan leaves the lockstep by the per-cell rule: max |df| < tol, or
+    Each plan leaves the lockstep by the per-cell rule: max |df| < TOL, or
     MAX_ITER rounds.
     """
     f1, f2 = np.zeros(len(a2)), np.zeros(len(a2))
@@ -219,7 +210,7 @@ def _lockstep_equilibria(a1, a2, c, tol):
         a2_, c_, half = a2[live], c[live], c[live] / 2.0
         new_f1 = _best_response_raw(a1, a2_, c_, c_, half, half, 1, f2[live])
         new_f2 = _best_response_raw(a1, a2_, c_, c_, half, half, 2, new_f1)
-        done = np.maximum(np.abs(new_f1 - f1[live]), np.abs(new_f2 - f2[live])) < tol
+        done = np.maximum(np.abs(new_f1 - f1[live]), np.abs(new_f2 - f2[live])) < TOL
         f1[live], f2[live] = new_f1, new_f2
         converged[live[done]] = True
         live = live[~done]
@@ -261,22 +252,17 @@ def unilateral_gain(a1, a2, c1, c2, c1p, c2p, f1, f2) -> float:
     return float(max(gain1, gain2))
 
 
-def solve_equilibrium(alpha1, alpha2, c1, c2, c1p, c2p,
-                      tol: float = TOL, max_iter: int = MAX_ITER,
+def solve_equilibrium(alpha1, alpha2, c1, c2, c1p, c2p, *,
                       start: tuple[float, float] = (0.0, 0.0),
                       keep_trace: bool = True) -> EquilibriumResult:
-    """Alternating best-response dynamics until max |df| < tol.
+    """Alternating best-response dynamics from ``start`` until max |df| < TOL.
 
     Each best response is the maximum over [0, alpha_i] whatever the pot's
     shape; concavity in each pool's own infiltration is needed only for
     the dynamics to contract to the unique fixed point from any start. A
-    run that exhausts max_iter returns converged=False with the trace kept
-    for diagnosis. A tol below TOL_FLOOR, the finest tol the convergence
-    and deviation tests cover, is rejected.
+    run that exhausts MAX_ITER rounds returns converged=False with the trace
+    kept for diagnosis. ``keep_trace=False`` drops only the trace.
     """
-    _require_tol(tol)
-    if max_iter < 1:
-        raise ConstraintViolated(f"max_iter={max_iter!r} must be >= 1")
     if len(start) != 2:
         raise ConstraintViolated(f"start={start!r} must be a pair (f1, f2)")
     _check_game(alpha1, alpha2, c1, c2, c1p, c2p, *start)
@@ -284,16 +270,14 @@ def solve_equilibrium(alpha1, alpha2, c1, c2, c1p, c2p,
     trace = [(f1, f2)] if keep_trace else []
     converged = False
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, MAX_ITER + 1):
         new_f1 = float(_best_response_raw(alpha1, alpha2, c1, c2, c1p, c2p, 1, f2))
-        if keep_trace:
-            trace.append((new_f1, f2))
         new_f2 = float(_best_response_raw(alpha1, alpha2, c1, c2, c1p, c2p, 2, new_f1))
         if keep_trace:
-            trace.append((new_f1, new_f2))
+            trace += [(new_f1, f2), (new_f1, new_f2)]
         delta = max(abs(new_f1 - f1), abs(new_f2 - f2))
         f1, f2 = new_f1, new_f2
-        if delta < tol:
+        if delta < TOL:
             converged = True
             break
     (r1, r2), (net1, net2), (rer1, rer2) = _score(alpha1, alpha2, f1, f2, c1, c2, c1p, c2p)
@@ -359,7 +343,7 @@ def sweep_axis(start: float, stop: float, step: float) -> list[float]:
     return values
 
 
-def _sweep(alpha1, alpha2_axis, c_axis, tol, assumed_c):
+def _sweep(alpha1, alpha2_axis, c_axis, assumed_c):
     """Winner cells in c-major order, each scored at its axis c.
 
     A cell plays the equilibrium solved at its planning c: alpha1 + alpha2
@@ -370,7 +354,6 @@ def _sweep(alpha1, alpha2_axis, c_axis, tol, assumed_c):
     below the rational-manager floor raise one RationalFloorWarning with
     their count. All plans are then solved together in lockstep.
     """
-    _require_tol(tol)
     plans, scored, cells = {}, set(), []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RationalFloorWarning)
@@ -389,7 +372,7 @@ def _sweep(alpha1, alpha2_axis, c_axis, tol, assumed_c):
                       "below the rational-manager floor alpha1 + alpha2",
                       RationalFloorWarning, stacklevel=_caller_stacklevel())
     a2s, cps = np.array(list(plans), dtype=float).reshape(-1, 2).T
-    f1s, f2s, converged = _lockstep_equilibria(alpha1, a2s, cps, tol)
+    f1s, f2s, converged = _lockstep_equilibria(alpha1, a2s, cps)
     out = []
     for a2, c, k in cells:
         f1, f2 = float(f1s[k]), float(f2s[k])
@@ -403,24 +386,24 @@ def _sweep(alpha1, alpha2_axis, c_axis, tol, assumed_c):
     return out
 
 
-def sweep_regions(alpha1, alpha2_axis, c_axis, tol: float = TOL) -> list[RegionCell]:
+def sweep_regions(alpha1, alpha2_axis, c_axis) -> list[RegionCell]:
     """Equilibrium winner map under the symmetric model c_i = c, c_i' = c/2.
 
     Cells are emitted row-major with c as the outer axis and alpha2 inner.
     A cell whose solve exhausts MAX_ITER is recorded with converged=False
     and the sweep continues.
     """
-    return _sweep(alpha1, alpha2_axis, c_axis, tol, assumed_c=False)
+    return _sweep(alpha1, alpha2_axis, c_axis, assumed_c=False)
 
 
-def sweep_regions_assumed_c(alpha1, alpha2_axis, c_axis, tol: float = TOL) -> list[RegionCell]:
+def sweep_regions_assumed_c(alpha1, alpha2_axis, c_axis) -> list[RegionCell]:
     """Winner map when both managers plan for c = alpha1 + alpha2.
 
     Strategies come from the equilibrium under the assumed (minimum
     rational) c; payoffs and winners are then evaluated under the actual
     axis c. Same cell order as sweep_regions.
     """
-    return _sweep(alpha1, alpha2_axis, c_axis, tol, assumed_c=True)
+    return _sweep(alpha1, alpha2_axis, c_axis, assumed_c=True)
 
 
 def write_sweep_csv(cells) -> str:

@@ -13,6 +13,7 @@ no function taking one checks it again; all are immutable, safe to share across 
 from __future__ import annotations
 
 import json
+import numbers
 import warnings
 from dataclasses import dataclass, asdict
 from pathlib import Path
@@ -32,7 +33,14 @@ MAX_SINGLE_ACTOR = 0.5  # strict bound: any one miner or pool stays below half t
 MAX_POOLS = 8           # the simulator keeps each withheld set in a uint8 bitmask
 
 
+def _check_real(name: str, value) -> None:
+    # numpy scalars pass, a bool fails; a float goes first, as the ABC test costs ten times more
+    if type(value) is not float and (type(value) is bool or not isinstance(value, numbers.Real)):
+        raise ConstraintViolated(f"{name}={value!r} must be a real number")
+
+
 def _check_unit(name: str, value: float) -> None:
+    _check_real(name, value)
     if not 0.0 <= value <= 1.0:
         raise PowerOutOfRange(f"{name}={value!r} outside [0, 1]")
 
@@ -43,6 +51,17 @@ def _check_actor_power(name: str, value: float) -> None:
         raise PowerOutOfRange(
             f"{name}={value!r} reaches the majority guard ({MAX_SINGLE_ACTOR})"
         )
+
+
+def _floats(name: str, values) -> tuple[float, ...]:
+    try:
+        values = tuple(values)
+    except TypeError:
+        raise ConstraintViolated(f"{name}={values!r} must be a sequence of real numbers") from None
+    for i, v in enumerate(values):
+        if type(v) is not float:  # names the item only when it is not a float
+            _check_real(f"{name}[{i}]", v)
+    return tuple(map(float, values))
 
 
 @dataclass(frozen=True)
@@ -78,8 +97,8 @@ class MultiPoolScenario:
     c: float
 
     def __post_init__(self):
-        object.__setattr__(self, "betas", tuple(float(b) for b in self.betas))
-        object.__setattr__(self, "taus", tuple(float(t) for t in self.taus))
+        object.__setattr__(self, "betas", _floats("betas", self.betas))
+        object.__setattr__(self, "taus", _floats("taus", self.taus))
         validate_multi(self)
 
 
@@ -154,6 +173,7 @@ def validate_game(s: GameScenario) -> GameScenario:
     _check_actor_power("alpha1", s.alpha1)
     _check_actor_power("alpha2", s.alpha2)
     for name, f, cap in (("f1", s.f1, s.alpha1), ("f2", s.f2, s.alpha2)):
+        _check_real(name, f)
         if not 0.0 <= f <= cap:
             raise ConstraintViolated(f"{name}={f!r} outside [0, alpha]={cap!r}")
     for pool, power, f_in in ((1, s.alpha1, s.f2), (2, s.alpha2, s.f1)):

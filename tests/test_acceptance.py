@@ -21,6 +21,7 @@ from fawkit.bounds import (
     selfish_mining_threshold,
 )
 from fawkit.game import (
+    TOL,
     WINNER_POOL1,
     solve_equilibrium,
     sweep_regions,
@@ -141,7 +142,7 @@ def test_criterion_05_game_borderline_at_full_c():
 
 def test_criterion_06_equilibrium_uniqueness_and_stability():
     rng = np.random.default_rng(20170914)
-    tol = 1e-7
+    tol = TOL
     worst_spread = 0.0
     worst_gain = -math.inf
     for _ in range(100):
@@ -152,8 +153,7 @@ def test_criterion_06_equilibrium_uniqueness_and_stability():
         c2p = rng.uniform(0, 1 - c1p)
         points = []
         for start in ((0.0, 0.0), (a1, a2), (a1, 0.0)):
-            res = solve_equilibrium(a1, a2, c1, c2, c1p, c2p, tol=tol, start=start,
-                                    keep_trace=False)
+            res = solve_equilibrium(a1, a2, c1, c2, c1p, c2p, start=start, keep_trace=False)
             assert res.converged, (a1, a2, c1, c2, c1p, c2p, start)
             points.append(res)
         spread = max(

@@ -157,6 +157,18 @@ def test_detection_floors_negative_identity_counts():
         detection_resilient_reward(0.3, 0.01, 0.9, 0.0, L=1)
 
 
+@pytest.mark.parametrize("L, named", [(0, "L=0 must be >= 1"), (2 ** 1024, "L is above"),
+                                      (10 ** 5000, "L is above")],
+                         ids=["zero", "2^1024", "10^5000"])
+@pytest.mark.parametrize("guarded", [lambda L: detection_resilient_reward(0.2, 0.2, 0.5, 0.5, L),
+                                     lambda L: honeypot_bwh_bound(0.2, 0.2, 0.5, L)],
+                         ids=["detection", "honeypot"])
+def test_identity_count_out_of_range_is_rejected(guarded, L, named):
+    # an int past the largest float once overflowed at L - d; one past 4300 digits has no repr
+    with pytest.raises(ConstraintViolated, match=named):
+        guarded(L)
+
+
 def test_detection_specific_value_by_independent_arithmetic():
     # longhand evaluation at the optimal split for c = 0.5, ten identities
     alpha = beta = 0.2

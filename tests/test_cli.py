@@ -183,10 +183,7 @@ def test_optimize_alloc_preset(capsys):
 
 
 def _cap_solves_at_one_round(monkeypatch):
-    # MAX_ITER is bound as solve_equilibrium's default, so wrap the solve instead
-    solve = game_mod.solve_equilibrium
-    monkeypatch.setattr(game_mod, "solve_equilibrium",
-                        lambda *args, **kw: solve(*args, **{**kw, "max_iter": 1}))
+    monkeypatch.setattr(game_mod, "MAX_ITER", 1)
 
 
 def test_game_solve_and_exit_codes(capsys, monkeypatch):
@@ -289,23 +286,19 @@ def test_sim_multi_preset(capsys):
     assert sum(doc["case_counts"].values()) == 50000
 
 
-def test_seed_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("FAW_SEED", "12345")
+def test_omitted_seed_is_42(capsys):
     code, out, _ = run_cli(capsys, "sim-single", "--alpha", "0.2", "--beta", "0.2",
                            "--c", "0", "--tau", "0.1", "--rounds", "1000")
     assert code == 0
-    assert json.loads(out)["config"]["seed"] == 12345
+    assert json.loads(out)["config"]["seed"] == 42
 
 
-@pytest.mark.parametrize("flags, seed_env, named", [
-    (("--rounds", "0"), None, "rounds"),
-    (("--rounds", "1000", "--workers", "0"), None, "workers"),
-    (("--rounds", "1000", "--seed", "-1"), None, "seed"),
-    (("--rounds", "1000"), "abc", "FAW_SEED"),
-], ids=["rounds-0", "workers-0", "seed-negative", "seed-env-not-int"])
-def test_invalid_sim_input_is_a_typed_error(capsys, monkeypatch, flags, seed_env, named):
-    if seed_env is not None:
-        monkeypatch.setenv("FAW_SEED", seed_env)
+@pytest.mark.parametrize("flags, named", [
+    (("--rounds", "0"), "rounds"),
+    (("--rounds", "1000", "--workers", "0"), "workers"),
+    (("--rounds", "1000", "--seed", "-1"), "seed"),
+], ids=["rounds-0", "workers-0", "seed-negative"])
+def test_invalid_sim_input_is_a_typed_error(capsys, flags, named):
     code, out, err = run_cli(capsys, "sim-single", "--alpha", "0.2", "--beta", "0.2",
                              "--c", "0", "--tau", "0.1", *flags)
     assert code == 1
@@ -728,7 +721,7 @@ _FUZZ = {
                "--shares": ("0.1", "0.2,0.3", "0.5,0.6", "nan"), "--atomized": _NUMBERS},
     "counter": {"": ("detection", "honeypot", "bonus", "bonus-threshold"),
                 "--alpha": _NUMBERS, "--beta": _NUMBERS, "--tau": _NUMBERS, "--c": _NUMBERS,
-                "-L": ("1", "3", "0", "-1", "1000000"), "--t": _NUMBERS,
+                "-L": ("1", "3", "0", "-1", "1000000", str(10**400)), "--t": _NUMBERS,
                 "--pool-power": _NUMBERS, "--c-max": _NUMBERS},
 }
 # flags argparse requires, and --workers, which defaults to every core

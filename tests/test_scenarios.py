@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -160,6 +161,33 @@ def test_replace_revalidates(valid, field):
     # the invariants hold for a scenario made by replace as for one built directly
     with pytest.raises(PowerOutOfRange, match=f"{field}=0.6 reaches the majority guard"):
         dataclasses.replace(valid, **{field: 0.6})
+
+
+@pytest.mark.parametrize("build, named", [
+    (lambda: MultiPoolScenario(0.2, ("x",), (0.1,), 0.5), "betas[0]='x'"),
+    (lambda: MultiPoolScenario(0.2, 0.1, (0.1,), 0.5), "betas=0.1"),
+    (lambda: MultiPoolScenario(0.2, (0.1,), (0.1, None), 0.5), "taus[1]=None"),
+    (lambda: MultiPoolScenario(0.2, (0.1,), (0.1,), True), "c=True"),
+    (lambda: SinglePoolScenario("0.2", 0.2, 0.1, 0.5), "alpha='0.2'"),
+    (lambda: SinglePoolScenario(0.2, 0.2, False, 0.5), "tau=False"),
+    (lambda: GameScenario("0.2", 0.1, 0, 0, 1, 1, 0.5, 0.5), "alpha1='0.2'"),
+    (lambda: GameScenario(0.2, 0.1, "0", 0, 1, 1, 0.5, 0.5), "f1='0'"),
+    (lambda: GameScenario(0.2, 0.1, 0, None, 1, 1, 0.5, 0.5), "f2=None"),
+    (lambda: GameScenario(0.2, 0.1, 0, 0, 1, 1, 0.5, np.bool_(True)), f"c2p={np.True_!r}"),
+], ids=["multi-beta-str", "multi-betas-scalar", "multi-tau-none", "multi-c-bool",
+        "single-alpha-str", "single-tau-bool", "game-alpha1-str", "game-f1-str",
+        "game-f2-none", "game-c2p-numpy-bool"])
+def test_a_field_that_is_not_a_real_number_is_a_typed_error(build, named):
+    with pytest.raises(ConstraintViolated, match="^" + re.escape(named) + " must be a"):
+        build()
+
+
+def test_numpy_numbers_are_accepted():
+    m = MultiPoolScenario(np.float64(0.2), np.array([0.1, 0.2]), [np.float32(0.5), 0],
+                          np.int64(1))
+    assert m.betas == (0.1, 0.2) and m.taus == (0.5, 0.0)
+    SinglePoolScenario(np.float64(0.2), np.float32(0.2), np.int64(0), 0.5)
+    GameScenario(0.2, 0.1, np.float64(0.05), np.float32(0.05), 1, 1, 0.5, np.float64(0.5))
 
 
 def test_rer_values():
