@@ -19,7 +19,6 @@ so in its docstring and carries GAMMA_AS_TAU_NOTE as ``substitution_note``.
 from __future__ import annotations
 
 import math
-import sys
 import warnings
 from dataclasses import dataclass
 
@@ -29,7 +28,7 @@ from .errors import (
     NegativeEffectiveMinersWarning,
     _caller_stacklevel,
 )
-from .scenarios import SinglePoolScenario
+from .scenarios import SinglePoolScenario, _check_integer
 from .single_pool import _pots
 
 GAMMA_AS_TAU_NOTE = (
@@ -131,13 +130,6 @@ def gamma_upper_bound(dist: HonestPowerDistribution, alpha: float) -> float:
     return 1.0 - dist.square_sum
 
 
-def _check_identities(L):
-    if L < 1:
-        raise ConstraintViolated(f"L={L!r} must be >= 1")
-    if L > sys.float_info.max:  # exact for an int of any size, even one too long to print
-        raise ConstraintViolated(f"L is above the largest float, {sys.float_info.max!r}")
-
-
 def _diluted(pot, ta, beta, L, count, what):
     """The attacker's part of ``pot`` when ``count`` of its L identities keep theirs.
 
@@ -172,7 +164,7 @@ def detection_resilient_reward(alpha, beta, tau, c, L: int) -> float:
     Negative effective-identity counts are floored at zero with a warning.
     Evaluated with tau substituted for the printed gamma.
     """
-    _check_identities(L)
+    _check_integer("L", L)
     SinglePoolScenario(alpha, beta, tau, c)
     ta, innocent, honest_pot, fork_pot = _pots(alpha, beta, tau, c)
     ext = 1.0 - alpha - beta
@@ -198,7 +190,7 @@ def honeypot_bwh_bound(alpha, beta, tau, L: int) -> float:
     Converges to the plain withholding reward as L grows; tau = 0 gives
     alpha. Evaluated with tau substituted for the printed gamma.
     """
-    _check_identities(L)
+    _check_integer("L", L)
     SinglePoolScenario(alpha, beta, tau, 0.0)
     ta, innocent, honest_pot, _ = _pots(alpha, beta, tau, 0.0)
     if ta == 0.0:

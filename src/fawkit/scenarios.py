@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import numbers
+import sys
 import warnings
 from dataclasses import dataclass, asdict
 from pathlib import Path
@@ -37,6 +38,20 @@ def _check_real(name: str, value) -> None:
     # numpy scalars pass, a bool fails; a float goes first, as the ABC test costs ten times more
     if type(value) is not float and (type(value) is bool or not isinstance(value, numbers.Real)):
         raise ConstraintViolated(f"{name}={value!r} must be a real number")
+    if type(value) is int and abs(value) > sys.float_info.max:  # exact, even past 4300 digits
+        raise ConstraintViolated(f"{name} is above the largest float in magnitude")
+
+
+def _check_integer(name: str, value, low: int = 1) -> int:
+    """``value`` as an int if it is an integer >= ``low``; numpy's pass, a bool fails."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConstraintViolated(f"{name}={value!r} must be an integer")
+    value = int(value)  # numpy integers do not serialise
+    if abs(value) > sys.float_info.max:  # exact for an int of any size, even one too long to print
+        raise ConstraintViolated(f"{name} is above the largest float in magnitude")
+    if value < low:
+        raise ConstraintViolated(f"{name}={value!r} must be >= {low}")
+    return value
 
 
 def _check_unit(name: str, value: float) -> None:

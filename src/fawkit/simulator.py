@@ -8,11 +8,11 @@ If the ender is external while blocks are withheld, the round ends in a
 fork, resolved by one uniform draw. Exactly one unit of reward is paid out
 per round.
 
-A block of rounds is raced in passes that draw one uniform per round still
-racing, in round order. The first pass only counts the rounds that end at
-once; the rounds that withheld a block race on in compact arrays of their
-own. A fork's branch is the number of branch-table columns at or below its
-draw.
+A block's first draws are one multinomial over the category powers; the
+rounds an ender's find starts end at once. The rounds that withheld a block
+race on in compact arrays of their own, in passes that draw one uniform per
+round still racing. A fork's branch is the number of branch-table columns at
+or below its draw.
 
 Each scenario kind only supplies a model (``_Model``) with four parts:
 
@@ -44,7 +44,6 @@ count given the same (seed, rounds, scenario).
 from __future__ import annotations
 
 import json
-import numbers
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -57,6 +56,7 @@ from .scenarios import (
     MultiPoolScenario,
     Scenario,
     SinglePoolScenario,
+    _check_integer,
     scenario_to_dict,
 )
 
@@ -87,16 +87,9 @@ class SimConfig:
     workers: int = 1
 
     def __post_init__(self):
-        for name in ("rounds", "seed", "workers"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ConstraintViolated(f"{name}={value!r} must be an integer")
-            object.__setattr__(self, name, int(value))  # numpy integers do not serialise
-        if self.rounds < 1:
-            raise ConstraintViolated(f"rounds={self.rounds!r} must be >= 1")
-        if self.workers < 1:
-            raise ConstraintViolated(f"workers={self.workers!r} must be >= 1")
-        if not 0 <= self.seed < 2 ** 64:
+        for name, low in (("rounds", 1), ("seed", 0), ("workers", 1)):
+            object.__setattr__(self, name, _check_integer(name, getattr(self, name), low))
+        if self.seed >= 2 ** 64:
             raise ConstraintViolated(f"seed={self.seed!r} must fit in an unsigned 64-bit integer")
 
 
@@ -186,8 +179,9 @@ class _Model:
 
 
 def _power_cum(powers) -> np.ndarray:
-    # clipping a rounding-negative power keeps cum non-decreasing
-    cum = np.cumsum(np.maximum(np.asarray(powers, dtype=float), 0.0))
+    # clipping rounding-negative powers and overshoots of 1 keeps cum non-decreasing,
+    # so its steps are powers that multinomial takes
+    cum = np.minimum(np.cumsum(np.maximum(np.asarray(powers, dtype=float), 0.0)), 1.0)
     cum[-1] = 1.0  # guard against cumulative rounding at the top boundary
     return cum
 
@@ -277,28 +271,25 @@ def _run_blocks(cfg: SimConfig, block_fn):
 
 def _categories(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Category of each uniform draw: how many cumulative powers are <= it."""
-    cat = np.zeros(u.size, dtype=np.int8)
+    cat = np.zeros(u.size, dtype=np.int16)
     for edge in cum[:-1]:  # u < cum[-1] == 1 always
         cat += u >= edge
     return cat
 
 
 def _block(model: _Model, rng, n) -> np.ndarray:
-    """Race, then fork, n rounds; returns one count vector.
+    """Race, then fork, n rounds drawn as one multinomial of first finds; returns one count vector.
 
     With m enders the vector holds the rounds each ender won without a fork
     (m entries; external's are case E), the forks each ender won (m), then
     the case C and case D counts.
     """
     cum, n_infil, m = model.cum, model.table.shape[1], len(model.actors)
-    u = rng.random(n)
-    held = np.flatnonzero(u < cum[n_infil - 1])
-    # rounds whose first draw is at or past each ender's lower edge
-    reached = [n - held.size] + [np.count_nonzero(u >= edge) for edge in cum[n_infil:-1]]
-    # each held round's withheld set and, once it has ended, its ender
-    mask = _BITS[_categories(cum[:n_infil], u[held])]
-    ender = np.empty(held.size, dtype=np.int8)
-    active = np.arange(held.size)
+    first = rng.multinomial(n, np.diff(cum, prepend=0.0))
+    # each held round's withheld set, starting from its first find's bit, and its ender
+    mask = np.repeat(_BITS[:n_infil], first[:n_infil])
+    ender = np.empty(mask.size, dtype=np.int16)
+    active = np.arange(mask.size)
     while active.size:
         cat = _categories(cum, rng.random(active.size))
         ender[active] = cat - n_infil  # rounds still racing are overwritten later
@@ -306,7 +297,7 @@ def _block(model: _Model, rng, n) -> np.ndarray:
         active = active[racing]
         mask[active] |= _BITS[cat[racing]]
     forked = mask[ender == m - 1]  # a held round that external ends forks
-    ends = -np.diff(reached, append=0) + np.bincount(ender, minlength=m)
+    ends = first[n_infil:] + np.bincount(ender, minlength=m)
     ends[-1] -= forked.size
     single = np.count_nonzero((forked & (forked - 1)) == 0)  # case C: one bit set
     u = rng.random(forked.size)

@@ -169,6 +169,24 @@ def test_identity_count_out_of_range_is_rejected(guarded, L, named):
         guarded(L)
 
 
+@pytest.mark.parametrize("L", [float("nan"), 1.5, 2.0, "3", True, None],
+                         ids=["nan", "1.5", "2.0", "str", "bool", "none"])
+@pytest.mark.parametrize("guarded", [lambda L: detection_resilient_reward(0.2, 0.2, 0.5, 0.5, L),
+                                     lambda L: honeypot_bwh_bound(0.2, 0.2, 0.5, L)],
+                         ids=["detection", "honeypot"])
+def test_identity_count_that_is_not_an_integer_is_rejected(guarded, L):
+    with pytest.raises(ConstraintViolated, match="^L=.* must be an integer$"):
+        guarded(L)
+
+
+@pytest.mark.parametrize("L", [np.int64(3), np.uint8(3), np.int32(3)],
+                         ids=["int64", "uint8", "int32"])
+def test_identity_count_takes_numpy_integers(L):
+    assert detection_resilient_reward(0.2, 0.2, 0.5, 0.5, L) == \
+        detection_resilient_reward(0.2, 0.2, 0.5, 0.5, 3)
+    assert honeypot_bwh_bound(0.2, 0.2, 0.5, L) == honeypot_bwh_bound(0.2, 0.2, 0.5, 3)
+
+
 def test_detection_specific_value_by_independent_arithmetic():
     # longhand evaluation at the optimal split for c = 0.5, ten identities
     alpha = beta = 0.2

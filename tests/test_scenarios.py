@@ -182,6 +182,19 @@ def test_a_field_that_is_not_a_real_number_is_a_typed_error(build, named):
         build()
 
 
+@pytest.mark.parametrize("build, named", [
+    (lambda: MultiPoolScenario(0.2, (10 ** 400,), (0.1,), 0.5), "betas[0]"),
+    (lambda: SinglePoolScenario(10 ** 5000, 0.2, 0.1, 0.5), "alpha"),
+    (lambda: SinglePoolScenario(0.2, 0.2, 0.1, -10 ** 5000), "c"),
+    (lambda: GameScenario(0.2, 0.1, 10 ** 400, 0, 1, 1, 0.5, 0.5), "f1"),
+], ids=["multi-beta-10^400", "single-alpha-10^5000", "single-c-minus-10^5000", "game-f1-10^400"])
+def test_an_int_past_the_largest_float_is_a_typed_error(build, named):
+    # 10^400 once overflowed in float(); 10^5000 has too many digits to format with !r
+    with pytest.raises(ConstraintViolated,
+                       match="^" + re.escape(named) + " is above the largest float in magnitude$"):
+        build()
+
+
 def test_numpy_numbers_are_accepted():
     m = MultiPoolScenario(np.float64(0.2), np.array([0.1, 0.2]), [np.float32(0.5), 0],
                           np.int64(1))

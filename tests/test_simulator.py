@@ -2,10 +2,11 @@ import json
 import math
 import warnings
 from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import game_scenarios, single_scenarios
@@ -29,7 +30,7 @@ pytestmark = pytest.mark.filterwarnings("ignore::fawkit.errors.RationalFloorWarn
 SINGLE = SinglePoolScenario(0.2, 0.2, 0.44151844, 1.0)
 # to_json_dict() of the single, table2-optimum multi and game scenarios at
 # seed 7 with 1, 150 and 600 000 rounds (two full blocks and a partial one),
-# written by the per-round engine that _oracle_block keeps below
+# written by the engine whose first draws are one multinomial per block
 SEEDED = json.loads((Path(__file__).resolve().parent / "golden" / "sim_seeded.json").read_text())
 
 
@@ -227,11 +228,14 @@ def test_outcome_export_shapes():
 
 
 def test_categories_match_searchsorted():
-    # zero powers repeat an edge, as at tau = 0; some draws land exactly on one
-    cum = simulator._power_cum([0.0, 0.1, 0.3, 0.0, 0.2, 0.4])
-    u = np.random.default_rng(3).random(100_000)
-    u[:5] = cum[:-1]
-    assert np.array_equal(simulator._categories(cum, u), np.searchsorted(cum, u, side="right"))
+    # zero powers repeat an edge, as at tau = 0; 130 powers give 129 edges, past an int8
+    # counter; some draws land exactly on an edge
+    spread = np.random.default_rng(4).random(130)
+    for powers in ([0.0, 0.1, 0.3, 0.0, 0.2, 0.4], spread / spread.sum()):
+        cum = simulator._power_cum(powers)
+        u = np.random.default_rng(3).random(100_000)
+        u[:5], u[5] = cum[:5], cum[-2]
+        assert np.array_equal(simulator._categories(cum, u), np.searchsorted(cum, u, side="right"))
 
 
 def test_branch_table_splits_c_evenly():
@@ -266,6 +270,14 @@ def test_config_rejects_non_integers(name, value):
         SimConfig(**kwargs)
 
 
+@pytest.mark.parametrize("name", ["rounds", "seed", "workers"])
+def test_config_rejects_ints_past_the_largest_float(name):
+    # too many digits to format with !r
+    kwargs = {"rounds": 10, "seed": 1, "scenario": SINGLE, "workers": 1, name: -10 ** 5000}
+    with pytest.raises(ConstraintViolated, match=f"^{name} is above the largest float"):
+        SimConfig(**kwargs)
+
+
 def test_config_takes_numpy_integers():
     cfg = SimConfig(rounds=np.int64(150), seed=np.uint64(2 ** 63), scenario=SINGLE,
                     workers=np.int32(2))
@@ -273,8 +285,8 @@ def test_config_takes_numpy_integers():
     assert [config[k] for k in ("rounds", "seed", "workers")] == [150, 2 ** 63, 2]
 
 
-# The block engine as it was with one withheld-set mask per round of the
-# block: the reference that _block must match count for count.
+# The block engine as it was with one uniform first draw and one withheld-set
+# mask per round of the block: the reference that _block must match in distribution.
 _POPCOUNT = np.array([bin(m).count("1") for m in range(256)], dtype=np.uint8)
 
 
@@ -310,6 +322,34 @@ def _oracle_block(model, rng, n):
     return counts
 
 
+ORACLE_BLOCKS = 8
+FALSE_ALARM = 1e-5  # chance that one case fails although both engines draw alike
+
+
+@pytest.mark.parametrize("make_scenario", [
+    lambda: SINGLE,
+    _table2_at_optimum,
+    lambda: GameScenario(0.2, 0.15, 0.1, 0.07, 0.8, 0.6, 0.4, 0.3),
+    # a pool with no power of its own, one left alone, and c strictly inside (0, 1)
+    lambda: MultiPoolScenario(0.3, (0.2, 0.0, 0.1, 0.15), (0.3, 0.2, 0.0, 0.4), 0.6),
+], ids=["single", "table2", "game", "sparse-multi"])
+def test_block_counts_match_the_per_round_oracle_in_distribution(make_scenario):
+    # each entry counts the rounds of one kind, so over N rounds it is Binomial(N, p) in
+    # either engine; a pooled two-sample z per entry, Bonferroni over the entries
+    model = simulator._model(make_scenario())
+    n, rounds = simulator.BLOCK_ROUNDS, ORACLE_BLOCKS * simulator.BLOCK_ROUNDS
+    # disjoint substreams keep the two sums independent
+    got = sum(simulator._block(model, simulator._block_rng(61, i), n)
+              for i in range(ORACLE_BLOCKS))
+    want = sum(_oracle_block(model, simulator._block_rng(61, ORACLE_BLOCKS + i), n)
+               for i in range(ORACLE_BLOCKS))
+    bound = NormalDist().inv_cdf(1 - FALSE_ALARM / (2 * got.size))
+    pooled = (got + want) / (2 * rounds)
+    for k in np.flatnonzero(got + want):
+        z = (got[k] - want[k]) / math.sqrt(2 * rounds * pooled[k] * (1 - pooled[k]))
+        assert abs(z) <= bound, (k, got.tolist(), want.tolist())
+
+
 @st.composite
 def _sparse_multi_scenarios(draw):
     """Up to 8 pools, where any beta or tau may be 0 and c is often exactly 0 or 1."""
@@ -322,12 +362,20 @@ def _sparse_multi_scenarios(draw):
     return MultiPoolScenario(alpha, tuple(betas), tuple(taus), c)
 
 
-@settings(max_examples=150)
+@settings(max_examples=100)
 @given(st.one_of(single_scenarios(), _sparse_multi_scenarios(), game_scenarios()),
        st.integers(1, 4096), st.integers(0, 2 ** 64 - 1), st.integers(0, 3))
-def test_block_counts_match_the_per_round_oracle(scenario, n, seed, index):
+# a full budget: alpha + sum(betas) rounds past 1, so the cumulative powers overshoot 1
+@example(MultiPoolScenario(0.42, (0.18, 1.0 - 0.42 - 0.18), (0.3, 0.2), 0.5), 4096, 0, 0)
+def test_block_counts_keep_their_invariants(scenario, n, seed, index):
     model = simulator._model(scenario)
-    got = simulator._block(model, simulator._block_rng(seed, index), n)
-    want = _oracle_block(model, simulator._block_rng(seed, index), n)
-    assert got.dtype == want.dtype
-    assert got.tolist() == want.tolist()
+    m = len(model.actors)
+    counts = simulator._block(model, simulator._block_rng(seed, index), n)
+    ends, fork_wins, forks = counts[:m], counts[m:2 * m], counts[-2:]
+    assert counts.dtype == np.int64 and counts.min() >= 0
+    assert ends.sum() + fork_wins.sum() == n
+    assert fork_wins.sum() == forks.sum()
+    if model.cum[model.table.shape[1] - 1] == 0.0:  # no infiltration power
+        assert forks.sum() == 0
+    if not model.table.any():  # c = 0: no withheld branch ever wins
+        assert fork_wins[:-1].sum() == 0
