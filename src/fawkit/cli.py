@@ -25,7 +25,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 import warnings
 from dataclasses import asdict
@@ -379,8 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(f"sim-{kind}", parents=[flags], help=f"Monte Carlo {kind} run")
         p.add_argument("--rounds", type=int, required=True)
         p.add_argument("--seed", type=int, default=42, help="default 42")
-        p.add_argument("--workers", type=int, default=os.cpu_count() or 1,
-                       help="worker threads; results do not depend on this")
+        p.add_argument("--workers", type=int, default=1,
+                       help="worker threads, default 1; results do not depend on this")
         _add_scenario_opt(p)
         _add_common(p)
         p.set_defaults(func=cmd_sim, **scenario)

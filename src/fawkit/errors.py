@@ -39,7 +39,7 @@ class DegenerateInput(FawError):
 
 
 class TooManyPools(FawError):
-    """Pool count exceeds MAX_POOLS, the width of the simulator's withheld-set bitmask."""
+    """Pool count exceeds MAX_POOLS, which bounds the simulator's 2^n-row withheld-set tables."""
 
 
 class InconsistentDistribution(FawError):

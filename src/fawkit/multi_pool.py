@@ -28,7 +28,7 @@ probability (1-a-B) reach(S), reach(S) = int_0^inf e^-t prod_{j in S} y_j dt.
 
 Every term is positive: 1 - ta(P) - ta_i >= 1 - Ta > 1/2 under the majority
 guard, so no sum cancels. Pool counts are capped at MAX_POOLS by the
-simulator's uint8 withheld-set bitmask; the kernel itself has no cap.
+simulator's 2^n-row withheld-set tables; the kernel itself has no cap.
 
 The kernel _reward_raw takes each tau as a float or an ndarray: reward_npool
 calls it on a scenario's floats, and optimize_allocation scores each

@@ -31,7 +31,7 @@ from .errors import (
 )
 
 MAX_SINGLE_ACTOR = 0.5  # strict bound: any one miner or pool stays below half the network
-MAX_POOLS = 8           # the simulator keeps each withheld set in a uint8 bitmask
+MAX_POOLS = 8           # the simulator's withheld-set tables have 2^n rows
 
 
 def _check_real(name: str, value) -> None:
@@ -162,7 +162,7 @@ def validate_multi(s: MultiPoolScenario) -> MultiPoolScenario:
         raise ConstraintViolated("at least one target pool is required")
     if n > MAX_POOLS:
         raise TooManyPools(f"{n} pools exceeds the cap of {MAX_POOLS} set by the simulator's "
-                           "uint8 withheld-set bitmask")
+                           "2^n-row withheld-set tables")
     _check_actor_power("alpha", s.alpha)
     for i, b in enumerate(s.betas):
         _check_actor_power(f"betas[{i}]", b)

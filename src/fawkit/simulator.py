@@ -5,14 +5,25 @@ proportion to raw hash power. A find by an infiltration category is
 withheld (the first per category is kept, later duplicates discarded) and
 does not end the round; a find by any other category, an *ender*, does.
 If the ender is external while blocks are withheld, the round ends in a
-fork, resolved by one uniform draw. Exactly one unit of reward is paid out
-per round.
+fork, and one branch wins it with its branch-table probability. Exactly one
+unit of reward is paid out per round.
 
-A block's first draws are one multinomial over the category powers; the
-rounds an ender's find starts end at once. The rounds that withheld a block
-race on in compact arrays of their own, in passes that draw one uniform per
-round still racing. A fork's branch is the number of branch-table columns at
-or below its draw.
+The model is this round-level race, but a block samples it as counts of
+rounds that share a state, so its cost depends on 2^n_infil, not on the
+number of rounds. Its first finds are one multinomial over the category
+powers; the rounds an ender's find starts end at once. Three facts let the
+rounds that withheld a block be counted too:
+
+- **The ender does not depend on the withheld set.** Finds are i.i.d., so
+  the enders of the held rounds that started in each category are one
+  multinomial over the ender powers. Only the rounds external ends need
+  their withheld set; the others never fork.
+- **A repeat find changes nothing.** From set S the next change is a stop
+  (weight: the ender power) or a new bit j not in S (weight: its power),
+  so each pass of one multinomial per set adds a bit or stops the round,
+  and at most n_infil passes are needed.
+- **A fork's branch depends only on its set.** One multinomial per set over
+  its branch probabilities resolves every fork of the block.
 
 Each scenario kind only supplies a model (``_Model``) with four parts:
 
@@ -21,8 +32,8 @@ Each scenario kind only supplies a model (``_Model``) with four parts:
 - **host map**: for each infiltration category, the ender whose pool a
   winning withheld block credits, with external appended for a lost fork;
 - **branch table**: for each withheld-set bitmask, the cumulative win
-  probability of each infiltration branch in category order; a draw at or
-  above the last entry is won by the external branch;
+  probability of each infiltration branch in category order; the external
+  branch wins the rest;
 - **payout**: the reward each actor takes from a round won by each ender
   (the two-pool game adds a gross-pot matrix for its pools).
 
@@ -36,9 +47,9 @@ variance without bias.
 
 Reproducibility: rounds are partitioned into fixed-size blocks and block
 ``i`` draws from ``Philox`` seeded with ``SeedSequence((seed, i))``. The
-worker count only distributes whole blocks across threads and merging is
-done in block order, so outcomes are bitwise identical for any worker
-count given the same (seed, rounds, scenario).
+worker count only distributes whole blocks across threads, and the blocks'
+integer counts are summed exactly, so outcomes are bitwise identical for
+any worker count given the same (seed, rounds, scenario).
 """
 
 from __future__ import annotations
@@ -47,6 +58,7 @@ import json
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -71,11 +83,6 @@ CASE_TAGS = (
     "D_multi_branch_fork",
     "E_external_win_no_withheld",
 )
-
-# Withheld sets are uint8 bitmasks, one bit per infiltration category:
-# enough for MAX_POOLS = 8 pools.
-_BITS = (1 << np.arange(8)).astype(np.uint8)
-
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -177,6 +184,25 @@ class _Model:
     payout: np.ndarray
     gross: np.ndarray | None = None  # (enders, pools) gross pots, game only
 
+    @cached_property
+    def race(self) -> tuple[np.ndarray, ...]:
+        """``_block``'s probabilities, built once per model; a withheld-set bitmask indexes rows.
+
+        The first finds' category powers, the enders' powers given an ender, and
+        per set: its jump row (each new bit, then a stop), the sets it grows
+        into, and its branch win probabilities with external last.
+        """
+        k = self.table.shape[1]
+        powers = np.diff(self.cum, prepend=0.0)
+        sets = np.arange(1 << k)[:, None]
+        bits = 1 << np.arange(k)
+        ender = powers[k:].sum()
+        jump = np.column_stack((((sets & bits) == 0) * powers[:k], np.full(1 << k, ender)))
+        # c1p + c2p may pass 1 by a rounding, and multinomial rejects a negative p
+        branch = np.maximum(np.diff(self.table, axis=1, prepend=0.0, append=1.0), 0.0)
+        return (powers, powers[k:] / ender, jump / jump.sum(axis=1, keepdims=True),
+                sets | bits, branch)
+
 
 def _power_cum(powers) -> np.ndarray:
     # clipping rounding-negative powers and overshoots of 1 keeps cum non-decreasing,
@@ -256,54 +282,55 @@ def _block_rng(seed: int, block_index: int) -> np.random.Generator:
 
 
 def _run_blocks(cfg: SimConfig, block_fn):
-    """Run block_fn(rng, n) over blocks of BLOCK_ROUNDS, returning results in block order."""
-    sizes = [min(BLOCK_ROUNDS, cfg.rounds - start)
-             for start in range(0, cfg.rounds, BLOCK_ROUNDS)]
+    """Sum block_fn(rng, n) over the blocks of BLOCK_ROUNDS rounds.
 
-    def one(i):
-        return block_fn(_block_rng(cfg.seed, i), sizes[i])
+    Worker k sums blocks k, k + w, k + 2w, ...; no list of blocks is built.
+    """
+    blocks = -(-cfg.rounds // BLOCK_ROUNDS)
+    workers = min(cfg.workers, blocks)
 
-    if cfg.workers == 1 or len(sizes) == 1:
-        return [one(i) for i in range(len(sizes))]
-    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-        return list(pool.map(one, range(len(sizes))))
+    def strided(k):
+        return sum(block_fn(_block_rng(cfg.seed, i),
+                            min(BLOCK_ROUNDS, cfg.rounds - i * BLOCK_ROUNDS))
+                   for i in range(k, blocks, workers))
 
-
-def _categories(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Category of each uniform draw: how many cumulative powers are <= it."""
-    cat = np.zeros(u.size, dtype=np.int16)
-    for edge in cum[:-1]:  # u < cum[-1] == 1 always
-        cat += u >= edge
-    return cat
+    if workers == 1:
+        return strided(0)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return sum(pool.map(strided, range(workers)))
 
 
 def _block(model: _Model, rng, n) -> np.ndarray:
-    """Race, then fork, n rounds drawn as one multinomial of first finds; returns one count vector.
+    """Race, then fork, n rounds as counts of rounds per withheld set; returns one count vector.
+
+    The first finds are one multinomial. The enders of the held rounds are one
+    more, since a round's ender does not depend on its withheld set. The rounds
+    external ends race on as counts per set: a pass moves each set's rounds to
+    a stop or to the set with one more bit, skipping repeat finds, which change
+    nothing. One multinomial per set then resolves the forks, since a branch
+    depends only on its set.
 
     With m enders the vector holds the rounds each ender won without a fork
     (m entries; external's are case E), the forks each ender won (m), then
     the case C and case D counts.
     """
-    cum, n_infil, m = model.cum, model.table.shape[1], len(model.actors)
-    first = rng.multinomial(n, np.diff(cum, prepend=0.0))
-    # each held round's withheld set, starting from its first find's bit, and its ender
-    mask = np.repeat(_BITS[:n_infil], first[:n_infil])
-    ender = np.empty(mask.size, dtype=np.int16)
-    active = np.arange(mask.size)
-    while active.size:
-        cat = _categories(cum, rng.random(active.size))
-        ender[active] = cat - n_infil  # rounds still racing are overwritten later
-        racing = cat < n_infil
-        active = active[racing]
-        mask[active] |= _BITS[cat[racing]]
-    forked = mask[ender == m - 1]  # a held round that external ends forks
-    ends = first[n_infil:] + np.bincount(ender, minlength=m)
-    ends[-1] -= forked.size
-    single = np.count_nonzero((forked & (forked - 1)) == 0)  # case C: one bit set
-    u = rng.random(forked.size)
-    branch = sum(column[forked] <= u for column in model.table.T)
-    fork_wins = np.bincount(model.host[branch], minlength=m)
-    return np.concatenate((ends, fork_wins, [single, forked.size - single]), dtype=np.int64)
+    powers, ender_p, jump, grow, branch = model.race
+    k, m = model.table.shape[1], len(model.actors)
+    first = rng.multinomial(n, powers)
+    enders = rng.multinomial(first[:k], ender_p)  # (k, m): held rounds by first find and ender
+    racing = np.zeros(1 << k, dtype=np.int64)
+    racing[grow[0]] = enders[:, -1]  # grow[0] holds the one-bit sets
+    forked = np.zeros_like(racing)
+    while racing.any():
+        moves = rng.multinomial(racing, jump)
+        forked += moves[:, -1]
+        racing = np.bincount(grow.ravel(), moves[:, :-1].ravel(), 1 << k).astype(np.int64)
+    fork_wins = np.zeros(m, dtype=np.int64)
+    fork_wins[model.host] = rng.multinomial(forked, branch).sum(axis=0)
+    ends = first[k:] + enders.sum(axis=0)
+    ends[-1] -= forked.sum()
+    single = forked[grow[0]].sum()  # case C: one bit set
+    return np.concatenate((ends, fork_wins, [single, forked.sum() - single]), dtype=np.int64)
 
 
 def _moments(actors, wins: np.ndarray, payout: np.ndarray) -> tuple[dict, dict]:
@@ -326,7 +353,7 @@ def simulate(cfg: SimConfig) -> SimOutcome:
     if cfg.rounds < 100:
         warnings.warn("fewer than 100 rounds; statistics will be degenerate",
                       UserWarning, stacklevel=_caller_stacklevel())
-    counts = np.sum(_run_blocks(cfg, lambda rng, n: _block(model, rng, n)), axis=0)
+    counts = _run_blocks(cfg, lambda rng, n: _block(model, rng, n))
     ends, fork_wins = counts[:-2].reshape(2, -1)
     wins = ends + fork_wins
     cases = dict.fromkeys(CASE_TAGS, 0)

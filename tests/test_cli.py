@@ -724,7 +724,7 @@ _FUZZ = {
                 "-L": ("1", "3", "0", "-1", "1000000", str(10**400)), "--t": _NUMBERS,
                 "--pool-power": _NUMBERS, "--c-max": _NUMBERS},
 }
-# flags argparse requires, and --workers, which defaults to every core
+# flags argparse requires, and --workers, so that fuzzed sim runs also take 2 threads
 _ALWAYS = {"", "--workers", "--rounds", "--alpha1", "--alpha2", "game-sweep --c"}
 
 

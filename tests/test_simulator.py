@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 import warnings
 from pathlib import Path
 from statistics import NormalDist
@@ -30,7 +31,7 @@ pytestmark = pytest.mark.filterwarnings("ignore::fawkit.errors.RationalFloorWarn
 SINGLE = SinglePoolScenario(0.2, 0.2, 0.44151844, 1.0)
 # to_json_dict() of the single, table2-optimum multi and game scenarios at
 # seed 7 with 1, 150 and 600 000 rounds (two full blocks and a partial one),
-# written by the engine whose first draws are one multinomial per block
+# written by the engine that samples each block as counts of rounds per withheld set
 SEEDED = json.loads((Path(__file__).resolve().parent / "golden" / "sim_seeded.json").read_text())
 
 
@@ -62,6 +63,23 @@ def test_worker_count_only_partitions(make_scenario):
     assert a.reward_sums == b.reward_sums
     assert a.reward_sumsq == b.reward_sumsq
     assert a.extras == b.extras
+
+
+def test_block_loop_memory_does_not_grow_with_the_block_count(monkeypatch):
+    # trivial blocks: each returns its size, so the sum also checks the partial last block
+    monkeypatch.setattr(simulator, "_block_rng", lambda seed, index: None)
+
+    def peak(blocks):
+        cfg = SimConfig(rounds=blocks * simulator.BLOCK_ROUNDS - 5, seed=1, scenario=SINGLE)
+        tracemalloc.start()
+        try:
+            assert simulator._run_blocks(cfg, lambda rng, n: n) == cfg.rounds
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # a list of every block's size or result would take about 170 kB at 10^4 blocks
+    assert peak(10_000) <= peak(10) + 16_384
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -227,17 +245,6 @@ def test_outcome_export_shapes():
     assert sum(fork_wins.values()) == forks
 
 
-def test_categories_match_searchsorted():
-    # zero powers repeat an edge, as at tau = 0; 130 powers give 129 edges, past an int8
-    # counter; some draws land exactly on an edge
-    spread = np.random.default_rng(4).random(130)
-    for powers in ([0.0, 0.1, 0.3, 0.0, 0.2, 0.4], spread / spread.sum()):
-        cum = simulator._power_cum(powers)
-        u = np.random.default_rng(3).random(100_000)
-        u[:5], u[5] = cum[:5], cum[-2]
-        assert np.array_equal(simulator._categories(cum, u), np.searchsorted(cum, u, side="right"))
-
-
 def test_branch_table_splits_c_evenly():
     c = 0.7
     model = simulator._pool_model("multi", 0.2, (0.1,) * 3, (0.2,) * 3, c, ("a", "b", "c"))
@@ -285,19 +292,39 @@ def test_config_takes_numpy_integers():
     assert [config[k] for k in ("rounds", "seed", "workers")] == [150, 2 ** 63, 2]
 
 
-# The block engine as it was with one uniform first draw and one withheld-set
+# The block engine as it was with one uniform per find and one withheld-set
 # mask per round of the block: the reference that _block must match in distribution.
 _POPCOUNT = np.array([bin(m).count("1") for m in range(256)], dtype=np.uint8)
+_BITS = (1 << np.arange(8)).astype(np.uint8)  # one bit per infiltration category
+
+
+def _categories(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Category of each uniform draw: how many cumulative powers are <= it."""
+    cat = np.zeros(u.size, dtype=np.int16)
+    for edge in cum[:-1]:  # u < cum[-1] == 1 always
+        cat += u >= edge
+    return cat
+
+
+def test_categories_match_searchsorted():
+    # zero powers repeat an edge, as at tau = 0; 130 powers give 129 edges, past an int8
+    # counter; some draws land exactly on an edge
+    spread = np.random.default_rng(4).random(130)
+    for powers in ([0.0, 0.1, 0.3, 0.0, 0.2, 0.4], spread / spread.sum()):
+        cum = simulator._power_cum(powers)
+        u = np.random.default_rng(3).random(100_000)
+        u[:5], u[5] = cum[:5], cum[-2]
+        assert np.array_equal(_categories(cum, u), np.searchsorted(cum, u, side="right"))
 
 
 def _oracle_race(rng, n, cum, n_infil):
-    terminal = simulator._categories(cum, rng.random(n)) - n_infil
+    terminal = _categories(cum, rng.random(n)) - n_infil
     mask = np.zeros(n, dtype=np.uint8)
     active = np.flatnonzero(terminal < 0)
     found = terminal[active] + n_infil
     while active.size:
-        mask[active] |= simulator._BITS[found]
-        cat = simulator._categories(cum, rng.random(active.size))
+        mask[active] |= _BITS[found]
+        cat = _categories(cum, rng.random(active.size))
         terminal[active] = cat - n_infil  # rounds still racing are overwritten later
         racing = cat < n_infil
         active, found = active[racing], cat[racing]
@@ -332,7 +359,9 @@ FALSE_ALARM = 1e-5  # chance that one case fails although both engines draw alik
     lambda: GameScenario(0.2, 0.15, 0.1, 0.07, 0.8, 0.6, 0.4, 0.3),
     # a pool with no power of its own, one left alone, and c strictly inside (0, 1)
     lambda: MultiPoolScenario(0.3, (0.2, 0.0, 0.1, 0.15), (0.3, 0.2, 0.0, 0.4), 0.6),
-], ids=["single", "table2", "game", "sparse-multi"])
+    # MAX_POOLS pools: every one of the 256 withheld sets, and up to 8 race passes
+    lambda: MultiPoolScenario(0.3, tuple(np.linspace(0.02, 0.09, 8)), (0.12,) * 8, 0.7),
+], ids=["single", "table2", "game", "sparse-multi", "max-pools"])
 def test_block_counts_match_the_per_round_oracle_in_distribution(make_scenario):
     # each entry counts the rounds of one kind, so over N rounds it is Binomial(N, p) in
     # either engine; a pooled two-sample z per entry, Bonferroni over the entries
