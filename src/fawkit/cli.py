@@ -376,10 +376,10 @@ def build_parser() -> argparse.ArgumentParser:
         _add_common(p)
         p.set_defaults(func=cmd_reward, rewards=rewards, **scenario)
         p = sub.add_parser(f"sim-{kind}", parents=[flags], help=f"Monte Carlo {kind} run")
-        p.add_argument("--rounds", type=int, required=True)
+        p.add_argument("--rounds", type=int, required=True, help="1 to 2^53")
         p.add_argument("--seed", type=int, default=42, help="default 42")
         p.add_argument("--workers", type=int, default=1,
-                       help="worker threads, default 1; results do not depend on this")
+                       help="default 1; echoed, but changes neither the result nor the speed")
         _add_scenario_opt(p)
         _add_common(p)
         p.set_defaults(func=cmd_sim, **scenario)

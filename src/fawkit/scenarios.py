@@ -42,11 +42,13 @@ def _check_real(name: str, value) -> None:
         raise ConstraintViolated(f"{name} is above the largest float in magnitude")
 
 
-def _check_integer(name: str, value, low: int = 1) -> int:
-    """``value`` as an int if it is an integer >= ``low``; numpy's pass, a bool fails."""
+def _check_integer(name: str, value, low: int = 1, high: int | None = None) -> int:
+    """``value`` as an int in [``low``, ``high``]; numpy's integers pass, a bool fails."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ConstraintViolated(f"{name}={value!r} must be an integer")
     value = int(value)  # numpy integers do not serialise
+    if high is not None and value > high:  # names the cap: the value may be too long to print
+        raise ConstraintViolated(f"{name} must be at most {high}")
     if abs(value) > sys.float_info.max:  # exact for an int of any size, even one too long to print
         raise ConstraintViolated(f"{name} is above the largest float in magnitude")
     if value < low:

@@ -45,24 +45,22 @@ expectation ta/(b+ta) rather than sampling share submissions; submission
 counts concentrate tightly around power fractions, so this removes
 variance without bias.
 
-Reproducibility: rounds are partitioned into fixed-size blocks and block
-``i`` draws from ``Philox`` seeded with ``SeedSequence((seed, i))``. The
-worker count only distributes whole blocks across threads, and the blocks'
-integer counts are summed exactly, so outcomes are bitwise identical for
-any worker count given the same (seed, rounds, scenario).
+Reproducibility: a run is one block, drawn from ``Philox`` seeded with
+``SeedSequence((seed, 0))``, so the outcome depends only on (seed, rounds,
+scenario). A block costs the same at any round count, so nothing is gained
+by splitting a run; ``workers`` changes neither the outcome nor the speed.
 """
 
 from __future__ import annotations
 
 import json
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .errors import ConstraintViolated, _caller_stacklevel
+from .errors import _caller_stacklevel
 from .scenarios import (
     GameScenario,
     MultiPoolScenario,
@@ -73,7 +71,9 @@ from .scenarios import (
 )
 
 SCHEMA_VERSION = 1
-BLOCK_ROUNDS = 1 << 18
+# a run is one block of at most this many rounds: its int64 counts and the
+# float moments of _moments stay exact
+BLOCK_ROUNDS = 1 << 53
 RNG_ALGORITHM = "philox4x64"
 
 CASE_TAGS = (
@@ -86,7 +86,11 @@ CASE_TAGS = (
 
 @dataclass(frozen=True)
 class SimConfig:
-    """One simulation request; per-worker substreams derive from the seed."""
+    """One simulation request of at most ``BLOCK_ROUNDS`` rounds.
+
+    ``workers`` is checked and echoed in the outcome's config, but it changes
+    neither the outcome nor the speed: a run is one draw.
+    """
 
     rounds: int
     seed: int
@@ -94,10 +98,9 @@ class SimConfig:
     workers: int = 1
 
     def __post_init__(self):
-        for name, low in (("rounds", 1), ("seed", 0), ("workers", 1)):
-            object.__setattr__(self, name, _check_integer(name, getattr(self, name), low))
-        if self.seed >= 2 ** 64:
-            raise ConstraintViolated(f"seed={self.seed!r} must fit in an unsigned 64-bit integer")
+        for name, low, high in (("rounds", 1, BLOCK_ROUNDS), ("seed", 0, 2 ** 64 - 1),
+                                ("workers", 1, None)):
+            object.__setattr__(self, name, _check_integer(name, getattr(self, name), low, high))
 
 
 @dataclass
@@ -281,25 +284,6 @@ def _block_rng(seed: int, block_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, block_index))))
 
 
-def _run_blocks(cfg: SimConfig, block_fn):
-    """Sum block_fn(rng, n) over the blocks of BLOCK_ROUNDS rounds.
-
-    Worker k sums blocks k, k + w, k + 2w, ...; no list of blocks is built.
-    """
-    blocks = -(-cfg.rounds // BLOCK_ROUNDS)
-    workers = min(cfg.workers, blocks)
-
-    def strided(k):
-        return sum(block_fn(_block_rng(cfg.seed, i),
-                            min(BLOCK_ROUNDS, cfg.rounds - i * BLOCK_ROUNDS))
-                   for i in range(k, blocks, workers))
-
-    if workers == 1:
-        return strided(0)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return sum(pool.map(strided, range(workers)))
-
-
 def _block(model: _Model, rng, n) -> np.ndarray:
     """Race, then fork, n rounds as counts of rounds per withheld set; returns one count vector.
 
@@ -353,7 +337,7 @@ def simulate(cfg: SimConfig) -> SimOutcome:
     if cfg.rounds < 100:
         warnings.warn("fewer than 100 rounds; statistics will be degenerate",
                       UserWarning, stacklevel=_caller_stacklevel())
-    counts = _run_blocks(cfg, lambda rng, n: _block(model, rng, n))
+    counts = _block(model, _block_rng(cfg.seed, 0), cfg.rounds)
     ends, fork_wins = counts[:-2].reshape(2, -1)
     wins = ends + fork_wins
     cases = dict.fromkeys(CASE_TAGS, 0)
@@ -372,7 +356,7 @@ def simulate(cfg: SimConfig) -> SimOutcome:
             "algorithm": RNG_ALGORITHM,
             "seed": cfg.seed,
             "block_rounds": BLOCK_ROUNDS,
-            "substream": "SeedSequence((seed, block_index))",
+            "substream": "SeedSequence((seed, 0))",
         },
         config={
             "rounds": cfg.rounds,

@@ -133,7 +133,9 @@ def test_detection_reward_converges_to_unguarded():
 
 
 def test_detection_reward_nondecreasing_in_identities():
-    values = [detection_resilient_reward(0.2, 0.2, 0.4, 0.5, L) for L in (1, 2, 5, 20, 100)]
+    with pytest.warns(NegativeEffectiveMinersWarning):  # L - d - 1 < 0 only at L = 1
+        values = [detection_resilient_reward(0.2, 0.2, 0.4, 0.5, 1)]
+    values += [detection_resilient_reward(0.2, 0.2, 0.4, 0.5, L) for L in (2, 5, 20, 100)]
     assert all(b >= a - 1e-15 for a, b in zip(values, values[1:]))
 
 

@@ -297,7 +297,8 @@ def test_omitted_seed_is_42(capsys):
     (("--rounds", "0"), "rounds"),
     (("--rounds", "1000", "--workers", "0"), "workers"),
     (("--rounds", "1000", "--seed", "-1"), "seed"),
-], ids=["rounds-0", "workers-0", "seed-negative"])
+    (("--rounds", str(2 ** 53 + 1)), "rounds"),
+], ids=["rounds-0", "workers-0", "seed-negative", "rounds-past-2^53"])
 def test_invalid_sim_input_is_a_typed_error(capsys, flags, named):
     code, out, err = run_cli(capsys, "sim-single", "--alpha", "0.2", "--beta", "0.2",
                              "--c", "0", "--tau", "0.1", *flags)
@@ -700,7 +701,7 @@ _SINGLE = {"--alpha": _NUMBERS, "--beta": _NUMBERS, "--c": _NUMBERS, "--tau": _N
 _POOLS = ("0.1", "0.1,0.2", "0.2,0.1,0.05", "0.3,0.3", "nan,0.1", "-0.1", "0,0")
 _MULTI = {"--alpha": _NUMBERS, "--betas": _POOLS, "--c": _NUMBERS,
           "--preset": tuple(sorted(multi_pool.POOL_PRESETS))}
-# every sim run is small and on at most two threads
+# every sim run is small
 _SIM = {"--rounds": ("1", "2000", "0", "-1"), "--workers": ("1", "2"),
         "--seed": ("1", "0", "-1", str(2**64))}
 # a range flag gives at most a few points: a small step on both axes asks for 10^12 cells
@@ -724,7 +725,7 @@ _FUZZ = {
                 "-L": ("1", "3", "0", "-1", "1000000", str(10**400)), "--t": _NUMBERS,
                 "--pool-power": _NUMBERS, "--c-max": _NUMBERS},
 }
-# flags argparse requires, and --workers, so that fuzzed sim runs also take 2 threads
+# flags argparse requires, and --workers, so that fuzzed sim runs also check and echo it
 _ALWAYS = {"", "--workers", "--rounds", "--alpha1", "--alpha2", "game-sweep --c"}
 
 

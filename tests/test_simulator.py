@@ -1,6 +1,5 @@
 import json
 import math
-import tracemalloc
 import warnings
 from pathlib import Path
 from statistics import NormalDist
@@ -10,12 +9,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import game_scenarios, single_scenarios
+from conftest import game_scenarios, multi_scenarios, single_scenarios
 from fawkit import simulator
 from fawkit.errors import ConstraintViolated
-from fawkit.game import game_payoffs, solve_equilibrium
-from fawkit.multi_pool import optimize_allocation, preset_attack
-from fawkit.scenarios import GameScenario, MultiPoolScenario, SinglePoolScenario, scenario_from_dict
+from fawkit.game import game_payoffs, net_payoffs, solve_equilibrium
+from fawkit.multi_pool import optimize_allocation, preset_attack, reward_npool
+from fawkit.scenarios import (
+    MAX_POOLS,
+    GameScenario,
+    MultiPoolScenario,
+    SinglePoolScenario,
+    scenario_from_dict,
+)
 from fawkit.simulator import (
     SimConfig,
     SimOutcome,
@@ -30,8 +35,8 @@ pytestmark = pytest.mark.filterwarnings("ignore::fawkit.errors.RationalFloorWarn
 
 SINGLE = SinglePoolScenario(0.2, 0.2, 0.44151844, 1.0)
 # to_json_dict() of the single, table2-optimum multi and game scenarios at
-# seed 7 with 1, 150 and 600 000 rounds (two full blocks and a partial one),
-# written by the engine that samples each block as counts of rounds per withheld set
+# seed 7 with 1, 150 and 600 000 rounds, written by the engine that draws a run as
+# one block of counts of rounds per withheld set
 SEEDED = json.loads((Path(__file__).resolve().parent / "golden" / "sim_seeded.json").read_text())
 
 
@@ -54,7 +59,7 @@ def _table2_at_optimum():
 ], ids=["single", "multi", "game"])
 def test_worker_count_only_partitions(make_scenario):
     scenario = make_scenario()
-    # 600k rounds are 3 blocks of BLOCK_ROUNDS, spread over up to 4 workers
+    # the worker count is only echoed in the config
     base = SimConfig(rounds=600_000, seed=7, scenario=scenario, workers=1)
     threaded = SimConfig(rounds=600_000, seed=7, scenario=scenario, workers=4)
     a = simulate(base)
@@ -63,23 +68,6 @@ def test_worker_count_only_partitions(make_scenario):
     assert a.reward_sums == b.reward_sums
     assert a.reward_sumsq == b.reward_sumsq
     assert a.extras == b.extras
-
-
-def test_block_loop_memory_does_not_grow_with_the_block_count(monkeypatch):
-    # trivial blocks: each returns its size, so the sum also checks the partial last block
-    monkeypatch.setattr(simulator, "_block_rng", lambda seed, index: None)
-
-    def peak(blocks):
-        cfg = SimConfig(rounds=blocks * simulator.BLOCK_ROUNDS - 5, seed=1, scenario=SINGLE)
-        tracemalloc.start()
-        try:
-            assert simulator._run_blocks(cfg, lambda rng, n: n) == cfg.rounds
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    # a list of every block's size or result would take about 170 kB at 10^4 blocks
-    assert peak(10_000) <= peak(10) + 16_384
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -285,6 +273,18 @@ def test_config_rejects_ints_past_the_largest_float(name):
         SimConfig(**kwargs)
 
 
+def test_a_run_of_the_largest_size_keeps_exact_counts():
+    out = simulate(SimConfig(rounds=simulator.BLOCK_ROUNDS, seed=3, scenario=SINGLE))
+    assert out.rounds_run == 2 ** 53
+    assert sum(out.case_counts.values()) == sum(out.extras["wins"].values()) == 2 ** 53
+
+
+@pytest.mark.parametrize("rounds", [2 ** 53 + 1, 10 ** 5000], ids=["2^53+1", "10^5000"])
+def test_config_rejects_rounds_past_the_cap(rounds):
+    with pytest.raises(ConstraintViolated, match="^rounds must be at most 9007199254740992$"):
+        SimConfig(rounds=rounds, seed=1, scenario=SINGLE)
+
+
 def test_config_takes_numpy_integers():
     cfg = SimConfig(rounds=np.int64(150), seed=np.uint64(2 ** 63), scenario=SINGLE,
                     workers=np.int32(2))
@@ -366,7 +366,8 @@ def test_block_counts_match_the_per_round_oracle_in_distribution(make_scenario):
     # each entry counts the rounds of one kind, so over N rounds it is Binomial(N, p) in
     # either engine; a pooled two-sample z per entry, Bonferroni over the entries
     model = simulator._model(make_scenario())
-    n, rounds = simulator.BLOCK_ROUNDS, ORACLE_BLOCKS * simulator.BLOCK_ROUNDS
+    n = 1 << 18
+    rounds = ORACLE_BLOCKS * n
     # disjoint substreams keep the two sums independent
     got = sum(simulator._block(model, simulator._block_rng(61, i), n)
               for i in range(ORACLE_BLOCKS))
@@ -408,3 +409,27 @@ def test_block_counts_keep_their_invariants(scenario, n, seed, index):
         assert forks.sum() == 0
     if not model.table.any():  # c = 0: no withheld branch ever wins
         assert fork_wins[:-1].sum() == 0
+
+
+PROPERTY_ROUNDS = 2 ** 40
+
+
+@settings(max_examples=100)
+@given(st.one_of(single_scenarios(), multi_scenarios(max_pools=MAX_POOLS), game_scenarios()),
+       st.integers(0, 2 ** 64 - 1))
+def test_simulated_means_match_the_closed_forms(scenario, seed):
+    # Each checked mean is off by more than 5 SE with chance 5.7e-7 under the normal
+    # approximation, so 100 examples of at most 2 checks each give a false alarm with
+    # chance about 1.1e-4 (the profile draws the same examples on every run). An outcome
+    # rarer than 1/rounds can go unseen, and its sample SE is then about 0; the 10/rounds
+    # floor covers it.
+    out = simulate(SimConfig(rounds=PROPERTY_ROUNDS, seed=seed, scenario=scenario))
+    if isinstance(scenario, GameScenario):
+        want = dict(zip(("pool1", "pool2"), net_payoffs(scenario)))
+    elif isinstance(scenario, SinglePoolScenario):
+        want = {"attacker": reward_single(scenario)}
+    else:
+        want = {"attacker": reward_npool(scenario)}
+    for actor, value in want.items():
+        bound = 5 * out.std_error[actor] + 10 / PROPERTY_ROUNDS
+        assert abs(out.reward_means[actor] - value) <= bound, actor
