@@ -3,7 +3,9 @@
 Closed-form reward calculators for infiltrating one or many proportional
 pools, a two-pool mutual-attack game solver with region sweeps, network
 bounds and countermeasure economics, and a round-level Monte Carlo engine
-that independently cross-checks every closed form.
+that independently cross-checks the single-pool, n-pool, game and
+bonus-scheme rewards; the detection and honeypot averages and the network
+bounds have no simulated counterpart.
 """
 
 from .bounds import (

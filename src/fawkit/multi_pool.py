@@ -30,27 +30,29 @@ Every term is positive: 1 - ta(P) - ta_i >= 1 - Ta > 1/2 under the majority
 guard, so no sum cancels. Pool counts are capped at MAX_POOLS by the
 simulator's 2^n-row withheld-set tables; the kernel itself has no cap.
 
-The kernel _reward_raw takes each tau as a float or an ndarray: reward_npool
-calls it on a scenario's floats, and optimize_allocation scores each
-coordinate's whole grid as one array in one call. Every sum is sequential,
-in a fixed order (1 - ta(S) pool by pool, each pot over P ascending as
-bitmasks, T and B pool by pool), so a float call and a grid column give the
-same bits. T and B are not taken with the builtin sum, which compensates
-float sums from Python 3.12 on but adds an ndarray plainly.
+The kernel _reward_raw takes each tau as a float or an ndarray, real or
+complex: reward_npool calls it on a scenario's floats, and
+optimize_allocation on a batch of complex points, whose imaginary parts
+carry exact derivatives. Every sum is sequential, in a fixed order
+(1 - ta(S) pool by pool, each pot over P ascending as bitmasks, T and B
+pool by pool), so a float call and an array entry give the same bits. T
+and B are not taken with the builtin sum, which compensates float sums
+from Python 3.12 on but adds an ndarray plainly.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from math import comb
+from math import comb, nan, sqrt, ulp
 from operator import add
 
 import numpy as np
 
 from .errors import ConstraintViolated, DegenerateInput
-from .optimize import grid_golden_max
 from .scenarios import MultiPoolScenario, rer
+from .single_pool import optimal_tau_closed_form
 
 # Approximate network power distribution used throughout the worked examples:
 # open pools plus an "Unknown" remainder of closed pools and solo miners.
@@ -65,10 +67,13 @@ TABLE2_POWERS = {
 
 POOL_PRESETS = {"table2": TABLE2_POWERS}
 
-ALLOC_REWARD_TOL = 1e-8  # optimize_allocation stops when a sweep gains less reward
-ALLOC_MAX_SWEEPS = 200   # ... or after this many sweeps, unconverged
-ALLOC_COORD_GRID = 200   # coarse scan points per coordinate
-ALLOC_XTOL = 1e-10       # final zoom bracket width per coordinate
+# optimize_allocation's Newton solve in u = tau / beta; see its docstring
+ALLOC_MAX_STEPS = 100   # steps before it gives up, unconverged
+ALLOC_STEP_TOL = 1e-9   # it converges after a step this small in every u (relative past 1)
+ALLOC_GRAD_ULPS = 64    # ... or where each d reward / d tau is within this many ulps of rounding
+ALLOC_ULPS = 4          # a step may lower the reward by this many ulps
+ALLOC_EIG_FLOOR = 1e-8  # Hessian eigenvalues are clamped to -this * the largest |one| or below
+COMPLEX_STEP = 1e-20    # imaginary step in u: the reward's imaginary part over it is a derivative
 
 
 def preset_attack(name: str = "table2"):
@@ -174,8 +179,12 @@ def reward_npool(s: MultiPoolScenario) -> float:
 class AllocationResult:
     """Optimized infiltration split. ``reward`` re-evaluates at ``taus``.
 
-    ``evaluations`` counts the points the kernel scored, not its calls: a
-    coarse scan scores ALLOC_COORD_GRID + 1 points in one call.
+    ``evaluations`` counts the points the kernel scored, not its calls:
+    each Newton step scores (m+1)·m complex points in one call, for m
+    distinct pool powers, and the KKT check n more. ``kkt_residual`` is
+    the largest violation of the first-order (KKT) conditions for a
+    maximum over {tau >= 0, sum(tau) <= 1} at ``taus``, in reward per unit
+    of tau: about 1e-16 for a converged solve at alpha = 0.2.
     """
 
     taus: tuple[float, ...]
@@ -183,56 +192,145 @@ class AllocationResult:
     rer_pct: float
     evaluations: int
     converged: bool
+    kkt_residual: float
+
+
+def _derivatives(alpha, betas, c, group, scale, u, diff_step):
+    """(reward, gradient, Hessian, points scored) in u, where group g's tau is u[g] * scale[g].
+
+    One kernel call on (m+1)·m complex points: row k is u (k = 0) or u plus
+    diff_step·max(u[k], 1) in coordinate k, column j adds COMPLEX_STEP·i to
+    coordinate j. Each imaginary part over COMPLEX_STEP is an exact partial
+    derivative at its row's point (Squire & Trapp 1998), and the rows'
+    differences give the Hessian. Of its two estimates of each mixed
+    derivative, the one differencing the smaller pool's gradient is kept:
+    a gradient's rounding error grows with its pool's scale.
+    """
+    eye = np.eye(len(u))
+    rows = np.vstack((u, u + diff_step * np.diag(np.maximum(u, 1.0))))
+    points = (rows[:, None, :] + COMPLEX_STEP * 1j * eye) * scale
+    r = _reward_raw(alpha, betas, [points[..., g].ravel() for g in group], c)
+    grads = (r.imag / COMPLEX_STEP).reshape(rows.shape)
+    hess = (grads[1:] - grads[0]) / (np.diag(rows[1:]) - u)[:, None]  # [j, i]: d grad_i / d u_j
+    return r[0].real, grads[0], np.where(scale <= scale[:, None], hess, hess.T), r.size
+
+
+def _newton_step(grad, hess):
+    """The step to the top of the quadratic model, its Hessian made negative definite.
+
+    The Hessian is scaled to a unit diagonal first, so that pools of very
+    different power get curvatures of one size. If an eigenvalue is above
+    -ALLOC_EIG_FLOOR times the largest |eigenvalue|, each is clamped to at
+    most that (Nocedal & Wright, Numerical Optimization, ch. 3); otherwise
+    the model is solved directly, since the eigenvectors of nearly equal
+    eigenvalues mix pools whose gradients differ by more than 1/eps.
+    """
+    d = np.sqrt(np.abs(np.diag(hess)))
+    d[d == 0.0] = 1.0  # a pool whose reward is flat in floats: its power is tiny against alpha
+    scaled, grad = hess / np.outer(d, d), grad / d
+    lam, vec = np.linalg.eigh(scaled)
+    floor = -ALLOC_EIG_FLOOR * np.abs(lam).max()
+    if lam.max() <= floor:
+        return np.linalg.solve(scaled, -grad) / d
+    return vec @ (vec.T @ grad / -np.minimum(lam, floor)) / d
+
+
+def _kkt_residual(alpha, betas, c, taus) -> tuple[float, int]:
+    """(largest KKT violation at taus, points scored), from one complex-step gradient per pool.
+
+    Pool i's step is COMPLEX_STEP·beta_i, small against the size of its
+    tau. A pool at tau = 0 violates only by a positive derivative; when the
+    taus sum to 1, the sum's multiplier is the largest derivative, if
+    positive.
+    """
+    points = np.asarray(taus) + COMPLEX_STEP * 1j * np.diag(betas)
+    grad = _reward_raw(alpha, betas, list(points.T), c).imag / COMPLEX_STEP / betas
+    slack = grad - (max(grad.max(), 0.0) if reduce(add, taus) >= 1.0 else 0.0)
+    violation = np.where(np.asarray(taus) > 0.0, np.abs(slack), slack)
+    return float(np.max(violation, initial=0.0)), grad.size
 
 
 def optimize_allocation(alpha, betas, c) -> AllocationResult:
     """Maximize reward_npool over the simplex {tau_i >= 0, sum(tau) <= 1}.
 
-    Projected coordinate ascent: pools with equal power are tied to one
-    shared variable (the optimum is symmetric across them), each coordinate
-    is solved by a coarse scan and zoomed rescans of its best bracket (each
-    one kernel call on a grid column), and sweeps repeat until
-    the reward improves by less than ALLOC_REWARD_TOL. Exhausting
-    ALLOC_MAX_SWEEPS returns the best point found with converged=False.
+    Damped Newton. Pools of equal power share one variable (the optimum is
+    symmetric across them), u[g] = tau / beta_g: a pool's optimal tau
+    grows with its power. The solve starts from the proportional split,
+    u = tau_bar / sum(beta) for tau_bar the optimal tau of one pool of the
+    summed power, which is exact at c = 0 and close at c > 0. Each step is
+    _newton_step's, halved until it stays in the region and lowers the
+    reward by at most ALLOC_ULPS ulps. The solve converges where the
+    gradient has fallen to its rounding, ALLOC_GRAD_ULPS ulps of alpha in
+    every d reward / d tau, or after a step of at most ALLOC_STEP_TOL in
+    every u, relative to u past 1. ALLOC_MAX_STEPS steps without either
+    return the last point with converged=False.
     """
     betas = tuple(float(b) for b in betas)
-    if any(b <= 0.0 for b in betas):
-        raise DegenerateInput("every target pool needs beta > 0")
+    min_beta = sys.float_info.min / COMPLEX_STEP  # each complex step stays a normal float
+    if any(b < min_beta for b in betas):
+        raise DegenerateInput(f"every target pool needs beta >= {min_beta!r}")
     MultiPoolScenario(alpha, betas, (0.0,) * len(betas), c)  # checks the powers and c
+    if alpha < sys.float_info.min:  # a subnormal reward has too few bits to compare splits
+        raise DegenerateInput(f"alpha={alpha!r} must be at least {sys.float_info.min!r}, "
+                              "the smallest normal float")
 
     powers = list(dict.fromkeys(betas))  # pools of equal power share one tau
     group = [powers.index(b) for b in betas]
-    sizes = [group.count(g) for g in range(len(powers))]
-    shared = [0.0] * len(sizes)
-    evals = 0
+    sizes = np.array([group.count(g) for g in range(len(powers))])
+    total = reduce(add, betas)
+    # the raw closed form: sum(beta) may pass the majority guard, as table2's 0.5 does.
+    # Where it fails (alpha + sum(beta) = 1, or cancellations at a tiny alpha), take its
+    # value at c = 0 with the cancelling difference rationalized away; that lies in (0, 1)
+    try:
+        tau_bar = optimal_tau_closed_form(alpha, total, c)
+    except ValueError:
+        tau_bar = nan
+    if not 0.0 < tau_bar < 1.0:
+        tau_bar = total / (1.0 - alpha + sqrt(1.0 - alpha * (1.0 + total)))
 
-    def objective(g, x):
-        """Reward with group g's tau at x (a float or a grid), the others at ``shared``."""
-        nonlocal evals
-        evals += np.size(x)
-        return _reward_raw(alpha, betas, [x if h == g else shared[h] for h in group], c)
-
-    current = objective(0, shared[0])
+    scale = np.array(powers)
+    u = np.full(len(powers), tau_bar / total)
+    # the gradient rounds to about eps·alpha and the curvature is of order alpha^2, so this
+    # step of the differences that give the Hessian balances their rounding against
+    # truncation; past 1e-2 (alpha below 2e-12) truncation would slow the steps too much
+    diff_step = min(sqrt(sys.float_info.epsilon / alpha), 1e-2)
+    # d reward / d tau sums terms of order alpha, so d reward / d u rounds to about an ulp
+    # of alpha times beta, and its imaginary part to no finer than the smallest subnormal
+    noise = ALLOC_GRAD_ULPS * (ulp(alpha) * scale + ulp(0.0) / COMPLEX_STEP)
+    reward, grad, hess, evals = _derivatives(alpha, betas, c, group, scale, u, diff_step)
     converged = False
-    for _ in range(ALLOC_MAX_SWEEPS):
-        previous = current
-        for g, size in enumerate(sizes):
-            others = sum(sizes[h] * shared[h] for h in range(len(sizes)) if h != g)
-            hi = min(1.0, max((1.0 - others) / size, 0.0))
-            shared[g], current = grid_golden_max(lambda x: objective(g, x), 0.0, hi,
-                                                 n_grid=ALLOC_COORD_GRID, xtol=ALLOC_XTOL)
-        if abs(current - previous) < ALLOC_REWARD_TOL:
+    for _ in range(ALLOC_MAX_STEPS):
+        # below alpha of about 1e-154, alpha^2 underflows and leaves no curvature
+        if np.all(np.abs(grad) <= noise) or not hess.any():
+            converged = True
+            break
+        step = _newton_step(grad, hess)
+        while step.any():
+            trial = u + step
+            if trial.min() >= 0.0 and sizes @ (trial * scale) <= 1.0:
+                found = _derivatives(alpha, betas, c, group, scale, trial, diff_step)
+                evals += found[3]
+                if found[0] >= reward - ALLOC_ULPS * ulp(reward):
+                    break
+            step = step / 2.0
+        else:  # the step halved to zero: no float near u scores higher
+            converged = True
+            break
+        u, (reward, grad, hess, _) = trial, found
+        if np.all(np.abs(step) <= ALLOC_STEP_TOL * np.maximum(u, 1.0)):
             converged = True
             break
 
-    taus = tuple(shared[g] for g in group)
+    taus = tuple(float(u[g] * scale[g]) for g in group)
+    kkt, points = _kkt_residual(alpha, betas, c, taus)
     reward = reward_npool(MultiPoolScenario(alpha, betas, taus, c))
     return AllocationResult(
         taus=taus,
         reward=reward,
         rer_pct=rer(reward, alpha),
-        evaluations=evals,
+        evaluations=evals + points,
         converged=converged,
+        kkt_residual=kkt,
     )
 
 

@@ -27,6 +27,7 @@ from fawkit.errors import (
     NegativeEffectiveMinersWarning,
 )
 from fawkit.scenarios import SinglePoolScenario
+from fawkit.simulator import SimConfig, simulate
 from fawkit.single_pool import optimal_tau, reward_single
 
 
@@ -248,6 +249,28 @@ def test_no_infiltration_earns_exactly_alpha(s, t, L):
 @given(single_scenarios())
 def test_bonus_at_zero_is_the_unguarded_reward(s):
     assert abs(bonus_scheme_reward(s.alpha, s.beta, s.tau, s.c, 0.0) - reward_single(s)) <= 1e-15
+
+
+@pytest.mark.parametrize("alpha, beta, tau, c, t, seed", [
+    (0.2, 0.2, 0.4, 0.6, 0.3, 1),
+    (0.3, 0.1, 0.8, 1.0, 0.7, 2),
+    (0.05, 0.4, 0.2, 0.2, 1.0, 3),
+    (0.45, 0.3, 0.5, 0.0, 0.5, 4),
+])
+def test_bonus_scheme_reward_is_the_mean_over_simulated_rounds(alpha, beta, tau, c, t, seed):
+    # the reward depends only on how a round ended: an innocent win pays the
+    # attacker 1, an honest pool win (1-t)s and a pool win by its withheld
+    # block t + (1-t)s, and the simulator counts exactly those rounds
+    out = simulate(SimConfig(rounds=1 << 30, seed=seed,
+                             scenario=SinglePoolScenario(alpha, beta, tau, c)))
+    wins, forks = out.extras["wins"], out.extras["fork_wins"]["pool"]
+    share = tau * alpha / (beta + tau * alpha)
+    counts = np.array([wins["attacker"], wins["pool"] - forks, forks])
+    pays = np.array([1.0, (1.0 - t) * share, t + (1.0 - t) * share])
+    n = out.rounds_run
+    mean = counts @ pays / n
+    se = np.sqrt((counts @ pays ** 2 / n - mean ** 2) / (n - 1))
+    assert abs(mean - bonus_scheme_reward(alpha, beta, tau, c, t)) <= 5 * se
 
 
 def test_bonus_scheme_tau_zero():

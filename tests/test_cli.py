@@ -211,7 +211,7 @@ def test_game_output_matches_golden(capsys, argv, golden):
 
 
 def test_optimize_alloc_exits_2_when_sweeps_run_out(capsys, monkeypatch):
-    monkeypatch.setattr(multi_pool, "ALLOC_MAX_SWEEPS", 1)
+    monkeypatch.setattr(multi_pool, "ALLOC_MAX_STEPS", 1)
     for argv in (("reward-multi",), ("sim-multi", "--rounds", "1000")):
         code, out, _ = run_cli(capsys, *argv, "--preset", "table2", "--c", "1")
         assert code == 2
@@ -568,9 +568,10 @@ def test_sim_csv_records_the_solve(capsys):
     code, out, _ = run_cli(capsys, *argv, "--format", "csv")
     assert code == 0
     header, row = csv.reader(io.StringIO(out))
-    assert header[-5:] == [f"solve.{key}" for key in solve]
-    assert json.loads(row[-5]) == solve["taus"]
-    assert row[-1] == "True"
+    assert header[-len(solve):] == [f"solve.{key}" for key in solve]
+    fields = dict(zip(header, row))
+    assert json.loads(fields["solve.taus"]) == solve["taus"]
+    assert fields["solve.converged"] == "True"
 
 
 @pytest.mark.parametrize("kind, flags", [

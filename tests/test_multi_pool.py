@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from fawkit import multi_pool
 from fawkit.errors import ConstraintViolated, DegenerateInput, PowerOutOfRange, TooManyPools
 from fawkit.multi_pool import (
+    COMPLEX_STEP,
     POOL_PRESETS,
     TABLE2_POWERS,
     fixed_tau_reward_mismatched_c,
@@ -19,6 +20,7 @@ from fawkit.multi_pool import (
     reward_npool,
     reward_two_pools,
 )
+from fawkit.optimize import grid_golden_max
 from fawkit.scenarios import MAX_POOLS, MultiPoolScenario, SinglePoolScenario, rer
 from fawkit.single_pool import reward_single
 
@@ -283,8 +285,76 @@ def test_reward_nondecreasing_in_c():
         assert hi >= lo - 1e-15
 
 
+def _coordinate_ascent(alpha, betas, c):
+    """(taus, reward) of projected coordinate ascent on grid scans: the global oracle for the split.
+
+    Newton finds a local maximum; this scans each coordinate's whole range.
+    Pools of equal power share one tau. Each coordinate in turn is set by a
+    200-cell scan of its feasible range and zoomed rescans of the winner's
+    bracket down to 1e-10, and sweeps repeat until one gains less than 1e-8
+    of reward, at most 200 times.
+    """
+    powers = list(dict.fromkeys(betas))
+    group = [powers.index(b) for b in betas]
+    sizes = [group.count(g) for g in range(len(powers))]
+    shared = [0.0] * len(sizes)
+
+    def objective(g, x):
+        return multi_pool._reward_raw(alpha, betas, [x if h == g else shared[h] for h in group], c)
+
+    current = objective(0, shared[0])
+    for _ in range(200):
+        previous = current
+        for g, size in enumerate(sizes):
+            others = sum(sizes[h] * shared[h] for h in range(len(sizes)) if h != g)
+            hi = min(1.0, max((1.0 - others) / size, 0.0))
+            shared[g], current = grid_golden_max(lambda x: objective(g, x), 0.0, hi,
+                                                 n_grid=200, xtol=1e-10)
+        if abs(current - previous) < 1e-8:
+            break
+    taus = tuple(shared[g] for g in group)
+    return taus, reward_npool(MultiPoolScenario(alpha, betas, taus, c))
+
+
+def _check_against_the_oracle(alpha, betas, c):
+    """The Newton split converges, scores at least the oracle's reward, and is stationary.
+
+    A pool below 1e-12 of the network can leave its d reward / d tau above
+    1e-10 (single pool, c = 1, beta = 1e-20: 1.8e-10) where tau moves the
+    reward by less than its rounding, so the KKT bound covers larger pools.
+    """
+    res = optimize_allocation(alpha, betas, c)
+    _, oracle = _coordinate_ascent(alpha, betas, c)
+    assert res.converged
+    assert res.reward >= oracle - 1e-14 * alpha
+    if min(betas) >= 1e-12:
+        assert res.kkt_residual <= 1e-10
+
+
+@settings(max_examples=20)
+@given(st.data())
+def test_newton_split_is_at_least_the_coordinate_ascent(data):
+    n = data.draw(st.integers(1, 4))
+    alpha = data.draw(st.floats(sys.float_info.min, 0.49))
+    cap = min(0.49, (1.0 - alpha) / n)
+    betas = tuple(data.draw(st.lists(st.floats(sys.float_info.min / COMPLEX_STEP, cap),
+                                     min_size=n, max_size=n)))
+    _check_against_the_oracle(alpha, betas, data.draw(st.floats(0.0, 1.0)))
+
+
+@pytest.mark.parametrize("c", [0.0, 0.7, 1.0])
+def test_table2_split_is_at_least_the_coordinate_ascent(c):
+    _check_against_the_oracle(*preset_attack("table2"), c)
+
+
+def test_eight_pool_split_converges_at_a_tiny_attacker():
+    # the reward's curvature is of order alpha^2 here, so an eigenvalue floor
+    # fixed in absolute terms would take over the Newton step
+    _check_against_the_oracle(1e-6, tuple(0.02 + 0.005 * i for i in range(8)), 0.7)
+
+
 def test_optimizer_reports_exhausted_sweeps(monkeypatch):
-    monkeypatch.setattr(multi_pool, "ALLOC_MAX_SWEEPS", 1)
+    monkeypatch.setattr(multi_pool, "ALLOC_MAX_STEPS", 1)
     alpha, betas = preset_attack()
     res = optimize_allocation(alpha, betas, 1.0)
     assert not res.converged
@@ -294,6 +364,10 @@ def test_optimizer_reports_exhausted_sweeps(monkeypatch):
 def test_optimizer_rejects_empty_pool():
     with pytest.raises(DegenerateInput):
         optimize_allocation(0.2, (0.1, 0.0), 0.5)
+    with pytest.raises(DegenerateInput, match="beta >= 2.2250738585072014e-288"):
+        optimize_allocation(0.2, (0.1, 5e-324), 0.5)
+    with pytest.raises(DegenerateInput, match="alpha=5e-324 must be at least"):
+        optimize_allocation(5e-324, (0.1, 0.2), 0.5)
 
 
 def test_mismatched_c_consistency_when_planned_equals_actual():
