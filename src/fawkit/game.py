@@ -20,9 +20,13 @@ responses are identical under pot or net because the outgoing-share factor
 does not depend on the pool's own infiltration choice.
 
 With the opponent held fixed, a pool's pot is N(x)/D(x) for cubics N and D
-in its own infiltration x, so a best response is the best-scoring of x = 0,
-x = alpha and the roots of the quartic Q = N'D - ND' in between (the x^5
-terms cancel), found as eigenvalues of Q's companion matrix. A sweep runs
+in its own infiltration x, and pot' = Q/D^2 for the quartic Q = N'D - ND'
+(the x^5 terms cancel) with D > 0. So a best response is the best-scoring
+of x = 0, x = alpha and the points where Q falls through 0. The roots of
+Q'' cut [0, alpha] into three pieces, on each of which Q is convex or
+concave: such a point can only be a convex piece's first root or a concave
+one's last, and Newton's method from that piece's left or right end reaches
+it without passing it (in exact arithmetic), with no LAPACK call. A sweep runs
 every plan's alternating best responses in lockstep on arrays, through the
 same kernel and with the same bits per plan, so every sweep cell equals
 its per-cell solve.
@@ -41,10 +45,11 @@ import numpy as np
 from .errors import (
     ConstraintViolated,
     DegenerateInput,
+    FawError,
     RationalFloorWarning,
     _caller_stacklevel,
 )
-from .scenarios import GameScenario
+from .scenarios import GameScenario, _check_unit
 
 WINNER_POOL1 = "pool1"
 WINNER_POOL2 = "pool2"
@@ -88,12 +93,15 @@ def game_payoffs(g: GameScenario) -> tuple[float, float]:
 
 
 def _score(a1, a2, f1, f2, c1, c2, c1p, c2p):
-    """Pots, nets and net RERs (percent) of one strategy pair; a powerless pool's RER is nan."""
+    """Pots, nets and net RERs (percent) of one strategy pair, or of arrays of them.
+
+    A powerless pool's RER is nan; arrays, which only sweeps pass, hold none.
+    """
     r1, r2 = pot_payoffs_raw(a1, a2, f1, f2, c1, c2, c1p, c2p)
     net1 = r1 * (a1 / (a1 + f2))
     net2 = r2 * (a2 / (a2 + f1))
-    rer1 = (net1 - a1) / a1 * 100.0 if a1 else math.nan
-    rer2 = (net2 - a2) / a2 * 100.0 if a2 else math.nan
+    rer1, rer2 = ((net - a) / a * 100.0 if isinstance(a, np.ndarray) or a else math.nan
+                  for net, a in ((net1, a1), (net2, a2)))
     return (r1, r2), (net1, net2), (rer1, rer2)
 
 
@@ -164,35 +172,86 @@ def _derivative_numerator(n, d):
             n3 * d2 - n2 * d3)
 
 
+def _pick(cond, a, b):
+    """``np.where`` for arrays, a conditional for floats, which stay floats."""
+    return np.where(cond, a, b) if isinstance(cond, np.ndarray) else (a if cond else b)
+
+
+def _inflections(q, cap):
+    """Two points of [0, cap], sorted, among them every real root there of P = Q''/2.
+
+    P = q2 + 3*q3*x + 6*q4*x^2, by the stable quadratic formula. A root
+    that may lie beyond 1 > cap, so one whose quotient could overflow, and
+    the roots of a negative discriminant are replaced by points that are
+    not roots: such a point only cuts a piece on which P keeps its sign in two.
+    """
+    a, b, c = 6.0 * q[4], 3.0 * q[3], q[2]
+    disc = b * b - 4.0 * a * c
+    disc = _pick(disc > 0.0, disc, 0.0)
+    h = np.sqrt(disc) if isinstance(disc, np.ndarray) else math.sqrt(disc)
+    t = -0.5 * _pick(b < 0.0, b - h, b + h)
+    r0, r1 = (_pick(r > 0.0, _pick(r < cap, r, cap), 0.0)  # also maps -0.0 to 0.0
+              for r in (t / _pick(abs(a) > abs(t), a, 1.0), c / _pick(abs(t) > abs(c), t, 1.0)))
+    return _pick(r0 < r1, r0, r1), _pick(r0 < r1, r1, r0)
+
+
+def _falling_root(q, lo, hi):
+    """On a piece [lo, hi] where Q is convex or concave, where Q falls through 0, else an end.
+
+    Q can fall through 0 only at a convex piece's first root or a concave
+    one's last. A concave piece is searched as the convex R(u) = -Q(-u) on
+    u = -x, so each search is Newton's method from the left end toward a
+    first root, which it never passes in exact arithmetic; R's arithmetic is
+    Q's with signs flipped, so no bit changes. A step is taken only when
+    R > 0 > R', so it never divides by zero, and it is clipped at the far
+    end. The iterates are thus monotone and stop at a float their next step
+    keeps: an array entry that stops early keeps its bits while the others
+    go on.
+    """
+    mid = 0.5 * (lo + hi)
+    convex = q[2] + mid * (3.0 * q[3] + mid * (6.0 * q[4])) > 0.0
+    s = _pick(convex, 1.0, -1.0)
+    r = (s * q[0], q[1], s * q[2], q[3], s * q[4])  # R(u) = s*Q(s*u)
+    dr = (r[1], 2.0 * r[2], 3.0 * r[3], 4.0 * r[4])
+    u, far = s * _pick(convex, lo, hi), s * _pick(convex, hi, lo)
+    while True:
+        ru = r[0] + u * (r[1] + u * (r[2] + u * (r[3] + u * r[4])))
+        dru = dr[0] + u * (dr[1] + u * (dr[2] + u * dr[3]))
+        step = u - ru / _pick((ru > 0.0) & (dru < 0.0), dru, math.inf)
+        new = _pick(step > far, far, step)
+        moved = new != u
+        if not (moved.any() if isinstance(moved, np.ndarray) else moved):
+            return s * u + 0.0  # + 0.0 turns the -0.0 of a reflected 0 into 0.0
+        u = new
+
+
 def _best_response_raw(a1, a2, c1, c2, c1p, c2p, responder, f_opp):
     """The responder's most profitable infiltration against f_opp, for floats or 1-D arrays.
 
-    The best by ``pot_payoffs_raw`` of x = 0, x = cap and the real parts of
-    Q's roots clipped to [0, cap], the smallest x on a tie. The candidates
-    hold every maximum, and a spurious one can only lose. Each array entry
-    is one plan, with the scalar call's arithmetic and so its bits.
+    The best by ``pot_payoffs_raw`` of x = 0, x = cap and each piece's
+    falling root, the smallest x on a tie. The candidates hold every
+    maximum, and a spurious one can only lose. Each array entry is one plan,
+    with the scalar call's arithmetic and so its bits.
     """
     cap = a1 if responder == 1 else a2
-    n, d = _pot_fraction(a1, a2, c1, c2, c1p, c2p, responder, f_opp)
-    q = np.array(_derivative_numerator(n, d)).T
-    # a leading coefficient below the rounding of the others is raised to it: the root it
-    # moves lies beyond cap/eps, and Q changes on [0, cap] by no more than its rounding;
-    # the smallest subnormal keeps a zero Q, where every x ties, from dividing by zero
-    floor = np.maximum(math.ulp(1.0) * np.abs(q).max(axis=-1), math.ulp(0.0))
-    lead = np.copysign(np.maximum(np.abs(q[..., 4]), floor), q[..., 4])
-    companion = np.zeros(q.shape[:-1] + (4, 4))
-    companion[..., 0, :] = -q[..., 3::-1] / lead[..., None]
-    companion[..., 1:, :3] = np.eye(3)
-    xs = np.empty(q.shape[:-1] + (6,))
-    xs[..., :4] = np.linalg.eigvals(companion).real
-    xs[..., 4], xs[..., 5] = 0.0, cap
-    # floats stay floats, which round as numpy does at less cost
-    a1, a2, c1, c2, c1p, c2p, f_opp, cap = (v[..., None] if isinstance(v, np.ndarray) else v
-                                            for v in (a1, a2, c1, c2, c1p, c2p, f_opp, cap))
-    xs = np.minimum(np.maximum(xs, 0.0), cap)
-    f1, f2 = (xs, f_opp) if responder == 1 else (f_opp, xs)
-    pot = pot_payoffs_raw(a1, a2, f1, f2, c1, c2, c1p, c2p)[responder - 1]
-    return np.where(pot == pot.max(axis=-1, keepdims=True), xs, np.inf).min(axis=-1)[()]
+    q = _derivative_numerator(*_pot_fraction(a1, a2, c1, c2, c1p, c2p, responder, f_opp))
+    cuts = (0.0, *_inflections(q, cap), cap)
+
+    def pot(x):
+        f1, f2 = (x, f_opp) if responder == 1 else (f_opp, x)
+        return pot_payoffs_raw(a1, a2, f1, f2, c1, c2, c1p, c2p)[responder - 1]
+
+    if isinstance(cuts[1], np.ndarray):  # pieces and candidates on the leading axis
+        ends = np.empty((4,) + cuts[1].shape)
+        for row, cut in zip(ends, cuts):
+            row[...] = cut
+        xs = np.concatenate((ends[::3], _falling_root(q, ends[:3], ends[1:])))
+        scores = pot(xs)
+        return np.where(scores == scores.max(axis=0), xs, np.inf).min(axis=0)
+    xs = [0.0, cap] + [_falling_root(q, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+    scores = [pot(x) for x in xs]
+    best = max(scores)
+    return min(x for x, score in zip(xs, scores) if score == best)
 
 
 def _lockstep_equilibria(a1, a2, c):
@@ -343,47 +402,62 @@ def sweep_axis(start: float, stop: float, step: float) -> list[float]:
     return values
 
 
+def _fails(check, *args) -> bool:
+    try:
+        check(*args)
+    except FawError:
+        return True
+    return False
+
+
+def _check_axes(alpha1, alpha2_axis, c_axis, assumed_c):
+    """Check every cell as its solve and score would, one axis value at a time.
+
+    Each check of a cell depends on its alpha2 or its c, never on both: an
+    alpha2 is checked at c = 1, where alpha1 + alpha2 < 1 keeps the floor
+    check quiet, and a c as validate_game checks c1 (c/2 and their sum then
+    pass too). If a value fails, the first failing cell in c-major order is
+    checked whole, so that it raises its own error.
+    """
+    bad_a2 = {a2 for a2 in dict.fromkeys(alpha2_axis)
+              if _fails(_check_game, alpha1, a2, 1.0, 1.0, 0.5, 0.5)}
+    bad_c = {c for c in dict.fromkeys(c_axis) if _fails(_check_unit, "c1", c)}
+    if bad_a2 or bad_c:
+        c, a2 = next((c, a2) for c in c_axis for a2 in alpha2_axis
+                     if c in bad_c or a2 in bad_a2)
+        for cp in (alpha1 + a2, c) if assumed_c else (c,):
+            _check_game(alpha1, a2, cp, cp, cp / 2.0, cp / 2.0)
+
+
 def _sweep(alpha1, alpha2_axis, c_axis, assumed_c):
     """Winner cells in c-major order, each scored at its axis c.
 
     A cell plays the equilibrium solved at its planning c: alpha1 + alpha2
     when ``assumed_c``, else the axis c. A plan is one (alpha2, planning c)
     pair, and one solve serves every cell that shares it. Every cell is
-    checked first, as its solve and score would check it (each plan once,
-    and each assumed-c axis c once), so the first invalid cell raises. Plans
-    below the rational-manager floor raise one RationalFloorWarning with
-    their count. All plans are then solved together in lockstep.
+    checked first, so the first invalid cell raises. Plans below the
+    rational-manager floor raise one RationalFloorWarning with their count.
+    All plans are then solved together in lockstep, and all cells scored
+    together.
     """
-    plans, scored, cells = {}, set(), []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RationalFloorWarning)
-        for c in c_axis:
-            for a2 in alpha2_axis:
-                plan = (a2, alpha1 + a2 if assumed_c else c)
-                if plan not in plans:
-                    _check_game(alpha1, a2, plan[1], plan[1], plan[1] / 2.0, plan[1] / 2.0)
-                    plans[plan] = len(plans)
-                if assumed_c and c not in scored:
-                    _check_game(alpha1, a2, c, c, c / 2.0, c / 2.0)
-                    scored.add(c)
-                cells.append((a2, c, plans[plan]))
+    cells = [(c, a2) for c in c_axis for a2 in alpha2_axis]
+    if not cells:
+        return []
+    _check_axes(alpha1, alpha2_axis, c_axis, assumed_c)
+    plans: dict = {}
+    ks = [plans.setdefault((a2, alpha1 + a2 if assumed_c else c), len(plans)) for c, a2 in cells]
     if below := sum(cp < alpha1 + a2 for a2, cp in plans):  # validate_game's test at c1 = c2
         warnings.warn(f"{below} of {len(plans)} sweep plans have a branch-win probability "
                       "below the rational-manager floor alpha1 + alpha2",
                       RationalFloorWarning, stacklevel=_caller_stacklevel())
-    a2s, cps = np.array(list(plans), dtype=float).reshape(-1, 2).T
+    a2s, cps = np.array(list(plans), dtype=float).T
     f1s, f2s, converged = _lockstep_equilibria(alpha1, a2s, cps)
-    out = []
-    for a2, c, k in cells:
-        f1, f2 = float(f1s[k]), float(f2s[k])
-        _, _, (rer1, rer2) = _score(alpha1, a2, f1, f2, c, c, c / 2.0, c / 2.0)
-        out.append(RegionCell(
-            alpha2=float(a2), c=float(c), f1=f1, f2=f2,
-            rer1_pct=float(rer1), rer2_pct=float(rer2),
-            winner=classify_winner(rer1, rer2),
-            converged=bool(converged[k]),
-        ))
-    return out
+    c, a2 = np.array(cells, dtype=float).T
+    f1, f2 = f1s[ks], f2s[ks]
+    _, _, (rer1, rer2) = _score(alpha1, a2, f1, f2, c, c, c / 2.0, c / 2.0)
+    columns = (v.tolist() for v in (a2, c, f1, f2, rer1, rer2, converged[ks]))
+    return [RegionCell(a2, c, f1, f2, r1, r2, classify_winner(r1, r2), done)
+            for a2, c, f1, f2, r1, r2, done in zip(*columns)]
 
 
 def sweep_regions(alpha1, alpha2_axis, c_axis) -> list[RegionCell]:

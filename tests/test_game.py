@@ -230,9 +230,92 @@ def test_kernel_edge_cases(a1, a2, c1, c2, c1p, c2p, responder, f_opp):
     ((0.45, 0.1, 0.0, 0.0, 0.0, 0.0, 1, 0.05), 0.45, 0.0),  # pot(0) > pot(cap)
 ], ids=["cap-end", "zero-end"])
 def test_both_ends_are_candidates(monkeypatch, args, root, end):
-    """With every root of Q moved onto one end, the other end still competes and wins."""
-    monkeypatch.setattr(np.linalg, "eigvals", lambda m: np.full(m.shape[:-1], root, complex))
+    """With every piece's falling root moved onto one end, the other end still competes and wins."""
+    monkeypatch.setattr(game, "_falling_root", lambda q, lo, hi: root)
     assert game._best_response_raw(*args) == end
+
+
+def _companion_candidates(a1, a2, c1, c2, c1p, c2p, responder, f_opp):
+    """The best response by the companion-matrix route, kept as an independent oracle.
+
+    The best by ``pot_payoffs_raw`` of x = 0, x = cap and the real parts of
+    Q's roots, found as eigenvalues of its companion matrix and clipped to
+    [0, cap]; the smallest x on a tie.
+    """
+    cap = a1 if responder == 1 else a2
+    q = np.array(game._derivative_numerator(*game._pot_fraction(
+        a1, a2, c1, c2, c1p, c2p, responder, f_opp))).T
+    # a leading coefficient below the rounding of the others is raised to it: the root it
+    # moves lies beyond cap/eps; the smallest subnormal keeps a zero Q from dividing by zero
+    floor = np.maximum(np.finfo(float).eps * np.abs(q).max(axis=-1), 5e-324)
+    lead = np.copysign(np.maximum(np.abs(q[..., 4]), floor), q[..., 4])
+    companion = np.zeros(q.shape[:-1] + (4, 4))
+    companion[..., 0, :] = -q[..., 3::-1] / lead[..., None]
+    companion[..., 1:, :3] = np.eye(3)
+    xs = np.empty(q.shape[:-1] + (6,))
+    xs[..., :4] = np.linalg.eigvals(companion).real
+    xs[..., 4], xs[..., 5] = 0.0, cap
+    a1, a2, c1, c2, c1p, c2p, f_opp, cap = (np.asarray(v)[..., None]
+                                            for v in (a1, a2, c1, c2, c1p, c2p, f_opp, cap))
+    xs = np.minimum(np.maximum(xs, 0.0), cap)
+    pot = _responder_pot(a1, a2, c1, c2, c1p, c2p, responder, f_opp, xs)
+    return np.where(pot == pot.max(axis=-1, keepdims=True), xs, np.inf).min(axis=-1)[()]
+
+
+# the largest pot the best response may lose to the oracle's, in units of eps * |pot|: the worst
+# seen was 3.4 over 200 000 uniform draws and 41 on a corner grid, at alpha1 = alpha2 = f_opp =
+# 0.4999, where 1 - f1 - f2 is near 0 and each pot rounds about 50 times more coarsely
+POT_LOSS_EPS = 64
+
+
+def _assert_matches_the_oracle(args):
+    x = game._best_response_raw(*args)
+    cap = args[0] if args[6] == 1 else args[1]
+    assert type(x) is float and 0.0 <= x <= cap
+    best, oracle = (float(_responder_pot(*args, v)) for v in (x, _companion_candidates(*args)))
+    assert best >= oracle - POT_LOSS_EPS * np.finfo(float).eps * abs(oracle)
+
+
+@given(_responder_games())
+def test_best_response_is_the_companion_route(game_at_x):
+    _assert_matches_the_oracle(game_at_x[:-1])
+
+
+# powers from the smallest subnormal to the majority guard, and the ends and middle of [0, 1]
+CORNER_POWERS = (5e-324, 1e-300, 1e-150, 1e-30, 1e-12, 1e-6, 1e-3, 0.1, 0.25, 0.4999)
+
+
+@st.composite
+def _corner_games(draw):
+    """A game of the corner grid: powers from CORNER_POWERS, each c in {0, 1/2, 1}."""
+    a1, a2 = draw(st.sampled_from(CORNER_POWERS)), draw(st.sampled_from(CORNER_POWERS))
+    c1, c2, c1p = (draw(st.sampled_from((0.0, 0.5, 1.0))) for _ in range(3))
+    c2p = draw(st.sampled_from([c for c in (0.0, 0.5, 1.0) if c1p + c <= 1.0]))
+    responder = draw(st.sampled_from((1, 2)))
+    opp = a2 if responder == 1 else a1
+    return a1, a2, c1, c2, c1p, c2p, responder, draw(st.sampled_from((0.0, opp / 2.0, opp)))
+
+
+@settings(max_examples=150)
+@given(_corner_games())
+def test_corner_games_match_the_companion_route(args):
+    """No RuntimeWarning (pytest makes one an error), x in [0, cap], the oracle's pot."""
+    _assert_matches_the_oracle(args)
+
+
+@settings(max_examples=50)
+@given(st.lists(st.one_of(_corner_games(), _responder_games().map(lambda g: g[:-1])),
+                min_size=1, max_size=6))
+def test_float_call_is_its_batch_entry(games):
+    """A plan's best response has the same bits alone, as floats, and in a batch."""
+    for responder in (1, 2):
+        plans = [g for g in games if g[6] == responder]
+        if not plans:
+            continue
+        columns = [np.array(column) for column in zip(*plans)]
+        batch = game._best_response_raw(*columns[:6], responder, columns[7])
+        for plan, x in zip(plans, batch.tolist(), strict=True):
+            assert repr(game._best_response_raw(*plan)) == repr(x)
 
 
 @given(_responder_games())
@@ -557,9 +640,19 @@ def test_sweep_passes_other_warnings_through(monkeypatch):
     monkeypatch.setattr(scenarios, "validate_game", noisy_validate)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        sweep_regions(0.2, [0.1], [0.5, 1.0])
+        sweep_regions(0.2, [0.1, 0.15, 0.1], [0.5, 1.0])
+    # one game is built per distinct alpha2, and each one's warning reaches the caller
     assert [(w.category, str(w.message)) for w in caught] == [
         (UserWarning, "not about the floor")] * 2
+
+
+def test_repeated_sweeps_warn_once_under_the_default_filter():
+    """Python's once-per-line registry holds across calls: the sweep resets no filter."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        for _ in range(3):
+            sweep_regions(0.2, [0.1], [0.1, 0.5])
+    assert [(w.category, w.filename) for w in caught] == [(RationalFloorWarning, __file__)]
 
 
 def _first_assumed_c_error(alpha1, axis_a2, axis_c):
@@ -603,7 +696,15 @@ def test_assumed_c_checks_each_axis_c_once(monkeypatch):
         checked.append((g.alpha2, g.c1))
         return validate_game(g)
 
+    def counting_unit(name, value):
+        checked.append((name, value))
+        return check_unit(name, value)
+
+    check_unit = game._check_unit
     monkeypatch.setattr(scenarios, "validate_game", counting_validate)
-    sweep_regions_assumed_c(0.2, [0.1, 0.15, 0.1], [0.5, 1.0, 0.5])
-    # each plan once, and each distinct axis c once, after the plan of its first cell
-    assert checked == [(0.1, 0.2 + 0.1), (0.1, 0.5), (0.15, 0.2 + 0.15), (0.1, 1.0)]
+    monkeypatch.setattr(game, "_check_unit", counting_unit)
+    for sweep in (sweep_regions_assumed_c, sweep_regions):
+        checked.clear()
+        sweep(0.2, [0.1, 0.15, 0.1], [0.5, 1.0, 0.5])
+        # each distinct alpha2 once, in a game at c = 1, then each distinct axis c once, as c1
+        assert checked == [(0.1, 1.0), (0.15, 1.0), ("c1", 0.5), ("c1", 1.0)]
