@@ -180,10 +180,11 @@ def _pick(cond, a, b):
 def _inflections(q, cap):
     """Two points of [0, cap], sorted, among them every real root there of P = Q''/2.
 
-    P = q2 + 3*q3*x + 6*q4*x^2, by the stable quadratic formula. A root
-    that may lie beyond 1 > cap, so one whose quotient could overflow, and
-    the roots of a negative discriminant are replaced by points that are
-    not roots: such a point only cuts a piece on which P keeps its sign in two.
+    P = q2 + 3*q3*x + 6*q4*x^2, by the stable quadratic formula. Where the
+    discriminant is negative, or a quotient would be at least 1 in size (so
+    beyond cap, and perhaps an overflow), the formula yields a point that is
+    not a root instead; such a point only cuts in two a piece on which P
+    keeps its sign.
     """
     a, b, c = 6.0 * q[4], 3.0 * q[3], q[2]
     disc = b * b - 4.0 * a * c

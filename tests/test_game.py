@@ -264,7 +264,7 @@ def _companion_candidates(a1, a2, c1, c2, c1p, c2p, responder, f_opp):
 
 # the largest pot the best response may lose to the oracle's, in units of eps * |pot|: the worst
 # seen was 3.4 over 200 000 uniform draws and 41 on a corner grid, at alpha1 = alpha2 = f_opp =
-# 0.4999, where 1 - f1 - f2 is near 0 and each pot rounds about 50 times more coarsely
+# 0.4999, where 1 - f1 - f2 is about 0.013 and magnifies the pot's own rounding
 POT_LOSS_EPS = 64
 
 
