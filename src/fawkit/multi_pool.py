@@ -45,7 +45,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from math import comb, nan, sqrt, ulp
+from math import comb, sqrt, ulp
 from operator import add
 
 import numpy as np
@@ -278,18 +278,9 @@ def optimize_allocation(alpha, betas, c) -> AllocationResult:
     group = [powers.index(b) for b in betas]
     sizes = np.array([group.count(g) for g in range(len(powers))])
     total = reduce(add, betas)
-    # the raw closed form: sum(beta) may pass the majority guard, as table2's 0.5 does.
-    # Where it fails (alpha + sum(beta) = 1, or cancellations at a tiny alpha), take its
-    # value at c = 0 with the cancelling difference rationalized away; that lies in (0, 1)
-    try:
-        tau_bar = optimal_tau_closed_form(alpha, total, c)
-    except ValueError:
-        tau_bar = nan
-    if not 0.0 < tau_bar < 1.0:
-        tau_bar = total / (1.0 - alpha + sqrt(1.0 - alpha * (1.0 + total)))
-
     scale = np.array(powers)
-    u = np.full(len(powers), tau_bar / total)
+    # the raw closed form, as sum(beta) may pass the majority guard (table2's is 0.5)
+    u = np.full(len(powers), optimal_tau_closed_form(alpha, total, c) / total)
     # the gradient rounds to about eps·alpha and the curvature is of order alpha^2, so this
     # step of the differences that give the Hessian balances their rounding against
     # truncation; past 1e-2 (alpha below 2e-12) truncation would slow the steps too much

@@ -11,6 +11,9 @@ the victim pool wins, where the pool wins either through its own honest
 miners or through the attacker's withheld block surviving a fork. Setting
 c = 0 removes the fork channel and leaves the plain block-withholding
 baseline, which lower-bounds R_a.
+
+The maximizing t is the paper's closed form, rationalized so that no
+difference of nearly equal terms is formed (optimal_tau_closed_form).
 """
 
 from __future__ import annotations
@@ -21,12 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInput
-from .optimize import grid_golden_max
 from .scenarios import SinglePoolScenario
-
-TAU_AGREEMENT_TOL = 1e-6  # closed form and numeric optimum must agree to this
-TAU_GRID = 1000           # optimal_tau: coarse scan points over [0, 1]
-TAU_XTOL = 1e-9           # optimal_tau: final zoom bracket width, also the boundary band
 
 
 def _pots(alpha, beta, tau, c):
@@ -71,76 +69,58 @@ def victim_reward(s: SinglePoolScenario) -> float:
 
 
 def optimal_tau_closed_form(alpha: float, beta: float, c: float) -> float:
-    """Closed-form optimal infiltration fraction.
+    """The reward's maximizer over tau in [0, 1]; raw, no validation, beta > 0.
 
-    Implemented verbatim; the numeric optimum is authoritative when the two
-    disagree (see optimal_tau). Raises ValueError when the expression leaves
-    its real domain.
+    With E = 1 - alpha - beta, A = beta + (1 - c)E and K = (1 - c) + c*beta,
+    dR/dtau has the sign of beta^2 - 2*beta*A*tau - alpha*E*K*tau^2: beta^2
+    at tau = 0, and falling for tau >= 0. Its root is the paper's optimum,
+    rationalized (Higham 2002) so that no difference is formed:
+
+        tau* = beta / (A + sqrt(A^2 + alpha*E*K))
+
+    A >= beta, in floats too, so tau* <= beta / (2A) <= 1/2 needs no clamp.
+    It holds for any beta up to 1 - alpha (multi_pool passes the summed
+    power). Scaling by powers of two, which is exact, keeps A^2 and
+    alpha*E*K from underflowing (at c = 1 and a tiny beta that would return
+    1); tau* is then within 3 ulps of the exact root.
     """
-    ext = 1.0 - alpha - beta
-    disc = (ext * ext) * c * c + ext * (alpha * beta + alpha - 2.0) * c \
-        - alpha * (1.0 + beta) + 1.0
-    if disc < 0.0:
-        raise ValueError("negative discriminant")
-    num = (1.0 - alpha) * (1.0 - c) * beta + beta * beta * c - beta * math.sqrt(disc)
-    den = alpha * ext * (c * (1.0 - beta) - 1.0)
-    if den == 0.0:
-        raise ValueError("zero denominator")
-    return num / den
+    ext = max(1.0 - alpha - beta, 0.0)  # a summed power may pass 1 - alpha by a rounding
+    a = beta + (1.0 - c) * ext
+    k = (1.0 - c) + c * beta
+    # beta, A and sqrt(alpha*E*K) times 2^h, which puts A in [1/2, 1]
+    h = -min(math.frexp(a)[1], 0)
+    mant, exp = math.frexp(alpha)
+    e = exp + h
+    root = math.ldexp(math.sqrt(math.ldexp(mant * ext * math.ldexp(k, h), e % 2)), e // 2)
+    a = math.ldexp(a, h)
+    return math.ldexp(beta, h) / (a + math.hypot(a, root))
 
 
 @dataclass(frozen=True)
 class OptimalTauResult:
-    """Optimal infiltration fraction with provenance.
+    """Optimal infiltration fraction and the reward there.
 
-    ``method`` records which route produced tau_bar: "closed_form" when the
-    closed form agrees with the numeric maximizer to TAU_AGREEMENT_TOL,
-    "numeric" otherwise (boundary optimum, closed form out of domain, or a
-    disagreement, in which case ``discrepancy`` is set and the numeric value
-    wins).
+    ``tau_bar`` is optimal_tau_closed_form's value; ``method`` is always
+    "closed_form", kept as the solver's provenance in result records.
     """
 
     tau_bar: float
     reward_at_optimum: float
-    method: str  # "closed_form" | "numeric"
-    numeric_tau: float
-    closed_form_tau: float | None
-    discrepancy: bool
+    method: str
 
 
 def optimal_tau(alpha: float, beta: float, c: float) -> OptimalTauResult:
-    """Maximize the attacker reward over tau in [0, 1].
+    """Maximize the attacker reward over tau in [0, 1] by the closed form.
 
-    Computes both the closed form and a numeric maximum (TAU_GRID coarse scan,
-    then zoomed rescans of the best bracket down to TAU_XTOL). beta must be
-    positive: infiltrating an empty pool is meaningless and the closed form
-    degenerates there.
+    beta must be positive: infiltrating an empty pool is meaningless and the
+    closed form degenerates there.
     """
     SinglePoolScenario(alpha, beta, 0.0, c)  # checks the powers and c
     if beta <= 0.0:
         raise DegenerateInput("optimal_tau needs beta > 0")
-
-    def f(tau):
-        return attacker_reward_formula(alpha, beta, tau, c)
-
-    numeric, _ = grid_golden_max(f, 0.0, 1.0, n_grid=TAU_GRID, xtol=TAU_XTOL)
-
-    try:
-        closed = optimal_tau_closed_form(alpha, beta, c)
-    except ValueError:
-        closed = None
-
-    boundary = numeric <= TAU_XTOL or numeric >= 1.0 - TAU_XTOL
-    if closed is not None and not boundary and abs(closed - numeric) < TAU_AGREEMENT_TOL:
-        tau_bar, method, discrepancy = closed, "closed_form", False
-    else:
-        tau_bar, method = numeric, "numeric"
-        discrepancy = closed is not None and abs(closed - numeric) >= TAU_AGREEMENT_TOL
+    tau_bar = optimal_tau_closed_form(alpha, beta, c)
     return OptimalTauResult(
-        tau_bar=float(tau_bar),
-        reward_at_optimum=float(f(tau_bar)),
-        method=method,
-        numeric_tau=float(numeric),
-        closed_form_tau=closed,
-        discrepancy=discrepancy,
+        tau_bar=tau_bar,
+        reward_at_optimum=float(attacker_reward_formula(alpha, beta, tau_bar, c)),
+        method="closed_form",
     )

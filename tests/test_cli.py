@@ -172,6 +172,16 @@ def test_optimal_tau_table_format(capsys):
     assert table["solve.tau_bar"] == table["scenario.tau"]
 
 
+def test_small_alpha_optimum_is_below_one_half(capsys):
+    # the unrationalized closed form put this optimum at tau = 4901
+    code, out, _ = run_cli(capsys, "reward-single", "--alpha", "1e-12", "--beta", "1e-8",
+                           "--c", "1")
+    assert code == 0
+    solve = json.loads(out)["solve"]
+    assert solve["tau_bar"] < 0.5
+    assert solve["method"] == "closed_form"
+
+
 def test_optimize_alloc_preset(capsys):
     code, out, _ = run_cli(capsys, "reward-multi", "--preset", "table2", "--c", "1")
     assert code == 0
@@ -558,7 +568,8 @@ def test_csv_output_is_one_header_and_one_row(capsys):
     header, row = (line.split(",") for line in out.splitlines())
     assert header[:3] == ["schema_version", "scenario.alpha", "scenario.beta"]
     assert row[:3] == ["1", "0.2", "0.2"]
-    assert header[-6:] == [f"solve.{key}" for key in asdict(optimal_tau(0.2, 0.2, 1.0))]
+    solve = [f"solve.{key}" for key in asdict(optimal_tau(0.2, 0.2, 1.0))]
+    assert header[-len(solve):] == solve
     assert len(row) == len(header)
 
 

@@ -319,16 +319,29 @@ def _coordinate_ascent(alpha, betas, c):
 def _check_against_the_oracle(alpha, betas, c):
     """The Newton split converges, scores at least the oracle's reward, and is stationary.
 
-    A pool below 1e-12 of the network can leave its d reward / d tau above
-    1e-10 (single pool, c = 1, beta = 1e-20: 1.8e-10) where tau moves the
-    reward by less than its rounding, so the KKT bound covers larger pools.
+    Pools of one power share one variable, which starts at the single-pool
+    optimum of their summed power, so the KKT bound holds at any beta. With
+    mixed powers, a pool below 1e-12 of the network can leave its
+    d reward / d tau above 1e-10 where tau moves the reward by less than
+    its rounding, so there the bound covers larger pools.
     """
     res = optimize_allocation(alpha, betas, c)
     _, oracle = _coordinate_ascent(alpha, betas, c)
     assert res.converged
     assert res.reward >= oracle - 1e-14 * alpha
-    if min(betas) >= 1e-12:
+    if len(set(betas)) == 1 or min(betas) >= 1e-12:
         assert res.kkt_residual <= 1e-10
+
+
+@pytest.mark.parametrize("alpha, betas, c", [
+    # a 1e-20 pool once ended at tau = 7.4e-16 with d reward / d tau = 1.8e-10
+    (0.25, (1e-20,), 1.0),
+    # 1 - alpha - sum(beta) rounds to -1.1e-16, inside the budget check's 1e-15
+    (0.2257557110985943, (0.15094127367938476, 0.08699108831342976, 0.19174077094451075,
+                          0.3445711559640805), 0.5),
+], ids=["tiny-pool", "budget-rounding"])
+def test_edge_split_is_at_least_the_coordinate_ascent(alpha, betas, c):
+    _check_against_the_oracle(alpha, betas, c)
 
 
 @settings(max_examples=20)

@@ -1,12 +1,15 @@
+import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from conftest import single_scenarios
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from fawkit.errors import DegenerateInput
+from fawkit.optimize import grid_golden_max
 from fawkit.scenarios import SinglePoolScenario, rer
 from fawkit.single_pool import (
     attacker_reward_formula,
@@ -95,6 +98,19 @@ def test_dominance_chain_small_grid():
                 assert faw >= bwh - 1e-12
 
 
+# the reference maximizer: a 1000-cell scan of [0, 1], then zoomed rescans of the winner
+# down to a bracket of 1e-9
+def _scan(alpha, beta, c):
+    return grid_golden_max(lambda t: attacker_reward_formula(alpha, beta, t, c), 0.0, 1.0,
+                           n_grid=1000, xtol=1e-9)
+
+
+# the closed form's reward was never below the scan's by more than 4 ulps of alpha over
+# 40 000 draws (alpha and beta log-uniform down to 1e-320, c in {0, 1, U(0, 1)}); the
+# bound doubles that
+REWARD_ULPS = 8
+
+
 def test_closed_form_and_numeric_agree():
     rng = np.random.default_rng(9)
     for _ in range(200):
@@ -102,10 +118,59 @@ def test_closed_form_and_numeric_agree():
         beta = rng.uniform(0.05, min(0.45, 0.99 - alpha))
         c = rng.uniform(0, 1)
         res = optimal_tau(alpha, beta, c)
-        assert res.closed_form_tau is not None
-        assert abs(res.closed_form_tau - res.numeric_tau) < 1e-6
+        scan_tau, scan_reward = _scan(alpha, beta, c)
+        assert abs(res.tau_bar - scan_tau) < 1e-6
+        assert res.reward_at_optimum >= scan_reward - REWARD_ULPS * math.ulp(alpha)
         assert res.method == "closed_form"
-        assert not res.discrepancy
+
+
+@pytest.mark.parametrize("alpha, beta, c, exact", [
+    # 60-digit values of the same expression; the unrationalized form gave 3.85, 4901
+    # and a negative discriminant here
+    (1e-17, 0.1, 1.0, 0.49999999999999998875),
+    (1e-12, 1e-8, 1.0, 0.4999875006250859402346),
+    (1e-6, 1e-300, 1.0, 1.000000500000375035468e-147),
+    # A^2 and alpha*E*K underflow here unless scaled, which gave tau = 1
+    (5e-324, 5e-324, 1.0, 0.4142135623730950488017),
+    (0.4, 5e-324, 1.0, 4.53718729795438416464e-162),
+])
+def test_closed_form_keeps_its_precision_at_small_powers(alpha, beta, c, exact):
+    assert optimal_tau_closed_form(alpha, beta, c) == pytest.approx(exact, rel=4e-16)
+    assert optimal_tau(alpha, beta, c).tau_bar == optimal_tau_closed_form(alpha, beta, c)
+
+
+def _positive_beta(s):
+    assume(s.beta > 0.0)
+    return s.alpha, s.beta, s.c
+
+
+@given(single_scenarios())
+def test_closed_form_scores_at_least_the_scan(s):
+    alpha, beta, c = _positive_beta(s)
+    _, scan_reward = _scan(alpha, beta, c)
+    assert optimal_tau(alpha, beta, c).reward_at_optimum >= \
+        scan_reward - REWARD_ULPS * math.ulp(alpha)
+
+
+# tau* was at most 2.6 ulps from the exact root over 30 000 draws (60-digit mpmath), so
+# the bracket of one ulp on each side missed the root in 7 % of them; this bound is 1.5x
+ROOT_ULPS = 4
+
+
+@given(single_scenarios())
+def test_closed_form_is_the_root_of_the_exact_numerator(s):
+    """dR/dtau has the sign of beta^2 - 2 beta A tau - alpha E K tau^2; in exact rationals
+    it falls through 0 within ROOT_ULPS ulps of tau*, and tau* <= beta / (2A) <= 1/2 in
+    floats, so no clamp is needed."""
+    tau = optimal_tau_closed_form(*_positive_beta(s))
+    alpha, beta, c = (Fraction(x) for x in (s.alpha, s.beta, s.c))
+    ext = 1 - alpha - beta
+    a, k = beta + (1 - c) * ext, (1 - c) + c * beta
+    for side, sign in ((-1, 1), (1, -1)):
+        t = Fraction(tau) + side * ROOT_ULPS * Fraction(math.ulp(tau))
+        assert sign * (beta * beta - 2 * beta * a * t - alpha * ext * k * t * t) > 0
+    float_a = s.beta + (1.0 - s.c) * (1.0 - s.alpha - s.beta)
+    assert 0.0 <= tau <= s.beta / (2.0 * float_a) <= 0.5  # 0 where beta / (2A) rounds to 0
 
 
 def test_optimal_tau_result_is_consistent():
