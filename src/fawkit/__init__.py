@@ -8,11 +8,9 @@ bonus-scheme rewards; the detection and honeypot averages and the network
 bounds have no simulated counterpart.
 """
 
-from . import optimize  # the grid scan: the reference maximizer of the tests and the benchmark
 from .bounds import (
     HonestPowerDistribution,
     bonus_scheme_reward,
-    bonus_threshold_feasible,
     c_from_gamma,
     c_max_single,
     c_min_rational,

@@ -9,7 +9,8 @@ floors c at alpha + beta.
 The countermeasure rewards are single-pool rewards with changed shares:
 the attacker's solo income plus the victim pool's honest and fork pots
 (single_pool._pots), each times the share the countermeasure leaves it.
-A function of alpha and beta checks them by building their SinglePoolScenario.
+A function checks alpha and beta by building their SinglePoolScenario, and
+its other numbers with the same checkers, so a bad one raises ConstraintViolated.
 
 Several expressions here substitute the infiltration fraction tau where the
 source derivations print an undefined gamma; every function doing so says
@@ -28,8 +29,8 @@ from .errors import (
     NegativeEffectiveMinersWarning,
     _caller_stacklevel,
 )
-from .scenarios import SinglePoolScenario, _check_integer
-from .single_pool import _pots
+from .scenarios import SinglePoolScenario, _check_integer, _check_unit, _floats
+from .single_pool import _pots, _share
 
 GAMMA_AS_TAU_NOTE = (
     "expelled-identity formulas are evaluated with the infiltration fraction "
@@ -45,18 +46,17 @@ class HonestPowerDistribution:
 
     ``atomized_remainder`` models power spread over arbitrarily many tiny
     miners; it counts toward the total but contributes zero to the
-    concentration sum of squares.
+    concentration sum of squares. Each is a power fraction in [0, 1].
     """
 
     shares: tuple[float, ...]
     atomized_remainder: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "shares", tuple(float(x) for x in self.shares))
-        named = [(f"shares[{i}]", x) for i, x in enumerate(self.shares)]
-        for name, x in (*named, ("atomized_remainder", self.atomized_remainder)):
-            if not 0.0 <= x < math.inf:
-                raise ConstraintViolated(f"honest {name}={x!r} must be finite and nonnegative")
+        object.__setattr__(self, "shares", _floats("shares", self.shares))
+        for i, x in enumerate(self.shares):
+            _check_unit(f"shares[{i}]", x)
+        _check_unit("atomized_remainder", self.atomized_remainder)
 
     @property
     def total(self) -> float:
@@ -68,6 +68,8 @@ class HonestPowerDistribution:
 
 
 def _require_total(dist: HonestPowerDistribution, expected: float, what: str):
+    if not isinstance(dist, HonestPowerDistribution):
+        raise ConstraintViolated(f"dist={dist!r} must be a HonestPowerDistribution")
     if not abs(dist.total - expected) <= _TOTAL_TOL:
         raise InconsistentDistribution(
             f"honest shares sum to {dist.total!r}, expected {what} = {expected!r}"
@@ -103,8 +105,7 @@ def c_from_gamma(gamma: float, alpha: float, beta: float) -> float:
     the withheld branch; gamma = 0 reproduces c_min_rational and gamma = 1
     gives 1.
     """
-    if not 0.0 <= gamma <= 1.0:
-        raise ConstraintViolated(f"gamma={gamma!r} outside [0, 1]")
+    _check_unit("gamma", gamma)
     SinglePoolScenario(alpha, beta, 0.0, 0.0)
     return gamma * (1.0 - alpha - beta) + alpha + beta
 
@@ -114,8 +115,7 @@ def selfish_mining_threshold(gamma: float) -> float:
 
     Strictly decreasing from 1/3 at gamma = 0 to 0 at gamma = 1.
     """
-    if not 0.0 <= gamma <= 1.0:
-        raise ConstraintViolated(f"gamma={gamma!r} outside [0, 1]")
+    _check_unit("gamma", gamma)
     return (1.0 - gamma) / (3.0 - 2.0 * gamma)
 
 
@@ -215,11 +215,10 @@ def bonus_scheme_reward(alpha, beta, tau, c, t: float) -> float:
     is s; an alternative reading with denominator b + tau*b fails that
     collapse and is rejected.)
     """
-    if not 0.0 <= t <= 1.0:
-        raise ConstraintViolated(f"t={t!r} outside [0, 1]")
+    _check_unit("t", t)
     SinglePoolScenario(alpha, beta, tau, c)
     ta, innocent, honest_pot, fork_pot = _pots(alpha, beta, tau, c)
-    share = ta / (beta + ta) if beta + ta > 0.0 else 0.0
+    share = _share(ta, beta)
     return innocent + honest_pot * (1.0 - t) * share + fork_pot * (t + (1.0 - t) * share)
 
 
@@ -233,13 +232,9 @@ def safe_bonus_threshold(pool_power: float, c_max: float) -> float:
     exists, which is itself the analytical result (large c defeats this
     defense for small pools). c_max = 0 gives 0.5.
     """
-    if not 0.0 < pool_power <= 1.0:
+    _check_unit("pool_power", pool_power)
+    if pool_power == 0.0:
         raise ConstraintViolated(f"pool_power={pool_power!r} outside (0, 1]")
-    if not 0.0 <= c_max <= 1.0:
-        raise ConstraintViolated(f"c_max={c_max!r} outside [0, 1]")
+    _check_unit("c_max", c_max)
     return 1.0 / (2.0 * (1.0 - c_max * (1.0 - pool_power)))
 
-
-def bonus_threshold_feasible(t: float) -> bool:
-    """A bonus fraction is only implementable when it does not exceed 1."""
-    return t <= 1.0

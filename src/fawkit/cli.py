@@ -295,7 +295,7 @@ def cmd_analytic(args) -> int:
     if hasattr(call, "substitution_note"):
         doc["note"] = call.substitution_note
     if args.what == "bonus-threshold":
-        doc["feasible"] = bounds_mod.bonus_threshold_feasible(value)
+        doc["feasible"] = value <= 1.0  # a bonus fraction above 1 cannot be paid
     emit(doc, args.format, args.output)
     return 0
 

@@ -22,16 +22,16 @@ class FawError(Exception):
     """Base class for all toolkit errors."""
 
 
-class PowerOutOfRange(FawError):
-    """A power fraction is outside [0, 1] or a single actor holds >= 0.5."""
-
-
-class BudgetExceeded(FawError):
-    """Powers or infiltration fractions sum past their budget."""
-
-
 class ConstraintViolated(FawError):
-    """A scenario or operation precondition does not hold."""
+    """An input is not a number, or breaks a precondition; range and budget errors subclass it."""
+
+
+class PowerOutOfRange(ConstraintViolated):
+    """A fraction or probability is outside [0, 1], or a single actor holds >= 0.5."""
+
+
+class BudgetExceeded(ConstraintViolated):
+    """Powers or infiltration fractions sum past their budget."""
 
 
 class DegenerateInput(FawError):

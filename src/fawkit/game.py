@@ -49,7 +49,7 @@ from .errors import (
     RationalFloorWarning,
     _caller_stacklevel,
 )
-from .scenarios import GameScenario, _check_unit
+from .scenarios import GameScenario, _check_real, _check_unit, _floats, _sequence
 
 WINNER_POOL1 = "pool1"
 WINNER_POOL2 = "pool2"
@@ -323,10 +323,11 @@ def solve_equilibrium(alpha1, alpha2, c1, c2, c1p, c2p, *,
     run that exhausts MAX_ITER rounds returns converged=False with the trace
     kept for diagnosis. ``keep_trace=False`` drops only the trace.
     """
+    start = _floats("start", start)
     if len(start) != 2:
         raise ConstraintViolated(f"start={start!r} must be a pair (f1, f2)")
     _check_game(alpha1, alpha2, c1, c2, c1p, c2p, *start)
-    f1, f2 = float(start[0]), float(start[1])
+    f1, f2 = start
     trace = [(f1, f2)] if keep_trace else []
     converged = False
     iterations = 0
@@ -387,11 +388,13 @@ class RegionCell:
 def sweep_axis(start: float, stop: float, step: float) -> list[float]:
     """The grid start + i*step, inclusive of stop when it lies on the grid (within 1e-12).
 
-    Empty when start > stop. A non-finite value, a non-positive step or more
-    than MAX_AXIS_POINTS points raise ConstraintViolated.
+    Empty when start > stop. A value that is not a finite real number, a
+    non-positive step or more than MAX_AXIS_POINTS points raise ConstraintViolated.
     """
-    if not all(math.isfinite(v) for v in (start, stop, step)):
-        raise ConstraintViolated(f"range {start!r}:{stop!r}:{step!r} is not finite")
+    for name, v in (("start", start), ("stop", stop), ("step", step)):
+        _check_real(name, v)
+        if not math.isfinite(v):
+            raise ConstraintViolated(f"range {start!r}:{stop!r}:{step!r} is not finite")
     if step <= 0.0:
         raise ConstraintViolated("range step must be positive")
     if (stop - start) / step >= MAX_AXIS_POINTS:
@@ -411,14 +414,15 @@ def _fails(check, *args) -> bool:
     return False
 
 
-def _check_axes(alpha1, alpha2_axis, c_axis, assumed_c):
+def _check_axes(alpha1, alpha2_axis, c_axis):
     """Check every cell as its solve and score would, one axis value at a time.
 
     Each check of a cell depends on its alpha2 or its c, never on both: an
     alpha2 is checked at c = 1, where alpha1 + alpha2 < 1 keeps the floor
-    check quiet, and a c as validate_game checks c1 (c/2 and their sum then
-    pass too). If a value fails, the first failing cell in c-major order is
-    checked whole, so that it raises its own error.
+    check quiet, and a c as validate_game checks c1 (c/2, their sum and a
+    valid alpha2's planning c alpha1 + alpha2 then pass too). The first
+    failing cell in c-major order then checks its alpha2, then its c, as
+    validate_game would, so that it raises its own error.
     """
     bad_a2 = {a2 for a2 in dict.fromkeys(alpha2_axis)
               if _fails(_check_game, alpha1, a2, 1.0, 1.0, 0.5, 0.5)}
@@ -426,8 +430,8 @@ def _check_axes(alpha1, alpha2_axis, c_axis, assumed_c):
     if bad_a2 or bad_c:
         c, a2 = next((c, a2) for c in c_axis for a2 in alpha2_axis
                      if c in bad_c or a2 in bad_a2)
-        for cp in (alpha1 + a2, c) if assumed_c else (c,):
-            _check_game(alpha1, a2, cp, cp, cp / 2.0, cp / 2.0)
+        _check_game(alpha1, a2, 1.0, 1.0, 0.5, 0.5)
+        _check_unit("c1", c)
 
 
 def _sweep(alpha1, alpha2_axis, c_axis, assumed_c):
@@ -441,10 +445,11 @@ def _sweep(alpha1, alpha2_axis, c_axis, assumed_c):
     All plans are then solved together in lockstep, and all cells scored
     together.
     """
+    alpha2_axis, c_axis = _sequence("alpha2_axis", alpha2_axis), _sequence("c_axis", c_axis)
     cells = [(c, a2) for c in c_axis for a2 in alpha2_axis]
     if not cells:
         return []
-    _check_axes(alpha1, alpha2_axis, c_axis, assumed_c)
+    _check_axes(alpha1, alpha2_axis, c_axis)
     plans: dict = {}
     ks = [plans.setdefault((a2, alpha1 + a2 if assumed_c else c), len(plans)) for c, a2 in cells]
     if below := sum(cp < alpha1 + a2 for a2, cp in plans):  # validate_game's test at c1 = c2

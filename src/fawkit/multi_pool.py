@@ -51,8 +51,8 @@ from operator import add
 import numpy as np
 
 from .errors import ConstraintViolated, DegenerateInput
-from .scenarios import MultiPoolScenario, rer
-from .single_pool import optimal_tau_closed_form
+from .scenarios import MultiPoolScenario, _check_unit, _floats, rer
+from .single_pool import _share, optimal_tau_closed_form
 
 # Approximate network power distribution used throughout the worked examples:
 # open pools plus an "Unknown" remainder of closed pools and solo miners.
@@ -84,7 +84,7 @@ def preset_attack(name: str = "table2"):
     """
     try:
         powers = POOL_PRESETS[name]
-    except KeyError:
+    except (KeyError, TypeError):  # a list is unhashable
         raise ConstraintViolated(f"unknown pool preset {name!r}") from None
     targets = tuple(p for owner, p in powers.items() if owner not in ("Unknown", "F2Pool"))
     return powers["F2Pool"], targets
@@ -101,10 +101,7 @@ def reward_two_pools(alpha, beta1, beta2, tau1, tau2,
     """
     for name, v in (("c1_two", c1_two), ("c2_two", c2_two),
                     ("c1_three", c1_three), ("c2_three", c2_three)):
-        if not 0.0 <= v <= 1.0:
-            raise ConstraintViolated(f"{name}={v!r} outside [0, 1]")
-    if tau1 + tau2 > 1.0 + 1e-15:
-        raise ConstraintViolated(f"tau1 + tau2 = {tau1 + tau2!r} exceeds 1")
+        _check_unit(name, v)
     if c1_three + c2_three > 1.0 + 1e-15:
         raise ConstraintViolated("c1_three + c2_three exceeds 1")
     MultiPoolScenario(alpha, (beta1, beta2), (tau1, tau2), c1_two)
@@ -159,10 +156,7 @@ def _reward_raw(alpha, betas, taus, c):
     for b, t, sets, w in zip(betas, ta, others, weights):
         before = free[sets]
         forks = np.add.accumulate(w / (before * (before - t)))[-1]
-        # a pool with no power of its own pays its infiltrator everything,
-        # and with no infiltrator either its fork pot is 0
-        share = t / (b + t) if b > 0.0 else 1.0
-        r += share * (b / (1.0 - total_ta) + c * ext * t * forks)
+        r += _share(t, b) * (b / (1.0 - total_ta) + c * ext * t * forks)
     return r
 
 
@@ -265,7 +259,7 @@ def optimize_allocation(alpha, betas, c) -> AllocationResult:
     every u, relative to u past 1. ALLOC_MAX_STEPS steps without either
     return the last point with converged=False.
     """
-    betas = tuple(float(b) for b in betas)
+    betas = _floats("betas", betas)
     min_beta = sys.float_info.min / COMPLEX_STEP  # each complex step stays a normal float
     if any(b < min_beta for b in betas):
         raise DegenerateInput(f"every target pool needs beta >= {min_beta!r}")
@@ -332,4 +326,4 @@ def fixed_tau_reward_mismatched_c(alpha, betas, taus_planned, c_actual) -> float
     substituted; planning with c_assumed = c_actual reproduces the optimizer
     reward exactly.
     """
-    return reward_npool(MultiPoolScenario(alpha, tuple(betas), tuple(taus_planned), c_actual))
+    return reward_npool(MultiPoolScenario(alpha, betas, taus_planned, c_actual))

@@ -70,11 +70,15 @@ def _check_actor_power(name: str, value: float) -> None:
         )
 
 
-def _floats(name: str, values) -> tuple[float, ...]:
+def _sequence(name: str, values) -> tuple:
     try:
-        values = tuple(values)
+        return tuple(values)
     except TypeError:
         raise ConstraintViolated(f"{name}={values!r} must be a sequence of real numbers") from None
+
+
+def _floats(name: str, values) -> tuple[float, ...]:
+    values = _sequence(name, values)
     for i, v in enumerate(values):
         if type(v) is not float:  # names the item only when it is not a float
             _check_real(f"{name}[{i}]", v)
@@ -294,7 +298,8 @@ def load_scenario(path) -> Scenario:
         data = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ScenarioFileError(f"invalid JSON in scenario: {exc}") from exc
-    except (OSError, ValueError, RecursionError) as exc:  # not UTF-8, over 4300 digits, too deep
+    # not a path, not UTF-8, over 4300 digits, too deep
+    except (TypeError, OSError, ValueError, RecursionError) as exc:
         raise ScenarioFileError(f"cannot read scenario file {path}: {exc}") from exc
     return scenario_from_dict(data)
 

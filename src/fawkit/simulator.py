@@ -60,7 +60,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import _caller_stacklevel
+from .errors import ConstraintViolated, _caller_stacklevel
 from .scenarios import (
     GameScenario,
     MultiPoolScenario,
@@ -101,6 +101,8 @@ class SimConfig:
         for name, low, high in (("rounds", 1, BLOCK_ROUNDS), ("seed", 0, 2 ** 64 - 1),
                                 ("workers", 1, None)):
             object.__setattr__(self, name, _check_integer(name, getattr(self, name), low, high))
+        if not isinstance(self.scenario, Scenario):
+            raise ConstraintViolated(f"scenario={self.scenario!r} must be a scenario")
 
 
 @dataclass
@@ -269,15 +271,13 @@ def _game_model(s: GameScenario) -> _Model:
     )
 
 
-def _model(s) -> _Model:
+def _model(s: Scenario) -> _Model:
     if isinstance(s, SinglePoolScenario):
         return _pool_model("single", s.alpha, (s.beta,), (s.tau,), s.c, ("pool",))
     if isinstance(s, MultiPoolScenario):
         pools = tuple(f"pool_{i + 1}" for i in range(len(s.betas)))
         return _pool_model("multi", s.alpha, s.betas, s.taus, s.c, pools)
-    if isinstance(s, GameScenario):
-        return _game_model(s)
-    raise TypeError(f"not a scenario: {s!r}")
+    return _game_model(s)
 
 
 def _block_rng(seed: int, block_index: int) -> np.random.Generator:

@@ -21,8 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DegenerateInput
 from .scenarios import SinglePoolScenario
 
@@ -40,16 +38,19 @@ def _pots(alpha, beta, tau, c):
     return ta, innocent, honest_pot, fork_pot
 
 
-def attacker_reward_formula(alpha, beta, tau, c):
-    """Raw reward expression; ufunc-friendly, no validation.
+def _share(ta, beta):
+    """The infiltrator's share ta/(beta+ta) of a pool; 1 if beta = 0, where ta = 0 leaves no pot."""
+    return ta / (beta + ta) if beta > 0.0 else 1.0
 
-    At tau = 0 this is exactly alpha. With beta = 0 and tau > 0 the in-pool
-    share factor ta/(beta+ta) is 1.
+
+def attacker_reward_formula(alpha, beta, tau, c):
+    """Raw reward expression; ufunc-friendly in tau, no validation.
+
+    At tau = 0 this is exactly alpha. A float call returns a float with the
+    bits of its entry in an array call.
     """
     ta, innocent, honest_pot, fork_pot = _pots(alpha, beta, tau, c)
-    denom = beta + ta
-    share = np.where(denom > 0.0, ta / np.where(denom > 0.0, denom, 1.0), 0.0)
-    return innocent + (honest_pot + fork_pot) * share
+    return innocent + (honest_pot + fork_pot) * _share(ta, beta)
 
 
 def reward_single(s: SinglePoolScenario) -> float:

@@ -4,14 +4,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from conftest import single_scenarios
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from fawkit.bounds import (
     GAMMA_AS_TAU_NOTE,
     HonestPowerDistribution,
     bonus_scheme_reward,
-    bonus_threshold_feasible,
     c_from_gamma,
     c_max_single,
     c_min_rational,
@@ -247,6 +246,8 @@ def test_no_infiltration_earns_exactly_alpha(s, t, L):
 
 
 @given(single_scenarios())
+@example(SinglePoolScenario(0.2, 0.0, 0.5, 1.0))  # the share rule's beta = 0 edge
+@example(SinglePoolScenario(0.2, 0.0, 0.0, 1.0))
 def test_bonus_at_zero_is_the_unguarded_reward(s):
     assert abs(bonus_scheme_reward(s.alpha, s.beta, s.tau, s.c, 0.0) - reward_single(s)) <= 1e-15
 
@@ -282,15 +283,14 @@ def test_safe_bonus_threshold_values():
     assert safe_bonus_threshold(1.0, 1.0) == 0.5
     t = safe_bonus_threshold(0.3, 1.0)
     assert t == pytest.approx(1 / 0.6)
-    assert not bonus_threshold_feasible(t)
-    assert bonus_threshold_feasible(0.5)
+    assert t > 1.0  # infeasible: no bonus fraction can be paid
 
 
 def test_bonus_guarantee_small_grid():
     # at the safe threshold no (tau, c <= c_max) choice beats honest mining
     for pool_power, c_max in ((0.2, 0.25), (0.4, 0.5)):
         t = safe_bonus_threshold(pool_power, c_max)
-        assert bonus_threshold_feasible(t)
+        assert t <= 1.0
         for alpha in (0.15, 0.3, 0.45):
             worst = -1.0
             for tau in np.linspace(0.01, 0.99, 25):

@@ -12,13 +12,11 @@ from fawkit.cli import build_parser
 
 EXPORTS = {
     # submodules that the package imports
-    "bounds", "errors", "game", "multi_pool", "optimize", "scenarios", "simulator",
-    "single_pool",
+    "bounds", "errors", "game", "multi_pool", "scenarios", "simulator", "single_pool",
     # bounds
-    "HonestPowerDistribution", "bonus_scheme_reward", "bonus_threshold_feasible",
-    "c_from_gamma", "c_max_single", "c_min_rational", "detection_resilient_reward",
-    "gamma_upper_bound", "honeypot_bwh_bound", "safe_bonus_threshold",
-    "selfish_mining_threshold",
+    "HonestPowerDistribution", "bonus_scheme_reward", "c_from_gamma", "c_max_single",
+    "c_min_rational", "detection_resilient_reward", "gamma_upper_bound", "honeypot_bwh_bound",
+    "safe_bonus_threshold", "selfish_mining_threshold",
     # errors
     "BudgetExceeded", "ConstraintViolated", "DegenerateInput", "FawError",
     "InconsistentDistribution", "NegativeEffectiveMinersWarning", "PowerOutOfRange",
@@ -49,7 +47,7 @@ def test_exported_names_are_pinned():
     names = subprocess.run([sys.executable, "-c", listing], env=env, capture_output=True,
                            text=True, check=True).stdout.split()
     assert set(names) == EXPORTS
-    assert len(names) == 63
+    assert len(names) == 61
 
 
 _RUN = ("--format", "--output")

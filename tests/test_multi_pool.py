@@ -5,7 +5,7 @@ from operator import add
 import numpy as np
 import pytest
 from conftest import multi_scenarios, single_scenarios
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fawkit import multi_pool
@@ -22,7 +22,7 @@ from fawkit.multi_pool import (
 )
 from fawkit.optimize import grid_golden_max
 from fawkit.scenarios import MAX_POOLS, MultiPoolScenario, SinglePoolScenario, rer
-from fawkit.single_pool import reward_single
+from fawkit.single_pool import attacker_reward_formula, reward_single
 
 
 def _random_single_compatible(rng):
@@ -319,18 +319,14 @@ def _coordinate_ascent(alpha, betas, c):
 def _check_against_the_oracle(alpha, betas, c):
     """The Newton split converges, scores at least the oracle's reward, and is stationary.
 
-    Pools of one power share one variable, which starts at the single-pool
-    optimum of their summed power, so the KKT bound holds at any beta. With
-    mixed powers, a pool below 1e-12 of the network can leave its
-    d reward / d tau above 1e-10 where tau moves the reward by less than
-    its rounding, so there the bound covers larger pools.
+    The KKT bound holds at any beta, mixed powers with pools below 1e-12 of
+    the network included.
     """
     res = optimize_allocation(alpha, betas, c)
     _, oracle = _coordinate_ascent(alpha, betas, c)
     assert res.converged
     assert res.reward >= oracle - 1e-14 * alpha
-    if len(set(betas)) == 1 or min(betas) >= 1e-12:
-        assert res.kkt_residual <= 1e-10
+    assert res.kkt_residual <= 1e-10
 
 
 @pytest.mark.parametrize("alpha, betas, c", [
@@ -440,9 +436,16 @@ def test_optimizer_beats_honest_mining_and_every_single_pool_vertex(alpha, betas
 
 @settings(max_examples=150)
 @given(single_scenarios())
+@example(SinglePoolScenario(0.2, 0.0, 0.5, 1.0))  # a powerless pool pays its infiltrator all
+@example(SinglePoolScenario(0.2, 0.0, 0.0, 1.0))  # ... and with no infiltrator has no pot
 def test_one_pool_is_the_single_pool_reward(s):
+    # one share rule: a float call is a float with the bits of its entry in an array call
+    single = attacker_reward_formula(s.alpha, s.beta, s.tau, s.c)
+    column = attacker_reward_formula(s.alpha, s.beta, np.array([0.0, s.tau, 1.0]), s.c)
+    assert type(single) is float
+    assert repr(single) == repr(float(column[1])) == repr(reward_single(s))
     assert _close(reward_npool(MultiPoolScenario(s.alpha, (s.beta,), (s.tau,), s.c)),
-                  reward_single(s), s.alpha)
+                  single, s.alpha)
 
 
 @settings(max_examples=150)
