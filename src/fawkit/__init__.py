@@ -60,10 +60,6 @@ from .scenarios import (
     load_scenario,
     rer,
     scenario_to_dict,
-    validate,
-    validate_game,
-    validate_multi,
-    validate_single,
 )
 from .simulator import SimConfig, SimOutcome, simulate
 from .single_pool import (

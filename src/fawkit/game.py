@@ -26,10 +26,10 @@ of x = 0, x = alpha and the points where Q falls through 0. The roots of
 Q'' cut [0, alpha] into three pieces, on each of which Q is convex or
 concave: such a point can only be a convex piece's first root or a concave
 one's last, and Newton's method from that piece's left or right end reaches
-it without passing it (in exact arithmetic), with no LAPACK call. A sweep runs
-every plan's alternating best responses in lockstep on arrays, through the
-same kernel and with the same bits per plan, so every sweep cell equals
-its per-cell solve.
+it without passing it (in exact arithmetic), with no LAPACK call. One driver
+runs the alternating best responses of a batch of plans in lockstep on
+arrays, and a lone plan on floats, with the same bits: a sweep solves all
+its plans at once, and a solve is the batch of one plan.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from .errors import (
     RationalFloorWarning,
     _caller_stacklevel,
 )
-from .scenarios import GameScenario, _check_real, _check_unit, _floats, _sequence
+from .scenarios import GameScenario, _check_integer, _check_real, _check_unit, _floats, _sequence
 
 WINNER_POOL1 = "pool1"
 WINNER_POOL2 = "pool2"
@@ -130,8 +130,7 @@ def best_response(g: GameScenario, responder: int) -> float:
     points between them (see the module docstring), the smallest x on a
     tie. Both pools need power of their own, or a candidate empties a pool.
     """
-    if responder not in (1, 2):
-        raise ConstraintViolated(f"responder={responder!r} must be 1 or 2")
+    responder = _check_integer("responder", responder, 1, 2)
     _require_powers(g.alpha1, g.alpha2)
     return float(_best_response_raw(g.alpha1, g.alpha2, g.c1, g.c2, g.c1p, g.c2p, responder,
                                     g.f2 if responder == 1 else g.f1))
@@ -255,26 +254,31 @@ def _best_response_raw(a1, a2, c1, c2, c1p, c2p, responder, f_opp):
     return min(x for x, score in zip(xs, scores) if score == best)
 
 
-def _lockstep_equilibria(a1, a2, c):
-    """``solve_equilibrium`` from (0, 0) for every (a2, c) plan at once: f1, f2 and converged.
+def _equilibria(a1, a2, c1, c2, c1p, c2p, f1, f2, trace=None):
+    """Alternating best responses from (f1, f2) for every plan at once: f1, f2, rounds, converged.
 
-    Each plan leaves the lockstep by the per-cell rule: max |df| < TOL, or
-    MAX_ITER rounds.
+    Each argument is a 1-D array, one entry per plan, or a number all plans share. A plan
+    leaves the batch by the per-cell rule, max |df| < TOL or MAX_ITER rounds. A lone live
+    plan runs on Python floats, on which the kernel costs less and has its batch entry's
+    bits. A ``trace`` list, given with one plan, gets its iterates.
     """
-    f1, f2 = np.zeros(len(a2)), np.zeros(len(a2))
-    converged = np.zeros(len(a2), dtype=bool)
-    live = np.arange(len(a2))
+    n = np.broadcast(a1, a2, c1, c2, c1p, c2p, f1, f2).size
+    plans = [np.full(n, v, dtype=float) for v in (a1, a2, c1, c2, c1p, c2p, f1, f2)]
+    rounds = np.zeros(n, dtype=int)
+    running = np.ones(n, dtype=bool)
     for _ in range(MAX_ITER):
+        live = np.flatnonzero(running)
         if not live.size:
             break
-        a2_, c_, half = a2[live], c[live], c[live] / 2.0
-        new_f1 = _best_response_raw(a1, a2_, c_, c_, half, half, 1, f2[live])
-        new_f2 = _best_response_raw(a1, a2_, c_, c_, half, half, 2, new_f1)
-        done = np.maximum(np.abs(new_f1 - f1[live]), np.abs(new_f2 - f2[live])) < TOL
-        f1[live], f2[live] = new_f1, new_f2
-        converged[live[done]] = True
-        live = live[~done]
-    return f1, f2, converged
+        *game, f1, f2 = (v.item(live[0]) if live.size == 1 else v[live] for v in plans)
+        new1 = _best_response_raw(*game, 1, f2)
+        new2 = _best_response_raw(*game, 2, new1)
+        if trace is not None:
+            trace += [(new1, f2), (new1, new2)]
+        plans[6][live], plans[7][live] = new1, new2
+        rounds += running
+        running[live] = ~(np.maximum(abs(new1 - f1), abs(new2 - f2)) < TOL)
+    return plans[6], plans[7], rounds, ~running
 
 
 @dataclass(frozen=True)
@@ -317,30 +321,19 @@ def solve_equilibrium(alpha1, alpha2, c1, c2, c1p, c2p, *,
                       keep_trace: bool = True) -> EquilibriumResult:
     """Alternating best-response dynamics from ``start`` until max |df| < TOL.
 
-    Each best response is the maximum over [0, alpha_i] whatever the pot's
-    shape; concavity in each pool's own infiltration is needed only for
-    the dynamics to contract to the unique fixed point from any start. A
-    run that exhausts MAX_ITER rounds returns converged=False with the trace
-    kept for diagnosis. ``keep_trace=False`` drops only the trace.
+    The sweeps' driver run on one plan. Each best response is the maximum over [0, alpha_i]
+    whatever the pot's shape; concavity in each pool's own infiltration is needed only for
+    the dynamics to contract to the unique fixed point from any start. A run that exhausts
+    MAX_ITER rounds returns converged=False with the trace kept for diagnosis.
+    ``keep_trace=False`` drops only the trace.
     """
     start = _floats("start", start)
     if len(start) != 2:
         raise ConstraintViolated(f"start={start!r} must be a pair (f1, f2)")
     _check_game(alpha1, alpha2, c1, c2, c1p, c2p, *start)
-    f1, f2 = start
-    trace = [(f1, f2)] if keep_trace else []
-    converged = False
-    iterations = 0
-    for iterations in range(1, MAX_ITER + 1):
-        new_f1 = float(_best_response_raw(alpha1, alpha2, c1, c2, c1p, c2p, 1, f2))
-        new_f2 = float(_best_response_raw(alpha1, alpha2, c1, c2, c1p, c2p, 2, new_f1))
-        if keep_trace:
-            trace += [(new_f1, f2), (new_f1, new_f2)]
-        delta = max(abs(new_f1 - f1), abs(new_f2 - f2))
-        f1, f2 = new_f1, new_f2
-        if delta < TOL:
-            converged = True
-            break
+    trace = [start] if keep_trace else None
+    f1, f2, iterations, converged = (v.item() for v in _equilibria(
+        alpha1, alpha2, c1, c2, c1p, c2p, *start, trace))
     (r1, r2), (net1, net2), (rer1, rer2) = _score(alpha1, alpha2, f1, f2, c1, c2, c1p, c2p)
     return EquilibriumResult(
         f1_star=f1,
@@ -353,7 +346,7 @@ def solve_equilibrium(alpha1, alpha2, c1, c2, c1p, c2p, *,
         rer2_pct=float(rer2),
         iterations=iterations,
         converged=converged,
-        trace=tuple(trace),
+        trace=tuple(trace or ()),
         deviation_gain=unilateral_gain(alpha1, alpha2, c1, c2, c1p, c2p, f1, f2),
     )
 
@@ -406,12 +399,23 @@ def sweep_axis(start: float, stop: float, step: float) -> list[float]:
     return values
 
 
-def _fails(check, *args) -> bool:
-    try:
-        check(*args)
-    except FawError:
-        return True
-    return False
+def _rejected(check, values) -> list[bool]:
+    """One bool per value: whether ``check`` raises a FawError on it. Equal values share a check."""
+    verdicts: dict = {}
+    rejected = []
+    for v in values:
+        try:
+            bad = verdicts.get(v)
+        except TypeError:  # unhashable, so no number
+            bad = True
+        if bad is None:
+            try:
+                check(v)
+                bad = verdicts[v] = False
+            except FawError:
+                bad = verdicts[v] = True
+        rejected.append(bad)
+    return rejected
 
 
 def _check_axes(alpha1, alpha2_axis, c_axis):
@@ -424,12 +428,11 @@ def _check_axes(alpha1, alpha2_axis, c_axis):
     failing cell in c-major order then checks its alpha2, then its c, as
     validate_game would, so that it raises its own error.
     """
-    bad_a2 = {a2 for a2 in dict.fromkeys(alpha2_axis)
-              if _fails(_check_game, alpha1, a2, 1.0, 1.0, 0.5, 0.5)}
-    bad_c = {c for c in dict.fromkeys(c_axis) if _fails(_check_unit, "c1", c)}
-    if bad_a2 or bad_c:
-        c, a2 = next((c, a2) for c in c_axis for a2 in alpha2_axis
-                     if c in bad_c or a2 in bad_a2)
+    bad_a2 = _rejected(lambda a2: _check_game(alpha1, a2, 1.0, 1.0, 0.5, 0.5), alpha2_axis)
+    bad_c = _rejected(lambda c: _check_unit("c1", c), c_axis)
+    if any(bad_a2) or any(bad_c):
+        c, a2 = next((c, a2) for c, c_bad in zip(c_axis, bad_c)
+                     for a2, a2_bad in zip(alpha2_axis, bad_a2) if c_bad or a2_bad)
         _check_game(alpha1, a2, 1.0, 1.0, 0.5, 0.5)
         _check_unit("c1", c)
 
@@ -457,7 +460,7 @@ def _sweep(alpha1, alpha2_axis, c_axis, assumed_c):
                       "below the rational-manager floor alpha1 + alpha2",
                       RationalFloorWarning, stacklevel=_caller_stacklevel())
     a2s, cps = np.array(list(plans), dtype=float).T
-    f1s, f2s, converged = _lockstep_equilibria(alpha1, a2s, cps)
+    f1s, f2s, _, converged = _equilibria(alpha1, a2s, cps, cps, cps / 2.0, cps / 2.0, 0.0, 0.0)
     c, a2 = np.array(cells, dtype=float).T
     f1, f2 = f1s[ks], f2s[ks]
     _, _, (rer1, rer2) = _score(alpha1, a2, f1, f2, c, c, c / 2.0, c / 2.0)

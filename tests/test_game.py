@@ -422,7 +422,7 @@ def test_equilibrium_trace_and_iteration_cap(monkeypatch):
             solve_equilibrium(0.2, 0.1, 1.0, 1.0, 0.5, 0.5, start=start)
 
 
-@pytest.mark.parametrize("max_iter", [1, game.MAX_ITER], ids=["cut", "converged"])
+@pytest.mark.parametrize("max_iter", [0, 1, game.MAX_ITER], ids=["zero", "cut", "converged"])
 @pytest.mark.parametrize("a1, a2, c1, c2, c1p, c2p", [
     (0.2, 0.1, 1.0, 1.0, 0.5, 0.5),
     (0.25, 0.15, 0.9, 0.7, 0.5, 0.3),
@@ -564,7 +564,7 @@ def test_subnormal_alpha2_sweeps_as_the_per_cell_solve(assumed_c):
 
 
 @pytest.mark.parametrize("assumed_c", [False, True], ids=["plain", "assumed-c"])
-@pytest.mark.parametrize("max_iter", [1, 2])
+@pytest.mark.parametrize("max_iter", [0, 1, 2])
 def test_sweep_cells_cut_at_max_iter_are_the_per_cell_cut(monkeypatch, max_iter, assumed_c):
     monkeypatch.setattr(game, "MAX_ITER", max_iter)
     cells, expected = _sweep_and_per_cell(0.2, [0.1, 0.25, 0.1], [0.3, 1.0], assumed_c)
@@ -586,7 +586,8 @@ def _first_solve_error(alpha1, axis_a2, axis_c):
     ([0.1, 0.0], [1.0]),
     ([0.0, 0.1], [1.5]),
     ([0.1, 0.5], [1.0]),
-], ids=["c-above-1", "alpha2-0", "alpha2-0-first", "alpha2-majority"])
+    ([0.1, [0.2]], [1.0]),
+], ids=["c-above-1", "alpha2-0", "alpha2-0-first", "alpha2-majority", "alpha2-unhashable"])
 def test_invalid_axis_raises_the_per_cell_error(axis_a2, axis_c):
     err = _first_solve_error(0.2, axis_a2, axis_c)
     with pytest.raises(type(err), match=re.escape(str(err))):

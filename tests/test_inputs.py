@@ -10,6 +10,7 @@ from fawkit import (
     FawError,
     HonestPowerDistribution,
     SimConfig,
+    best_response,
     bonus_scheme_reward,
     c_from_gamma,
     c_max_single,
@@ -48,6 +49,9 @@ MALFORMED = {
     "preset-list": (lambda: preset_attack([]), "preset []"),
     "dist-none": (lambda: c_max_single(0.2, 0.1, None), "dist=None"),
     "scenario-path-none": (lambda: load_scenario(None), "scenario file None"),
+    "responder-bool": (
+        lambda: best_response(GameScenario(0.2, 0.1, 0.0, 0.0, 1, 1, 0.5, 0.5), True),
+        "responder=True"),
 }
 
 BOOLS = {
@@ -81,7 +85,9 @@ def _game_error(*args):
 @pytest.mark.parametrize("axis_a2, axis_c, game", [
     ([0.1, "x"], [0.5], (0.2, "x", 0.0, 0.0, 0.5, 0.5, 0.25, 0.25)),
     ([0.1], [0.5, "x"], (0.2, 0.1, 0.0, 0.0, "x", "x", "x", "x")),
-], ids=["alpha2", "c"])
+    ([0.1, [0.1]], [0.5], (0.2, [0.1], 0.0, 0.0, 0.5, 0.5, 0.25, 0.25)),
+    ([0.1], [0.5, {}], (0.2, 0.1, 0.0, 0.0, {}, {}, {}, {})),
+], ids=["alpha2", "c", "alpha2-unhashable", "c-unhashable"])
 def test_a_sweep_value_that_is_not_a_number_raises_its_cells_error(sweep, axis_a2, axis_c, game):
     err = _game_error(*game)
     with pytest.raises(type(err), match=re.escape(str(err))):
