@@ -34,8 +34,6 @@ its plans at once, and a solve is the batch of one plan.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import warnings
 from dataclasses import dataclass
@@ -49,7 +47,15 @@ from .errors import (
     RationalFloorWarning,
     _caller_stacklevel,
 )
-from .scenarios import GameScenario, _check_integer, _check_real, _check_unit, _floats, _sequence
+from .scenarios import (
+    GameScenario,
+    _check_integer,
+    _check_kind,
+    _check_real,
+    _check_unit,
+    _floats,
+    _sequence,
+)
 
 WINNER_POOL1 = "pool1"
 WINNER_POOL2 = "pool2"
@@ -88,6 +94,7 @@ def game_payoffs(g: GameScenario) -> tuple[float, float]:
     to rounding error; with f1 = f2 = 0 it is exactly (alpha1, alpha2).
     A valid scenario keeps the system's determinant at 3/4 or more.
     """
+    _check_kind("g", g, GameScenario)
     r1, r2 = pot_payoffs_raw(g.alpha1, g.alpha2, g.f1, g.f2, g.c1, g.c2, g.c1p, g.c2p)
     return float(r1), float(r2)
 
@@ -107,6 +114,7 @@ def _score(a1, a2, f1, f2, c1, c2, c1p, c2p):
 
 def net_payoffs(g: GameScenario) -> tuple[float, float]:
     """Each pool's take after paying the opponent's infiltrator its share."""
+    _check_kind("g", g, GameScenario)
     _, (net1, net2), _ = _score(g.alpha1, g.alpha2, g.f1, g.f2, g.c1, g.c2, g.c1p, g.c2p)
     return float(net1), float(net2)
 
@@ -490,15 +498,13 @@ def sweep_regions_assumed_c(alpha1, alpha2_axis, c_axis) -> list[RegionCell]:
 
 
 def write_sweep_csv(cells) -> str:
-    """Serialize sweep cells as CSV text, in the order the sweep produced them."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(SWEEP_CSV_HEADER)
+    """Serialize sweep cells as CSV text, in the order the sweep produced them.
+
+    No field needs CSV quoting: each is a number, a winner label or true/false.
+    """
+    rows = [",".join(SWEEP_CSV_HEADER) + "\n"]
     for cell in cells:
-        writer.writerow([
-            f"{cell.alpha2:.10g}", f"{cell.c:.10g}",
-            f"{cell.f1:.12g}", f"{cell.f2:.12g}",
-            f"{cell.rer1_pct:.12g}", f"{cell.rer2_pct:.12g}",
-            cell.winner, str(cell.converged).lower(),
-        ])
-    return buf.getvalue()
+        rows.append("%.10g,%.10g,%.12g,%.12g,%.12g,%.12g,%s,%s\n" % (
+            cell.alpha2, cell.c, cell.f1, cell.f2, cell.rer1_pct, cell.rer2_pct,
+            cell.winner, str(cell.converged).lower()))
+    return "".join(rows)

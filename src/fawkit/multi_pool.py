@@ -51,7 +51,7 @@ from operator import add
 import numpy as np
 
 from .errors import ConstraintViolated, DegenerateInput
-from .scenarios import MultiPoolScenario, _check_unit, _floats, rer
+from .scenarios import MultiPoolScenario, _check_kind, _check_unit, _floats, rer
 from .single_pool import _share, optimal_tau_closed_form
 
 # Approximate network power distribution used throughout the worked examples:
@@ -166,6 +166,7 @@ def reward_npool(s: MultiPoolScenario) -> float:
     Collapses to the single-pool formula at n=1 and to reward_two_pools with
     (c, c/2) at n=2. The scenario checked itself when it was built.
     """
+    _check_kind("s", s, MultiPoolScenario)
     return float(_reward_raw(s.alpha, s.betas, s.taus, s.c))
 
 

@@ -6,8 +6,8 @@ round, so with everyone honest a miner's expected per-round reward equals
 its power fraction. No single miner or pool may hold 0.5 or more (majority
 guard), and unintentional forks are ignored throughout.
 
-Each scenario type runs its validate_* when built, so every instance is valid and
-no function taking one checks it again; all are immutable, safe to share across threads.
+Each scenario type runs its validate_* when built, so every instance is valid and a
+function taking one checks only its kind; all are immutable, safe to share across threads.
 """
 
 from __future__ import annotations
@@ -16,7 +16,9 @@ import json
 import numbers
 import sys
 import warnings
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from pathlib import Path
 
 from .errors import (
@@ -54,6 +56,12 @@ def _check_integer(name: str, value, low: int = 1, high: int | None = None) -> i
     if value < low:
         raise ConstraintViolated(f"{name}={value!r} must be >= {low}")
     return value
+
+
+def _check_kind(name: str, value, kind: type) -> None:
+    """A function that reads a scenario's fields first checks it is of the kind it reads."""
+    if not isinstance(value, kind):
+        raise ConstraintViolated(f"{name}={value!r} must be a {kind.__name__}")
 
 
 def _check_unit(name: str, value: float) -> None:
@@ -175,9 +183,12 @@ def validate_multi(s: MultiPoolScenario) -> MultiPoolScenario:
     for i, t in enumerate(s.taus):
         _check_unit(f"taus[{i}]", t)
     _check_unit("c", s.c)
-    if sum(s.taus) > 1.0 + 1e-15:
-        raise BudgetExceeded(f"sum of taus = {sum(s.taus)!r} exceeds 1")
-    total = s.alpha + sum(s.betas)
+    # summed in order, as the closed form and the simulator sum them: the builtin sum
+    # compensates from Python 3.12 on
+    taus = reduce(add, s.taus)
+    if taus > 1.0 + 1e-15:
+        raise BudgetExceeded(f"sum of taus = {taus!r} exceeds 1")
+    total = s.alpha + reduce(add, s.betas)
     if total > 1.0 + 1e-15:
         raise BudgetExceeded(f"alpha + sum(betas) = {total!r} exceeds 1")
     return s
@@ -306,7 +317,9 @@ def load_scenario(path) -> Scenario:
 
 def scenario_to_dict(s: Scenario) -> dict:
     """Flat mapping suitable for JSON echo; inverse of scenario_from_dict."""
-    d = asdict(s)
+    if not isinstance(s, Scenario):
+        raise ConstraintViolated(f"s={s!r} must be a scenario")
+    d = dict(vars(s))  # the fields are floats and tuples of floats: a shallow copy is enough
     for key in _LIST_FIELDS:
         if key in d:
             d[key] = list(d[key])

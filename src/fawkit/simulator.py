@@ -25,10 +25,11 @@ rounds that withheld a block be counted too:
 - **A fork's branch depends only on its set.** One multinomial per set over
   its branch probabilities resolves every fork of the block.
 
-Each scenario kind only supplies a model (``_Model``) with four parts:
+Each scenario kind only supplies a model (``_Model``) with four parts,
+the first and third of which ``_race`` turns into ``_block``'s tables:
 
 - **powers**: category powers, ordered as infiltration categories, then
-  enders, with external last (the model keeps their cumulative sums);
+  enders, with external last;
 - **host map**: for each infiltration category, the ender whose pool a
   winning withheld block credits, with external appended for a lost fork;
 - **branch table**: for each withheld-set bitmask, the cumulative win
@@ -54,9 +55,11 @@ by splitting a run; ``workers`` changes neither the outcome nor the speed.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -167,7 +170,7 @@ def _std_errors(sums: dict, sumsq: dict, n: int) -> dict:
     for actor, total in sums.items():
         mean = total / n
         var = max(sumsq[actor] / n - mean * mean, 0.0) * n / (n - 1) if n > 1 else 0.0
-        out[actor] = float(np.sqrt(var / n))
+        out[actor] = math.sqrt(var / n)
     return out
 
 
@@ -183,38 +186,49 @@ class _Model:
     kind: str
     actors: tuple[str, ...]
     tags: tuple[str, ...]   # case tag of a round each ender won without a fork
-    cum: np.ndarray         # inclusive cumulative category powers, cum[-1] == 1
+    race: tuple[np.ndarray, ...]  # _block's probabilities, from _race
     host: np.ndarray        # ender credited per infiltration branch, then external
-    table: np.ndarray       # (2**n_infil, n_infil) cumulative branch win probabilities
     payout: np.ndarray
     gross: np.ndarray | None = None  # (enders, pools) gross pots, game only
 
-    @cached_property
-    def race(self) -> tuple[np.ndarray, ...]:
-        """``_block``'s probabilities, built once per model; a withheld-set bitmask indexes rows.
 
-        The first finds' category powers, the enders' powers given an ender, and
-        per set: its jump row (each new bit, then a stop), the sets it grows
-        into, and its branch win probabilities with external last.
-        """
-        k = self.table.shape[1]
-        powers = np.diff(self.cum, prepend=0.0)
-        sets = np.arange(1 << k)[:, None]
-        bits = 1 << np.arange(k)
-        ender = powers[k:].sum()
-        jump = np.column_stack((((sets & bits) == 0) * powers[:k], np.full(1 << k, ender)))
-        # c1p + c2p may pass 1 by a rounding, and multinomial rejects a negative p
-        branch = np.maximum(np.diff(self.table, axis=1, prepend=0.0, append=1.0), 0.0)
-        return (powers, powers[k:] / ender, jump / jump.sum(axis=1, keepdims=True),
-                sets | bits, branch)
+def _steps(powers) -> list[float]:
+    """Category powers as the steps of their clipped running total.
+
+    Clipping rounding-negative powers at 0 and the running total at 1 keeps
+    the total non-decreasing, so its steps are powers that multinomial
+    takes; the last step closes it at exactly 1.
+    """
+    steps, total, top = [], 0.0, 0.0
+    for p in powers[:-1]:
+        total += p if p > 0.0 else 0.0
+        steps.append(min(total, 1.0) - top)
+        top = min(total, 1.0)
+    steps.append(1.0 - top)
+    return steps
 
 
-def _power_cum(powers) -> np.ndarray:
-    # clipping rounding-negative powers and overshoots of 1 keeps cum non-decreasing,
-    # so its steps are powers that multinomial takes
-    cum = np.minimum(np.cumsum(np.maximum(np.asarray(powers, dtype=float), 0.0)), 1.0)
-    cum[-1] = 1.0  # guard against cumulative rounding at the top boundary
-    return cum
+def _race(powers, sets, grow, table) -> tuple[np.ndarray, ...]:
+    """``_block``'s probabilities; a withheld-set bitmask indexes rows.
+
+    Takes the raw category powers, every set as a column of bitmasks
+    (``sets``), the sets each grows into by one bit (``grow``), and each
+    set's cumulative branch win probabilities in category order between a
+    column of 0s and a column of 1s (``table``).
+    Returns the first finds' category powers, the enders' powers given an
+    ender, and per set: its jump row (each new bit, then a stop), the sets it
+    grows into, and its branch win probabilities with external last.
+    """
+    powers = np.array(_steps(powers))
+    k = grow.shape[1]
+    ender = powers[k:].sum()
+    jump = np.empty((len(sets), k + 1))
+    np.multiply(grow != sets, powers[:k], out=jump[:, :k])
+    jump[:, k] = ender
+    jump /= jump.sum(axis=1, keepdims=True)
+    # c1p + c2p may pass 1 by a rounding, and multinomial rejects a negative p
+    branch = np.maximum(table[:, 1:] - table[:, :-1], 0.0)
+    return powers, powers[k:] / ender, jump, grow, branch
 
 
 def _pool_model(kind, alpha, betas, taus, c, pools) -> _Model:
@@ -223,22 +237,26 @@ def _pool_model(kind, alpha, betas, taus, c, pools) -> _Model:
     Categories: [infiltration of each pool, innocent, each pool, external].
     """
     n = len(betas)
-    ta = np.array([t * alpha for t in taus])
-    betas = np.asarray(betas, dtype=float)
-    ext_power = 1.0 - alpha - float(betas.sum())
-    cum = _power_cum(list(ta) + [(1.0 - float(sum(taus))) * alpha] + list(betas) + [ext_power])
-    shares = np.divide(ta, betas + ta, out=np.zeros(n), where=betas + ta > 0.0)
-    payout = np.diag(np.r_[1.0, 1.0 - shares, 1.0])  # each ender's own actor
-    payout[1:-1, 0] = shares                          # the attacker's cut of pool wins
+    ta = [t * alpha for t in taus]
+    shares = [t / (b + t) if b + t > 0.0 else 0.0 for b, t in zip(betas, ta)]
+    payout = np.diag([1.0, *[1.0 - s for s in shares], 1.0])  # each ender's own actor
+    payout[1:-1, 0] = shares                                  # the attacker's cut of pool wins
+    sets = np.arange(1 << n)[:, None]
+    grow = sets | (1 << np.arange(n))
     # held[mask, i]: how many of branches 0..i the withheld set holds
-    held = np.cumsum((np.arange(1 << n)[:, None] >> np.arange(n)) & 1, axis=1)
+    held = np.cumsum(grow == sets, axis=1)
+    table = np.zeros((1 << n, n + 2))
+    table[:, -1] = 1.0
+    np.multiply(c, held[1:] / held[1:, -1:], out=table[1:, 1:-1])  # the empty set holds none
+    # taus summed in order, as the closed form does: the builtin sum compensates from 3.12 on
+    innocent = (1.0 - reduce(add, taus)) * alpha
+    ext_power = 1.0 - alpha - float(np.add.reduce(betas))
     return _Model(
         kind=kind,
         actors=("attacker", *pools, "external"),
         tags=("A_innocent_win",) + ("B_pool_honest_win",) * n + ("E_external_win_no_withheld",),
-        cum=cum,
+        race=_race([*ta, innocent, *betas, ext_power], sets, grow, table),
         host=np.arange(1, n + 2),
-        table=c * (held / np.maximum(held[:, -1:], 1)),
         payout=payout,
     )
 
@@ -256,18 +274,22 @@ def _game_model(s: GameScenario) -> _Model:
     k2 = s.f2 / (s.alpha1 + s.f2)
     det = 1.0 - k1 * k2
     # row: hosting pool (or external), column: pool's pot
-    pots = np.array([[1.0, k2], [k1, 1.0], [0.0, 0.0]]) / det
-    payout = np.column_stack((pots * [1.0 - k2, 1.0 - k1], [0.0, 0.0, 1.0]))
+    pots = [[1.0 / det, k2 / det], [k1 / det, 1.0 / det], [0.0, 0.0]]
+    # a pool keeps its pot less the opponent's infiltrator's share; external keeps its wins
+    payout = [[p1 * (1.0 - k2), p2 * (1.0 - k1), 0.0] for p1, p2 in pots]
+    payout[2][2] = 1.0
+    sets = np.arange(4)[:, None]
     return _Model(
         kind="game",
         actors=("pool1", "pool2", "external"),
         tags=("A_innocent_win", "A_innocent_win", "E_external_win_no_withheld"),
-        cum=_power_cum([s.f1, s.f2, s.alpha1 - s.f1, s.alpha2 - s.f2,
-                        1.0 - s.alpha1 - s.alpha2]),
+        race=_race([s.f1, s.f2, s.alpha1 - s.f1, s.alpha2 - s.f2, 1.0 - s.alpha1 - s.alpha2],
+                   sets, sets | [1, 2],
+                   np.array([[0.0, 0.0, 0.0, 1.0], [0.0, s.c1, s.c1, 1.0],
+                             [0.0, 0.0, s.c2, 1.0], [0.0, s.c1p, s.c1p + s.c2p, 1.0]])),
         host=np.array([1, 0, 2]),
-        table=np.array([[0.0, 0.0], [s.c1, s.c1], [0.0, s.c2], [s.c1p, s.c1p + s.c2p]]),
-        payout=payout,
-        gross=pots,
+        payout=np.array(payout),
+        gross=np.array(pots),
     )
 
 
@@ -299,7 +321,7 @@ def _block(model: _Model, rng, n) -> np.ndarray:
     the case C and case D counts.
     """
     powers, ender_p, jump, grow, branch = model.race
-    k, m = model.table.shape[1], len(model.actors)
+    k, m = grow.shape[1], len(model.actors)
     first = rng.multinomial(n, powers)
     enders = rng.multinomial(first[:k], ender_p)  # (k, m): held rounds by first find and ender
     racing = np.zeros(1 << k, dtype=np.int64)
@@ -317,18 +339,24 @@ def _block(model: _Model, rng, n) -> np.ndarray:
     return np.concatenate((ends, fork_wins, [single, forked.sum() - single]), dtype=np.int64)
 
 
-def _moments(actors, wins: np.ndarray, payout: np.ndarray) -> tuple[dict, dict]:
+def _moments(actors, wins: list[int], payout: np.ndarray) -> tuple[dict, dict]:
     """Per-actor ``wins @ payout`` and ``wins @ payout**2``.
 
     Whole-unit credits are exact integer counts added after the share terms,
-    so each result is rounded as few times as possible.
+    which are summed in ender order, so each result is rounded as few times
+    as possible.
     """
-    whole = payout == 1.0
-    shares = np.where(whole, 0.0, payout)
-    exact = wins @ whole
-    sums = exact + np.sum(wins[:, None] * shares, axis=0)
-    sumsq = exact + np.sum(wins[:, None] * shares ** 2, axis=0)
-    return dict(zip(actors, sums.tolist())), dict(zip(actors, sumsq.tolist()))
+    sums, sumsq = {}, {}
+    for actor, column in zip(actors, zip(*payout.tolist())):
+        exact, total, total_sq = 0, 0.0, 0.0
+        for w, p in zip(wins, column):
+            if p == 1.0:
+                exact += w
+            else:
+                total += w * p
+                total_sq += w * (p * p)
+        sums[actor], sumsq[actor] = exact + total, exact + total_sq
+    return sums, sumsq
 
 
 def simulate(cfg: SimConfig) -> SimOutcome:
@@ -337,13 +365,14 @@ def simulate(cfg: SimConfig) -> SimOutcome:
     if cfg.rounds < 100:
         warnings.warn("fewer than 100 rounds; statistics will be degenerate",
                       UserWarning, stacklevel=_caller_stacklevel())
-    counts = _block(model, _block_rng(cfg.seed, 0), cfg.rounds)
-    ends, fork_wins = counts[:-2].reshape(2, -1)
-    wins = ends + fork_wins
+    counts = _block(model, _block_rng(cfg.seed, 0), cfg.rounds).tolist()
+    m = len(model.actors)
+    ends, fork_wins = counts[:m], counts[m:2 * m]
+    wins = [e + f for e, f in zip(ends, fork_wins)]
     cases = dict.fromkeys(CASE_TAGS, 0)
-    for tag, count in zip(model.tags, ends.tolist()):
+    for tag, count in zip(model.tags, ends):
         cases[tag] += count
-    cases["C_fork_from_withheld"], cases["D_multi_branch_fork"] = counts[-2:].tolist()
+    cases["C_fork_from_withheld"], cases["D_multi_branch_fork"] = counts[-2:]
     sums, sumsq = _moments(model.actors, wins, model.payout)
     out = SimOutcome(
         kind=model.kind,
@@ -364,8 +393,8 @@ def simulate(cfg: SimConfig) -> SimOutcome:
             "workers": cfg.workers,
             "scenario": scenario_to_dict(cfg.scenario),
         },
-        extras={"wins": dict(zip(model.actors, wins.tolist())),
-                "fork_wins": dict(zip(model.actors, fork_wins.tolist()))},
+        extras={"wins": dict(zip(model.actors, wins)),
+                "fork_wins": dict(zip(model.actors, fork_wins))},
     )
     if model.gross is not None:
         gross, gross_sq = _moments(model.actors[:-1], wins, model.gross)

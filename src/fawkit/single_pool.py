@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DegenerateInput
-from .scenarios import SinglePoolScenario
+from .scenarios import SinglePoolScenario, _check_kind
 
 
 def _pots(alpha, beta, tau, c):
@@ -55,6 +55,7 @@ def attacker_reward_formula(alpha, beta, tau, c):
 
 def reward_single(s: SinglePoolScenario) -> float:
     """Attacker's expected per-round reward."""
+    _check_kind("s", s, SinglePoolScenario)
     return float(attacker_reward_formula(s.alpha, s.beta, s.tau, s.c))
 
 
@@ -65,6 +66,7 @@ def victim_reward(s: SinglePoolScenario) -> float:
     tau in (0, 1), and increasing in c: a manager who propagates the stale
     block quickly shrinks his own loss.
     """
+    _check_kind("s", s, SinglePoolScenario)
     _, _, honest_pot, fork_pot = _pots(s.alpha, s.beta, s.tau, s.c)
     return float(honest_pot + fork_pot)
 

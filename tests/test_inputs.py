@@ -14,19 +14,27 @@ from fawkit import (
     bonus_scheme_reward,
     c_from_gamma,
     c_max_single,
+    game_payoffs,
     load_scenario,
+    net_payoffs,
     optimize_allocation,
     preset_attack,
+    reward_npool,
+    reward_single,
     reward_two_pools,
     safe_bonus_threshold,
+    scenario_to_dict,
     selfish_mining_threshold,
     simulate,
     solve_equilibrium,
     sweep_regions,
     sweep_regions_assumed_c,
+    victim_reward,
 )
 from fawkit.game import sweep_axis
-from fawkit.scenarios import GameScenario
+from fawkit.scenarios import GameScenario, MultiPoolScenario, SinglePoolScenario
+
+SINGLE = SinglePoolScenario(0.2, 0.2, 0.3, 0.5)
 
 MALFORMED = {
     "selfish-none": (lambda: selfish_mining_threshold(None), "gamma=None"),
@@ -52,6 +60,16 @@ MALFORMED = {
     "responder-bool": (
         lambda: best_response(GameScenario(0.2, 0.1, 0.0, 0.0, 1, 1, 0.5, 0.5), True),
         "responder=True"),
+    "reward-single-none": (lambda: reward_single(None), "s=None must be a SinglePoolScenario"),
+    "victim-str": (lambda: victim_reward("x"), "s='x' must be a SinglePoolScenario"),
+    "npool-single": (lambda: reward_npool(SINGLE), f"s={SINGLE!r} must be a MultiPoolScenario"),
+    "game-payoffs-none": (lambda: game_payoffs(None), "g=None must be a GameScenario"),
+    "net-payoffs-str": (lambda: net_payoffs("x"), "g='x' must be a GameScenario"),
+    "net-payoffs-multi": (
+        lambda: net_payoffs(MultiPoolScenario(0.2, (0.1,), (0.5,), 1)),
+        "must be a GameScenario"),
+    "echo-none": (lambda: scenario_to_dict(None), "s=None must be a scenario"),
+    "echo-dict": (lambda: scenario_to_dict({"alpha": 0.2}), "s={'alpha': 0.2} must be a scenario"),
 }
 
 BOOLS = {

@@ -1,8 +1,12 @@
 import json
 import math
 import warnings
+from dataclasses import asdict
+from functools import reduce
+from operator import add
 from pathlib import Path
 from statistics import NormalDist
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,6 +24,7 @@ from fawkit.scenarios import (
     MultiPoolScenario,
     SinglePoolScenario,
     scenario_from_dict,
+    scenario_to_dict,
 )
 from fawkit.simulator import (
     SimConfig,
@@ -234,8 +239,9 @@ def test_outcome_export_shapes():
 
 
 def test_branch_table_splits_c_evenly():
+    # the reference construction's table; the library's branch rows are its steps, bit for bit
     c = 0.7
-    model = simulator._pool_model("multi", 0.2, (0.1,) * 3, (0.2,) * 3, c, ("a", "b", "c"))
+    model = _reference_model(MultiPoolScenario(0.2, (0.1,) * 3, (0.2,) * 3, c))
     u = np.random.default_rng(5).random(10_000)
     for mask in range(1, 8):
         held = [i for i in range(3) if mask >> i & 1]
@@ -292,6 +298,116 @@ def test_config_takes_numpy_integers():
     assert [config[k] for k in ("rounds", "seed", "workers")] == [150, 2 ** 63, 2]
 
 
+# The model construction as it was before the race tables were built in fewer numpy
+# calls, with the taus summed in order as the library sums them: the reference that
+# _model's arrays must match bit for bit, and the cumulative powers and branch table
+# that the per-round oracles below read.
+def _power_cum(powers) -> np.ndarray:
+    # clipping rounding-negative powers and overshoots of 1 keeps cum non-decreasing,
+    # so its steps are powers that multinomial takes
+    cum = np.minimum(np.cumsum(np.maximum(np.asarray(powers, dtype=float), 0.0)), 1.0)
+    cum[-1] = 1.0  # guard against cumulative rounding at the top boundary
+    return cum
+
+
+def _reference_pool_model(alpha, betas, taus, c, pools) -> SimpleNamespace:
+    n = len(betas)
+    ta = np.array([t * alpha for t in taus])
+    betas = np.asarray(betas, dtype=float)
+    ext_power = 1.0 - alpha - float(betas.sum())
+    cum = _power_cum(list(ta) + [(1.0 - reduce(add, taus)) * alpha] + list(betas) + [ext_power])
+    shares = np.divide(ta, betas + ta, out=np.zeros(n), where=betas + ta > 0.0)
+    payout = np.diag(np.r_[1.0, 1.0 - shares, 1.0])
+    payout[1:-1, 0] = shares
+    held = np.cumsum((np.arange(1 << n)[:, None] >> np.arange(n)) & 1, axis=1)
+    return SimpleNamespace(actors=("attacker", *pools, "external"), cum=cum,
+                           host=np.arange(1, n + 2), table=c * (held / np.maximum(held[:, -1:], 1)),
+                           payout=payout, gross=None)
+
+
+def _reference_game_model(s: GameScenario) -> SimpleNamespace:
+    k1 = s.f1 / (s.alpha2 + s.f1)
+    k2 = s.f2 / (s.alpha1 + s.f2)
+    pots = np.array([[1.0, k2], [k1, 1.0], [0.0, 0.0]]) / (1.0 - k1 * k2)
+    return SimpleNamespace(
+        actors=("pool1", "pool2", "external"),
+        cum=_power_cum([s.f1, s.f2, s.alpha1 - s.f1, s.alpha2 - s.f2, 1.0 - s.alpha1 - s.alpha2]),
+        host=np.array([1, 0, 2]),
+        table=np.array([[0.0, 0.0], [s.c1, s.c1], [0.0, s.c2], [s.c1p, s.c1p + s.c2p]]),
+        payout=np.column_stack((pots * [1.0 - k2, 1.0 - k1], [0.0, 0.0, 1.0])),
+        gross=pots,
+    )
+
+
+def _reference_model(s) -> SimpleNamespace:
+    if isinstance(s, SinglePoolScenario):
+        model = _reference_pool_model(s.alpha, (s.beta,), (s.tau,), s.c, ("pool",))
+    elif isinstance(s, MultiPoolScenario):
+        pools = tuple(f"pool_{i + 1}" for i in range(len(s.betas)))
+        model = _reference_pool_model(s.alpha, s.betas, s.taus, s.c, pools)
+    else:
+        model = _reference_game_model(s)
+    k = model.table.shape[1]
+    powers = np.diff(model.cum, prepend=0.0)
+    sets = np.arange(1 << k)[:, None]
+    bits = 1 << np.arange(k)
+    ender = powers[k:].sum()
+    jump = np.column_stack((((sets & bits) == 0) * powers[:k], np.full(1 << k, ender)))
+    branch = np.maximum(np.diff(model.table, axis=1, prepend=0.0, append=1.0), 0.0)
+    model.race = (powers, powers[k:] / ender, jump / jump.sum(axis=1, keepdims=True),
+                  sets | bits, branch)
+    return model
+
+
+def _reference_moments(actors, wins: np.ndarray, payout: np.ndarray) -> tuple[dict, dict]:
+    whole = payout == 1.0
+    shares = np.where(whole, 0.0, payout)
+    exact = wins @ whole
+    sums = exact + np.sum(wins[:, None] * shares, axis=0)
+    sumsq = exact + np.sum(wins[:, None] * shares ** 2, axis=0)
+    return dict(zip(actors, sums.tolist())), dict(zip(actors, sumsq.tolist()))
+
+
+def _same_bits(got: np.ndarray, want: np.ndarray) -> bool:
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=100)
+@given(st.one_of(single_scenarios(), multi_scenarios(max_pools=MAX_POOLS), game_scenarios()),
+       st.lists(st.integers(0, 2 ** 49), min_size=MAX_POOLS + 2, max_size=MAX_POOLS + 2))
+# numpy sums these eight ender powers pairwise, which here differs from summing them in order
+@example(MultiPoolScenario(0.29, (0.02, 0.11, 0.06, 0.07, 0.08, 0.11),
+                           (0.08, 0.09, 0.03, 0.12, 0.09, 0.09), 0.5), list(range(10)))
+def test_model_keeps_the_bits_of_the_reference_construction(scenario, wins):
+    model, want = simulator._model(scenario), _reference_model(scenario)
+    assert model.actors == want.actors
+    for got, ref in zip((*model.race, model.host, model.payout),
+                        (*want.race, want.host, want.payout), strict=True):
+        assert _same_bits(got, ref)
+    wins = wins[:len(model.actors)]
+    assert (simulator._moments(model.actors, wins, model.payout)
+            == _reference_moments(want.actors, np.array(wins), want.payout))
+    assert (model.gross is None) == (want.gross is None)
+    if model.gross is not None:
+        assert _same_bits(model.gross, want.gross)
+        assert (simulator._moments(model.actors[:-1], wins, model.gross)
+                == _reference_moments(want.actors[:-1], np.array(wins), want.gross))
+    echo = asdict(scenario)
+    for key in ("betas", "taus"):
+        if key in echo:
+            echo[key] = list(echo[key])
+    assert list(scenario_to_dict(scenario).items()) == list(echo.items())
+
+
+def test_the_innocent_power_sums_the_taus_in_order():
+    # the builtin sum compensates from Python 3.12 on: 0.6 for these taus, against
+    # 0.6000000000000001 in order; at alpha = 0.24 the innocent category's step of the
+    # running total is its power exactly, and the two sums give different steps
+    taus = (0.1, 0.2, 0.3)
+    powers = simulator._model(MultiPoolScenario(0.24, (0.1,) * 3, taus, 1.0)).race[0]
+    assert powers[3] == (1.0 - reduce(add, taus)) * 0.24 != (1.0 - math.fsum(taus)) * 0.24
+
+
 # The block engine as it was with one uniform per find and one withheld-set
 # mask per round of the block: the reference that _block must match in distribution.
 _POPCOUNT = np.array([bin(m).count("1") for m in range(256)], dtype=np.uint8)
@@ -311,7 +427,7 @@ def test_categories_match_searchsorted():
     # counter; some draws land exactly on an edge
     spread = np.random.default_rng(4).random(130)
     for powers in ([0.0, 0.1, 0.3, 0.0, 0.2, 0.4], spread / spread.sum()):
-        cum = simulator._power_cum(powers)
+        cum = _power_cum(powers)
         u = np.random.default_rng(3).random(100_000)
         u[:5], u[5] = cum[:5], cum[-2]
         assert np.array_equal(_categories(cum, u), np.searchsorted(cum, u, side="right"))
@@ -365,13 +481,14 @@ FALSE_ALARM = 1e-5  # chance that one case fails although both engines draw alik
 def test_block_counts_match_the_per_round_oracle_in_distribution(make_scenario):
     # each entry counts the rounds of one kind, so over N rounds it is Binomial(N, p) in
     # either engine; a pooled two-sample z per entry, Bonferroni over the entries
-    model = simulator._model(make_scenario())
+    scenario = make_scenario()
+    model = simulator._model(scenario)
     n = 1 << 18
     rounds = ORACLE_BLOCKS * n
     # disjoint substreams keep the two sums independent
     got = sum(simulator._block(model, simulator._block_rng(61, i), n)
               for i in range(ORACLE_BLOCKS))
-    want = sum(_oracle_block(model, simulator._block_rng(61, ORACLE_BLOCKS + i), n)
+    want = sum(_oracle_block(_reference_model(scenario), simulator._block_rng(61, ORACLE_BLOCKS + i), n)
                for i in range(ORACLE_BLOCKS))
     bound = NormalDist().inv_cdf(1 - FALSE_ALARM / (2 * got.size))
     pooled = (got + want) / (2 * rounds)
@@ -400,14 +517,15 @@ def _sparse_multi_scenarios(draw):
 def test_block_counts_keep_their_invariants(scenario, n, seed, index):
     model = simulator._model(scenario)
     m = len(model.actors)
+    powers, _, _, grow, branch = model.race
     counts = simulator._block(model, simulator._block_rng(seed, index), n)
     ends, fork_wins, forks = counts[:m], counts[m:2 * m], counts[-2:]
     assert counts.dtype == np.int64 and counts.min() >= 0
     assert ends.sum() + fork_wins.sum() == n
     assert fork_wins.sum() == forks.sum()
-    if model.cum[model.table.shape[1] - 1] == 0.0:  # no infiltration power
+    if not powers[:grow.shape[1]].any():  # no infiltration power
         assert forks.sum() == 0
-    if not model.table.any():  # c = 0: no withheld branch ever wins
+    if not branch[:, :-1].any():  # c = 0: no withheld branch ever wins
         assert fork_wins[:-1].sum() == 0
 
 
