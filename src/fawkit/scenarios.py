@@ -185,9 +185,9 @@ def validate_multi(s: MultiPoolScenario) -> MultiPoolScenario:
     _check_unit("c", s.c)
     # summed in order, as the closed form and the simulator sum them: the builtin sum
     # compensates from Python 3.12 on
-    taus = reduce(add, s.taus)
-    if taus > 1.0 + 1e-15:
-        raise BudgetExceeded(f"sum of taus = {taus!r} exceeds 1")
+    total_tau = reduce(add, s.taus)
+    if total_tau > 1.0 + 1e-15:
+        raise BudgetExceeded(f"sum of taus = {total_tau!r} exceeds 1")
     total = s.alpha + reduce(add, s.betas)
     if total > 1.0 + 1e-15:
         raise BudgetExceeded(f"alpha + sum(betas) = {total!r} exceeds 1")
