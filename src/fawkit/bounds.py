@@ -22,6 +22,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 from .errors import (
     ConstraintViolated,
@@ -29,7 +31,7 @@ from .errors import (
     NegativeEffectiveMinersWarning,
     _caller_stacklevel,
 )
-from .scenarios import SinglePoolScenario, _check_integer, _check_unit, _floats
+from .scenarios import SinglePoolScenario, _check_integer, _check_unit, _store_floats
 from .single_pool import _pots, _share
 
 GAMMA_AS_TAU_NOTE = (
@@ -53,18 +55,19 @@ class HonestPowerDistribution:
     atomized_remainder: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "shares", _floats("shares", self.shares))
+        _store_floats(self, ("shares",))
         for i, x in enumerate(self.shares):
             _check_unit(f"shares[{i}]", x)
         _check_unit("atomized_remainder", self.atomized_remainder)
 
+    # summed in order, as validate_multi sums the taus: the builtin sum compensates on 3.12+
     @property
     def total(self) -> float:
-        return sum(self.shares) + self.atomized_remainder
+        return reduce(add, self.shares, 0.0) + self.atomized_remainder
 
     @property
     def square_sum(self) -> float:
-        return sum(x * x for x in self.shares)
+        return reduce(add, (x * x for x in self.shares), 0.0)
 
 
 def _require_total(dist: HonestPowerDistribution, expected: float, what: str):

@@ -238,8 +238,7 @@ def cmd_game_sweep(args) -> int:
 
 def cmd_sim(args) -> int:
     scenario, solve = _scenario(args)
-    cfg = simulator.SimConfig(rounds=args.rounds, scenario=scenario, workers=args.workers,
-                              seed=args.seed)
+    cfg = simulator.SimConfig(rounds=args.rounds, scenario=scenario, seed=args.seed)
     emit(_with_solve(simulator.simulate(cfg).to_json_dict(), solve), args.format, args.output)
     return _exit_code(solve)
 
@@ -378,8 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(f"sim-{kind}", parents=[flags], help=f"Monte Carlo {kind} run")
         p.add_argument("--rounds", type=int, required=True, help="1 to 2^53")
         p.add_argument("--seed", type=int, default=42, help="default 42")
-        p.add_argument("--workers", type=int, default=1,
-                       help="default 1; echoed, but changes neither the result nor the speed")
         _add_scenario_opt(p)
         _add_common(p)
         p.set_defaults(func=cmd_sim, **scenario)

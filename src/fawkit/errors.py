@@ -51,7 +51,11 @@ class UnknownFixture(FawError):
 
 
 class ScenarioFileError(FawError):
-    """A scenario file failed to read or parse; the message names the offending key or file."""
+    """A scenario file is unreadable, not JSON, or has keys that match no scenario type.
+
+    The message names the file or the offending key. A bad value is the scenario type's own
+    error: ``ConstraintViolated`` naming the field.
+    """
 
 
 class RationalFloorWarning(UserWarning):

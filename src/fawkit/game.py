@@ -138,6 +138,7 @@ def best_response(g: GameScenario, responder: int) -> float:
     points between them (see the module docstring), the smallest x on a
     tie. Both pools need power of their own, or a candidate empties a pool.
     """
+    _check_kind("g", g, GameScenario)
     responder = _check_integer("responder", responder, 1, 2)
     _require_powers(g.alpha1, g.alpha2)
     return float(_best_response_raw(g.alpha1, g.alpha2, g.c1, g.c2, g.c1p, g.c2p, responder,

@@ -6,8 +6,9 @@ round, so with everyone honest a miner's expected per-round reward equals
 its power fraction. No single miner or pool may hold 0.5 or more (majority
 guard), and unintentional forks are ignored throughout.
 
-Each scenario type runs its validate_* when built, so every instance is valid and a
-function taking one checks only its kind; all are immutable, safe to share across threads.
+Each scenario type stores its fields as Python floats and runs its validate_* when built,
+so every instance is valid and computes in float64, and a function taking one checks only
+its kind, with _check_kind; all are immutable, safe to share across threads.
 """
 
 from __future__ import annotations
@@ -58,14 +59,16 @@ def _check_integer(name: str, value, low: int = 1, high: int | None = None) -> i
     return value
 
 
-def _check_kind(name: str, value, kind: type) -> None:
-    """A function that reads a scenario's fields first checks it is of the kind it reads."""
+def _check_kind(name: str, value, kind) -> None:
+    """A scenario reader first checks its argument is of ``kind``, a type or ``Scenario``."""
     if not isinstance(value, kind):
-        raise ConstraintViolated(f"{name}={value!r} must be a {kind.__name__}")
+        what = "scenario" if kind is Scenario else kind.__name__
+        raise ConstraintViolated(f"{name}={value!r} must be a {what}")
 
 
 def _check_unit(name: str, value: float) -> None:
-    _check_real(name, value)
+    if type(value) is not float:  # a scenario's fields are floats: skip the call for them
+        _check_real(name, value)
     if not 0.0 <= value <= 1.0:
         raise PowerOutOfRange(f"{name}={value!r} outside [0, 1]")
 
@@ -79,10 +82,12 @@ def _check_actor_power(name: str, value: float) -> None:
 
 
 def _sequence(name: str, values) -> tuple:
-    try:
-        return tuple(values)
-    except TypeError:
-        raise ConstraintViolated(f"{name}={values!r} must be a sequence of real numbers") from None
+    if not isinstance(values, str):  # a string is a sequence of characters, not of numbers
+        try:
+            return tuple(values)
+        except TypeError:
+            pass
+    raise ConstraintViolated(f"{name}={values!r} must be a sequence of real numbers")
 
 
 def _floats(name: str, values) -> tuple[float, ...]:
@@ -91,6 +96,21 @@ def _floats(name: str, values) -> tuple[float, ...]:
         if type(v) is not float:  # names the item only when it is not a float
             _check_real(f"{name}[{i}]", v)
     return tuple(map(float, values))
+
+
+def _store_floats(obj, sequences: tuple[str, ...] = ()) -> None:
+    """Check each field of the frozen dataclass ``obj`` and store it as a Python float, or
+    through _floats as a tuple of floats if named in ``sequences``; a float stays as it is."""
+    for name in obj.__match_args__:
+        value = getattr(obj, name)
+        if name in sequences:
+            value = _floats(name, value)
+        elif type(value) is float:
+            continue
+        else:
+            _check_real(name, value)
+            value = float(value)
+        object.__setattr__(obj, name, value)
 
 
 @dataclass(frozen=True)
@@ -109,6 +129,7 @@ class SinglePoolScenario:
     c: float
 
     def __post_init__(self):
+        _store_floats(self)
         validate_single(self)
 
 
@@ -126,8 +147,7 @@ class MultiPoolScenario:
     c: float
 
     def __post_init__(self):
-        object.__setattr__(self, "betas", _floats("betas", self.betas))
-        object.__setattr__(self, "taus", _floats("taus", self.taus))
+        _store_floats(self, ("betas", "taus"))
         validate_multi(self)
 
 
@@ -150,6 +170,7 @@ class GameScenario:
     c2p: float
 
     def __post_init__(self):
+        _store_floats(self)
         validate_game(self)
 
 
@@ -205,7 +226,6 @@ def validate_game(s: GameScenario) -> GameScenario:
     _check_actor_power("alpha1", s.alpha1)
     _check_actor_power("alpha2", s.alpha2)
     for name, f, cap in (("f1", s.f1, s.alpha1), ("f2", s.f2, s.alpha2)):
-        _check_real(name, f)
         if not 0.0 <= f <= cap:
             raise ConstraintViolated(f"{name}={f!r} outside [0, alpha]={cap!r}")
     for pool, power, f_in in ((1, s.alpha1, s.f2), (2, s.alpha2, s.f1)):
@@ -226,13 +246,12 @@ def validate_game(s: GameScenario) -> GameScenario:
 
 def validate(s: Scenario) -> Scenario:
     """Re-run the checks of ``s``'s type; a built scenario always passes them."""
+    _check_kind("s", s, Scenario)
     if isinstance(s, SinglePoolScenario):
         return validate_single(s)
     if isinstance(s, MultiPoolScenario):
         return validate_multi(s)
-    if isinstance(s, GameScenario):
-        return validate_game(s)
-    raise TypeError(f"not a scenario: {s!r}")
+    return validate_game(s)
 
 
 def rer(reward: float, honest_power: float) -> float:
@@ -249,9 +268,9 @@ def rer(reward: float, honest_power: float) -> float:
 # --- scenario files ---------------------------------------------------------
 #
 # A scenario file is a flat JSON object whose keys exactly match the field
-# names of one scenario type. A reward document wraps the echo under a
-# "scenario" key, which scenario_from_dict unwraps, so it can be fed straight
-# back in.
+# names of one scenario type, which checks and stores the values as it does
+# any others. A reward document wraps the echo under a "scenario" key, which
+# scenario_from_dict unwraps, so it can be fed straight back in.
 
 _FIELD_SETS = {
     frozenset(("alpha", "beta", "tau", "c")): SinglePoolScenario,
@@ -259,26 +278,9 @@ _FIELD_SETS = {
     frozenset(("alpha1", "alpha2", "f1", "f2", "c1", "c2", "c1p", "c2p")): GameScenario,
 }
 
-_LIST_FIELDS = ("betas", "taus")
-
-
-def _coerce_number(key: str, value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioFileError(f"field '{key}': expected a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise ScenarioFileError(f"field '{key}': integer too large for a float") from None
-
-
-def _coerce_number_list(key: str, value) -> tuple[float, ...]:
-    if not isinstance(value, (list, tuple)):
-        raise ScenarioFileError(f"field '{key}': expected a list of numbers, got {value!r}")
-    return tuple(_coerce_number(f"{key}[{i}]", v) for i, v in enumerate(value))
-
 
 def scenario_from_dict(data: dict) -> Scenario:
-    """Build a scenario, which validates itself, from a flat mapping."""
+    """Build a scenario, which checks its own values, from a flat mapping."""
     if not isinstance(data, dict):
         raise ScenarioFileError(f"expected a JSON object, got {type(data).__name__}")
     if "scenario" in data and isinstance(data["scenario"], dict):
@@ -294,13 +296,7 @@ def scenario_from_dict(data: dict) -> Scenario:
                 missing = sorted(fields - keys)
                 raise ScenarioFileError(f"missing key '{missing[0]}' for {candidate.__name__}")
         raise ScenarioFileError(f"keys {sorted(keys)} match no scenario type")
-    kwargs = {}
-    for key, value in data.items():
-        if key in _LIST_FIELDS:
-            kwargs[key] = _coerce_number_list(key, value)
-        else:
-            kwargs[key] = _coerce_number(key, value)
-    return cls(**kwargs)
+    return cls(**data)
 
 
 def load_scenario(path) -> Scenario:
@@ -317,10 +313,6 @@ def load_scenario(path) -> Scenario:
 
 def scenario_to_dict(s: Scenario) -> dict:
     """Flat mapping suitable for JSON echo; inverse of scenario_from_dict."""
-    if not isinstance(s, Scenario):
-        raise ConstraintViolated(f"s={s!r} must be a scenario")
-    d = dict(vars(s))  # the fields are floats and tuples of floats: a shallow copy is enough
-    for key in _LIST_FIELDS:
-        if key in d:
-            d[key] = list(d[key])
-    return d
+    _check_kind("s", s, Scenario)
+    # the fields are floats and tuples of floats: a shallow copy is enough
+    return {k: list(v) if type(v) is tuple else v for k, v in vars(s).items()}

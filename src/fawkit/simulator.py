@@ -63,13 +63,14 @@ from operator import add
 
 import numpy as np
 
-from .errors import ConstraintViolated, _caller_stacklevel
+from .errors import _caller_stacklevel
 from .scenarios import (
     GameScenario,
     MultiPoolScenario,
     Scenario,
     SinglePoolScenario,
     _check_integer,
+    _check_kind,
     scenario_to_dict,
 )
 
@@ -104,8 +105,7 @@ class SimConfig:
         for name, low, high in (("rounds", 1, BLOCK_ROUNDS), ("seed", 0, 2 ** 64 - 1),
                                 ("workers", 1, None)):
             object.__setattr__(self, name, _check_integer(name, getattr(self, name), low, high))
-        if not isinstance(self.scenario, Scenario):
-            raise ConstraintViolated(f"scenario={self.scenario!r} must be a scenario")
+        _check_kind("scenario", self.scenario, Scenario)
 
 
 @dataclass
@@ -406,8 +406,7 @@ def simulate(cfg: SimConfig) -> SimOutcome:
 def _kind_only(scenario_type, name: str):
     """``simulate`` behind a check that the scenario is a ``scenario_type``."""
     def entry(cfg: SimConfig) -> SimOutcome:
-        if not isinstance(cfg.scenario, scenario_type):
-            raise TypeError(f"{name} needs a {scenario_type.__name__}")
+        _check_kind("scenario", cfg.scenario, scenario_type)
         return simulate(cfg)
     entry.__name__ = entry.__qualname__ = name
     entry.__doc__ = f":func:`simulate` for a {scenario_type.__name__} only."

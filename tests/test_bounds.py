@@ -1,3 +1,4 @@
+import math
 import re
 from dataclasses import replace
 
@@ -62,6 +63,16 @@ def test_c_max_checks_totals():
 def test_distribution_rejects_non_finite_or_negative_power(shares, atomized, named):
     with pytest.raises(ConstraintViolated, match=re.escape(named)):
         HonestPowerDistribution(shares, atomized)
+
+
+def test_honest_shares_are_summed_in_order():
+    # as validate_multi sums the taus: the builtin sum compensates from Python 3.12 on, and
+    # math.fsum, which rounds correctly, gives 0.6 and 0.1025 here
+    shares = (0.1, 0.2, 0.3)
+    assert HonestPowerDistribution(shares).total == 0.6000000000000001 != math.fsum(shares)
+    shares = (0.1, 0.3, 0.05)
+    squares = HonestPowerDistribution(shares).square_sum
+    assert squares == 0.10250000000000001 != math.fsum(x * x for x in shares)
 
 
 def test_c_max_antitone_under_merging():

@@ -305,10 +305,9 @@ def test_omitted_seed_is_42(capsys):
 
 @pytest.mark.parametrize("flags, named", [
     (("--rounds", "0"), "rounds"),
-    (("--rounds", "1000", "--workers", "0"), "workers"),
     (("--rounds", "1000", "--seed", "-1"), "seed"),
     (("--rounds", str(2 ** 53 + 1)), "rounds"),
-], ids=["rounds-0", "workers-0", "seed-negative", "rounds-past-2^53"])
+], ids=["rounds-0", "seed-negative", "rounds-past-2^53"])
 def test_invalid_sim_input_is_a_typed_error(capsys, flags, named):
     code, out, err = run_cli(capsys, "sim-single", "--alpha", "0.2", "--beta", "0.2",
                              "--c", "0", "--tau", "0.1", *flags)
@@ -363,9 +362,9 @@ def test_warning_is_one_stderr_line(capsys, argv, line):
 
 @pytest.mark.parametrize("argv, count", [
     ("reward-game --f1 0.05 --f2 0.02", 1),
-    ("sim-game --f1 0.05 --f2 0.02 --rounds 1000 --workers 1", 1),
+    ("sim-game --f1 0.05 --f2 0.02 --rounds 1000", 1),
     ("reward-game", 2),
-    ("sim-game --rounds 1000 --workers 1", 2),
+    ("sim-game --rounds 1000", 2),
 ], ids=("reward-game", "sim-game", "reward-game-solved", "sim-game-solved"))
 def test_floor_warning_once_per_built_scenario(capsys, argv, count):
     # a solved run builds two scenarios: the solve's start and the equilibrium
@@ -444,7 +443,7 @@ def test_scenario_file_takes_the_run_flags(capsys, tmp_path, command):
     path.write_text(json.dumps(_SCENARIO_FILES[_NEEDED[command.split("-")[1]]]))
     dest = tmp_path / "out.csv"
     code, out, err = run_cli(capsys, command, "--scenario", str(path), "--rounds", "100",
-                             "--seed", "3", "--workers", "1", "--format", "csv",
+                             "--seed", "3", "--format", "csv",
                              "--output", str(dest))
     assert (code, out, err) == (0, "", "")
     assert len(dest.read_text().splitlines()) == 2
@@ -714,8 +713,7 @@ _POOLS = ("0.1", "0.1,0.2", "0.2,0.1,0.05", "0.3,0.3", "nan,0.1", "-0.1", "0,0")
 _MULTI = {"--alpha": _NUMBERS, "--betas": _POOLS, "--c": _NUMBERS,
           "--preset": tuple(sorted(multi_pool.POOL_PRESETS))}
 # every sim run is small
-_SIM = {"--rounds": ("1", "2000", "0", "-1"), "--workers": ("1", "2"),
-        "--seed": ("1", "0", "-1", str(2**64))}
+_SIM = {"--rounds": ("1", "2000", "0", "-1"), "--seed": ("1", "0", "-1", str(2**64))}
 # a range flag gives at most a few points: a small step on both axes asks for 10^12 cells
 _RANGES = ("0.1", "0.05:0.15:0.05", "0:1:0.5", "0.3:0.1:0.1", "0:1:0", "0:nan:0.1", "0:1:1e-9",
            "nan", "1.5", "-0.5")
@@ -737,8 +735,8 @@ _FUZZ = {
                 "-L": ("1", "3", "0", "-1", "1000000", str(10**400)), "--t": _NUMBERS,
                 "--pool-power": _NUMBERS, "--c-max": _NUMBERS},
 }
-# flags argparse requires, and --workers, so that fuzzed sim runs also check and echo it
-_ALWAYS = {"", "--workers", "--rounds", "--alpha1", "--alpha2", "game-sweep --c"}
+# flags argparse requires
+_ALWAYS = {"", "--rounds", "--alpha1", "--alpha2", "game-sweep --c"}
 
 
 @st.composite

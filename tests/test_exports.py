@@ -51,7 +51,7 @@ def test_exported_names_are_pinned():
 
 
 _RUN = ("--format", "--output")
-_SIM = ("--rounds", "--seed", "--workers", "--scenario", *_RUN)
+_SIM = ("--rounds", "--seed", "--scenario", *_RUN)
 _SINGLE = ("--alpha", "--beta", "--c", "--tau")
 _MULTI = ("--alpha", "--betas", "--taus", "--c", "--preset")
 _GAME = ("--alpha1", "--alpha2", "--f1", "--f2", "--c", "--c1", "--c2", "--c1p", "--c2p")

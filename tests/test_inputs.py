@@ -3,7 +3,11 @@ FawError that names it, never a raw TypeError, ValueError or AttributeError."""
 
 import re
 
+import numpy as np
 import pytest
+from conftest import game_scenarios, multi_scenarios, single_scenarios
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fawkit import (
     ConstraintViolated,
@@ -32,7 +36,8 @@ from fawkit import (
     victim_reward,
 )
 from fawkit.game import sweep_axis
-from fawkit.scenarios import GameScenario, MultiPoolScenario, SinglePoolScenario
+from fawkit.scenarios import GameScenario, MultiPoolScenario, SinglePoolScenario, validate
+from fawkit.simulator import simulate_multi
 
 SINGLE = SinglePoolScenario(0.2, 0.2, 0.3, 0.5)
 
@@ -53,13 +58,22 @@ MALFORMED = {
     "sweep-axis-none": (lambda: sweep_regions(0.2, None, [0.5]), "alpha2_axis=None"),
     "betas-none": (lambda: optimize_allocation(0.2, None, 1), "betas=None"),
     "betas-item-str": (lambda: optimize_allocation(0.2, ["x"], 1), "betas[0]='x'"),
+    "betas-str": (lambda: MultiPoolScenario(0.2, "0.1", (0.5,), 1),
+                  "betas='0.1' must be a sequence of real numbers"),
     "sim-scenario-none": (lambda: simulate(SimConfig(100, 1, None)), "scenario=None"),
+    "sim-workers-0": (lambda: SimConfig(100, 1, SINGLE, workers=0), "workers=0 must be >= 1"),
     "preset-list": (lambda: preset_attack([]), "preset []"),
     "dist-none": (lambda: c_max_single(0.2, 0.1, None), "dist=None"),
     "scenario-path-none": (lambda: load_scenario(None), "scenario file None"),
     "responder-bool": (
         lambda: best_response(GameScenario(0.2, 0.1, 0.0, 0.0, 1, 1, 0.5, 0.5), True),
         "responder=True"),
+    "best-response-none": (lambda: best_response(None, 1), "g=None must be a GameScenario"),
+    "best-response-single": (lambda: best_response(SINGLE, 1),
+                             f"g={SINGLE!r} must be a GameScenario"),
+    "validate-none": (lambda: validate(None), "s=None must be a scenario"),
+    "sim-multi-single": (lambda: simulate_multi(SimConfig(100, 1, SINGLE)),
+                         f"scenario={SINGLE!r} must be a MultiPoolScenario"),
     "reward-single-none": (lambda: reward_single(None), "s=None must be a SinglePoolScenario"),
     "victim-str": (lambda: victim_reward("x"), "s='x' must be a SinglePoolScenario"),
     "npool-single": (lambda: reward_npool(SINGLE), f"s={SINGLE!r} must be a MultiPoolScenario"),
@@ -110,3 +124,48 @@ def test_a_sweep_value_that_is_not_a_number_raises_its_cells_error(sweep, axis_a
     err = _game_error(*game)
     with pytest.raises(type(err), match=re.escape(str(err))):
         sweep(0.2, axis_a2, axis_c)
+
+
+def _fields(s) -> list:
+    """The scenario's numbers, each tuple field's items in place."""
+    return [x for v in vars(s).values() for x in (v if type(v) is tuple else (v,))]
+
+
+@st.composite
+def _numpy_twins(draw):
+    """A scenario type, its values cast to numpy float32 (a whole one to int or np.int64), and
+    float() of each cast value."""
+    s = draw(st.one_of(single_scenarios(), multi_scenarios(max_pools=3), game_scenarios()))
+
+    def cast(v):
+        x = np.float32(v)
+        return draw(st.sampled_from((int, np.int64)))(x) if x == int(x) else x
+
+    cast_values = [tuple(map(cast, v)) if type(v) is tuple else cast(v) for v in vars(s).values()]
+    floats = [tuple(map(float, v)) if type(v) is tuple else float(v) for v in cast_values]
+    return type(s), cast_values, floats
+
+
+_READER = {SinglePoolScenario: reward_single, MultiPoolScenario: reward_npool,
+           GameScenario: net_payoffs}
+
+
+@pytest.mark.filterwarnings("ignore::fawkit.errors.RationalFloorWarning")
+@settings(max_examples=40)
+@given(_numpy_twins())
+def test_numpy_numbers_compute_as_their_float_twins(twins):
+    """A scenario stores Python floats, so it computes bit for bit as one built from floats."""
+    cls, cast_values, floats = twins
+    try:
+        want = cls(*floats)
+    except FawError as exc:  # float32 rounding may break a budget: the same error then
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            cls(*cast_values)
+        return
+    got = cls(*cast_values)
+    assert all(type(x) is float for x in _fields(got))
+    assert list(map(float.hex, _fields(got))) == list(map(float.hex, _fields(want)))
+    read = _READER[cls]
+    assert repr(read(got)) == repr(read(want))
+    runs = [simulate(SimConfig(1000, 5, s)).to_json() for s in (got, want)]
+    assert runs[0] == runs[1]

@@ -229,14 +229,15 @@ def test_scenario_file_from_path(tmp_path):
 
 
 def test_scenario_errors_cite_offending_key():
-    with pytest.raises(ScenarioFileError, match="'tau'"):
+    # a value is the scenario type's to check, a key the loader's
+    with pytest.raises(ConstraintViolated, match="tau='lots' must be a real number"):
         scenario_from_dict({"alpha": 0.2, "beta": 0.2, "tau": "lots", "c": 0.0})
     with pytest.raises(ScenarioFileError, match="'frobnicate'"):
         scenario_from_dict({"alpha": 0.2, "beta": 0.2, "tau": 0.1, "c": 0.0,
                             "frobnicate": 1})
     with pytest.raises(ScenarioFileError, match="'c'"):
         scenario_from_dict({"alpha": 0.2, "beta": 0.2, "tau": 0.1})
-    with pytest.raises(ScenarioFileError, match="'betas\\[1\\]'"):
+    with pytest.raises(ConstraintViolated, match=r"betas\[1\]=None must be a real number"):
         scenario_from_dict({"alpha": 0.2, "betas": [0.1, None], "taus": [0.1, 0.1], "c": 0.0})
 
 
@@ -253,18 +254,21 @@ def test_invalid_json_reported(tmp_path):
         load_scenario(path)
 
 
-@pytest.mark.parametrize("text, named", [
-    ('{"alpha": %s, "beta": 0.2, "tau": 0.1, "c": 0.5}' % ("1" * 401), "'alpha'"),
+@pytest.mark.parametrize("text, error, named", [
+    ('{"alpha": %s, "beta": 0.2, "tau": 0.1, "c": 0.5}' % ("1" * 401), ConstraintViolated,
+     "alpha is above the largest float"),
     ('{"alpha": 0.2, "betas": [0.1, %s], "taus": [0.1, 0.1], "c": 0.5}' % ("1" * 401),
-     r"'betas\[1\]'"),
-    ('{"alpha": %s, "beta": 0.2, "tau": 0.1, "c": 0.5}' % ("1" * 4301), "scen.json|'alpha'"),
-    ("[" * 100_000 + "]" * 100_000, "scen.json"),
+     ConstraintViolated, r"betas\[1\] is above the largest float"),
+    ('{"alpha": %s, "beta": 0.2, "tau": 0.1, "c": 0.5}' % ("1" * 4301), ScenarioFileError,
+     "scen.json|'alpha'"),
+    ("[" * 100_000 + "]" * 100_000, ScenarioFileError, "scen.json"),
 ], ids=["float-overflow", "list-float-overflow", "over-4300-digits", "100000-deep"])
-def test_unparsable_numbers_and_nesting_reported(tmp_path, text, named):
-    # a number or a depth Python cannot take is a file error, not a traceback
+def test_unparsable_numbers_and_nesting_reported(tmp_path, text, error, named):
+    # a number no float can hold is the scenario type's error, one or a depth the JSON
+    # reader cannot take a file error: neither is a traceback
     path = tmp_path / "scen.json"
     path.write_text(text)
-    with pytest.raises(ScenarioFileError, match=named):
+    with pytest.raises(error, match=named):
         load_scenario(path)
 
 
@@ -278,5 +282,5 @@ def test_unreadable_file_reported(tmp_path):
 
 
 def test_validate_dispatch_rejects_non_scenarios():
-    with pytest.raises(TypeError):
+    with pytest.raises(ConstraintViolated, match="s=41 must be a scenario"):
         validate(41)

@@ -254,9 +254,9 @@ def test_branch_table_splits_c_evenly():
 
 def test_typed_entry_points_reject_wrong_scenarios():
     cfg = SimConfig(rounds=10, seed=1, scenario=SINGLE)
-    with pytest.raises(TypeError):
+    with pytest.raises(ConstraintViolated, match="must be a MultiPoolScenario"):
         simulate_multi(cfg)
-    with pytest.raises(TypeError):
+    with pytest.raises(ConstraintViolated, match="must be a GameScenario"):
         simulate_game(cfg)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
