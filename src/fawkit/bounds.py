@@ -10,7 +10,8 @@ The countermeasure rewards are single-pool rewards with changed shares:
 the attacker's solo income plus the victim pool's honest and fork pots
 (single_pool._pots), each times the share the countermeasure leaves it.
 A function checks alpha and beta by building their SinglePoolScenario, and
-its other numbers with the same checkers, so a bad one raises ConstraintViolated.
+its other numbers with the same checkers, so a bad one raises ConstraintViolated;
+it computes on the floats the scenario stores and the checkers return.
 
 Several expressions here substitute the infiltration fraction tau where the
 source derivations print an undefined gamma; every function doing so says
@@ -31,7 +32,7 @@ from .errors import (
     NegativeEffectiveMinersWarning,
     _caller_stacklevel,
 )
-from .scenarios import SinglePoolScenario, _check_integer, _check_unit, _store_floats
+from .scenarios import SinglePoolScenario, _check_integer, _check_kind, _check_unit, _store_floats
 from .single_pool import _pots, _share
 
 GAMMA_AS_TAU_NOTE = (
@@ -71,8 +72,7 @@ class HonestPowerDistribution:
 
 
 def _require_total(dist: HonestPowerDistribution, expected: float, what: str):
-    if not isinstance(dist, HonestPowerDistribution):
-        raise ConstraintViolated(f"dist={dist!r} must be a HonestPowerDistribution")
+    _check_kind("dist", dist, HonestPowerDistribution)
     if not abs(dist.total - expected) <= _TOTAL_TOL:
         raise InconsistentDistribution(
             f"honest shares sum to {dist.total!r}, expected {what} = {expected!r}"
@@ -89,7 +89,7 @@ def c_max_single(alpha: float, beta: float, dist: HonestPowerDistribution) -> fl
     minus the participants' total. Fully atomized honest power gives 1; a
     single honest node owning everything gives alpha + beta.
     """
-    SinglePoolScenario(alpha, beta, 0.0, 0.0)
+    alpha, beta, _, _ = vars(SinglePoolScenario(alpha, beta, 0.0, 0.0)).values()
     external = 1.0 - alpha - beta
     _require_total(dist, external, "1 - alpha - beta")
     return 1.0 - dist.square_sum / external
@@ -97,7 +97,7 @@ def c_max_single(alpha: float, beta: float, dist: HonestPowerDistribution) -> fl
 
 def c_min_rational(alpha: float, beta: float) -> float:
     """Lower bound on c when the victim manager is rational: alpha + beta."""
-    SinglePoolScenario(alpha, beta, 0.0, 0.0)
+    alpha, beta, _, _ = vars(SinglePoolScenario(alpha, beta, 0.0, 0.0)).values()
     return alpha + beta
 
 
@@ -108,8 +108,8 @@ def c_from_gamma(gamma: float, alpha: float, beta: float) -> float:
     the withheld branch; gamma = 0 reproduces c_min_rational and gamma = 1
     gives 1.
     """
-    _check_unit("gamma", gamma)
-    SinglePoolScenario(alpha, beta, 0.0, 0.0)
+    gamma = _check_unit("gamma", gamma)
+    alpha, beta, _, _ = vars(SinglePoolScenario(alpha, beta, 0.0, 0.0)).values()
     return gamma * (1.0 - alpha - beta) + alpha + beta
 
 
@@ -118,7 +118,7 @@ def selfish_mining_threshold(gamma: float) -> float:
 
     Strictly decreasing from 1/3 at gamma = 0 to 0 at gamma = 1.
     """
-    _check_unit("gamma", gamma)
+    gamma = _check_unit("gamma", gamma)
     return (1.0 - gamma) / (3.0 - 2.0 * gamma)
 
 
@@ -128,7 +128,7 @@ def gamma_upper_bound(dist: HonestPowerDistribution, alpha: float) -> float:
     This is the weakest link of the chain of inequalities and therefore the
     safest cap; the honest shares must sum to 1 - alpha.
     """
-    SinglePoolScenario(alpha, 0.0, 0.0, 0.0)
+    alpha = SinglePoolScenario(alpha, 0.0, 0.0, 0.0).alpha
     _require_total(dist, 1.0 - alpha, "1 - alpha")
     return 1.0 - dist.square_sum
 
@@ -167,8 +167,8 @@ def detection_resilient_reward(alpha, beta, tau, c, L: int) -> float:
     Negative effective-identity counts are floored at zero with a warning.
     Evaluated with tau substituted for the printed gamma.
     """
-    _check_integer("L", L)
-    SinglePoolScenario(alpha, beta, tau, c)
+    L = _check_integer("L", L)
+    alpha, beta, tau, c = vars(SinglePoolScenario(alpha, beta, tau, c)).values()
     ta, innocent, honest_pot, fork_pot = _pots(alpha, beta, tau, c)
     ext = 1.0 - alpha - beta
     wins = beta + c * ta * ext
@@ -193,8 +193,8 @@ def honeypot_bwh_bound(alpha, beta, tau, L: int) -> float:
     Converges to the plain withholding reward as L grows; tau = 0 gives
     alpha. Evaluated with tau substituted for the printed gamma.
     """
-    _check_integer("L", L)
-    SinglePoolScenario(alpha, beta, tau, 0.0)
+    L = _check_integer("L", L)
+    alpha, beta, tau, _ = vars(SinglePoolScenario(alpha, beta, tau, 0.0)).values()
     ta, innocent, honest_pot, _ = _pots(alpha, beta, tau, 0.0)
     if ta == 0.0:
         return innocent  # == alpha
@@ -218,8 +218,8 @@ def bonus_scheme_reward(alpha, beta, tau, c, t: float) -> float:
     is s; an alternative reading with denominator b + tau*b fails that
     collapse and is rejected.)
     """
-    _check_unit("t", t)
-    SinglePoolScenario(alpha, beta, tau, c)
+    t = _check_unit("t", t)
+    alpha, beta, tau, c = vars(SinglePoolScenario(alpha, beta, tau, c)).values()
     ta, innocent, honest_pot, fork_pot = _pots(alpha, beta, tau, c)
     share = _share(ta, beta)
     return innocent + honest_pot * (1.0 - t) * share + fork_pot * (t + (1.0 - t) * share)
@@ -235,9 +235,9 @@ def safe_bonus_threshold(pool_power: float, c_max: float) -> float:
     exists, which is itself the analytical result (large c defeats this
     defense for small pools). c_max = 0 gives 0.5.
     """
-    _check_unit("pool_power", pool_power)
+    pool_power = _check_unit("pool_power", pool_power)
     if pool_power == 0.0:
         raise ConstraintViolated(f"pool_power={pool_power!r} outside (0, 1]")
-    _check_unit("c_max", c_max)
+    c_max = _check_unit("c_max", c_max)
     return 1.0 / (2.0 * (1.0 - c_max * (1.0 - pool_power)))
 

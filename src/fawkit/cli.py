@@ -28,6 +28,7 @@ import json
 import sys
 import warnings
 from dataclasses import asdict
+from functools import cache
 
 from . import bounds as bounds_mod
 from . import game as game_mod
@@ -426,8 +427,11 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+_parser = cache(build_parser)  # main's parser, built once per process: no handler changes it
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     with warnings.catch_warnings():
         # one line per warning, without the source line Python would echo
         warnings.showwarning = lambda message, category, *_: print(

@@ -95,8 +95,7 @@ def game_payoffs(g: GameScenario) -> tuple[float, float]:
     A valid scenario keeps the system's determinant at 3/4 or more.
     """
     _check_kind("g", g, GameScenario)
-    r1, r2 = pot_payoffs_raw(g.alpha1, g.alpha2, g.f1, g.f2, g.c1, g.c2, g.c1p, g.c2p)
-    return float(r1), float(r2)
+    return pot_payoffs_raw(g.alpha1, g.alpha2, g.f1, g.f2, g.c1, g.c2, g.c1p, g.c2p)
 
 
 def _score(a1, a2, f1, f2, c1, c2, c1p, c2p):
@@ -116,7 +115,7 @@ def net_payoffs(g: GameScenario) -> tuple[float, float]:
     """Each pool's take after paying the opponent's infiltrator its share."""
     _check_kind("g", g, GameScenario)
     _, (net1, net2), _ = _score(g.alpha1, g.alpha2, g.f1, g.f2, g.c1, g.c2, g.c1p, g.c2p)
-    return float(net1), float(net2)
+    return net1, net2
 
 
 def _require_powers(alpha1, alpha2):
@@ -125,10 +124,10 @@ def _require_powers(alpha1, alpha2):
             raise DegenerateInput(f"{name}={power!r} must be positive: a powerless pool has no RER")
 
 
-def _check_game(alpha1, alpha2, c1, c2, c1p, c2p, f1=0.0, f2=0.0):
-    """The checks of one solve: both pools hold power, and the game is valid."""
-    _require_powers(alpha1, alpha2)
-    GameScenario(alpha1, alpha2, f1, f2, c1, c2, c1p, c2p)
+def _check_game(alpha1, alpha2, c1, c2, c1p, c2p, f1=0.0, f2=0.0) -> GameScenario:
+    """The checks of one solve: both pools hold power, and the game is valid, which it returns."""
+    _require_powers(_check_real("alpha1", alpha1), _check_real("alpha2", alpha2))
+    return GameScenario(alpha1, alpha2, f1, f2, c1, c2, c1p, c2p)
 
 
 def best_response(g: GameScenario, responder: int) -> float:
@@ -141,8 +140,8 @@ def best_response(g: GameScenario, responder: int) -> float:
     _check_kind("g", g, GameScenario)
     responder = _check_integer("responder", responder, 1, 2)
     _require_powers(g.alpha1, g.alpha2)
-    return float(_best_response_raw(g.alpha1, g.alpha2, g.c1, g.c2, g.c1p, g.c2p, responder,
-                                    g.f2 if responder == 1 else g.f1))
+    return _best_response_raw(g.alpha1, g.alpha2, g.c1, g.c2, g.c1p, g.c2p, responder,
+                              g.f2 if responder == 1 else g.f1)
 
 
 def _pot_fraction(a1, a2, c1, c2, c1p, c2p, responder, f_opp):
@@ -339,25 +338,15 @@ def solve_equilibrium(alpha1, alpha2, c1, c2, c1p, c2p, *,
     start = _floats("start", start)
     if len(start) != 2:
         raise ConstraintViolated(f"start={start!r} must be a pair (f1, f2)")
-    _check_game(alpha1, alpha2, c1, c2, c1p, c2p, *start)
+    alpha1, alpha2, _, _, c1, c2, c1p, c2p = vars(
+        _check_game(alpha1, alpha2, c1, c2, c1p, c2p, *start)).values()
     trace = [start] if keep_trace else None
     f1, f2, iterations, converged = (v.item() for v in _equilibria(
         alpha1, alpha2, c1, c2, c1p, c2p, *start, trace))
-    (r1, r2), (net1, net2), (rer1, rer2) = _score(alpha1, alpha2, f1, f2, c1, c2, c1p, c2p)
-    return EquilibriumResult(
-        f1_star=f1,
-        f2_star=f2,
-        r1=float(r1),
-        r2=float(r2),
-        net1=float(net1),
-        net2=float(net2),
-        rer1_pct=float(rer1),
-        rer2_pct=float(rer2),
-        iterations=iterations,
-        converged=converged,
-        trace=tuple(trace or ()),
-        deviation_gain=unilateral_gain(alpha1, alpha2, c1, c2, c1p, c2p, f1, f2),
-    )
+    pots, nets, rers = _score(alpha1, alpha2, f1, f2, c1, c2, c1p, c2p)
+    return EquilibriumResult(f1, f2, *pots, *nets, *rers, iterations, converged,
+                             tuple(trace or ()),
+                             unilateral_gain(alpha1, alpha2, c1, c2, c1p, c2p, f1, f2))
 
 
 def classify_winner(rer1_pct: float, rer2_pct: float) -> str:
@@ -393,10 +382,9 @@ def sweep_axis(start: float, stop: float, step: float) -> list[float]:
     Empty when start > stop. A value that is not a finite real number, a
     non-positive step or more than MAX_AXIS_POINTS points raise ConstraintViolated.
     """
-    for name, v in (("start", start), ("stop", stop), ("step", step)):
-        _check_real(name, v)
-        if not math.isfinite(v):
-            raise ConstraintViolated(f"range {start!r}:{stop!r}:{step!r} is not finite")
+    start, stop, step = map(_check_real, ("start", "stop", "step"), (start, stop, step))
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ConstraintViolated(f"range {start!r}:{stop!r}:{step!r} is not finite")
     if step <= 0.0:
         raise ConstraintViolated("range step must be positive")
     if (stop - start) / step >= MAX_AXIS_POINTS:
@@ -408,42 +396,38 @@ def sweep_axis(start: float, stop: float, step: float) -> list[float]:
     return values
 
 
-def _rejected(check, values) -> list[bool]:
-    """One bool per value: whether ``check`` raises a FawError on it. Equal values share a check."""
-    verdicts: dict = {}
-    rejected = []
-    for v in values:
-        try:
-            bad = verdicts.get(v)
-        except TypeError:  # unhashable, so no number
-            bad = True
-        if bad is None:
-            try:
-                check(v)
-                bad = verdicts[v] = False
-            except FawError:
-                bad = verdicts[v] = True
-        rejected.append(bad)
-    return rejected
-
-
-def _check_axes(alpha1, alpha2_axis, c_axis):
-    """Check every cell as its solve and score would, one axis value at a time.
+def _check_axes(alpha1, alpha2_axis, c_axis) -> tuple[list[float], list[float]]:
+    """Check every cell as its solve and score would; returns the axes as checked floats.
 
     Each check of a cell depends on its alpha2 or its c, never on both: an
     alpha2 is checked at c = 1, where alpha1 + alpha2 < 1 keeps the floor
     check quiet, and a c as validate_game checks c1 (c/2, their sum and a
-    valid alpha2's planning c alpha1 + alpha2 then pass too). The first
-    failing cell in c-major order then checks its alpha2, then its c, as
-    validate_game would, so that it raises its own error.
+    valid alpha2's planning c alpha1 + alpha2 then pass too). Each distinct
+    value is checked once, the alpha2s in order and then the cs, so that
+    the first failing cell in c-major order raises its own error, its alpha2
+    checked before its c as validate_game would: a failing alpha2 past the
+    first raises only after the first c, whose cell comes first, passes.
     """
-    bad_a2 = _rejected(lambda a2: _check_game(alpha1, a2, 1.0, 1.0, 0.5, 0.5), alpha2_axis)
-    bad_c = _rejected(lambda c: _check_unit("c1", c), c_axis)
-    if any(bad_a2) or any(bad_c):
-        c, a2 = next((c, a2) for c, c_bad in zip(c_axis, bad_c)
-                     for a2, a2_bad in zip(alpha2_axis, bad_a2) if c_bad or a2_bad)
-        _check_game(alpha1, a2, 1.0, 1.0, 0.5, 0.5)
-        _check_unit("c1", c)
+    def check_alpha2(i, a2):
+        try:
+            return _check_game(alpha1, a2, 1.0, 1.0, 0.5, 0.5).alpha2
+        except FawError:
+            if i:
+                _check_unit("c1", c_axis[0])
+            raise
+
+    axes = []
+    for axis, check in ((alpha2_axis, check_alpha2), (c_axis, lambda i, c: _check_unit("c1", c))):
+        done: dict = {}
+        for i, v in enumerate(axis):
+            try:
+                key = (type(v), v)  # so True does not pass as the 1 or 1.0 it equals
+                if key not in done:
+                    done[key] = check(i, v)
+            except TypeError:  # unhashable, so no number
+                check(i, v)
+        axes.append([done[type(v), v] for v in axis])
+    return axes
 
 
 def _sweep(alpha1, alpha2_axis, c_axis, assumed_c):
@@ -458,10 +442,11 @@ def _sweep(alpha1, alpha2_axis, c_axis, assumed_c):
     together.
     """
     alpha2_axis, c_axis = _sequence("alpha2_axis", alpha2_axis), _sequence("c_axis", c_axis)
-    cells = [(c, a2) for c in c_axis for a2 in alpha2_axis]
-    if not cells:
+    if not (alpha2_axis and c_axis):
         return []
-    _check_axes(alpha1, alpha2_axis, c_axis)
+    alpha1 = _check_real("alpha1", alpha1)
+    alpha2_axis, c_axis = _check_axes(alpha1, alpha2_axis, c_axis)
+    cells = [(c, a2) for c in c_axis for a2 in alpha2_axis]
     plans: dict = {}
     ks = [plans.setdefault((a2, alpha1 + a2 if assumed_c else c), len(plans)) for c, a2 in cells]
     if below := sum(cp < alpha1 + a2 for a2, cp in plans):  # validate_game's test at c1 = c2

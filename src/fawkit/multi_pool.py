@@ -99,12 +99,13 @@ def reward_two_pools(alpha, beta1, beta2, tau1, tau2,
     c/k model is the special case ci_two = c, ci_three = c/2. Powers and
     taus are checked as a two-pool MultiPoolScenario.
     """
-    for name, v in (("c1_two", c1_two), ("c2_two", c2_two),
-                    ("c1_three", c1_three), ("c2_three", c2_three)):
-        _check_unit(name, v)
+    c1_two, c2_two, c1_three, c2_three = (
+        _check_unit(name, v) for name, v in (("c1_two", c1_two), ("c2_two", c2_two),
+                                             ("c1_three", c1_three), ("c2_three", c2_three)))
     if c1_three + c2_three > 1.0 + 1e-15:
         raise ConstraintViolated("c1_three + c2_three exceeds 1")
-    MultiPoolScenario(alpha, (beta1, beta2), (tau1, tau2), c1_two)
+    alpha, (beta1, beta2), (tau1, tau2), _ = vars(
+        MultiPoolScenario(alpha, (beta1, beta2), (tau1, tau2), c1_two)).values()
 
     ta1, ta2 = tau1 * alpha, tau2 * alpha
     total_ta = ta1 + ta2
@@ -264,7 +265,7 @@ def optimize_allocation(alpha, betas, c) -> AllocationResult:
     min_beta = sys.float_info.min / COMPLEX_STEP  # each complex step stays a normal float
     if any(b < min_beta for b in betas):
         raise DegenerateInput(f"every target pool needs beta >= {min_beta!r}")
-    MultiPoolScenario(alpha, betas, (0.0,) * len(betas), c)  # checks the powers and c
+    alpha, _, _, c = vars(MultiPoolScenario(alpha, betas, (0.0,) * len(betas), c)).values()
     if alpha < sys.float_info.min:  # a subnormal reward has too few bits to compare splits
         raise DegenerateInput(f"alpha={alpha!r} must be at least {sys.float_info.min!r}, "
                               "the smallest normal float")

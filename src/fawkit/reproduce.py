@@ -29,15 +29,18 @@ def _check(rows, name, expected, actual, ok):
     rows.append({"check": name, "expected": expected, "actual": actual, "ok": bool(ok)})
 
 
+def _near(rows, name, want, got, tol, digits=4):
+    """A check that ``got`` is within ``tol`` of ``want``, reported rounded to ``digits``."""
+    _check(rows, name, want, round(got, digits), abs(got - want) <= tol)
+
+
 def _reproduce_table1(fx, rows):
     tol = fx["tolerance_pp"]
     for ci, c in enumerate(fx["cs"]):
         for ai, alpha in enumerate(fx["alphas"]):
             res = single_pool.optimal_tau(alpha, fx["beta"], c)
             got = rer(res.reward_at_optimum, alpha)
-            want = fx["expected_rer_pct"][ci][ai]
-            _check(rows, f"rer(alpha={alpha}, c={c})", want, round(got, 4),
-                   abs(got - want) <= tol)
+            _near(rows, f"rer(alpha={alpha}, c={c})", fx["expected_rer_pct"][ci][ai], got, tol)
 
 
 def _reproduce_case4(fx, rows):
@@ -46,12 +49,9 @@ def _reproduce_case4(fx, rows):
     faw = multi_pool.optimize_allocation(fx["alpha"], fx["betas"], 1.0)
     improvement = (faw.rer_pct - bwh.rer_pct) / bwh.rer_pct * 100.0
     exp = fx["expected"]
-    _check(rows, "bwh_rer_pct", exp["bwh_rer_pct"], round(bwh.rer_pct, 4),
-           abs(bwh.rer_pct - exp["bwh_rer_pct"]) <= tol["rer_pp"])
-    _check(rows, "faw_rer_pct", exp["faw_rer_pct"], round(faw.rer_pct, 4),
-           abs(faw.rer_pct - exp["faw_rer_pct"]) <= tol["rer_pp"])
-    _check(rows, "improvement_pct", exp["improvement_pct"], round(improvement, 4),
-           abs(improvement - exp["improvement_pct"]) <= tol["improvement_pp"])
+    _near(rows, "bwh_rer_pct", exp["bwh_rer_pct"], bwh.rer_pct, tol["rer_pp"])
+    _near(rows, "faw_rer_pct", exp["faw_rer_pct"], faw.rer_pct, tol["rer_pp"])
+    _near(rows, "improvement_pct", exp["improvement_pct"], improvement, tol["improvement_pp"])
 
 
 def _reproduce_changing_c(fx, rows):
@@ -63,10 +63,8 @@ def _reproduce_changing_c(fx, rows):
     mis_rer = rer(mis, alpha)
     improvement = (mis_rer - bwh_rer) / bwh_rer * 100.0
     exp = fx["expected"]
-    _check(rows, "rer_pct", exp["rer_pct"], round(mis_rer, 4),
-           abs(mis_rer - exp["rer_pct"]) <= tol["rer_pp"])
-    _check(rows, "improvement_pct", exp["improvement_pct"], round(improvement, 4),
-           abs(improvement - exp["improvement_pct"]) <= tol["improvement_pp"])
+    _near(rows, "rer_pct", exp["rer_pct"], mis_rer, tol["rer_pp"])
+    _near(rows, "improvement_pct", exp["improvement_pct"], improvement, tol["improvement_pp"])
 
 
 def _reproduce_borderline(fx, rows):
@@ -93,8 +91,7 @@ def _reproduce_borderline(fx, rows):
 def _reproduce_cmax(fx, rows):
     dist = bounds.HonestPowerDistribution(fx["honest_shares"], fx["atomized_remainder"])
     got = bounds.c_max_single(fx["alpha"], fx["beta"], dist)
-    _check(rows, "c_max", fx["expected_c_max"], round(got, 6),
-           abs(got - fx["expected_c_max"]) <= fx["tolerance"])
+    _near(rows, "c_max", fx["expected_c_max"], got, fx["tolerance"], digits=6)
 
 
 def _reproduce_selfish(fx, rows):

@@ -8,7 +8,9 @@ guard), and unintentional forks are ignored throughout.
 
 Each scenario type stores its fields as Python floats and runs its validate_* when built,
 so every instance is valid and computes in float64, and a function taking one checks only
-its kind, with _check_kind; all are immutable, safe to share across threads.
+its kind, with _check_kind; all are immutable, safe to share across threads. The checkers
+return the floats they check, and every entry point computes on those or on its scenario's
+fields, so a numpy float32 argument computes in float64 at every entry point.
 """
 
 from __future__ import annotations
@@ -37,12 +39,19 @@ MAX_SINGLE_ACTOR = 0.5  # strict bound: any one miner or pool stays below half t
 MAX_POOLS = 8           # the simulator's withheld-set tables have 2^n rows
 
 
-def _check_real(name: str, value) -> None:
-    # numpy scalars pass, a bool fails; a float goes first, as the ABC test costs ten times more
-    if type(value) is not float and (type(value) is bool or not isinstance(value, numbers.Real)):
+def _check_real(name: str, value) -> float:
+    """``value`` as a Python float, which every entry point computes on (so a numpy float32
+    computes in float64); numpy's reals pass, a bool or a real past the float range fails."""
+    if type(value) is float:  # first, as the ABC test costs ten times more
+        return value
+    if type(value) is bool or not isinstance(value, numbers.Real):
         raise ConstraintViolated(f"{name}={value!r} must be a real number")
-    if type(value) is int and abs(value) > sys.float_info.max:  # exact, even past 4300 digits
-        raise ConstraintViolated(f"{name} is above the largest float in magnitude")
+    if type(value) is not int or abs(value) <= sys.float_info.max:  # exact, even past 4300 digits
+        try:
+            return float(value)
+        except OverflowError:  # a huge Fraction, say
+            pass
+    raise ConstraintViolated(f"{name} is above the largest float in magnitude")
 
 
 def _check_integer(name: str, value, low: int = 1, high: int | None = None) -> int:
@@ -66,19 +75,21 @@ def _check_kind(name: str, value, kind) -> None:
         raise ConstraintViolated(f"{name}={value!r} must be a {what}")
 
 
-def _check_unit(name: str, value: float) -> None:
+def _check_unit(name: str, value) -> float:
     if type(value) is not float:  # a scenario's fields are floats: skip the call for them
-        _check_real(name, value)
+        value = _check_real(name, value)
     if not 0.0 <= value <= 1.0:
         raise PowerOutOfRange(f"{name}={value!r} outside [0, 1]")
+    return value
 
 
-def _check_actor_power(name: str, value: float) -> None:
-    _check_unit(name, value)
+def _check_actor_power(name: str, value) -> float:
+    value = _check_unit(name, value)
     if value >= MAX_SINGLE_ACTOR:
         raise PowerOutOfRange(
             f"{name}={value!r} reaches the majority guard ({MAX_SINGLE_ACTOR})"
         )
+    return value
 
 
 def _sequence(name: str, values) -> tuple:
@@ -91,11 +102,8 @@ def _sequence(name: str, values) -> tuple:
 
 
 def _floats(name: str, values) -> tuple[float, ...]:
-    values = _sequence(name, values)
-    for i, v in enumerate(values):
-        if type(v) is not float:  # names the item only when it is not a float
-            _check_real(f"{name}[{i}]", v)
-    return tuple(map(float, values))
+    return tuple([v if type(v) is float else _check_real(f"{name}[{i}]", v)
+                  for i, v in enumerate(_sequence(name, values))])  # names only a non-float
 
 
 def _store_floats(obj, sequences: tuple[str, ...] = ()) -> None:
@@ -104,13 +112,9 @@ def _store_floats(obj, sequences: tuple[str, ...] = ()) -> None:
     for name in obj.__match_args__:
         value = getattr(obj, name)
         if name in sequences:
-            value = _floats(name, value)
-        elif type(value) is float:
-            continue
-        else:
-            _check_real(name, value)
-            value = float(value)
-        object.__setattr__(obj, name, value)
+            object.__setattr__(obj, name, _floats(name, value))
+        elif type(value) is not float:
+            object.__setattr__(obj, name, _check_real(name, value))
 
 
 @dataclass(frozen=True)
@@ -290,12 +294,12 @@ def scenario_from_dict(data: dict) -> Scenario:
     if cls is None:
         for fields, candidate in _FIELD_SETS.items():
             if keys >= fields:
-                extra = sorted(keys - fields)
+                extra = sorted(keys - fields, key=str)
                 raise ScenarioFileError(f"unknown key '{extra[0]}' for {candidate.__name__}")
             if keys < fields:
                 missing = sorted(fields - keys)
                 raise ScenarioFileError(f"missing key '{missing[0]}' for {candidate.__name__}")
-        raise ScenarioFileError(f"keys {sorted(keys)} match no scenario type")
+        raise ScenarioFileError(f"keys {sorted(keys, key=str)} match no scenario type")
     return cls(**data)
 
 

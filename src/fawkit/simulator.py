@@ -361,6 +361,7 @@ def _moments(actors, wins: list[int], payout: np.ndarray) -> tuple[dict, dict]:
 
 def simulate(cfg: SimConfig) -> SimOutcome:
     """Run the scenario's model for ``cfg.rounds`` rounds."""
+    _check_kind("cfg", cfg, SimConfig)
     model = _model(cfg.scenario)
     if cfg.rounds < 100:
         warnings.warn("fewer than 100 rounds; statistics will be degenerate",
@@ -406,6 +407,7 @@ def simulate(cfg: SimConfig) -> SimOutcome:
 def _kind_only(scenario_type, name: str):
     """``simulate`` behind a check that the scenario is a ``scenario_type``."""
     def entry(cfg: SimConfig) -> SimOutcome:
+        _check_kind("cfg", cfg, SimConfig)
         _check_kind("scenario", cfg.scenario, scenario_type)
         return simulate(cfg)
     entry.__name__ = entry.__qualname__ = name

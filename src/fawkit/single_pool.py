@@ -56,7 +56,7 @@ def attacker_reward_formula(alpha, beta, tau, c):
 def reward_single(s: SinglePoolScenario) -> float:
     """Attacker's expected per-round reward."""
     _check_kind("s", s, SinglePoolScenario)
-    return float(attacker_reward_formula(s.alpha, s.beta, s.tau, s.c))
+    return attacker_reward_formula(s.alpha, s.beta, s.tau, s.c)
 
 
 def victim_reward(s: SinglePoolScenario) -> float:
@@ -68,7 +68,7 @@ def victim_reward(s: SinglePoolScenario) -> float:
     """
     _check_kind("s", s, SinglePoolScenario)
     _, _, honest_pot, fork_pot = _pots(s.alpha, s.beta, s.tau, s.c)
-    return float(honest_pot + fork_pot)
+    return honest_pot + fork_pot
 
 
 def optimal_tau_closed_form(alpha: float, beta: float, c: float) -> float:
@@ -118,12 +118,12 @@ def optimal_tau(alpha: float, beta: float, c: float) -> OptimalTauResult:
     beta must be positive: infiltrating an empty pool is meaningless and the
     closed form degenerates there.
     """
-    SinglePoolScenario(alpha, beta, 0.0, c)  # checks the powers and c
+    alpha, beta, _, c = vars(SinglePoolScenario(alpha, beta, 0.0, c)).values()  # checked floats
     if beta <= 0.0:
         raise DegenerateInput("optimal_tau needs beta > 0")
     tau_bar = optimal_tau_closed_form(alpha, beta, c)
     return OptimalTauResult(
         tau_bar=tau_bar,
-        reward_at_optimum=float(attacker_reward_formula(alpha, beta, tau_bar, c)),
+        reward_at_optimum=attacker_reward_formula(alpha, beta, tau_bar, c),
         method="closed_form",
     )

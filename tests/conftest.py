@@ -1,7 +1,7 @@
 from hypothesis import assume, settings
 from hypothesis import strategies as st
 
-from fawkit.scenarios import GameScenario, MultiPoolScenario, SinglePoolScenario, validate_game
+from fawkit.scenarios import GameScenario, MultiPoolScenario, SinglePoolScenario
 
 # Property tests draw the same examples on every run, and slow hosts do not
 # trip Hypothesis's per-example deadline; --hypothesis-profile overrides.
@@ -38,4 +38,4 @@ def game_scenarios(draw):
     c2 = draw(st.floats(0.0, 1.0))
     c1p = draw(st.floats(0.0, 1.0))
     c2p = draw(st.floats(0.0, 1.0 - c1p))
-    return validate_game(GameScenario(a1, a2, f1, f2, c1, c2, c1p, c2p))
+    return GameScenario(a1, a2, f1, f2, c1, c2, c1p, c2p)

@@ -1,12 +1,15 @@
 """Every public function checks its numbers as a scenario does: a malformed one raises a
 FawError that names it, never a raw TypeError, ValueError or AttributeError."""
 
+import dataclasses
+import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from conftest import game_scenarios, multi_scenarios, single_scenarios
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fawkit import (
@@ -18,9 +21,14 @@ from fawkit import (
     bonus_scheme_reward,
     c_from_gamma,
     c_max_single,
+    c_min_rational,
+    detection_resilient_reward,
     game_payoffs,
+    gamma_upper_bound,
+    honeypot_bwh_bound,
     load_scenario,
     net_payoffs,
+    optimal_tau,
     optimize_allocation,
     preset_attack,
     reward_npool,
@@ -36,8 +44,14 @@ from fawkit import (
     victim_reward,
 )
 from fawkit.game import sweep_axis
-from fawkit.scenarios import GameScenario, MultiPoolScenario, SinglePoolScenario, validate
-from fawkit.simulator import simulate_multi
+from fawkit.scenarios import (
+    GameScenario,
+    MultiPoolScenario,
+    SinglePoolScenario,
+    scenario_from_dict,
+    validate,
+)
+from fawkit.simulator import simulate_multi, simulate_single
 
 SINGLE = SinglePoolScenario(0.2, 0.2, 0.3, 0.5)
 
@@ -84,6 +98,13 @@ MALFORMED = {
         "must be a GameScenario"),
     "echo-none": (lambda: scenario_to_dict(None), "s=None must be a scenario"),
     "echo-dict": (lambda: scenario_to_dict({"alpha": 0.2}), "s={'alpha': 0.2} must be a scenario"),
+    "simulate-none": (lambda: simulate(None), "cfg=None must be a SimConfig"),
+    "simulate-single-none": (lambda: simulate_single(None), "cfg=None must be a SimConfig"),
+    "from-dict-mixed-keys": (lambda: scenario_from_dict({1: 2, "a": 3}),
+                             "keys [1, 'a'] match no scenario type"),
+    "fraction-past-the-floats": (lambda: SinglePoolScenario(Fraction(10**400), 0.2, 0.1, 0.5),
+                                 "alpha is above the largest float in magnitude"),
+    "sweep-c-true-after-1": (lambda: sweep_regions(0.2, [0.1], [1.0, True]), "c1=True"),
 }
 
 BOOLS = {
@@ -169,3 +190,141 @@ def test_numpy_numbers_compute_as_their_float_twins(twins):
     assert repr(read(got)) == repr(read(want))
     runs = [simulate(SimConfig(1000, 5, s)).to_json() for s in (got, want)]
     assert runs[0] == runs[1]
+
+
+# Every exported callable that takes raw numbers, and sweep_axis, with the kind of each
+# argument: a key of _FLOATS or _COUNTS, a tuple of them for a sequence, or "game" for a
+# game scenario; a "dist" argument is the honest power the "power" and "third" arguments
+# leave, a drawn part of it as one share. rer and classify_winner are left out on purpose:
+# they compute on numbers their caller computed and check none of them, as a game sweep
+# calls classify_winner on every cell.
+_RAW_CALLS = {
+    "optimal_tau": (optimal_tau, ("power", "power", "unit")),
+    "optimize_allocation": (optimize_allocation, ("third", ("third", "third"), "unit")),
+    "reward_two_pools": (reward_two_pools, ("third",) * 3 + ("half",) * 2 + ("unit",) * 2
+                         + ("half",) * 2),
+    "solve_equilibrium": (
+        lambda a1, a2, c1, c2, c1p, c2p, start: solve_equilibrium(a1, a2, c1, c2, c1p, c2p,
+                                                                  start=start),
+        ("power", "power", "unit", "unit", "half", "half", ("small", "small"))),
+    "best_response": (best_response, ("game", "responder")),
+    "sweep_regions": (sweep_regions, ("power", ("power", "power"), ("unit", "unit"))),
+    "sweep_regions_assumed_c": (sweep_regions_assumed_c,
+                                ("power", ("power", "power"), ("unit", "unit"))),
+    "sweep_axis": (sweep_axis, ("unit", "unit", "step")),
+    "c_max_single": (c_max_single, ("power", "power", "dist")),
+    "c_min_rational": (c_min_rational, ("power", "power")),
+    "c_from_gamma": (c_from_gamma, ("unit", "power", "power")),
+    "selfish_mining_threshold": (selfish_mining_threshold, ("unit",)),
+    "gamma_upper_bound": (gamma_upper_bound, ("dist", "power")),
+    "detection_resilient_reward": (detection_resilient_reward,
+                                   ("power", "power", "unit", "unit", "count")),
+    "honeypot_bwh_bound": (honeypot_bwh_bound, ("power", "power", "unit", "count")),
+    "bonus_scheme_reward": (bonus_scheme_reward, ("power", "power", "unit", "unit", "unit")),
+    "safe_bonus_threshold": (safe_bonus_threshold, ("unit", "unit")),
+    "HonestPowerDistribution": (HonestPowerDistribution, (("half", "half"), "unit")),
+    "SinglePoolScenario": (SinglePoolScenario, ("power", "power", "unit", "unit")),
+    "MultiPoolScenario": (MultiPoolScenario, ("third", ("third", "third"), ("half", "half"),
+                                              "unit")),
+    "GameScenario": (GameScenario, ("power", "power", "small", "small", "unit", "unit", "half",
+                                    "half")),
+    "SimConfig": (lambda rounds, seed: simulate(SimConfig(rounds, seed, SINGLE)).to_json_dict(),
+                  ("rounds", "seed")),
+}
+_FLOATS = {"power": st.floats(0.0, 0.49), "third": st.floats(0.001, 0.33),
+           "half": st.floats(0.0, 0.5), "unit": st.floats(0.0, 1.0),
+           "small": st.floats(0.0, 0.01), "step": st.floats(0.01, 0.5),
+           "dist": st.floats(0.0, 1.0)}
+_COUNTS = {"count": st.integers(1, 20), "responder": st.integers(1, 2),
+           "rounds": st.integers(100, 1000), "seed": st.integers(0, 2**63 - 1)}
+# each ends in a FawError wherever an argument is expected
+_NOT_AN_ARGUMENT = (None, "0.2", True, math.nan, math.inf, -math.inf, [[0.1]], SINGLE)
+
+
+def _twin(kind, x):
+    """The float an argument of ``kind`` computes as: an int for a count, a list of them for a
+    sequence, and a scenario or distribution as it is."""
+    if isinstance(kind, tuple):
+        return [_twin(k, v) for k, v in zip(kind, x)]
+    return int(x) if kind in _COUNTS else x if kind in ("game", "dist") else float(x)
+
+
+_FORMS = (float, np.float32, np.float64, int, np.int64)
+
+
+@st.composite
+def _calls(draw):
+    """For each _RAW_CALLS entry: its name; its arguments, each number a float, numpy float32
+    or float64, or when whole an int or numpy int64 (a count an int or numpy int64); and the
+    place and value of a malformed argument."""
+    def arg(kind):
+        if isinstance(kind, tuple):
+            return [arg(k) for k in kind]
+        if kind == "game":
+            return draw(game_scenarios())
+        if kind in _COUNTS:
+            return draw(st.sampled_from((int, np.int64)))(draw(_COUNTS[kind]))
+        x = draw(_FLOATS[kind])
+        if kind == "dist":
+            return x
+        form = draw(st.sampled_from(_FORMS))
+        return x if form in (int, np.int64) and x != int(x) else form(x)
+
+    calls = []
+    for name, (_, kinds) in _RAW_CALLS.items():
+        args = [arg(kind) for kind in kinds]
+        if "dist" in kinds:  # a drawn part of the honest power left, the rest atomized
+            honest = 1.0 - sum(float(x) for k, x in zip(kinds, args) if k in ("power", "third"))
+            i = kinds.index("dist")
+            args[i] = HonestPowerDistribution((honest * (1.0 - args[i]),), honest * args[i])
+        bad = draw(st.integers(0, len(kinds) - 1)), draw(st.sampled_from(_NOT_AN_ARGUMENT))
+        calls.append((name, args, bad))
+    return calls
+
+
+def _leaves(x) -> list:
+    """The numbers, strings and bools of a result, through dataclasses, dicts and sequences."""
+    if dataclasses.is_dataclass(x):
+        x = vars(x)
+    if isinstance(x, dict):
+        x = list(x.values())
+    return [leaf for v in x for leaf in _leaves(v)] if isinstance(x, (list, tuple)) else [x]
+
+
+def _computes_as_its_float_twin(name, args):
+    """The call computes bit for bit as on the float twins of ``args``, and returns Python
+    numbers, or raises the twins' error."""
+    call, kinds = _RAW_CALLS[name]
+    try:
+        want = call(*map(_twin, kinds, args))
+    except FawError as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            call(*args)
+        return
+    got = call(*args)
+    assert {type(x) for x in _leaves(got)} <= {float, int, bool, str}
+    assert repr(got) == repr(want)
+
+
+@pytest.mark.filterwarnings("ignore::fawkit.errors.RationalFloorWarning")
+@pytest.mark.filterwarnings("ignore::fawkit.errors.NegativeEffectiveMinersWarning")
+@settings(max_examples=6)
+@given(_calls())
+# each returned a numpy number, or computed in float32, before the checkers returned floats
+@example([
+    ("optimal_tau", [np.float32(0.2), 0.2, 0.5], (0, None)),
+    ("optimize_allocation", [np.float32(0.2), [0.1, 0.2], 1.0], (0, None)),
+    ("detection_resilient_reward", [0.2, 0.2, 0.1, 0.5, np.int64(3)], (0, None)),
+    ("bonus_scheme_reward", [np.float32(0.2), 0.2, 0.1, 0.5, 0.3], (0, None)),
+    ("c_max_single", [np.float32(0.2), 0.1, HonestPowerDistribution([0.7])], (0, None)),
+    ("solve_equilibrium", [np.float32(0.2), 0.1, 1, 1, 0.5, 0.5, [0.0, 0.0]], (0, None)),
+    ("sweep_regions_assumed_c", [np.float32(0.2), [0.1], [0.5]], (0, None)),
+    ("sweep_axis", [np.float32(0.1), 0.3, 0.1], (0, None)),
+])
+def test_raw_numbers_compute_as_their_float_twins(calls):
+    """For each entry of the table, a numpy or int argument computes bit for bit as its float
+    twin, or raises the twin's error, and a malformed one, in any place, raises a FawError."""
+    for name, args, (i, bad) in calls:
+        _computes_as_its_float_twin(name, args)
+        with pytest.raises(FawError):
+            _RAW_CALLS[name][0](*args[:i], bad, *args[i + 1:])
