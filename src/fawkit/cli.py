@@ -69,7 +69,11 @@ def parse_range(text: str) -> list[float]:
 
 
 def parse_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(p) for p in text.split(",") if p.strip() != "")
+    """Comma-separated floats; a blank text is the empty tuple, an empty item an error."""
+    parts = text.split(",") if text.strip() else []
+    if not all(p.strip() for p in parts):
+        raise argparse.ArgumentTypeError(f"empty item in {text!r}")
+    return tuple(map(float, parts))
 
 
 def _flatten(doc, prefix=""):

@@ -36,14 +36,15 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
 from .errors import (
     ConstraintViolated,
     DegenerateInput,
-    FawError,
     RationalFloorWarning,
     _caller_stacklevel,
 )
@@ -399,35 +400,25 @@ def sweep_axis(start: float, stop: float, step: float) -> list[float]:
 def _check_axes(alpha1, alpha2_axis, c_axis) -> tuple[list[float], list[float]]:
     """Check every cell as its solve and score would; returns the axes as checked floats.
 
-    Each check of a cell depends on its alpha2 or its c, never on both: an
-    alpha2 is checked at c = 1, where alpha1 + alpha2 < 1 keeps the floor
-    check quiet, and a c as validate_game checks c1 (c/2, their sum and a
-    valid alpha2's planning c alpha1 + alpha2 then pass too). Each distinct
-    value is checked once, the alpha2s in order and then the cs, so that
-    the first failing cell in c-major order raises its own error, its alpha2
-    checked before its c as validate_game would: a failing alpha2 past the
-    first raises only after the first c, whose cell comes first, passes.
+    A cell's checks read its alpha2 or its c, never both: an alpha2 is checked in a c = 1
+    game, where alpha1 + alpha2 < 1 keeps the floor check quiet, and a c as validate_game
+    checks c1 (c/2, their sum and a valid alpha2's planning c alpha1 + alpha2 then pass
+    too). So checking the first cell, its alpha2 before its c, then every alpha2, then every
+    c raises the first failing cell's own error in c-major order. Each distinct float is
+    checked once.
     """
-    def check_alpha2(i, a2):
-        try:
-            return _check_game(alpha1, a2, 1.0, 1.0, 0.5, 0.5).alpha2
-        except FawError:
-            if i:
-                _check_unit("c1", c_axis[0])
-            raise
+    checks = {"alpha2": cache(lambda a2: _check_game(alpha1, a2, 1.0, 1.0, 0.5, 0.5).alpha2),
+              "c1": cache(lambda c: _check_unit("c1", c))}
 
-    axes = []
-    for axis, check in ((alpha2_axis, check_alpha2), (c_axis, lambda i, c: _check_unit("c1", c))):
-        done: dict = {}
-        for i, v in enumerate(axis):
-            try:
-                key = (type(v), v)  # so True does not pass as the 1 or 1.0 it equals
-                if key not in done:
-                    done[key] = check(i, v)
-            except TypeError:  # unhashable, so no number
-                check(i, v)
-        axes.append([done[type(v), v] for v in axis])
-    return axes
+    def checked(name, axis):
+        check = checks[name]
+        # _check_real is each check's first step; run here, it keys the cache by float, so
+        # True, which equals 1.0, fails instead of reusing 1.0's check
+        return [check(_check_real(name, v)) for v in axis]
+
+    checked("alpha2", alpha2_axis[:1])
+    checked("c1", c_axis[:1])
+    return checked("alpha2", alpha2_axis), checked("c1", c_axis)
 
 
 def _sweep(alpha1, alpha2_axis, c_axis, assumed_c):
@@ -488,8 +479,11 @@ def write_sweep_csv(cells) -> str:
 
     No field needs CSV quoting: each is a number, a winner label or true/false.
     """
+    _check_kind("cells", cells, Sequence)
     rows = [",".join(SWEEP_CSV_HEADER) + "\n"]
-    for cell in cells:
+    for i, cell in enumerate(cells):
+        if type(cell) is not RegionCell:  # a sweep's cells: skip the call for them
+            _check_kind(f"cells[{i}]", cell, RegionCell)
         rows.append("%.10g,%.10g,%.12g,%.12g,%.12g,%.12g,%s,%s\n" % (
             cell.alpha2, cell.c, cell.f1, cell.f2, cell.rer1_pct, cell.rer2_pct,
             cell.winner, str(cell.converged).lower()))

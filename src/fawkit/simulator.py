@@ -29,7 +29,7 @@ Each scenario kind only supplies a model (``_Model``) with four parts,
 the first and third of which ``_race`` turns into ``_block``'s tables:
 
 - **powers**: category powers, ordered as infiltration categories, then
-  enders, with external last;
+  enders; external, the last ender, gets what the others leave;
 - **host map**: for each infiltration category, the ender whose pool a
   winning withheld block credits, with external appended for a lost fork;
 - **branch table**: for each withheld-set bitmask, the cumulative win
@@ -193,14 +193,14 @@ class _Model:
 
 
 def _steps(powers) -> list[float]:
-    """Category powers as the steps of their clipped running total.
+    """Category powers, external's appended, as the steps of their clipped running total.
 
     Clipping rounding-negative powers at 0 and the running total at 1 keeps
     the total non-decreasing, so its steps are powers that multinomial
-    takes; the last step closes it at exactly 1.
+    takes; external's step, appended last, closes it at exactly 1.
     """
     steps, total, top = [], 0.0, 0.0
-    for p in powers[:-1]:
+    for p in powers:
         total += p if p > 0.0 else 0.0
         steps.append(min(total, 1.0) - top)
         top = min(total, 1.0)
@@ -208,19 +208,21 @@ def _steps(powers) -> list[float]:
     return steps
 
 
-def _race(powers, sets, grow, table) -> tuple[np.ndarray, ...]:
+def _race(powers, table) -> tuple[np.ndarray, ...]:
     """``_block``'s probabilities; a withheld-set bitmask indexes rows.
 
-    Takes the raw category powers, every set as a column of bitmasks
-    (``sets``), the sets each grows into by one bit (``grow``), and each
-    set's cumulative branch win probabilities in category order between a
-    column of 0s and a column of 1s (``table``).
+    Takes the raw category powers but external's, and each withheld set's
+    cumulative branch win probabilities in category order between a column
+    of 0s and a column of 1s (``table``), whose width thus gives the number k
+    of infiltration categories and so the 2^k sets.
     Returns the first finds' category powers, the enders' powers given an
     ender, and per set: its jump row (each new bit, then a stop), the sets it
     grows into, and its branch win probabilities with external last.
     """
     powers = np.array(_steps(powers))
-    k = grow.shape[1]
+    k = table.shape[1] - 2
+    sets = np.arange(1 << k)[:, None]
+    grow = sets | 1 << np.arange(k)
     ender = powers[k:].sum()
     jump = np.empty((len(sets), k + 1))
     np.multiply(grow != sets, powers[:k], out=jump[:, :k])
@@ -241,21 +243,18 @@ def _pool_model(kind, alpha, betas, taus, c, pools) -> _Model:
     shares = [t / (b + t) if b + t > 0.0 else 0.0 for b, t in zip(betas, ta)]
     payout = np.diag([1.0, *[1.0 - s for s in shares], 1.0])  # each ender's own actor
     payout[1:-1, 0] = shares                                  # the attacker's cut of pool wins
-    sets = np.arange(1 << n)[:, None]
-    grow = sets | (1 << np.arange(n))
     # held[mask, i]: how many of branches 0..i the withheld set holds
-    held = np.cumsum(grow == sets, axis=1)
+    held = np.cumsum(np.arange(1 << n)[:, None] >> np.arange(n) & 1, axis=1)
     table = np.zeros((1 << n, n + 2))
     table[:, -1] = 1.0
     np.multiply(c, held[1:] / held[1:, -1:], out=table[1:, 1:-1])  # the empty set holds none
     # taus summed in order, as the closed form does: the builtin sum compensates from 3.12 on
     innocent = (1.0 - reduce(add, taus)) * alpha
-    ext_power = 1.0 - alpha - float(np.add.reduce(betas))
     return _Model(
         kind=kind,
         actors=("attacker", *pools, "external"),
         tags=("A_innocent_win",) + ("B_pool_honest_win",) * n + ("E_external_win_no_withheld",),
-        race=_race([*ta, innocent, *betas, ext_power], sets, grow, table),
+        race=_race([*ta, innocent, *betas], table),
         host=np.arange(1, n + 2),
         payout=payout,
     )
@@ -278,13 +277,11 @@ def _game_model(s: GameScenario) -> _Model:
     # a pool keeps its pot less the opponent's infiltrator's share; external keeps its wins
     payout = [[p1 * (1.0 - k2), p2 * (1.0 - k1), 0.0] for p1, p2 in pots]
     payout[2][2] = 1.0
-    sets = np.arange(4)[:, None]
     return _Model(
         kind="game",
         actors=("pool1", "pool2", "external"),
         tags=("A_innocent_win", "A_innocent_win", "E_external_win_no_withheld"),
-        race=_race([s.f1, s.f2, s.alpha1 - s.f1, s.alpha2 - s.f2, 1.0 - s.alpha1 - s.alpha2],
-                   sets, sets | [1, 2],
+        race=_race([s.f1, s.f2, s.alpha1 - s.f1, s.alpha2 - s.f2],
                    np.array([[0.0, 0.0, 0.0, 1.0], [0.0, s.c1, s.c1, 1.0],
                              [0.0, 0.0, s.c2, 1.0], [0.0, s.c1p, s.c1p + s.c2p, 1.0]])),
         host=np.array([1, 0, 2]),

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from fawkit import game as game_mod
 from fawkit import multi_pool
-from fawkit.cli import main, parse_range
+from fawkit.cli import main, parse_floats, parse_range
 from fawkit.errors import UnknownFixture
 from fawkit.game import SWEEP_CSV_HEADER
 from fawkit.reproduce import FIXTURE_NAMES, load_fixture, reproduce
@@ -59,6 +59,9 @@ def test_parse_range_inclusive_stop_property(start, span, step):
     ("0:1:nan", "nan"),
     ("-inf:0:0.1", "-inf"),
     ("0:1:1e-09", "1000000 points"),
+    ("0:1", "expected FLOAT or START:STOP:STEP"),
+    ("0.3:0.1:0.1", "empty range"),
+    ("0:1:0", "range step must be positive"),
 ])
 def test_parse_range_rejects_unbounded_ranges(capsys, text, named):
     with pytest.raises(argparse.ArgumentTypeError, match=named):
@@ -67,6 +70,15 @@ def test_parse_range_rejects_unbounded_ranges(capsys, text, named):
         main(["game-sweep", "--alpha1", "0.2", f"--alpha2={text}", "--c", "1"])
     assert exc.value.code == 2
     assert named in capsys.readouterr().err
+
+
+def test_an_empty_list_item_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["reward-multi", "--alpha", "0.2", "--betas", "0.1,,0.1", "--taus", "0.1,,0.1",
+              "--c", "1"])
+    assert exc.value.code == 2
+    assert "argument --betas: empty item in '0.1,,0.1'" in capsys.readouterr().err
+    assert parse_floats("") == parse_floats(" ") == ()  # as --shares "" gives no shares
 
 
 def test_readme_cli_lines_parse(capsys, tmp_path):

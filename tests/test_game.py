@@ -707,5 +707,6 @@ def test_assumed_c_checks_each_axis_c_once(monkeypatch):
     for sweep in (sweep_regions_assumed_c, sweep_regions):
         checked.clear()
         sweep(0.2, [0.1, 0.15, 0.1], [0.5, 1.0, 0.5])
-        # each distinct alpha2 once, in a game at c = 1, then each distinct axis c once, as c1
-        assert checked == [(0.1, 1.0), (0.15, 1.0), ("c1", 0.5), ("c1", 1.0)]
+        # the first cell, then each distinct alpha2 once, in a game at c = 1, then each
+        # distinct axis c once, as c1
+        assert checked == [(0.1, 1.0), ("c1", 0.5), (0.15, 1.0), ("c1", 1.0)]

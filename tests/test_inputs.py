@@ -42,6 +42,7 @@ from fawkit import (
     sweep_regions,
     sweep_regions_assumed_c,
     victim_reward,
+    write_sweep_csv,
 )
 from fawkit.game import sweep_axis
 from fawkit.scenarios import (
@@ -61,6 +62,8 @@ MALFORMED = {
     "c-from-gamma-str": (lambda: c_from_gamma("x", 0.2, 0.1), "gamma='x'"),
     "bonus-t-none": (lambda: bonus_scheme_reward(0.2, 0.2, 0.1, 0.5, None), "t=None"),
     "bonus-threshold-none": (lambda: safe_bonus_threshold(0.3, None), "c_max=None"),
+    "bonus-threshold-pool-0": (lambda: safe_bonus_threshold(0.0, 0.5),
+                               "pool_power=0.0 outside (0, 1]"),
     "shares-item-str": (lambda: HonestPowerDistribution(["x"]), "shares[0]='x'"),
     "shares-float": (lambda: HonestPowerDistribution(0.3), "shares=0.3"),
     "atomized-str": (lambda: HonestPowerDistribution([0.1], "x"), "atomized_remainder='x'"),
@@ -105,6 +108,8 @@ MALFORMED = {
     "fraction-past-the-floats": (lambda: SinglePoolScenario(Fraction(10**400), 0.2, 0.1, 0.5),
                                  "alpha is above the largest float in magnitude"),
     "sweep-c-true-after-1": (lambda: sweep_regions(0.2, [0.1], [1.0, True]), "c1=True"),
+    "sweep-csv-none": (lambda: write_sweep_csv(None), "cells=None must be a Sequence"),
+    "sweep-csv-number": (lambda: write_sweep_csv([1]), "cells[0]=1 must be a RegionCell"),
 }
 
 BOOLS = {

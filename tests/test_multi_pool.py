@@ -370,6 +370,31 @@ def test_optimizer_reports_exhausted_sweeps(monkeypatch):
     assert res.reward == reward_npool(MultiPoolScenario(alpha, betas, res.taus, 1.0))
 
 
+def test_newton_step_goes_uphill_on_an_indefinite_hessian():
+    # the plain Newton step -H^-1 g heads for the saddle and lowers the reward; the
+    # clamped eigenvalues turn the positive-curvature direction uphill
+    grad, hess = np.array([1.0, 0.5]), np.diag([1.0, -1.0])
+    assert grad @ np.linalg.solve(hess, -grad) < 0.0
+    assert grad @ multi_pool._newton_step(grad, hess) > 0.0
+
+
+def test_optimizer_stops_at_the_start_when_no_step_scores_higher(monkeypatch):
+    derivatives, points = multi_pool._derivatives, []
+
+    def every_trial_scores_lower(alpha, betas, c, group, scale, u, diff_step):
+        reward, grad, hess, scored = derivatives(alpha, betas, c, group, scale, u, diff_step)
+        points.append(tuple(float(u[g] * scale[g]) for g in group))
+        if len(points) > 1:  # a trial, not the start
+            reward -= 1.0
+        return reward, grad, hess, scored
+
+    monkeypatch.setattr(multi_pool, "_derivatives", every_trial_scores_lower)
+    res = optimize_allocation(*preset_attack(), 1.0)
+    assert res.converged
+    assert len(points) > 2  # the first step was halved, down to no step at all
+    assert res.taus == points[0]
+
+
 def test_optimizer_rejects_empty_pool():
     with pytest.raises(DegenerateInput):
         optimize_allocation(0.2, (0.1, 0.0), 0.5)

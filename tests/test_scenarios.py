@@ -262,10 +262,13 @@ def test_invalid_json_reported(tmp_path):
     ('{"alpha": %s, "beta": 0.2, "tau": 0.1, "c": 0.5}' % ("1" * 4301), ScenarioFileError,
      "scen.json|'alpha'"),
     ("[" * 100_000 + "]" * 100_000, ScenarioFileError, "scen.json"),
-], ids=["float-overflow", "list-float-overflow", "over-4300-digits", "100000-deep"])
+    ("[0.2, 0.2, 0.1, 0.5]", ScenarioFileError, "^expected a JSON object, got list$"),
+], ids=["float-overflow", "list-float-overflow", "over-4300-digits", "100000-deep",
+        "json-array"])
 def test_unparsable_numbers_and_nesting_reported(tmp_path, text, error, named):
     # a number no float can hold is the scenario type's error, one or a depth the JSON
-    # reader cannot take a file error: neither is a traceback
+    # reader cannot take a file error, as is a document that is no object: none is a
+    # traceback
     path = tmp_path / "scen.json"
     path.write_text(text)
     with pytest.raises(error, match=named):
