@@ -20,11 +20,8 @@ so in its docstring and carries GAMMA_AS_TAU_NOTE as ``substitution_note``.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
-from functools import reduce
-from operator import add
 
 from .errors import (
     ConstraintViolated,
@@ -32,7 +29,14 @@ from .errors import (
     NegativeEffectiveMinersWarning,
     _caller_stacklevel,
 )
-from .scenarios import SinglePoolScenario, _check_integer, _check_kind, _check_unit, _store_floats
+from .scenarios import (
+    SinglePoolScenario,
+    _check_integer,
+    _check_kind,
+    _check_unit,
+    _store_floats,
+    _total,
+)
 from .single_pool import _pots, _share
 
 GAMMA_AS_TAU_NOTE = (
@@ -61,14 +65,13 @@ class HonestPowerDistribution:
             _check_unit(f"shares[{i}]", x)
         _check_unit("atomized_remainder", self.atomized_remainder)
 
-    # summed in order, as validate_multi sums the taus: the builtin sum compensates on 3.12+
     @property
     def total(self) -> float:
-        return reduce(add, self.shares, 0.0) + self.atomized_remainder
+        return _total(self.shares) + self.atomized_remainder
 
     @property
     def square_sum(self) -> float:
-        return reduce(add, (x * x for x in self.shares), 0.0)
+        return _total(x * x for x in self.shares)
 
 
 def _require_total(dist: HonestPowerDistribution, expected: float, what: str):
@@ -191,14 +194,15 @@ def honeypot_bwh_bound(alpha, beta, tau, L: int) -> float:
         (1-t)a/(1-ta) + b/(1-ta) * (L-d)ta / (Lb + (L-d)ta)
 
     Converges to the plain withholding reward as L grows; tau = 0 gives
-    alpha. Evaluated with tau substituted for the printed gamma.
+    alpha, and beta = 0 the solo income. Evaluated with tau substituted for
+    the printed gamma.
     """
     L = _check_integer("L", L)
     alpha, beta, tau, _ = vars(SinglePoolScenario(alpha, beta, tau, 0.0)).values()
     ta, innocent, honest_pot, _ = _pots(alpha, beta, tau, 0.0)
-    if ta == 0.0:
-        return innocent  # == alpha
-    d = ta * (1.0 - ta) / beta if beta > 0.0 else math.inf
+    if ta == 0.0 or beta == 0.0:
+        return innocent  # at beta = 0 the pool never wins a block, and d is undefined
+    d = ta * (1.0 - ta) / beta
     return innocent + _diluted(honest_pot, ta, beta, L, L - d, "L - d")
 
 

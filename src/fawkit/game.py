@@ -316,6 +316,8 @@ class EquilibriumResult:
 
 def unilateral_gain(a1, a2, c1, c2, c1p, c2p, f1, f2) -> float:
     """Best gain from a lone deviation: a 2001-point scan per pool, kept as an independent check."""
+    a1, a2, c1, c2, c1p, c2p, f1, f2 = map(_check_real, "a1 a2 c1 c2 c1p c2p f1 f2".split(),
+                                           (a1, a2, c1, c2, c1p, c2p, f1, f2))
     _require_powers(a1, a2)
     base1, base2 = pot_payoffs_raw(a1, a2, f1, f2, c1, c2, c1p, c2p)
     xs1 = np.linspace(0.0, a1, DEVIATION_GRID + 1)

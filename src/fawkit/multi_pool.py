@@ -35,23 +35,21 @@ complex: reward_npool calls it on a scenario's floats, and
 optimize_allocation on a batch of complex points, whose imaginary parts
 carry exact derivatives. Every sum is sequential, in a fixed order
 (1 - ta(S) pool by pool, each pot over P ascending as bitmasks, T and B
-pool by pool), so a float call and an array entry give the same bits. T
-and B are not taken with the builtin sum, which compensates float sums
-from Python 3.12 on but adds an ndarray plainly.
+pool by pool, with scenarios._total), so a float call and an array entry
+give the same bits.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from math import comb, sqrt, ulp
-from operator import add
 
 import numpy as np
 
 from .errors import ConstraintViolated, DegenerateInput
-from .scenarios import MultiPoolScenario, _check_kind, _check_unit, _floats, rer
+from .scenarios import MultiPoolScenario, _check_kind, _check_unit, _floats, _total, rer
 from .single_pool import _share, optimal_tau_closed_form
 
 # Approximate network power distribution used throughout the worked examples:
@@ -112,18 +110,12 @@ def reward_two_pools(alpha, beta1, beta2, tau1, tau2,
     ext = 1.0 - alpha - beta1 - beta2
     r = (1.0 - tau1 - tau2) * alpha / (1.0 - total_ta)
     # both-withheld term: find in pool j first, then the other, then external
-    cross = 0.0
-    if ta1 > 0.0 and ta2 > 0.0:
-        cross = (ta1 * ta2 / (1.0 - ta1) + ta2 * ta1 / (1.0 - ta2)) \
-            * ext / (1.0 - total_ta)
+    cross = (ta1 * ta2 / (1.0 - ta1) + ta2 * ta1 / (1.0 - ta2)) * ext / (1.0 - total_ta)
     for b, ta, c2br, c3br in ((beta1, ta1, c1_two, c1_three),
                               (beta2, ta2, c2_two, c2_three)):
         if b + ta <= 0.0:
             continue
-        pool_pot = b / (1.0 - total_ta)
-        if ta > 0.0:
-            pool_pot += c2br * ta * ext / (1.0 - ta)
-        pool_pot += c3br * cross
+        pool_pot = b / (1.0 - total_ta) + c2br * ta * ext / (1.0 - ta) + c3br * cross
         r += ta / (b + ta) * pool_pot
     return r
 
@@ -145,13 +137,13 @@ def _predecessors(n):
 def _reward_raw(alpha, betas, taus, c):
     """reward_npool's sum, unvalidated; each tau is a float or a broadcastable ndarray."""
     ta = [t * alpha for t in taus]
-    ext = 1.0 - alpha - reduce(add, betas)
+    ext = 1.0 - alpha - _total(betas)
     free = np.ones((1,) + np.broadcast(*ta).shape)  # 1 - ta(S), sets as bitmasks
     for t in ta:
         free = np.concatenate((free, free - t))
     others, weights = _predecessors(len(betas))
     weights = weights.reshape(weights.shape + (1,) * (free.ndim - 1))
-    total_tau = reduce(add, taus)
+    total_tau = _total(taus)
     total_ta = total_tau * alpha
     r = (1.0 - total_tau) * alpha / (1.0 - total_ta)
     for b, t, sets, w in zip(betas, ta, others, weights):
@@ -241,7 +233,7 @@ def _kkt_residual(alpha, betas, c, taus) -> tuple[float, int]:
     """
     points = np.asarray(taus) + COMPLEX_STEP * 1j * np.diag(betas)
     grad = _reward_raw(alpha, betas, list(points.T), c).imag / COMPLEX_STEP / betas
-    slack = grad - (max(grad.max(), 0.0) if reduce(add, taus) >= 1.0 else 0.0)
+    slack = grad - (max(grad.max(), 0.0) if _total(taus) >= 1.0 else 0.0)
     violation = np.where(np.asarray(taus) > 0.0, np.abs(slack), slack)
     return float(np.max(violation, initial=0.0)), grad.size
 
@@ -273,7 +265,7 @@ def optimize_allocation(alpha, betas, c) -> AllocationResult:
     powers = list(dict.fromkeys(betas))  # pools of equal power share one tau
     group = [powers.index(b) for b in betas]
     sizes = np.array([group.count(g) for g in range(len(powers))])
-    total = reduce(add, betas)
+    total = _total(betas)
     scale = np.array(powers)
     # the raw closed form, as sum(beta) may pass the majority guard (table2's is 0.5)
     u = np.full(len(powers), optimal_tau_closed_form(alpha, total, c) / total)

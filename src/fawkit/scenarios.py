@@ -39,6 +39,13 @@ MAX_SINGLE_ACTOR = 0.5  # strict bound: any one miner or pool stays below half t
 MAX_POOLS = 8           # the simulator's withheld-set tables have 2^n rows
 
 
+def _total(values):
+    """``values``, floats or ndarrays, summed left to right from 0.0. Every float total is
+    taken here: the builtin sum compensates float sums from Python 3.12 on, so it would move
+    the pinned goldens between versions and give a float other bits than its array entry."""
+    return reduce(add, values, 0.0)
+
+
 def _check_real(name: str, value) -> float:
     """``value`` as a Python float, which every entry point computes on (so a numpy float32
     computes in float64); numpy's reals pass, a bool or a real past the float range fails."""
@@ -208,12 +215,10 @@ def validate_multi(s: MultiPoolScenario) -> MultiPoolScenario:
     for i, t in enumerate(s.taus):
         _check_unit(f"taus[{i}]", t)
     _check_unit("c", s.c)
-    # summed in order, as the closed form and the simulator sum them: the builtin sum
-    # compensates from Python 3.12 on
-    total_tau = reduce(add, s.taus)
+    total_tau = _total(s.taus)
     if total_tau > 1.0 + 1e-15:
         raise BudgetExceeded(f"sum of taus = {total_tau!r} exceeds 1")
-    total = s.alpha + reduce(add, s.betas)
+    total = s.alpha + _total(s.betas)
     if total > 1.0 + 1e-15:
         raise BudgetExceeded(f"alpha + sum(betas) = {total!r} exceeds 1")
     return s
@@ -276,11 +281,8 @@ def rer(reward: float, honest_power: float) -> float:
 # any others. A reward document wraps the echo under a "scenario" key, which
 # scenario_from_dict unwraps, so it can be fed straight back in.
 
-_FIELD_SETS = {
-    frozenset(("alpha", "beta", "tau", "c")): SinglePoolScenario,
-    frozenset(("alpha", "betas", "taus", "c")): MultiPoolScenario,
-    frozenset(("alpha1", "alpha2", "f1", "f2", "c1", "c2", "c1p", "c2p")): GameScenario,
-}
+_FIELD_SETS = {frozenset(cls.__match_args__): cls
+               for cls in (SinglePoolScenario, MultiPoolScenario, GameScenario)}
 
 
 def scenario_from_dict(data: dict) -> Scenario:

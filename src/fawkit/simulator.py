@@ -58,8 +58,6 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import reduce
-from operator import add
 
 import numpy as np
 
@@ -71,6 +69,7 @@ from .scenarios import (
     SinglePoolScenario,
     _check_integer,
     _check_kind,
+    _total,
     scenario_to_dict,
 )
 
@@ -248,8 +247,7 @@ def _pool_model(kind, alpha, betas, taus, c, pools) -> _Model:
     table = np.zeros((1 << n, n + 2))
     table[:, -1] = 1.0
     np.multiply(c, held[1:] / held[1:, -1:], out=table[1:, 1:-1])  # the empty set holds none
-    # taus summed in order, as the closed form does: the builtin sum compensates from 3.12 on
-    innocent = (1.0 - reduce(add, taus)) * alpha
+    innocent = (1.0 - _total(taus)) * alpha
     return _Model(
         kind=kind,
         actors=("attacker", *pools, "external"),

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -222,9 +223,10 @@ def test_honeypot_limits():
     assert honeypot_bwh_bound(0.2, 0.2, 0.0, L=5) == pytest.approx(0.2)
     big_l = honeypot_bwh_bound(0.2, 0.2, 0.5, L=10 ** 7)
     assert abs(big_l - reward_single(SinglePoolScenario(0.2, 0.2, 0.5, 0.0))) <= 1e-6
-    # beta = 0: d is infinite, so the identity count is floored at 0 with a warning, and a
-    # pool with no one left in it pays nothing: only the solo income (1-t)a/(1-ta) is left
-    with pytest.warns(NegativeEffectiveMinersWarning):
+    # beta = 0: the pool never wins a block, so only the solo income (1-t)a/(1-ta) is left,
+    # with no warning, as detection_resilient_reward gives it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         solo = honeypot_bwh_bound(0.2, 0.0, 0.3, 2)
     assert solo == reward_single(SinglePoolScenario(0.2, 0.0, 0.3, 0.0)) == 0.14893617021276595
 

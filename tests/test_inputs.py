@@ -44,7 +44,7 @@ from fawkit import (
     victim_reward,
     write_sweep_csv,
 )
-from fawkit.game import sweep_axis
+from fawkit.game import sweep_axis, unilateral_gain
 from fawkit.scenarios import (
     GameScenario,
     MultiPoolScenario,
@@ -70,6 +70,7 @@ MALFORMED = {
     "two-pools-c-none": (lambda: reward_two_pools(0.2, 0.1, 0.1, 0.1, 0.1, None, 1, 0.5, 0.5),
                          "c1_two=None"),
     "sweep-axis-str": (lambda: sweep_axis("a", 1, 0.1), "start='a'"),
+    "unilateral-gain-none": (lambda: unilateral_gain(None, 0.1, 1, 1, 0.5, 0.5, 0, 0), "a1=None"),
     "start-none": (lambda: solve_equilibrium(0.2, 0.1, 1, 1, 0.5, 0.5, start=None),
                    "start=None"),
     "sweep-axis-none": (lambda: sweep_regions(0.2, None, [0.5]), "alpha2_axis=None"),

@@ -287,3 +287,11 @@ def test_unreadable_file_reported(tmp_path):
 def test_validate_dispatch_rejects_non_scenarios():
     with pytest.raises(ConstraintViolated, match="s=41 must be a scenario"):
         validate(41)
+
+
+@pytest.mark.parametrize("s", [SinglePoolScenario(0.2, 0.2, 0.5, 0.5),
+                               MultiPoolScenario(0.2, (0.1, 0.2), (0.3, 0.1), 0.5),
+                               GameScenario(0.2, 0.1, 0.01, 0.02, 1.0, 1.0, 0.5, 0.5)],
+                         ids=["single", "multi", "game"])
+def test_validate_returns_a_valid_scenario_of_each_kind(s):
+    assert validate(s) is s
