@@ -34,7 +34,8 @@ from .scenarios import (
     _check_integer,
     _check_kind,
     _check_unit,
-    _store_floats,
+    _each,
+    _store,
     _total,
 )
 from .single_pool import _pots, _share
@@ -45,6 +46,7 @@ GAMMA_AS_TAU_NOTE = (
 )
 
 _TOTAL_TOL = 1e-9
+_DISTRIBUTION_CHECKS = (_each(_check_unit), _check_unit)
 
 
 @dataclass(frozen=True)
@@ -60,10 +62,7 @@ class HonestPowerDistribution:
     atomized_remainder: float = 0.0
 
     def __post_init__(self):
-        _store_floats(self, ("shares",))
-        for i, x in enumerate(self.shares):
-            _check_unit(f"shares[{i}]", x)
-        _check_unit("atomized_remainder", self.atomized_remainder)
+        _store(self, _DISTRIBUTION_CHECKS)
 
     @property
     def total(self) -> float:

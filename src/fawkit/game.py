@@ -315,10 +315,12 @@ class EquilibriumResult:
 
 
 def unilateral_gain(a1, a2, c1, c2, c1p, c2p, f1, f2) -> float:
-    """Best gain from a lone deviation: a 2001-point scan per pool, kept as an independent check."""
-    a1, a2, c1, c2, c1p, c2p, f1, f2 = map(_check_real, "a1 a2 c1 c2 c1p c2p f1 f2".split(),
-                                           (a1, a2, c1, c2, c1p, c2p, f1, f2))
-    _require_powers(a1, a2)
+    """Best gain from a lone deviation from (f1, f2), in the game _check_game checks."""
+    return _deviation_gain(*vars(_check_game(a1, a2, c1, c2, c1p, c2p, f1, f2)).values())
+
+
+def _deviation_gain(a1, a2, f1, f2, c1, c2, c1p, c2p):
+    """A checked game's unilateral_gain: a 2001-point scan per pool, an independent check."""
     base1, base2 = pot_payoffs_raw(a1, a2, f1, f2, c1, c2, c1p, c2p)
     xs1 = np.linspace(0.0, a1, DEVIATION_GRID + 1)
     gain1 = np.max(pot_payoffs_raw(a1, a2, xs1, f2, c1, c2, c1p, c2p)[0]) - base1
@@ -349,7 +351,7 @@ def solve_equilibrium(alpha1, alpha2, c1, c2, c1p, c2p, *,
     pots, nets, rers = _score(alpha1, alpha2, f1, f2, c1, c2, c1p, c2p)
     return EquilibriumResult(f1, f2, *pots, *nets, *rers, iterations, converged,
                              tuple(trace or ()),
-                             unilateral_gain(alpha1, alpha2, c1, c2, c1p, c2p, f1, f2))
+                             _deviation_gain(alpha1, alpha2, f1, f2, c1, c2, c1p, c2p))
 
 
 def classify_winner(rer1_pct: float, rer2_pct: float) -> str:

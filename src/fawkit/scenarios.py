@@ -6,11 +6,12 @@ round, so with everyone honest a miner's expected per-round reward equals
 its power fraction. No single miner or pool may hold 0.5 or more (majority
 guard), and unintentional forks are ignored throughout.
 
-Each scenario type stores its fields as Python floats and runs its validate_* when built,
-so every instance is valid and computes in float64, and a function taking one checks only
-its kind, with _check_kind; all are immutable, safe to share across threads. The checkers
-return the floats they check, and every entry point computes on those or on its scenario's
-fields, so a numpy float32 argument computes in float64 at every entry point.
+Each scenario type's validate_*, run when it is built, is its whole check: each field in
+declaration order, type and range together, stored as a Python float (a tuple for a sequence),
+then the rules that span fields. So every instance is valid and computes in float64, a function
+taking one checks only its kind, with _check_kind, and all are immutable, safe to share across
+threads. The checkers return the floats they check, and every entry point computes on those or
+on its scenario's fields, so a numpy float32 argument computes in float64 at every entry point.
 """
 
 from __future__ import annotations
@@ -108,25 +109,29 @@ def _sequence(name: str, values) -> tuple:
     raise ConstraintViolated(f"{name}={values!r} must be a sequence of real numbers")
 
 
-def _floats(name: str, values) -> tuple[float, ...]:
-    return tuple([v if type(v) is float else _check_real(f"{name}[{i}]", v)
-                  for i, v in enumerate(_sequence(name, values))])  # names only a non-float
+def _each(check):
+    """The checker of a sequence field: ``check`` on each item, named ``name[i]``, as a tuple."""
+    def each(name: str, values) -> tuple:
+        return tuple([check(f"{name}[{i}]", v) for i, v in enumerate(_sequence(name, values))])
+    return each
 
 
-def _store_floats(obj, sequences: tuple[str, ...] = ()) -> None:
-    """Check each field of the frozen dataclass ``obj`` and store it as a Python float, or
-    through _floats as a tuple of floats if named in ``sequences``; a float stays as it is."""
-    for name in obj.__match_args__:
+_floats = _each(_check_real)
+
+
+def _store(obj, checks) -> None:
+    """Check each field of the frozen dataclass ``obj``, in order, with its checker in ``checks``,
+    and store what the checker returns where that is not the value itself."""
+    for name, check in zip(obj.__match_args__, checks):
         value = getattr(obj, name)
-        if name in sequences:
-            object.__setattr__(obj, name, _floats(name, value))
-        elif type(value) is not float:
-            object.__setattr__(obj, name, _check_real(name, value))
+        checked = check(name, value)
+        if checked is not value:
+            object.__setattr__(obj, name, checked)
 
 
 @dataclass(frozen=True)
 class SinglePoolScenario:
-    """One attacker infiltrating one proportional-payout pool, checked by validate_single.
+    """One attacker infiltrating a proportional-payout pool, checked and stored by validate_single.
 
     alpha: attacker's total power
     beta:  victim pool's power, excluding the attacker's infiltration part
@@ -140,13 +145,12 @@ class SinglePoolScenario:
     c: float
 
     def __post_init__(self):
-        _store_floats(self)
         validate_single(self)
 
 
 @dataclass(frozen=True)
 class MultiPoolScenario:
-    """One attacker infiltrating up to MAX_POOLS pools at once, checked by validate_multi.
+    """One attacker infiltrating up to MAX_POOLS pools, checked and stored by validate_multi.
 
     A fork with k attacker branches gives each branch win probability c/k,
     so the attacker side never exceeds c in total.
@@ -158,13 +162,12 @@ class MultiPoolScenario:
     c: float
 
     def __post_init__(self):
-        _store_floats(self, ("betas", "taus"))
         validate_multi(self)
 
 
 @dataclass(frozen=True)
 class GameScenario:
-    """Two pools infiltrating each other, checked by validate_game.
+    """Two pools infiltrating each other, checked and stored by validate_game.
 
     f1, f2 are absolute infiltration powers (f_i = tau_i * alpha_i).
     c1, c2 are two-branch win probabilities for the block found by pool i's
@@ -181,24 +184,26 @@ class GameScenario:
     c2p: float
 
     def __post_init__(self):
-        _store_floats(self)
         validate_game(self)
 
 
 Scenario = SinglePoolScenario | MultiPoolScenario | GameScenario
 
 
+_SINGLE_CHECKS = (_check_actor_power, _check_actor_power, _check_unit, _check_unit)
+_MULTI_CHECKS = (_check_actor_power, _each(_check_actor_power), _each(_check_unit), _check_unit)
+_GAME_CHECKS = (_check_actor_power,) * 2 + (_check_real,) * 2 + (_check_unit,) * 4
+
+
 def validate_single(s: SinglePoolScenario) -> SinglePoolScenario:
-    """The checks a SinglePoolScenario runs on construction; returns ``s`` unchanged."""
-    _check_actor_power("alpha", s.alpha)
-    _check_actor_power("beta", s.beta)
-    _check_unit("tau", s.tau)
-    _check_unit("c", s.c)
+    """A SinglePoolScenario's whole check, run when built: stores its fields, returns ``s``."""
+    _store(s, _SINGLE_CHECKS)
     return s
 
 
 def validate_multi(s: MultiPoolScenario) -> MultiPoolScenario:
-    """The checks a MultiPoolScenario runs on construction; returns ``s`` unchanged."""
+    """A MultiPoolScenario's whole check, run when built: stores its fields, returns ``s``."""
+    _store(s, _MULTI_CHECKS)
     n = len(s.betas)
     if n != len(s.taus):
         raise ConstraintViolated(
@@ -209,12 +214,6 @@ def validate_multi(s: MultiPoolScenario) -> MultiPoolScenario:
     if n > MAX_POOLS:
         raise TooManyPools(f"{n} pools exceeds the cap of {MAX_POOLS} set by the simulator's "
                            "2^n-row withheld-set tables")
-    _check_actor_power("alpha", s.alpha)
-    for i, b in enumerate(s.betas):
-        _check_actor_power(f"betas[{i}]", b)
-    for i, t in enumerate(s.taus):
-        _check_unit(f"taus[{i}]", t)
-    _check_unit("c", s.c)
     total_tau = _total(s.taus)
     if total_tau > 1.0 + 1e-15:
         raise BudgetExceeded(f"sum of taus = {total_tau!r} exceeds 1")
@@ -225,23 +224,20 @@ def validate_multi(s: MultiPoolScenario) -> MultiPoolScenario:
 
 
 def validate_game(s: GameScenario) -> GameScenario:
-    """The checks a GameScenario runs on construction; returns ``s`` unchanged.
+    """A GameScenario's whole check, run when built: stores its fields, returns ``s``.
 
     Each pool must hold some power, its own or the opponent's infiltrator.
     Branch-win probabilities below the rational-manager floor
     ``alpha1 + alpha2`` are legal (full [0, 1] sweeps stay reproducible)
     but raise a :class:`RationalFloorWarning`.
     """
-    _check_actor_power("alpha1", s.alpha1)
-    _check_actor_power("alpha2", s.alpha2)
+    _store(s, _GAME_CHECKS)
     for name, f, cap in (("f1", s.f1, s.alpha1), ("f2", s.f2, s.alpha2)):
         if not 0.0 <= f <= cap:
             raise ConstraintViolated(f"{name}={f!r} outside [0, alpha]={cap!r}")
     for pool, power, f_in in ((1, s.alpha1, s.f2), (2, s.alpha2, s.f1)):
         if power + f_in == 0.0:  # the infiltrator's share of an empty pool is 0/0
             raise DegenerateInput(f"pool {pool} is empty: alpha{pool} + f{3 - pool} = 0.0")
-    for name, c in (("c1", s.c1), ("c2", s.c2), ("c1p", s.c1p), ("c2p", s.c2p)):
-        _check_unit(name, c)
     if s.c1p + s.c2p > 1.0 + 1e-15:
         raise ConstraintViolated(f"c1p + c2p = {s.c1p + s.c2p!r} exceeds 1")
     if min(s.c1, s.c2) < s.alpha1 + s.alpha2:
@@ -254,13 +250,10 @@ def validate_game(s: GameScenario) -> GameScenario:
 
 
 def validate(s: Scenario) -> Scenario:
-    """Re-run the checks of ``s``'s type; a built scenario always passes them."""
+    """Re-run the check of ``s``'s type; a built scenario always passes it."""
     _check_kind("s", s, Scenario)
-    if isinstance(s, SinglePoolScenario):
-        return validate_single(s)
-    if isinstance(s, MultiPoolScenario):
-        return validate_multi(s)
-    return validate_game(s)
+    s.__post_init__()
+    return s
 
 
 def rer(reward: float, honest_power: float) -> float:

@@ -71,6 +71,16 @@ MALFORMED = {
                          "c1_two=None"),
     "sweep-axis-str": (lambda: sweep_axis("a", 1, 0.1), "start='a'"),
     "unilateral-gain-none": (lambda: unilateral_gain(None, 0.1, 1, 1, 0.5, 0.5, 0, 0), "a1=None"),
+    "unilateral-gain-f1-past-alpha1": (lambda: unilateral_gain(0.2, 0.1, 1, 1, 0.5, 0.5, 0.5, 0),
+                                       "f1=0.5 outside [0, alpha]=0.2"),
+    "unilateral-gain-c1-7": (lambda: unilateral_gain(0.2, 0.1, 7, 1, 0.5, 0.5, 0, 0),
+                             "c1=7.0 outside [0, 1]"),
+    "unilateral-gain-nan": (lambda: unilateral_gain(math.nan, 0.1, 1, 1, 0.5, 0.5, 0, 0),
+                            "alpha1=nan outside [0, 1]"),
+    "unilateral-gain-majority": (lambda: unilateral_gain(0.7, 0.1, 1, 1, 0.5, 0.5, 0, 0),
+                                 "alpha1=0.7 reaches the majority guard"),
+    "unilateral-gain-f1-negative": (lambda: unilateral_gain(0.2, 0.1, 1, 1, 0.5, 0.5, -0.5, 0),
+                                    "f1=-0.5 outside [0, alpha]=0.2"),
     "start-none": (lambda: solve_equilibrium(0.2, 0.1, 1, 1, 0.5, 0.5, start=None),
                    "start=None"),
     "sweep-axis-none": (lambda: sweep_regions(0.2, None, [0.5]), "alpha2_axis=None"),

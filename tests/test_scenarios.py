@@ -7,10 +7,12 @@ import warnings
 import numpy as np
 import pytest
 
+from fawkit.bounds import HonestPowerDistribution
 from fawkit.errors import (
     BudgetExceeded,
     ConstraintViolated,
     DegenerateInput,
+    FawError,
     PowerOutOfRange,
     RationalFloorWarning,
     ScenarioFileError,
@@ -85,6 +87,20 @@ def test_game_constraints():
 def test_game_rational_floor_warning():
     with pytest.warns(RationalFloorWarning):
         validate_game(GameScenario(0.2, 0.2, 0.0, 0.0, 0.1, 0.1, 0.05, 0.05))
+
+
+@pytest.mark.parametrize("build, first", [
+    (lambda: SinglePoolScenario(0.7, "x", 0.1, 0.5), "alpha=0.7 reaches the majority guard (0.5)"),
+    (lambda: MultiPoolScenario(0.2, (0.6, 0.1), (0.1,), 0.0),
+     "betas[0]=0.6 reaches the majority guard (0.5)"),
+    (lambda: GameScenario(0.2, 0.1, 0.3, 0.0, 1.5, 1, 0.5, 0.5), "c1=1.5 outside [0, 1]"),
+    (lambda: HonestPowerDistribution((1.5, "x")), "shares[0]=1.5 outside [0, 1]"),
+], ids=["single", "multi", "game", "shares"])
+def test_first_error_is_the_first_faulty_field_then_the_cross_field_rules(build, first):
+    # each field in declaration order, its type and range together, before any rule that
+    # spans fields: each input here also has a later fault, which must not be reported
+    with pytest.raises(FawError, match=f"^{re.escape(first)}$"):
+        build()
 
 
 def test_validation_idempotent():
