@@ -30,14 +30,14 @@ import warnings
 from dataclasses import asdict
 from functools import cache
 
+# game, multi_pool and simulator load numpy: each function that calls one imports it
 from . import bounds as bounds_mod
-from . import game as game_mod
-from . import multi_pool
-from . import simulator
 from . import single_pool
 from .errors import ConstraintViolated, FawError
 from .reproduce import FIXTURE_NAMES, load_fixture, reproduce  # noqa: F401 (re-export)
 from .scenarios import (
+    POOL_PRESETS,
+    SCHEMA_VERSION,
     GameScenario,
     MultiPoolScenario,
     Scenario,
@@ -47,13 +47,12 @@ from .scenarios import (
     scenario_to_dict,
 )
 
-SCHEMA_VERSION = simulator.SCHEMA_VERSION
-
 
 # --- small helpers -----------------------------------------------------------
 
 def parse_range(text: str) -> list[float]:
     """A float, or START:STOP:STEP inclusive of STOP when it lies on the grid."""
+    from . import game as game_mod
     parts = text.split(":")
     if len(parts) == 1:
         return [float(text)]
@@ -150,6 +149,7 @@ def _single_scenario(args) -> tuple[SinglePoolScenario, dict | None]:
 
 def _multi_scenario(args) -> tuple[MultiPoolScenario, dict | None]:
     """Without ``--taus``, the optimal split."""
+    from . import multi_pool
     inline = (args.alpha, args.betas)
     if args.preset and inline != (None, None):
         raise FawError("give --preset or --alpha with --betas, not both")
@@ -179,6 +179,7 @@ def _game_cs(args):
 
 def _game_scenario(args) -> tuple[GameScenario, dict | None]:
     """Without ``--f1`` and ``--f2``, the equilibrium."""
+    from . import game as game_mod
     _require(args, "alpha1", "alpha2")
     cs = _game_cs(args)
     if (args.f1 is None) != (args.f2 is None):
@@ -199,12 +200,14 @@ def _single_rewards(s) -> dict:
 
 def _multi_rewards(s) -> dict:
     """closed-form n-pool attacker reward"""
+    from . import multi_pool
     reward = multi_pool.reward_npool(s)
     return {"reward": reward, "rer_pct": rer(reward, s.alpha)}
 
 
 def _game_rewards(g) -> dict:
     """closed-form two-pool game payoffs and winner"""
+    from . import game as game_mod
     r1, r2 = game_mod.game_payoffs(g)
     net1, net2 = game_mod.net_payoffs(g)
     rer1, rer2 = rer(net1, g.alpha1), rer(net2, g.alpha2)
@@ -231,6 +234,7 @@ def cmd_reward(args) -> int:
 
 
 def cmd_game_sweep(args) -> int:
+    from . import game as game_mod
     sweep = game_mod.sweep_regions_assumed_c if args.assumed_c else game_mod.sweep_regions
     cells = sweep(args.alpha1, args.alpha2, args.c)
     if args.format == "json":
@@ -242,6 +246,7 @@ def cmd_game_sweep(args) -> int:
 
 
 def cmd_sim(args) -> int:
+    from . import simulator
     scenario, solve = _scenario(args)
     cfg = simulator.SimConfig(rounds=args.rounds, scenario=scenario, seed=args.seed)
     emit(_with_solve(simulator.simulate(cfg).to_json_dict(), solve), args.format, args.output)
@@ -342,7 +347,7 @@ def _multi_flags(p):
     p.add_argument("--betas", type=parse_floats)
     p.add_argument("--taus", type=parse_floats, help="default: the optimal split")
     p.add_argument("--c", type=float)
-    p.add_argument("--preset", choices=sorted(multi_pool.POOL_PRESETS))
+    p.add_argument("--preset", choices=sorted(POOL_PRESETS))
 
 
 def _game_flags(p):

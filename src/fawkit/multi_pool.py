@@ -49,21 +49,9 @@ from math import comb, sqrt, ulp
 import numpy as np
 
 from .errors import ConstraintViolated, DegenerateInput
+from .scenarios import POOL_PRESETS, TABLE2_POWERS  # noqa: F401 (TABLE2_POWERS re-exported)
 from .scenarios import MultiPoolScenario, _check_kind, _check_unit, _floats, _total, rer
 from .single_pool import _share, optimal_tau_closed_form
-
-# Approximate network power distribution used throughout the worked examples:
-# open pools plus an "Unknown" remainder of closed pools and solo miners.
-TABLE2_POWERS = {
-    "Unknown": 0.30,
-    "F2Pool": 0.20,
-    "AntPool": 0.20,
-    "BTCC Pool": 0.10,
-    "BW.com": 0.10,
-    "BitFury": 0.10,
-}
-
-POOL_PRESETS = {"table2": TABLE2_POWERS}
 
 # optimize_allocation's Newton solve in u = tau / beta; see its docstring
 ALLOC_MAX_STEPS = 100   # steps before it gives up, unconverged

@@ -10,9 +10,8 @@ from __future__ import annotations
 import json
 from importlib import resources
 
+# game, multi_pool and simulator load numpy: each function that calls one imports it
 from . import bounds
-from . import game
-from . import multi_pool
 from . import single_pool
 from .errors import UnknownFixture
 from .scenarios import MultiPoolScenario, rer
@@ -44,6 +43,7 @@ def _reproduce_table1(fx, rows):
 
 
 def _reproduce_case4(fx, rows):
+    from . import multi_pool
     tol = fx["tolerances"]
     bwh = multi_pool.optimize_allocation(fx["alpha"], fx["betas"], 0.0)
     faw = multi_pool.optimize_allocation(fx["alpha"], fx["betas"], 1.0)
@@ -55,6 +55,7 @@ def _reproduce_case4(fx, rows):
 
 
 def _reproduce_changing_c(fx, rows):
+    from . import multi_pool
     tol = fx["tolerances"]
     alpha, betas, planned = fx["alpha"], tuple(fx["betas"]), tuple(fx["planned_taus"])
     bwh = multi_pool.reward_npool(MultiPoolScenario(alpha, betas, planned, 0.0))
@@ -68,6 +69,7 @@ def _reproduce_changing_c(fx, rows):
 
 
 def _reproduce_borderline(fx, rows):
+    from . import game
     ax = fx["alpha2_axis"]
     axis = game.sweep_axis(ax["start"], ax["stop"], ax["step"])
     cells = game.sweep_regions(fx["alpha1"], axis, [fx["c"]])

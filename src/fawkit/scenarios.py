@@ -38,6 +38,20 @@ from .errors import (
 
 MAX_SINGLE_ACTOR = 0.5  # strict bound: any one miner or pool stays below half the network
 MAX_POOLS = 8           # the simulator's withheld-set tables have 2^n rows
+SCHEMA_VERSION = 1      # of every result document: the simulator's and the CLI's
+
+# Approximate network power distribution used throughout the worked examples:
+# open pools plus an "Unknown" remainder of closed pools and solo miners.
+TABLE2_POWERS = {
+    "Unknown": 0.30,
+    "F2Pool": 0.20,
+    "AntPool": 0.20,
+    "BTCC Pool": 0.10,
+    "BW.com": 0.10,
+    "BitFury": 0.10,
+}
+
+POOL_PRESETS = {"table2": TABLE2_POWERS}
 
 
 def _total(values):

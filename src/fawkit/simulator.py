@@ -63,6 +63,7 @@ import numpy as np
 
 from .errors import _caller_stacklevel
 from .scenarios import (
+    SCHEMA_VERSION,
     GameScenario,
     MultiPoolScenario,
     Scenario,
@@ -73,7 +74,6 @@ from .scenarios import (
     scenario_to_dict,
 )
 
-SCHEMA_VERSION = 1
 # a run is one block of at most this many rounds: its int64 counts and the
 # float moments of _moments stay exact
 BLOCK_ROUNDS = 1 << 53

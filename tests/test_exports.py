@@ -1,11 +1,15 @@
 """The public surface: the names ``import fawkit`` exports and the ``faw`` subcommands with
-their options. Adding or removing one changes the public API."""
+their options. Adding or removing one changes the public API. Also what the surface loads: the
+closed-form commands start without numpy."""
 
 import argparse
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import ModuleType
+
+import pytest
 
 import fawkit
 from fawkit.cli import build_parser
@@ -79,3 +83,57 @@ def test_cli_surface_is_pinned():
                for name, parser in commands.choices.items()}
     assert surface == CLI_SURFACE
     assert list(surface) == list(CLI_SURFACE)
+
+
+def _fresh(code):
+    """``code``'s stdout, run in a fresh interpreter that imports fawkit from this tree."""
+    src = str(Path(fawkit.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, check=True).stdout
+
+
+def test_star_import_binds_every_export():
+    star = "from fawkit import *; print(*(n for n in dir() if not n.startswith('_')))"
+    names = _fresh(star).split()
+    assert set(names) == EXPORTS
+    assert len(names) == 57
+
+
+def test_each_export_is_its_submodules_object():
+    for name in EXPORTS:
+        value = getattr(fawkit, name)
+        if isinstance(value, ModuleType):
+            assert value is sys.modules[f"fawkit.{name}"]
+        elif name == "POOL_PRESETS":  # plain data, defined where the CLI reads it without numpy
+            assert value is fawkit.scenarios.POOL_PRESETS is fawkit.multi_pool.POOL_PRESETS
+        else:
+            assert value.__module__.startswith("fawkit.")
+            assert value is getattr(sys.modules[value.__module__], name)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        fawkit.no_such_name
+
+
+# commands that read no game, multi_pool or simulator code
+NUMPY_FREE = [
+    ["reward-single", "--alpha", "0.2", "--beta", "0.2", "--c", "1"],
+    ["counter", "bonus", "--alpha", "0.2", "--beta", "0.2", "--tau", "0.1", "--c", "0.5",
+     "--t", "0.3"],
+    ["bounds", "c-min", "--alpha", "0.2", "--beta", "0.1"],
+    *(["reproduce", fixture] for fixture in ("table1", "cmax-0914", "selfish-009")),
+]
+
+
+def test_closed_form_commands_start_without_numpy():
+    # one process for every command; reward-multi must then load numpy, so the check can see it
+    code = f"""
+import contextlib, io, sys
+from fawkit.cli import build_parser, main
+build_parser()
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(argv) for argv in {NUMPY_FREE!r}]
+    before = "numpy" in sys.modules
+    codes.append(main(["reward-multi", "--preset", "table2", "--c", "1"]))
+print(*codes, before, "numpy" in sys.modules)
+"""
+    assert _fresh(code).split() == ["0"] * 7 + ["False", "True"]
