@@ -225,7 +225,13 @@ def test_game_solve_and_exit_codes(capsys, monkeypatch):
     ((*SWEEP_FLAGS, "--assumed-c"), "game_sweep_assumed_c.csv"),
     (("reward-game", "--alpha1", "0.25", "--alpha2", "0.15", "--c1", "0.9", "--c2", "0.7",
       "--c1p", "0.5", "--c2p", "0.3"), "reward_game.json"),
-], ids=["sweep", "sweep-assumed-c", "solve"])
+    # the split solves: no other golden pins the n-pool kernel's bits
+    (("reward-multi", "--preset", "table2", "--c", "1"), "reward_multi_table2_c1.json"),
+    (("reward-multi", "--preset", "table2", "--c", "0"), "reward_multi_table2_c0.json"),
+    (("reward-multi", "--alpha", "0.2", "--betas", "0.05,0.031,0.09,0.067,0.1,0.044",
+      "--c", "0.7"), "reward_multi_six_pools.json"),
+], ids=["sweep", "sweep-assumed-c", "solve", "split-table2-c1", "split-table2-c0",
+        "split-six-pools"])
 def test_game_output_matches_golden(capsys, argv, golden):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
