@@ -30,13 +30,13 @@ Every term is positive: 1 - ta(P) - ta_i >= 1 - Ta > 1/2 under the majority
 guard, so no sum cancels. Pool counts are capped at MAX_POOLS by the
 simulator's 2^n-row withheld-set tables; the kernel itself has no cap.
 
-The kernel _reward_raw takes each tau as a float or an ndarray, real or
-complex: reward_npool calls it on a scenario's floats, and
-optimize_allocation on a batch of complex points, whose imaginary parts
-carry exact derivatives. Every sum is sequential, in a fixed order
-(1 - ta(S) pool by pool, each pot over P ascending as bitmasks, T and B
-pool by pool, with scenarios._total), so a float call and an array entry
-give the same bits.
+The kernel _reward_raw takes n taus, each a float or an ndarray, or one
+(n, ...) ndarray, real or complex: reward_npool passes a scenario's floats,
+and optimize_allocation a batch of complex points, whose imaginary parts
+carry exact derivatives. It gathers the pools' sets P in chunked passes and
+sums each pot over P ascending as bitmasks; every other sum is sequential
+too (1 - ta(S), T, B and the pools' terms, pool by pool), so a float call
+and an array entry give the same bits.
 """
 
 from __future__ import annotations
@@ -60,6 +60,9 @@ ALLOC_GRAD_ULPS = 64    # ... or where each d reward / d tau is within this many
 ALLOC_ULPS = 4          # a step may lower the reward by this many ulps
 ALLOC_EIG_FLOOR = 1e-8  # Hessian eigenvalues are clamped to -this * the largest |one| or below
 COMPLEX_STEP = 1e-20    # imaginary step in u: the reward's imaginary part over it is a derivative
+# bytes one _reward_raw pass may gather (one pool at least); kept under numpy's 256 KiB temporary
+# elision, which reorders complex products. 128 KiB slowed a 42-point n = 6 call from 125 to 240 us.
+_CHUNK_BYTES = 1 << 16
 
 
 def preset_attack(name: str = "table2"):
@@ -112,33 +115,45 @@ def reward_two_pools(alpha, beta1, beta2, tau1, tau2,
 def _predecessors(n):
     """Each pool's sets P of other pools and their weights w_|P|, built on first use.
 
-    Row i holds the 2^(n-1) bitmasks without pool i, ascending, and the
-    weights 1 / (n C(n-1, |P|)) of those sets; both are (n, 2^(n-1)).
+    Column i holds the 2^(n-1) bitmasks without pool i, ascending, and the
+    weights 1 / (n C(n-1, |P|)) of those sets; both are (2^(n-1), n).
     """
     masks = np.arange(1 << n)
     sizes = (masks[:, None] >> np.arange(n) & 1).sum(axis=1)
-    others = np.array([masks[masks >> i & 1 == 0] for i in range(n)])
+    others = np.array([masks[masks >> i & 1 == 0] for i in range(n)]).T
     k_sets = np.array([comb(n - 1, k) for k in range(n)])  # sets of k other pools
     return others, 1.0 / (n * k_sets[sizes[others]])
 
 
 def _reward_raw(alpha, betas, taus, c):
-    """reward_npool's sum, unvalidated; each tau is a float or a broadcastable ndarray."""
-    ta = [t * alpha for t in taus]
+    """reward_npool's sum, unvalidated; taus is an (n, ...) ndarray or n floats and ndarrays."""
     ext = 1.0 - alpha - _total(betas)
-    free = np.ones((1,) + np.broadcast(*ta).shape)  # 1 - ta(S), sets as bitmasks
-    for t in ta:
-        free = np.concatenate((free, free - t))
-    others, weights = _predecessors(len(betas))
-    weights = weights.reshape(weights.shape + (1,) * (free.ndim - 1))
     total_tau = _total(taus)
     total_ta = total_tau * alpha
-    r = (1.0 - total_tau) * alpha / (1.0 - total_ta)
-    for b, t, sets, w in zip(betas, ta, others, weights):
-        before = free[sets]
-        forks = np.add.accumulate(w / (before * (before - t)))[-1]
-        r += _share(t, b) * (b / (1.0 - total_ta) + c * ext * t * forks)
-    return r
+    shape = getattr(total_ta, "shape", ())  # a Python float has none
+    if shape and not isinstance(taus, np.ndarray):  # floats among broadcastable columns
+        taus = [t + np.zeros(shape) for t in taus]
+    ta = np.multiply(taus, alpha)
+    free = np.empty((1 << len(ta),) + shape, ta.dtype)  # 1 - ta(S), sets as bitmasks
+    free[0] = 1.0
+    for i in range(len(ta)):
+        np.subtract(free[:1 << i], ta[i], out=free[1 << i:2 << i])
+    others, weights = _predecessors(len(ta))
+    weights = weights.reshape(weights.shape + (1,) * len(shape))
+    forks = np.empty_like(ta)
+    chunk = max(_CHUNK_BYTES // (free.nbytes >> 1), 1)  # pools per pass, 2^(n-1) rows each
+    for i in range(0, len(ta), chunk):
+        before = free[others[:, i:i + chunk]]
+        forks[i:i + chunk] = np.add.accumulate(
+            weights[:, i:i + chunk] / (before * (before - ta[i:i + chunk])), axis=0)[-1]
+    if shape:
+        b = np.array(betas).reshape(weights.shape[1:])
+        share = np.divide(ta, b + ta, out=np.ones_like(ta), where=b > 0.0)  # 1 where beta = 0
+        terms = share * (b / (1.0 - total_ta) + c * ext * ta * forks)
+    else:  # floats: a numpy call costs more than a pool's arithmetic
+        terms = [_share(t, b) * (b / (1.0 - total_ta) + c * ext * t * f)
+                 for b, t, f in zip(betas, ta.tolist(), forks.tolist())]
+    return _total([(1.0 - total_tau) * alpha / (1.0 - total_ta), *terms])
 
 
 def reward_npool(s: MultiPoolScenario) -> float:
@@ -185,7 +200,7 @@ def _derivatives(alpha, betas, c, group, scale, u, diff_step):
     eye = np.eye(len(u))
     rows = np.vstack((u, u + diff_step * np.diag(np.maximum(u, 1.0))))
     points = (rows[:, None, :] + COMPLEX_STEP * 1j * eye) * scale
-    r = _reward_raw(alpha, betas, [points[..., g].ravel() for g in group], c)
+    r = _reward_raw(alpha, betas, points.reshape(-1, len(u)).T[group], c)
     grads = (r.imag / COMPLEX_STEP).reshape(rows.shape)
     hess = (grads[1:] - grads[0]) / (np.diag(rows[1:]) - u)[:, None]  # [j, i]: d grad_i / d u_j
     return r[0].real, grads[0], np.where(scale <= scale[:, None], hess, hess.T), r.size
@@ -220,7 +235,7 @@ def _kkt_residual(alpha, betas, c, taus) -> tuple[float, int]:
     positive.
     """
     points = np.asarray(taus) + COMPLEX_STEP * 1j * np.diag(betas)
-    grad = _reward_raw(alpha, betas, list(points.T), c).imag / COMPLEX_STEP / betas
+    grad = _reward_raw(alpha, betas, points.T, c).imag / COMPLEX_STEP / betas
     slack = grad - (max(grad.max(), 0.0) if _total(taus) >= 1.0 else 0.0)
     violation = np.where(np.asarray(taus) > 0.0, np.abs(slack), slack)
     return float(np.max(violation, initial=0.0)), grad.size

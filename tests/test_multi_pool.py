@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 from functools import reduce
 from operator import add
 
@@ -97,6 +98,37 @@ def _per_mask_reward(alpha, betas, taus, c):
     return r
 
 
+def _per_pool_reward(alpha, betas, taus, c):
+    """multi_pool._reward_raw as one pass per pool: the bitwise reference for its chunked passes.
+
+    The same arithmetic in the same order as the kernel: 1 - ta(S) pool by
+    pool, each pool's pot over its predecessor sets ascending as bitmasks,
+    and the pools' terms added to the reward in pool order. Each tau is a
+    float or an ndarray.
+    """
+    ta = [t * alpha for t in taus]
+    ext = 1.0 - alpha - reduce(add, betas, 0.0)
+    free = np.ones((1,) + np.broadcast(*ta).shape)  # 1 - ta(S), sets as bitmasks
+    for t in ta:
+        free = np.concatenate((free, free - t))
+    others, weights = multi_pool._predecessors(len(betas))
+    weights = weights.reshape(weights.shape + (1,) * (free.ndim - 1))
+    total_tau = reduce(add, taus, 0.0)
+    total_ta = total_tau * alpha
+    r = (1.0 - total_tau) * alpha / (1.0 - total_ta)
+    for b, t, sets, w in zip(betas, ta, others.T, weights.swapaxes(0, 1)):
+        before = free[sets]
+        forks = np.add.accumulate(w / (before * (before - t)))[-1]
+        share = t / (b + t) if b > 0.0 else 1.0
+        r += share * (b / (1.0 - total_ta) + c * ext * t * forks)
+    return r
+
+
+def _same(got, want):
+    """Same shape and equal in every element: the kernel against its per-pool reference."""
+    return np.shape(got) == np.shape(want) and bool(np.all(np.equal(got, want)))
+
+
 def _close(x, y, alpha):
     """Within 1e-14 of alpha, the scale of the reward's terms.
 
@@ -123,8 +155,19 @@ def test_kernel_is_close_to_the_per_mask_loop(s, data):
         if data.draw(st.booleans()) else t
         for t in s.taus
     ]
-    for args in ((s.alpha, s.betas, s.taus, s.c), (s.alpha, s.betas, taus, s.c)):
-        assert _close_elementwise(multi_pool._reward_raw(*args), _per_mask_reward(*args), s.alpha)
+    # the solver's batch: an (n, points) array whose point j steps pool j % n by
+    # COMPLEX_STEP i beta, on the solver's domain, where each step is a normal float
+    points = data.draw(st.integers(1, 12))
+    real = np.array(data.draw(st.lists(st.floats(0.0, 1.0 / n), min_size=n * points,
+                                       max_size=n * points))).reshape(n, points)
+    steps = np.arange(points) % n == np.arange(n)[:, None]
+    batch = real + COMPLEX_STEP * 1j * np.array(s.betas)[:, None] * steps
+    solver_domain = min(s.betas) >= sys.float_info.min / COMPLEX_STEP
+    for args in ((s.alpha, s.betas, s.taus, s.c), (s.alpha, s.betas, taus, s.c),
+                 (s.alpha, s.betas, batch, s.c))[:3 if solver_domain else 2]:
+        got = multi_pool._reward_raw(*args)
+        assert _same(got, _per_pool_reward(*args))
+        assert _close_elementwise(got, _per_mask_reward(*args), s.alpha)
 
 
 def test_kernel_is_close_to_the_per_mask_loop_where_forks_pay_everything():
@@ -153,8 +196,27 @@ def test_kernel_is_close_to_the_per_mask_loop_past_the_pool_cap(n, seed):
     if n == 12:
         taus[-1] = np.linspace(0.0, 1.0 / n, 3)
     c = (0.0, 1.0, rng.uniform())[seed]
-    assert _close_elementwise(multi_pool._reward_raw(alpha, betas, taus, c),
-                              _per_mask_reward(alpha, betas, taus, c), alpha)
+    got = multi_pool._reward_raw(alpha, betas, taus, c)
+    assert _same(got, _per_pool_reward(alpha, betas, taus, c))
+    assert _close_elementwise(got, _per_mask_reward(alpha, betas, taus, c), alpha)
+
+
+def test_a_grid_column_peaks_within_four_tables():
+    # the kernel scores its pools in chunks of a bounded size: one 201-point column at
+    # n = 12 peaks at about 2.5 times its 2^n-row table of 1 - ta(S), and at 19 times
+    # with every pool in one pass
+    n = 12
+    rng = np.random.default_rng(12)
+    betas = tuple(rng.uniform(0.0, 0.5 / n, size=n))
+    taus = list(rng.uniform(0.0, 1.0 / n, size=n))
+    taus[0] = np.linspace(0.0, 1.0 / n, 201)
+    tracemalloc.start()
+    try:
+        multi_pool._reward_raw(0.2, betas, taus, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * (1 << n) * 201 * 8
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
@@ -349,6 +411,22 @@ def test_newton_split_is_at_least_the_coordinate_ascent(data):
     betas = tuple(data.draw(st.lists(st.floats(sys.float_info.min / COMPLEX_STEP, cap),
                                      min_size=n, max_size=n)))
     _check_against_the_oracle(alpha, betas, data.draw(st.floats(0.0, 1.0)))
+
+
+@given(st.data())
+def test_a_tiny_pool_does_not_send_the_split_wandering(data):
+    # a pool near the solver's floor once took 54 Newton steps (1084 points) from a start
+    # within 0.5 % of the optimum; 6000 such draws took at most 84 points
+    n = data.draw(st.integers(2, 4))
+    alpha = data.draw(st.floats(0.01, 0.45))
+    floor = sys.float_info.min / COMPLEX_STEP
+    cap = min(0.49, (1.0 - alpha) / n)
+    betas = [data.draw(st.floats(floor, 1e-200)),
+             *data.draw(st.lists(st.floats(floor, cap), min_size=n - 1, max_size=n - 1))]
+    res = optimize_allocation(alpha, tuple(data.draw(st.permutations(betas))),
+                              data.draw(st.floats(0.0, 1.0)))
+    assert res.converged
+    assert res.evaluations <= 200
 
 
 @pytest.mark.parametrize("c", [0.0, 0.7, 1.0])
