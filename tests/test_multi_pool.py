@@ -124,11 +124,6 @@ def _per_pool_reward(alpha, betas, taus, c):
     return r
 
 
-def _same(got, want):
-    """Same shape and equal in every element: the kernel against its per-pool reference."""
-    return np.shape(got) == np.shape(want) and bool(np.all(np.equal(got, want)))
-
-
 def _close(x, y, alpha):
     """Within 1e-14 of alpha, the scale of the reward's terms.
 
@@ -166,7 +161,7 @@ def test_kernel_is_close_to_the_per_mask_loop(s, data):
     for args in ((s.alpha, s.betas, s.taus, s.c), (s.alpha, s.betas, taus, s.c),
                  (s.alpha, s.betas, batch, s.c))[:3 if solver_domain else 2]:
         got = multi_pool._reward_raw(*args)
-        assert _same(got, _per_pool_reward(*args))
+        assert np.array_equal(got, _per_pool_reward(*args))
         assert _close_elementwise(got, _per_mask_reward(*args), s.alpha)
 
 
@@ -197,7 +192,7 @@ def test_kernel_is_close_to_the_per_mask_loop_past_the_pool_cap(n, seed):
         taus[-1] = np.linspace(0.0, 1.0 / n, 3)
     c = (0.0, 1.0, rng.uniform())[seed]
     got = multi_pool._reward_raw(alpha, betas, taus, c)
-    assert _same(got, _per_pool_reward(alpha, betas, taus, c))
+    assert np.array_equal(got, _per_pool_reward(alpha, betas, taus, c))
     assert _close_elementwise(got, _per_mask_reward(alpha, betas, taus, c), alpha)
 
 
