@@ -22,7 +22,6 @@ emitted with converged=false).
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import sys
@@ -30,9 +29,7 @@ import warnings
 from dataclasses import asdict
 from functools import cache
 
-# game, multi_pool and simulator load numpy: each function that calls one imports it
-from . import bounds as bounds_mod
-from . import single_pool
+# a function imports each library module it calls, so a command loads only its own
 from .errors import ConstraintViolated, FawError
 from .reproduce import FIXTURE_NAMES, load_fixture, reproduce  # noqa: F401 (re-export)
 from .scenarios import (
@@ -95,6 +92,7 @@ def emit(doc: dict, fmt: str, dest) -> None:
     flat = {k: json.dumps(v) if isinstance(v, (list, tuple)) else v
             for k, v in _flatten(doc).items()}
     if fmt == "csv":
+        import csv
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows((flat, flat.values()))
         text = buf.getvalue()
@@ -143,6 +141,7 @@ def _single_scenario(args) -> tuple[SinglePoolScenario, dict | None]:
     _require(args, "alpha", "beta", "c")
     if args.tau is not None:
         return SinglePoolScenario(args.alpha, args.beta, args.tau, args.c), None
+    from . import single_pool
     res = single_pool.optimal_tau(args.alpha, args.beta, args.c)
     return SinglePoolScenario(args.alpha, args.beta, res.tau_bar, args.c), asdict(res)
 
@@ -192,6 +191,7 @@ def _game_scenario(args) -> tuple[GameScenario, dict | None]:
 
 def _single_rewards(s) -> dict:
     """closed-form single-pool attacker reward"""
+    from . import single_pool
     attacker = single_pool.reward_single(s)
     victim = single_pool.victim_reward(s)
     return {"attacker_reward": attacker, "pool_reward": victim, "rer_pct": rer(attacker, s.alpha),
@@ -254,32 +254,33 @@ def cmd_sim(args) -> int:
 
 
 def _c_max(alpha, beta, shares, atomized_remainder):
-    return bounds_mod.c_max_single(
-        alpha, beta, bounds_mod.HonestPowerDistribution(shares, atomized_remainder))
+    from . import bounds
+    return bounds.c_max_single(
+        alpha, beta, bounds.HonestPowerDistribution(shares, atomized_remainder))
 
 
 def _gamma_bound(alpha, shares, atomized_remainder):
-    return bounds_mod.gamma_upper_bound(
-        bounds_mod.HonestPowerDistribution(shares, atomized_remainder), alpha)
+    from . import bounds
+    return bounds.gamma_upper_bound(
+        bounds.HonestPowerDistribution(shares, atomized_remainder), alpha)
 
 
-# subcommand -> analytic -> (flags it reads, in output order; library call; result key)
+# subcommand -> analytic -> (flags it reads, in output order; the bounds function's name, or
+# an adapter; result key)
 _ANALYTICS = {
     "bounds": {
         "c-max": (("alpha", "beta", "shares", "atomized_remainder"), _c_max, "c_max"),
-        "c-min": (("alpha", "beta"), bounds_mod.c_min_rational, "c_min"),
-        "c-from-gamma": (("gamma", "alpha", "beta"), bounds_mod.c_from_gamma, "c"),
-        "selfish-threshold": (("gamma",), bounds_mod.selfish_mining_threshold, "threshold"),
+        "c-min": (("alpha", "beta"), "c_min_rational", "c_min"),
+        "c-from-gamma": (("gamma", "alpha", "beta"), "c_from_gamma", "c"),
+        "selfish-threshold": (("gamma",), "selfish_mining_threshold", "threshold"),
         "gamma-bound": (("alpha", "shares", "atomized_remainder"), _gamma_bound, "gamma_bound"),
     },
     "counter": {
-        "detection": (("alpha", "beta", "tau", "c", "L"),
-                      bounds_mod.detection_resilient_reward, "reward_lower_bound"),
-        "honeypot": (("alpha", "beta", "tau", "L"), bounds_mod.honeypot_bwh_bound,
-                     "reward_lower_bound"),
-        "bonus": (("alpha", "beta", "tau", "c", "t"), bounds_mod.bonus_scheme_reward, "reward"),
-        "bonus-threshold": (("pool_power", "c_max"), bounds_mod.safe_bonus_threshold,
-                            "threshold"),
+        "detection": (("alpha", "beta", "tau", "c", "L"), "detection_resilient_reward",
+                      "reward_lower_bound"),
+        "honeypot": (("alpha", "beta", "tau", "L"), "honeypot_bwh_bound", "reward_lower_bound"),
+        "bonus": (("alpha", "beta", "tau", "c", "t"), "bonus_scheme_reward", "reward"),
+        "bonus-threshold": (("pool_power", "c_max"), "safe_bonus_threshold", "threshold"),
     },
 }
 
@@ -289,7 +290,9 @@ _ANALYTIC_DEFAULTS = {"shares": (), "atomized_remainder": 0.0, "L": 1}
 
 
 def cmd_analytic(args) -> int:
+    from . import bounds
     flags, call, key = _ANALYTICS[args.command][args.what]
+    call = getattr(bounds, call) if isinstance(call, str) else call
     for name, option in args.options.items():
         if getattr(args, name) is None:
             setattr(args, name, _ANALYTIC_DEFAULTS.get(name))

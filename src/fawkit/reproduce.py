@@ -8,11 +8,8 @@ one row per check.
 from __future__ import annotations
 
 import json
-from importlib import resources
 
-# game, multi_pool and simulator load numpy: each function that calls one imports it
-from . import bounds
-from . import single_pool
+# each runner imports the library modules it calls, so a fixture loads only its own
 from .errors import UnknownFixture
 from .scenarios import MultiPoolScenario, rer
 
@@ -20,6 +17,7 @@ from .scenarios import MultiPoolScenario, rer
 def load_fixture(name: str) -> dict:
     if name not in FIXTURE_NAMES:
         raise UnknownFixture(f"no fixture {name!r}; built-ins: {', '.join(FIXTURE_NAMES)}")
+    from importlib import resources
     path = resources.files("fawkit").joinpath("fixtures", f"{name}.json")
     return json.loads(path.read_text())
 
@@ -34,6 +32,7 @@ def _near(rows, name, want, got, tol, digits=4):
 
 
 def _reproduce_table1(fx, rows):
+    from . import single_pool
     tol = fx["tolerance_pp"]
     for ci, c in enumerate(fx["cs"]):
         for ai, alpha in enumerate(fx["alphas"]):
@@ -91,12 +90,14 @@ def _reproduce_borderline(fx, rows):
 
 
 def _reproduce_cmax(fx, rows):
+    from . import bounds
     dist = bounds.HonestPowerDistribution(fx["honest_shares"], fx["atomized_remainder"])
     got = bounds.c_max_single(fx["alpha"], fx["beta"], dist)
     _near(rows, "c_max", fx["expected_c_max"], got, fx["tolerance"], digits=6)
 
 
 def _reproduce_selfish(fx, rows):
+    from . import bounds
     got = bounds.selfish_mining_threshold(fx["gamma"])
     lo, hi = fx["expected_threshold_range"]
     _check(rows, "selfish_threshold", f"[{lo}, {hi}]", round(got, 6), lo <= got <= hi)

@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import json
 import numbers
+import os
 import sys
 import warnings
 from dataclasses import dataclass
 from functools import reduce
 from operator import add
-from pathlib import Path
 
 from .errors import (
     BudgetExceeded,
@@ -315,7 +315,8 @@ def scenario_from_dict(data: dict) -> Scenario:
 def load_scenario(path) -> Scenario:
     """Load a scenario from the JSON file at ``path``."""
     try:
-        data = json.loads(Path(path).read_text())
+        with open(os.fspath(path)) as fh:  # fspath first: open(3) would read file descriptor 3
+            data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ScenarioFileError(f"invalid JSON in scenario: {exc}") from exc
     # not a path, not UTF-8, over 4300 digits, too deep

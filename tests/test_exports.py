@@ -1,6 +1,6 @@
 """The public surface: the names ``import fawkit`` exports and the ``faw`` subcommands with
 their options. Adding or removing one changes the public API. Also what the surface loads: the
-closed-form commands start without numpy."""
+CLI starts with five fawkit modules, and the closed-form commands without numpy."""
 
 import argparse
 import os
@@ -12,6 +12,8 @@ from types import ModuleType
 import pytest
 
 import fawkit
+import fawkit.reproduce
+from fawkit import cli
 from fawkit.cli import build_parser
 
 EXPORTS = {
@@ -85,11 +87,19 @@ def test_cli_surface_is_pinned():
     assert list(surface) == list(CLI_SURFACE)
 
 
-def _fresh(code):
-    """``code``'s stdout, run in a fresh interpreter that imports fawkit from this tree."""
+def test_cli_keeps_the_reproduce_names():
+    # the benchmark reads fixtures through cli.load_fixture
+    for name in ("FIXTURE_NAMES", "load_fixture", "reproduce"):
+        assert getattr(cli, name) is getattr(fawkit.reproduce, name)
+
+
+def _fresh(code, *options):
+    """``code``'s stdout, run in a fresh interpreter, given ``options``, that imports fawkit
+    from this tree."""
     src = str(Path(fawkit.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    return subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+    return subprocess.run([sys.executable, *options, "-c", code],
+                          env={**os.environ, "PYTHONPATH": path},
                           capture_output=True, text=True, check=True).stdout
 
 
@@ -137,3 +147,29 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(*codes, before, "numpy" in sys.modules)
 """
     assert _fresh(code).split() == ["0"] * 7 + ["False", "True"]
+
+
+START = ["fawkit", "fawkit.cli", "fawkit.errors", "fawkit.reproduce", "fawkit.scenarios"]
+ABSENT = ("csv", "pathlib", "importlib.resources", "numpy")  # nor does any of them load these
+
+
+@pytest.mark.parametrize("argv, loads", [
+    ([], []),
+    (["bounds", "c-min", "--alpha", "0.2", "--beta", "0.1"],
+     ["fawkit.bounds", "fawkit.single_pool"]),
+    (["reward-single", "--alpha", "0.2", "--beta", "0.2", "--c", "1"], ["fawkit.single_pool"]),
+], ids=["start", "bounds", "reward-single"])
+def test_the_cli_loads_only_what_its_command_runs(argv, loads):
+    # -S: no site hook may import a module first and so hide its import here
+    code = f"""
+import contextlib, io, sys
+from fawkit.cli import build_parser, main
+build_parser()
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main({argv!r}) if {argv!r} else 0
+print(code, *sorted(name for name in sys.modules if name.startswith("fawkit")))
+print(*(name for name in {ABSENT!r} if name in sys.modules))
+"""
+    loaded, absent = _fresh(code, "-S").splitlines()
+    assert loaded.split() == ["0", *sorted(START + loads)]
+    assert absent == ""

@@ -93,6 +93,7 @@ MALFORMED = {
     "preset-list": (lambda: preset_attack([]), "preset []"),
     "dist-none": (lambda: c_max_single(0.2, 0.1, None), "dist=None"),
     "scenario-path-none": (lambda: load_scenario(None), "scenario file None"),
+    "scenario-path-int": (lambda: load_scenario(3), "scenario file 3"),  # not file descriptor 3
     "responder-bool": (
         lambda: best_response(GameScenario(0.2, 0.1, 0.0, 0.0, 1, 1, 0.5, 0.5), True),
         "responder=True"),
