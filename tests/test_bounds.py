@@ -29,7 +29,7 @@ from fawkit.errors import (
 )
 from fawkit.scenarios import SinglePoolScenario
 from fawkit.simulator import SimConfig, simulate
-from fawkit.single_pool import optimal_tau, reward_single
+from fawkit.single_pool import _pots, optimal_tau, reward_single
 
 
 def test_c_max_single_node_owns_everything():
@@ -169,6 +169,30 @@ def test_detection_reward_when_the_pool_never_wins(tau, c):
 def test_detection_floors_negative_identity_counts():
     with pytest.warns(NegativeEffectiveMinersWarning):
         detection_resilient_reward(0.3, 0.01, 0.9, 0.0, L=1)
+
+
+@pytest.mark.parametrize("call, count", [
+    (lambda: detection_resilient_reward(0.2, 0.05, 0.4, 0.5, 1), "L - d - 1"),
+    (lambda: honeypot_bwh_bound(0.2, 0.05, 0.4, 1), "L - d"),  # d = 0.08 * 0.92 / 0.05 > L
+], ids=["detection", "honeypot"])
+def test_negative_count_warning_names_the_callers_line(call, count):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        call()
+    assert [(w.category, str(w.message), w.filename, w.lineno) for w in caught] == [
+        (NegativeEffectiveMinersWarning,
+         f"{count} went negative and was floored at 0; expulsions outpace identities",
+         __file__, call.__code__.co_firstlineno)]
+
+
+def test_detection_at_beta_zero_keeps_only_the_solo_income():
+    # d = (1 - c) / c is exactly 1 at c = 0.5, so at L = 1 neither pot keeps an identity to
+    # share it with: L*beta + count*ta is 0 in both terms
+    with pytest.warns(NegativeEffectiveMinersWarning) as caught:
+        got = detection_resilient_reward(0.2, 0.0, 0.4, 0.5, 1)
+    assert [str(w.message) for w in caught] == [
+        "L - d - 1 went negative and was floored at 0; expulsions outpace identities"]
+    assert got == _pots(0.2, 0.0, 0.4, 0.5)[1] == 0.13043478260869565
 
 
 @pytest.mark.parametrize("L, named", [(0, "L=0 must be >= 1"), (2 ** 1024, "L is above"),

@@ -225,6 +225,17 @@ def test_small_run_warns():
         simulate(SimConfig(rounds=50, seed=1, scenario=SINGLE))
 
 
+def test_small_run_warning_names_the_callers_line():
+    def run():
+        return simulate(SimConfig(rounds=10, seed=1, scenario=SINGLE))
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run()
+    assert [(w.category, w.filename, w.lineno) for w in caught] == [
+        (UserWarning, __file__, run.__code__.co_firstlineno + 1)]
+
+
 def test_outcome_export_shapes():
     out = simulate(SimConfig(rounds=1000, seed=53, scenario=SINGLE))
     doc = out.to_json_dict()
