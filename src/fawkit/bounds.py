@@ -20,14 +20,13 @@ so in its docstring and carries GAMMA_AS_TAU_NOTE as ``substitution_note``.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 from .errors import (
     ConstraintViolated,
     InconsistentDistribution,
     NegativeEffectiveMinersWarning,
-    _caller_stacklevel,
+    _warn,
 )
 from .scenarios import (
     SinglePoolScenario,
@@ -141,11 +140,8 @@ def _diluted(pot, ta, beta, L, count, what):
     A negative count (expulsions outpace identities) is floored at 0 with a warning.
     """
     if count < 0.0:
-        warnings.warn(
-            f"{what} went negative and was floored at 0; expulsions outpace identities",
-            NegativeEffectiveMinersWarning,
-            stacklevel=_caller_stacklevel(),
-        )
+        _warn(f"{what} went negative and was floored at 0; expulsions outpace identities",
+              NegativeEffectiveMinersWarning)
         count = 0.0
     if L * beta + count * ta > 0.0:
         return pot * (count * ta) / (L * beta + count * ta)

@@ -1,21 +1,24 @@
-"""Exception and warning types shared across the toolkit, and where a warning points."""
+"""Exception and warning types shared across the toolkit; the one place that raises warnings."""
 
 import os
 import sys
+import warnings
 
 _PACKAGE_DIR = os.path.dirname(__file__) + os.sep
 
 
-def _caller_stacklevel() -> int:
-    """``warnings.warn`` stacklevel of the first frame outside this package.
+def _warn(message: str, category: type[Warning]) -> None:
+    """Raise every library warning, at the first frame outside this package: the user's line.
 
-    Called by the function that warns, so that its warning names the user's line. Frames
-    are placed by module ``__file__``: a dataclass ``__init__``'s code file is ``<string>``.
+    Frames are placed by module ``__file__``: a dataclass ``__init__``'s code file is
+    ``<string>``, but its globals are its module's. ``dataclasses``' own frames are stepped
+    over too, so a ``dataclasses.replace`` warns from the line that called it.
     """
-    frame, level = sys._getframe(1), 1
-    while frame is not None and (frame.f_globals.get("__file__") or "").startswith(_PACKAGE_DIR):
+    frame, level = sys._getframe(), 1
+    while frame is not None and (frame.f_globals.get("__name__") == "dataclasses" or
+                                 (frame.f_globals.get("__file__") or "").startswith(_PACKAGE_DIR)):
         frame, level = frame.f_back, level + 1
-    return level
+    warnings.warn(message, category, stacklevel=level)
 
 
 class FawError(Exception):

@@ -35,7 +35,6 @@ its plans at once, and a solve is the batch of one plan.
 from __future__ import annotations
 
 import math
-import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cache
@@ -46,7 +45,7 @@ from .errors import (
     ConstraintViolated,
     DegenerateInput,
     RationalFloorWarning,
-    _caller_stacklevel,
+    _warn,
 )
 from .scenarios import (
     GameScenario,
@@ -445,9 +444,8 @@ def _sweep(alpha1, alpha2_axis, c_axis, assumed_c):
     plans: dict = {}
     ks = [plans.setdefault((a2, alpha1 + a2 if assumed_c else c), len(plans)) for c, a2 in cells]
     if below := sum(cp < alpha1 + a2 for a2, cp in plans):  # validate_game's test at c1 = c2
-        warnings.warn(f"{below} of {len(plans)} sweep plans have a branch-win probability "
-                      "below the rational-manager floor alpha1 + alpha2",
-                      RationalFloorWarning, stacklevel=_caller_stacklevel())
+        _warn(f"{below} of {len(plans)} sweep plans have a branch-win probability below the "
+              "rational-manager floor alpha1 + alpha2", RationalFloorWarning)
     a2s, cps = np.array(list(plans), dtype=float).T
     f1s, f2s, _, converged = _equilibria(alpha1, a2s, cps, cps, cps / 2.0, cps / 2.0, 0.0, 0.0)
     c, a2 = np.array(cells, dtype=float).T

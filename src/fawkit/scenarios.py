@@ -20,7 +20,6 @@ import json
 import numbers
 import os
 import sys
-import warnings
 from dataclasses import dataclass
 from functools import reduce
 from operator import add
@@ -33,7 +32,7 @@ from .errors import (
     RationalFloorWarning,
     ScenarioFileError,
     TooManyPools,
-    _caller_stacklevel,
+    _warn,
 )
 
 MAX_SINGLE_ACTOR = 0.5  # strict bound: any one miner or pool stays below half the network
@@ -255,11 +254,8 @@ def validate_game(s: GameScenario) -> GameScenario:
     if s.c1p + s.c2p > 1.0 + 1e-15:
         raise ConstraintViolated(f"c1p + c2p = {s.c1p + s.c2p!r} exceeds 1")
     if min(s.c1, s.c2) < s.alpha1 + s.alpha2:
-        warnings.warn(
-            "branch-win probability below the rational-manager floor alpha1 + alpha2",
-            RationalFloorWarning,
-            stacklevel=_caller_stacklevel(),
-        )
+        _warn("branch-win probability below the rational-manager floor alpha1 + alpha2",
+              RationalFloorWarning)
     return s
 
 

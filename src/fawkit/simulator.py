@@ -56,12 +56,11 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import _caller_stacklevel
+from .errors import _warn
 from .scenarios import (
     SCHEMA_VERSION,
     GameScenario,
@@ -359,8 +358,7 @@ def simulate(cfg: SimConfig) -> SimOutcome:
     _check_kind("cfg", cfg, SimConfig)
     model = _model(cfg.scenario)
     if cfg.rounds < 100:
-        warnings.warn("fewer than 100 rounds; statistics will be degenerate",
-                      UserWarning, stacklevel=_caller_stacklevel())
+        _warn("fewer than 100 rounds; statistics will be degenerate", UserWarning)
     counts = _block(model, _block_rng(cfg.seed, 0), cfg.rounds).tolist()
     m = len(model.actors)
     ends, fork_wins = counts[:m], counts[m:2 * m]

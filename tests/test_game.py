@@ -624,7 +624,9 @@ def _below_floor():
     lambda: net_payoffs(_below_floor()),
     lambda: best_response(_below_floor(), 1),
     lambda: simulate(SimConfig(rounds=1000, seed=1, scenario=_below_floor())),
-], ids=["GameScenario", "solve_equilibrium", "net_payoffs", "best_response", "simulate"])
+    lambda: dataclasses.replace(GameScenario(0.2, 0.1, 0.0, 0.0, 1, 1, 0.5, 0.5), c1=0.1),
+], ids=["GameScenario", "solve_equilibrium", "net_payoffs", "best_response", "simulate",
+        "replace"])
 def test_floor_warning_names_the_callers_line(call):
     """The one warning comes from building the game: a call on a built scenario adds none."""
     with warnings.catch_warnings(record=True) as caught:
