@@ -16,8 +16,8 @@ import importlib as _importlib
 
 # exported name -> the submodule that defines it; each submodule is exported too
 _EXPORTS = {name: module for module, names in {
-    "bounds": "HonestPowerDistribution bonus_scheme_reward c_from_gamma c_max_single "
-              "c_min_rational detection_resilient_reward gamma_upper_bound honeypot_bwh_bound "
+    "bounds": "bonus_scheme_reward c_from_gamma c_max_single c_min_rational "
+              "detection_resilient_reward gamma_upper_bound honeypot_bwh_bound "
               "safe_bonus_threshold selfish_mining_threshold",
     "errors": "BudgetExceeded ConstraintViolated DegenerateInput FawError "
               "InconsistentDistribution NegativeEffectiveMinersWarning PowerOutOfRange "

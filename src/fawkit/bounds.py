@@ -20,8 +20,6 @@ so in its docstring and carries GAMMA_AS_TAU_NOTE as ``substitution_note``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import (
     ConstraintViolated,
     InconsistentDistribution,
@@ -31,10 +29,8 @@ from .errors import (
 from .scenarios import (
     SinglePoolScenario,
     _check_integer,
-    _check_kind,
     _check_unit,
     _each,
-    _store,
     _total,
 )
 from .single_pool import _pots, _share
@@ -45,55 +41,36 @@ GAMMA_AS_TAU_NOTE = (
 )
 
 _TOTAL_TOL = 1e-9
-_DISTRIBUTION_CHECKS = (_each(_check_unit), _check_unit)
 
 
-@dataclass(frozen=True)
-class HonestPowerDistribution:
-    """External honest power split into named shares plus an atomized rest.
-
-    ``atomized_remainder`` models power spread over arbitrarily many tiny
-    miners; it counts toward the total but contributes zero to the
-    concentration sum of squares. Each is a power fraction in [0, 1].
-    """
-
-    shares: tuple[float, ...]
-    atomized_remainder: float = 0.0
-
-    def __post_init__(self):
-        _store(self, _DISTRIBUTION_CHECKS)
-
-    @property
-    def total(self) -> float:
-        return _total(self.shares) + self.atomized_remainder
-
-    @property
-    def square_sum(self) -> float:
-        return _total(x * x for x in self.shares)
-
-
-def _require_total(dist: HonestPowerDistribution, expected: float, what: str):
-    _check_kind("dist", dist, HonestPowerDistribution)
-    if not abs(dist.total - expected) <= _TOTAL_TOL:
+def _square_sum(shares, atomized_remainder, expected: float, what: str) -> float:
+    """The sum of squares of the checked honest ``shares``, which with ``atomized_remainder``
+    must total ``what`` = ``expected``; both sums are taken in order."""
+    shares = _each(_check_unit)("shares", shares)
+    total = _total(shares) + _check_unit("atomized_remainder", atomized_remainder)
+    if not abs(total - expected) <= _TOTAL_TOL:
         raise InconsistentDistribution(
-            f"honest shares sum to {dist.total!r}, expected {what} = {expected!r}"
+            f"honest shares sum to {total!r}, expected {what} = {expected!r}"
         )
+    return _total(x * x for x in shares)
 
 
-def c_max_single(alpha: float, beta: float, dist: HonestPowerDistribution) -> float:
+def c_max_single(alpha: float, beta: float, shares, atomized_remainder: float = 0.0) -> float:
     """Upper bound on c from external honest power concentration.
 
         c_max = 1 - sum(o_j^2) / (1 - alpha - beta)
 
-    The honest shares must sum to 1 - alpha - beta. For a two-pool game,
-    pass the pool powers as alpha and beta; the denominator is then one
-    minus the participants' total. Fully atomized honest power gives 1; a
-    single honest node owning everything gives alpha + beta.
+    External honest power is the named ``shares`` o_j plus ``atomized_remainder``,
+    power spread over arbitrarily many tiny miners, which counts toward the total
+    but adds nothing to the sum of squares. Each is a power fraction in [0, 1],
+    checked after alpha and beta; together they must sum to 1 - alpha - beta.
+    For a two-pool game, pass the pool powers as alpha and beta; the denominator
+    is then one minus the participants' total. Fully atomized honest power gives
+    1; a single honest node owning everything gives alpha + beta.
     """
     alpha, beta, _, _ = vars(SinglePoolScenario(alpha, beta, 0.0, 0.0)).values()
     external = 1.0 - alpha - beta
-    _require_total(dist, external, "1 - alpha - beta")
-    return 1.0 - dist.square_sum / external
+    return 1.0 - _square_sum(shares, atomized_remainder, external, "1 - alpha - beta") / external
 
 
 def c_min_rational(alpha: float, beta: float) -> float:
@@ -123,15 +100,15 @@ def selfish_mining_threshold(gamma: float) -> float:
     return (1.0 - gamma) / (3.0 - 2.0 * gamma)
 
 
-def gamma_upper_bound(dist: HonestPowerDistribution, alpha: float) -> float:
+def gamma_upper_bound(alpha: float, shares, atomized_remainder: float = 0.0) -> float:
     """Loose cap on the selfish miner's gamma: 1 - sum(o_i^2).
 
     This is the weakest link of the chain of inequalities and therefore the
-    safest cap; the honest shares must sum to 1 - alpha.
+    safest cap. The honest ``shares`` and ``atomized_remainder`` are read as
+    by c_max_single, checked after alpha, and must sum to 1 - alpha.
     """
     alpha = SinglePoolScenario(alpha, 0.0, 0.0, 0.0).alpha
-    _require_total(dist, 1.0 - alpha, "1 - alpha")
-    return 1.0 - dist.square_sum
+    return 1.0 - _square_sum(shares, atomized_remainder, 1.0 - alpha, "1 - alpha")
 
 
 def _diluted(pot, ta, beta, L, count, what):
@@ -232,11 +209,14 @@ def safe_bonus_threshold(pool_power: float, c_max: float) -> float:
     P is the pool's current observed power (honest part plus infiltration).
     Values above 1 are returned as-is: they mean no feasible bonus fraction
     exists, which is itself the analytical result (large c defeats this
-    defense for small pools). c_max = 0 gives 0.5.
+    defense for small pools). c_max = 0 gives 0.5. The denominator is summed
+    as (1 - c_max) + c_max * P, which cancels nothing, so a small P keeps its
+    digits; at c_max = 1 and a subnormal P the exact value is past the float
+    range and the result is inf.
     """
     pool_power = _check_unit("pool_power", pool_power)
     if pool_power == 0.0:
         raise ConstraintViolated(f"pool_power={pool_power!r} outside (0, 1]")
     c_max = _check_unit("c_max", c_max)
-    return 1.0 / (2.0 * (1.0 - c_max * (1.0 - pool_power)))
+    return 1.0 / (2.0 * ((1.0 - c_max) + c_max * pool_power))
 

@@ -253,27 +253,16 @@ def cmd_sim(args) -> int:
     return _exit_code(solve)
 
 
-def _c_max(alpha, beta, shares, atomized_remainder):
-    from . import bounds
-    return bounds.c_max_single(
-        alpha, beta, bounds.HonestPowerDistribution(shares, atomized_remainder))
-
-
-def _gamma_bound(alpha, shares, atomized_remainder):
-    from . import bounds
-    return bounds.gamma_upper_bound(
-        bounds.HonestPowerDistribution(shares, atomized_remainder), alpha)
-
-
-# subcommand -> analytic -> (flags it reads, in output order; the bounds function's name, or
-# an adapter; result key)
+# subcommand -> analytic -> (flags it reads, in output order; the bounds function it calls,
+# which takes them in that order; result key)
 _ANALYTICS = {
     "bounds": {
-        "c-max": (("alpha", "beta", "shares", "atomized_remainder"), _c_max, "c_max"),
+        "c-max": (("alpha", "beta", "shares", "atomized_remainder"), "c_max_single", "c_max"),
         "c-min": (("alpha", "beta"), "c_min_rational", "c_min"),
         "c-from-gamma": (("gamma", "alpha", "beta"), "c_from_gamma", "c"),
         "selfish-threshold": (("gamma",), "selfish_mining_threshold", "threshold"),
-        "gamma-bound": (("alpha", "shares", "atomized_remainder"), _gamma_bound, "gamma_bound"),
+        "gamma-bound": (("alpha", "shares", "atomized_remainder"), "gamma_upper_bound",
+                        "gamma_bound"),
     },
     "counter": {
         "detection": (("alpha", "beta", "tau", "c", "L"), "detection_resilient_reward",
@@ -291,8 +280,8 @@ _ANALYTIC_DEFAULTS = {"shares": (), "atomized_remainder": 0.0, "L": 1}
 
 def cmd_analytic(args) -> int:
     from . import bounds
-    flags, call, key = _ANALYTICS[args.command][args.what]
-    call = getattr(bounds, call) if isinstance(call, str) else call
+    flags, function, key = _ANALYTICS[args.command][args.what]
+    call = getattr(bounds, function)
     for name, option in args.options.items():
         if getattr(args, name) is None:
             setattr(args, name, _ANALYTIC_DEFAULTS.get(name))

@@ -91,8 +91,8 @@ def _reproduce_borderline(fx, rows):
 
 def _reproduce_cmax(fx, rows):
     from . import bounds
-    dist = bounds.HonestPowerDistribution(fx["honest_shares"], fx["atomized_remainder"])
-    got = bounds.c_max_single(fx["alpha"], fx["beta"], dist)
+    got = bounds.c_max_single(fx["alpha"], fx["beta"], fx["honest_shares"],
+                              fx["atomized_remainder"])
     _near(rows, "c_max", fx["expected_c_max"], got, fx["tolerance"], digits=6)
 
 
@@ -102,8 +102,7 @@ def _reproduce_selfish(fx, rows):
     lo, hi = fx["expected_threshold_range"]
     _check(rows, "selfish_threshold", f"[{lo}, {hi}]", round(got, 6), lo <= got <= hi)
     gb = fx["gamma_bound"]
-    dist = bounds.HonestPowerDistribution(gb["honest_shares"], gb["atomized_remainder"])
-    got_gb = bounds.gamma_upper_bound(dist, gb["alpha"])
+    got_gb = bounds.gamma_upper_bound(gb["alpha"], gb["honest_shares"], gb["atomized_remainder"])
     _check(rows, "gamma_upper_bound", gb["expected"], got_gb,
            abs(got_gb - gb["expected"]) <= gb["tolerance"])
 

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from fawkit.bounds import (
-    HonestPowerDistribution,
     bonus_scheme_reward,
     c_max_single,
     gamma_upper_bound,
@@ -219,11 +218,9 @@ def test_criterion_08_collapse_consistency():
 
 
 def test_criterion_09_bound_fixtures():
-    dist = HonestPowerDistribution(shares=(0.2, 0.1, 0.1), atomized_remainder=0.3)
-    cmax = c_max_single(0.2, 0.1, dist)
+    cmax = c_max_single(0.2, 0.1, (0.2, 0.1, 0.1), atomized_remainder=0.3)
     thresh = selfish_mining_threshold(0.89)
-    gbound = gamma_upper_bound(
-        HonestPowerDistribution(shares=(0.2, 0.2, 0.1, 0.1, 0.1)), 0.3)
+    gbound = gamma_upper_bound(0.3, (0.2, 0.2, 0.1, 0.1, 0.1))
     ok = (abs(cmax - 0.914) <= 0.001
           and 0.0899 <= thresh <= 0.0905
           and abs(gbound - 0.89) <= 1e-12)

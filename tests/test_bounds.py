@@ -1,7 +1,9 @@
 import math
 import re
+import sys
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,7 +13,6 @@ from hypothesis import strategies as st
 
 from fawkit.bounds import (
     GAMMA_AS_TAU_NOTE,
-    HonestPowerDistribution,
     bonus_scheme_reward,
     c_from_gamma,
     c_max_single,
@@ -34,25 +35,22 @@ from fawkit.single_pool import _pots, optimal_tau, reward_single
 
 def test_c_max_single_node_owns_everything():
     alpha, beta = 0.2, 0.2
-    dist = HonestPowerDistribution(shares=(0.6,))
-    assert c_max_single(alpha, beta, dist) == pytest.approx(alpha + beta)
+    assert c_max_single(alpha, beta, (0.6,)) == pytest.approx(alpha + beta)
 
 
 def test_c_max_fully_atomized():
-    dist = HonestPowerDistribution(shares=(), atomized_remainder=0.6)
-    assert c_max_single(0.2, 0.2, dist) == 1.0
+    assert c_max_single(0.2, 0.2, (), atomized_remainder=0.6) == 1.0
 
 
 def test_c_max_two_pool_game_reference():
     # 0.2 vs 0.1 game; honest = three named pools + atomized 0.3 remainder
-    dist = HonestPowerDistribution(shares=(0.2, 0.1, 0.1), atomized_remainder=0.3)
-    got = c_max_single(0.2, 0.1, dist)
+    got = c_max_single(0.2, 0.1, (0.2, 0.1, 0.1), 0.3)
     assert abs(got - 0.914) <= 0.001
 
 
 def test_c_max_checks_totals():
     with pytest.raises(InconsistentDistribution):
-        c_max_single(0.2, 0.2, HonestPowerDistribution(shares=(0.5,)))
+        c_max_single(0.2, 0.2, (0.5,))
 
 
 @pytest.mark.parametrize("shares, atomized, named", [
@@ -62,18 +60,23 @@ def test_c_max_checks_totals():
     ((-0.1, 0.8), 0.0, "shares[0]=-0.1"),
 ], ids=["nan-share", "nan-atomized", "inf-atomized", "negative-share"])
 def test_distribution_rejects_non_finite_or_negative_power(shares, atomized, named):
-    with pytest.raises(ConstraintViolated, match=re.escape(named)):
-        HonestPowerDistribution(shares, atomized)
+    for call in (lambda: c_max_single(0.2, 0.1, shares, atomized),
+                 lambda: gamma_upper_bound(0.3, shares, atomized)):
+        with pytest.raises(ConstraintViolated, match=re.escape(named)):
+            call()
 
 
 def test_honest_shares_are_summed_in_order():
     # as validate_multi sums the taus: the builtin sum compensates from Python 3.12 on, and
     # math.fsum, which rounds correctly, gives 0.6 and 0.1025 here
     shares = (0.1, 0.2, 0.3)
-    assert HonestPowerDistribution(shares).total == 0.6000000000000001 != math.fsum(shares)
-    shares = (0.1, 0.3, 0.05)
-    squares = HonestPowerDistribution(shares).square_sum
-    assert squares == 0.10250000000000001 != math.fsum(x * x for x in shares)
+    assert math.fsum(shares) == 0.6
+    with pytest.raises(InconsistentDistribution, match=re.escape(
+            "honest shares sum to 0.6000000000000001, expected 1 - alpha = 0.9")):
+        gamma_upper_bound(0.1, shares)
+    shares = (0.1, 0.3, 0.05)  # their squares sum to 0.10250000000000001 in order
+    assert c_max_single(0.25, 0.2, shares, 0.1) == 0.8136363636363636
+    assert 1.0 - math.fsum(x * x for x in shares) / 0.55 == 0.8136363636363637
 
 
 def test_c_max_antitone_under_merging():
@@ -84,10 +87,8 @@ def test_c_max_antitone_under_merging():
         ext = 1 - alpha - beta
         cuts = np.sort(rng.uniform(0, ext, size=3))
         shares = np.diff(np.concatenate([[0.0], cuts, [ext]]))
-        dist = HonestPowerDistribution(shares=tuple(shares))
-        merged = HonestPowerDistribution(
-            shares=(shares[0] + shares[1], *shares[2:]))
-        assert c_max_single(alpha, beta, merged) <= c_max_single(alpha, beta, dist) + 1e-15
+        merged = (shares[0] + shares[1], *shares[2:])
+        assert c_max_single(alpha, beta, merged) <= c_max_single(alpha, beta, shares) + 1e-15
 
 
 def test_c_min_rational():
@@ -118,18 +119,16 @@ def test_selfish_threshold_strictly_decreasing():
 
 
 def test_gamma_upper_bound_reference():
-    dist = HonestPowerDistribution(shares=(0.2, 0.2, 0.1, 0.1, 0.1))
-    assert abs(gamma_upper_bound(dist, 0.3) - 0.89) <= 1e-12
+    assert abs(gamma_upper_bound(0.3, (0.2, 0.2, 0.1, 0.1, 0.1)) - 0.89) <= 1e-12
 
 
 def test_gamma_upper_bound_edge_cases():
     alpha = 0.3
-    single = HonestPowerDistribution(shares=(1 - alpha,))
-    assert gamma_upper_bound(single, alpha) == pytest.approx(1 - (1 - alpha) ** 2)
-    atomized = HonestPowerDistribution(shares=(), atomized_remainder=1 - alpha)
-    assert gamma_upper_bound(atomized, alpha) == 1.0
+    single = (1 - alpha,)
+    assert gamma_upper_bound(alpha, single) == pytest.approx(1 - (1 - alpha) ** 2)
+    assert gamma_upper_bound(alpha, (), atomized_remainder=1 - alpha) == 1.0
     with pytest.raises(InconsistentDistribution):
-        gamma_upper_bound(single, 0.1)
+        gamma_upper_bound(0.1, single)
 
 
 def test_detection_reward_converges_to_unguarded():
@@ -326,6 +325,20 @@ def test_safe_bonus_threshold_values():
     t = safe_bonus_threshold(0.3, 1.0)
     assert t == pytest.approx(1 / 0.6)
     assert t > 1.0  # infeasible: no bonus fraction can be paid
+
+
+@given(st.floats(sys.float_info.min, 1.0), st.floats(0.0, 1.0))
+@example(5e-17, 1.0)  # 1 - c_max * (1 - P) rounded to 0: a ZeroDivisionError
+@example(1e-16, 1.0)  # and to 2**-53, for 4503599627370496.0
+def test_safe_bonus_threshold_is_within_a_few_ulps_of_exact(pool_power, c_max):
+    exact = 1 / (2 * (1 - Fraction(c_max) * (1 - Fraction(pool_power))))
+    assert abs(Fraction(safe_bonus_threshold(pool_power, c_max)) / exact - 1) <= 4 * 2.0**-53
+
+
+def test_safe_bonus_threshold_past_the_float_range_is_inf():
+    # at c_max = 1 the threshold is 1 / (2P): past the largest float for a subnormal P
+    assert safe_bonus_threshold(5e-324, 1.0) == math.inf
+    assert safe_bonus_threshold(sys.float_info.min, 1.0) == 1 / (2 * sys.float_info.min)
 
 
 def test_bonus_guarantee_small_grid():

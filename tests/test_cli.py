@@ -15,9 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fawkit import bounds
 from fawkit import game as game_mod
 from fawkit import multi_pool
-from fawkit.cli import main, parse_floats, parse_range
+from fawkit.cli import _ANALYTICS, main, parse_floats, parse_range
 from fawkit.errors import UnknownFixture
 from fawkit.game import SWEEP_CSV_HEADER
 from fawkit.reproduce import FIXTURE_NAMES, load_fixture, reproduce
@@ -569,13 +570,36 @@ def test_analytic_rejects_a_flag_it_does_not_read(capsys, command, flags, _, unr
     (("c-max", "--alpha", "0.2", "--beta", "0.1", "--shares", "0.2,0.1,0.1", "--atomized", "nan"),
      "atomized_remainder=nan"),
     (("c-max", "--alpha", "0.2", "--beta", "0.1", "--shares", "nan,0.7"), "shares[0]=nan"),
+    # two faults: the powers are checked before the honest shares
+    (("c-max", "--alpha", "0.9", "--beta", "0.1", "--shares", "1.5"),
+     "alpha=0.9 reaches the majority guard"),
+    (("gamma-bound", "--alpha", "0.7", "--shares", "1.5"), "alpha=0.7 reaches the majority guard"),
 ], ids=["c-min-majority", "c-from-gamma-negative", "gamma-bound-majority", "c-max-majority",
-        "c-max-nan-atomized", "c-max-nan-share"])
+        "c-max-nan-atomized", "c-max-nan-share", "c-max-majority-and-share",
+        "gamma-bound-majority-and-share"])
 def test_bounds_reject_impossible_powers(capsys, argv, named):
     code, out, err = run_cli(capsys, "bounds", *argv)
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and named in err
+
+
+def test_each_analytic_reads_its_functions_parameters():
+    """An analytic passes its flags positionally, so they are its function's parameters."""
+    for analytics in _ANALYTICS.values():
+        for flags, function, _ in analytics.values():
+            code = getattr(bounds, function).__code__
+            assert flags == code.co_varnames[:code.co_argcount], function
+
+
+def test_bonus_threshold_of_a_tiny_pool(capsys):
+    # 1 - c_max * (1 - P) rounds to 0 here: the threshold is 1 / (2P)
+    code, out, err = run_cli(capsys, "counter", "bonus-threshold",
+                             "--pool-power", "5e-17", "--c-max", "1")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["threshold"] == 1e16
+    assert doc["feasible"] is False
 
 
 def test_csv_output_is_one_header_and_one_row(capsys):

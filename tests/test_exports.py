@@ -20,8 +20,8 @@ EXPORTS = {
     # submodules that the package imports
     "bounds", "errors", "game", "multi_pool", "scenarios", "simulator", "single_pool",
     # bounds
-    "HonestPowerDistribution", "bonus_scheme_reward", "c_from_gamma", "c_max_single",
-    "c_min_rational", "detection_resilient_reward", "gamma_upper_bound", "honeypot_bwh_bound",
+    "bonus_scheme_reward", "c_from_gamma", "c_max_single", "c_min_rational",
+    "detection_resilient_reward", "gamma_upper_bound", "honeypot_bwh_bound",
     "safe_bonus_threshold", "selfish_mining_threshold",
     # errors
     "BudgetExceeded", "ConstraintViolated", "DegenerateInput", "FawError",
@@ -53,7 +53,7 @@ def test_exported_names_are_pinned():
     names = subprocess.run([sys.executable, "-c", listing], env=env, capture_output=True,
                            text=True, check=True).stdout.split()
     assert set(names) == EXPORTS
-    assert len(names) == 57
+    assert len(names) == 56
 
 
 _RUN = ("--format", "--output")
@@ -107,7 +107,7 @@ def test_star_import_binds_every_export():
     star = "from fawkit import *; print(*(n for n in dir() if not n.startswith('_')))"
     names = _fresh(star).split()
     assert set(names) == EXPORTS
-    assert len(names) == 57
+    assert len(names) == 56
 
 
 def test_each_export_is_its_submodules_object():

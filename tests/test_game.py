@@ -618,21 +618,26 @@ def _below_floor():
     return GameScenario(0.2, 0.1, 0.0, 0.0, 0.1, 0.1, 0.05, 0.05)
 
 
-@pytest.mark.parametrize("call", [
-    _below_floor,
-    lambda: solve_equilibrium(0.2, 0.1, 0.1, 0.1, 0.05, 0.05),
-    lambda: net_payoffs(_below_floor()),
-    lambda: best_response(_below_floor(), 1),
-    lambda: simulate(SimConfig(rounds=1000, seed=1, scenario=_below_floor())),
-    lambda: dataclasses.replace(GameScenario(0.2, 0.1, 0.0, 0.0, 1, 1, 0.5, 0.5), c1=0.1),
+_BELOW_FLOOR_LINE = _below_floor.__code__.co_firstlineno + 1  # its GameScenario call
+
+
+@pytest.mark.parametrize("call, line", [
+    (_below_floor, _BELOW_FLOOR_LINE),
+    (lambda: solve_equilibrium(0.2, 0.1, 0.1, 0.1, 0.05, 0.05), None),
+    (lambda: net_payoffs(_below_floor()), _BELOW_FLOOR_LINE),
+    (lambda: best_response(_below_floor(), 1), _BELOW_FLOOR_LINE),
+    (lambda: simulate(SimConfig(rounds=1000, seed=1, scenario=_below_floor())), _BELOW_FLOOR_LINE),
+    (lambda: dataclasses.replace(GameScenario(0.2, 0.1, 0.0, 0.0, 1, 1, 0.5, 0.5), c1=0.1), None),
 ], ids=["GameScenario", "solve_equilibrium", "net_payoffs", "best_response", "simulate",
         "replace"])
-def test_floor_warning_names_the_callers_line(call):
-    """The one warning comes from building the game: a call on a built scenario adds none."""
+def test_floor_warning_names_the_callers_line(call, line):
+    """The one warning comes from building the game, on the line of this file that called
+    fawkit (the lambda's own where ``line`` is None): a call on a built scenario adds none."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         call()
-    assert [(w.category, w.filename) for w in caught] == [(RationalFloorWarning, __file__)]
+    assert [(w.category, w.filename, w.lineno) for w in caught] == [
+        (RationalFloorWarning, __file__, line or call.__code__.co_firstlineno)]
 
 
 def test_sweep_passes_other_warnings_through(monkeypatch):

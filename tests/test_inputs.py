@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from fawkit import (
     ConstraintViolated,
     FawError,
-    HonestPowerDistribution,
     SimConfig,
     best_response,
     bonus_scheme_reward,
@@ -64,9 +63,9 @@ MALFORMED = {
     "bonus-threshold-none": (lambda: safe_bonus_threshold(0.3, None), "c_max=None"),
     "bonus-threshold-pool-0": (lambda: safe_bonus_threshold(0.0, 0.5),
                                "pool_power=0.0 outside (0, 1]"),
-    "shares-item-str": (lambda: HonestPowerDistribution(["x"]), "shares[0]='x'"),
-    "shares-float": (lambda: HonestPowerDistribution(0.3), "shares=0.3"),
-    "atomized-str": (lambda: HonestPowerDistribution([0.1], "x"), "atomized_remainder='x'"),
+    "shares-item-str": (lambda: c_max_single(0.2, 0.1, ["x"]), "shares[0]='x'"),
+    "shares-float": (lambda: gamma_upper_bound(0.3, 0.3), "shares=0.3"),
+    "atomized-str": (lambda: c_max_single(0.2, 0.1, [0.1], "x"), "atomized_remainder='x'"),
     "two-pools-c-none": (lambda: reward_two_pools(0.2, 0.1, 0.1, 0.1, 0.1, None, 1, 0.5, 0.5),
                          "c1_two=None"),
     "sweep-axis-str": (lambda: sweep_axis("a", 1, 0.1), "start='a'"),
@@ -91,7 +90,7 @@ MALFORMED = {
     "sim-scenario-none": (lambda: simulate(SimConfig(100, 1, None)), "scenario=None"),
     "sim-workers-0": (lambda: SimConfig(100, 1, SINGLE, workers=0), "workers=0 must be >= 1"),
     "preset-list": (lambda: preset_attack([]), "preset []"),
-    "dist-none": (lambda: c_max_single(0.2, 0.1, None), "dist=None"),
+    "dist-none": (lambda: c_max_single(0.2, 0.1, None), "shares=None"),
     "scenario-path-none": (lambda: load_scenario(None), "scenario file None"),
     "scenario-path-int": (lambda: load_scenario(3), "scenario file 3"),  # not file descriptor 3
     "responder-bool": (
@@ -128,7 +127,7 @@ BOOLS = {
     "selfish": (lambda: selfish_mining_threshold(True), "gamma=True"),
     "bonus-t": (lambda: bonus_scheme_reward(0.2, 0.2, 0.1, 0.5, t=True), "t=True"),
     "bonus-threshold": (lambda: safe_bonus_threshold(True, 0.5), "pool_power=True"),
-    "shares": (lambda: HonestPowerDistribution([True]), "shares[0]=True"),
+    "shares": (lambda: gamma_upper_bound(0.3, [True]), "shares[0]=True"),
 }
 
 
@@ -211,8 +210,9 @@ def test_numpy_numbers_compute_as_their_float_twins(twins):
 
 # Every exported callable that takes raw numbers, and sweep_axis, with the kind of each
 # argument: a key of _FLOATS or _COUNTS, a tuple of them for a sequence, or "game" for a
-# game scenario; a "dist" argument is the honest power the "power" and "third" arguments
-# leave, a drawn part of it as one share. rer and classify_winner are left out on purpose:
+# game scenario; a "share" is the part it draws of the honest power the "power" and "third"
+# arguments leave, and the "atomized" argument after it the rest. rer and classify_winner
+# are left out on purpose:
 # they compute on numbers their caller computed and check none of them, as a game sweep
 # calls classify_winner on every cell.
 _RAW_CALLS = {
@@ -229,17 +229,16 @@ _RAW_CALLS = {
     "sweep_regions_assumed_c": (sweep_regions_assumed_c,
                                 ("power", ("power", "power"), ("unit", "unit"))),
     "sweep_axis": (sweep_axis, ("unit", "unit", "step")),
-    "c_max_single": (c_max_single, ("power", "power", "dist")),
+    "c_max_single": (c_max_single, ("power", "power", ("share",), "atomized")),
     "c_min_rational": (c_min_rational, ("power", "power")),
     "c_from_gamma": (c_from_gamma, ("unit", "power", "power")),
     "selfish_mining_threshold": (selfish_mining_threshold, ("unit",)),
-    "gamma_upper_bound": (gamma_upper_bound, ("dist", "power")),
+    "gamma_upper_bound": (gamma_upper_bound, ("power", ("share",), "atomized")),
     "detection_resilient_reward": (detection_resilient_reward,
                                    ("power", "power", "unit", "unit", "count")),
     "honeypot_bwh_bound": (honeypot_bwh_bound, ("power", "power", "unit", "count")),
     "bonus_scheme_reward": (bonus_scheme_reward, ("power", "power", "unit", "unit", "unit")),
     "safe_bonus_threshold": (safe_bonus_threshold, ("unit", "unit")),
-    "HonestPowerDistribution": (HonestPowerDistribution, (("half", "half"), "unit")),
     "SinglePoolScenario": (SinglePoolScenario, ("power", "power", "unit", "unit")),
     "MultiPoolScenario": (MultiPoolScenario, ("third", ("third", "third"), ("half", "half"),
                                               "unit")),
@@ -251,7 +250,7 @@ _RAW_CALLS = {
 _FLOATS = {"power": st.floats(0.0, 0.49), "third": st.floats(0.001, 0.33),
            "half": st.floats(0.0, 0.5), "unit": st.floats(0.0, 1.0),
            "small": st.floats(0.0, 0.01), "step": st.floats(0.01, 0.5),
-           "dist": st.floats(0.0, 1.0)}
+           "share": st.floats(0.0, 1.0)}
 _COUNTS = {"count": st.integers(1, 20), "responder": st.integers(1, 2),
            "rounds": st.integers(100, 1000), "seed": st.integers(0, 2**63 - 1)}
 # each ends in a FawError wherever an argument is expected
@@ -260,10 +259,10 @@ _NOT_AN_ARGUMENT = (None, "0.2", True, math.nan, math.inf, -math.inf, [[0.1]], S
 
 def _twin(kind, x):
     """The float an argument of ``kind`` computes as: an int for a count, a list of them for a
-    sequence, and a scenario or distribution as it is."""
+    sequence, and a scenario as it is."""
     if isinstance(kind, tuple):
         return [_twin(k, v) for k, v in zip(kind, x)]
-    return int(x) if kind in _COUNTS else x if kind in ("game", "dist") else float(x)
+    return int(x) if kind in _COUNTS else x if kind == "game" else float(x)
 
 
 _FORMS = (float, np.float32, np.float64, int, np.int64)
@@ -281,19 +280,21 @@ def _calls(draw):
             return draw(game_scenarios())
         if kind in _COUNTS:
             return draw(st.sampled_from((int, np.int64)))(draw(_COUNTS[kind]))
+        if kind == "atomized":
+            return None  # set below: the honest power the share leaves
         x = draw(_FLOATS[kind])
-        if kind == "dist":
-            return x
         form = draw(st.sampled_from(_FORMS))
         return x if form in (int, np.int64) and x != int(x) else form(x)
 
     calls = []
     for name, (_, kinds) in _RAW_CALLS.items():
         args = [arg(kind) for kind in kinds]
-        if "dist" in kinds:  # a drawn part of the honest power left, the rest atomized
+        if "atomized" in kinds:  # the honest power left: the share that part of it, in its
+            # drawn form, and the rest atomized
             honest = 1.0 - sum(float(x) for k, x in zip(kinds, args) if k in ("power", "third"))
-            i = kinds.index("dist")
-            args[i] = HonestPowerDistribution((honest * (1.0 - args[i]),), honest * args[i])
+            i = kinds.index("atomized")
+            share = type(args[i - 1][0])(honest * float(args[i - 1][0]))
+            args[i - 1:i + 1] = [share], honest - float(share)
         bad = draw(st.integers(0, len(kinds) - 1)), draw(st.sampled_from(_NOT_AN_ARGUMENT))
         calls.append((name, args, bad))
     return calls
@@ -333,7 +334,7 @@ def _computes_as_its_float_twin(name, args):
     ("optimize_allocation", [np.float32(0.2), [0.1, 0.2], 1.0], (0, None)),
     ("detection_resilient_reward", [0.2, 0.2, 0.1, 0.5, np.int64(3)], (0, None)),
     ("bonus_scheme_reward", [np.float32(0.2), 0.2, 0.1, 0.5, 0.3], (0, None)),
-    ("c_max_single", [np.float32(0.2), 0.1, HonestPowerDistribution([0.7])], (0, None)),
+    ("c_max_single", [np.float32(0.2), 0.1, [0.7], 0.0], (0, None)),
     ("solve_equilibrium", [np.float32(0.2), 0.1, 1, 1, 0.5, 0.5, [0.0, 0.0]], (0, None)),
     ("sweep_regions_assumed_c", [np.float32(0.2), [0.1], [0.5]], (0, None)),
     ("sweep_axis", [np.float32(0.1), 0.3, 0.1], (0, None)),

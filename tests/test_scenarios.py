@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fawkit.bounds import HonestPowerDistribution
+from fawkit.bounds import c_max_single, gamma_upper_bound
 from fawkit.errors import (
     BudgetExceeded,
     ConstraintViolated,
@@ -94,8 +94,11 @@ def test_game_rational_floor_warning():
     (lambda: MultiPoolScenario(0.2, (0.6, 0.1), (0.1,), 0.0),
      "betas[0]=0.6 reaches the majority guard (0.5)"),
     (lambda: GameScenario(0.2, 0.1, 0.3, 0.0, 1.5, 1, 0.5, 0.5), "c1=1.5 outside [0, 1]"),
-    (lambda: HonestPowerDistribution((1.5, "x")), "shares[0]=1.5 outside [0, 1]"),
-], ids=["single", "multi", "game", "shares"])
+    (lambda: c_max_single(0.2, 0.1, (1.5, "x")), "shares[0]=1.5 outside [0, 1]"),
+    # the powers come before the honest shares
+    (lambda: c_max_single(0.9, 0.1, (1.5,), "x"), "alpha=0.9 reaches the majority guard (0.5)"),
+    (lambda: gamma_upper_bound(0.9, (1.5,), "x"), "alpha=0.9 reaches the majority guard (0.5)"),
+], ids=["single", "multi", "game", "shares", "c-max-powers", "gamma-bound-powers"])
 def test_first_error_is_the_first_faulty_field_then_the_cross_field_rules(build, first):
     # each field in declaration order, its type and range together, before any rule that
     # spans fields: each input here also has a later fault, which must not be reported
