@@ -31,12 +31,10 @@ guard, so no sum cancels. Pool counts are capped at MAX_POOLS by the
 simulator's 2^n-row withheld-set tables; the kernel itself has no cap.
 
 The kernel _reward_raw takes n taus, each a float or an ndarray, or one
-(n, ...) ndarray, real or complex: reward_npool passes a scenario's floats,
-and optimize_allocation a batch of complex points, whose imaginary parts
-carry exact derivatives. It gathers the pools' sets P in chunked passes and
-sums each pot over P ascending as bitmasks; every other sum is sequential
-too (1 - ta(S), T, B and the pools' terms, pool by pool), so a float call
-and an array entry give the same bits.
+(n, ...) ndarray. It gathers the pools' sets P in chunked passes and sums
+each pot over P ascending as bitmasks; every other sum is sequential too
+(1 - ta(S), T, B and the pools' terms, pool by pool), so a float call and
+an array entry give the same bits. _derivatives differentiates the same sum.
 """
 
 from __future__ import annotations
@@ -44,7 +42,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, sqrt, ulp
+from math import comb, ulp
 
 import numpy as np
 
@@ -59,9 +57,8 @@ ALLOC_STEP_TOL = 1e-9   # it converges after a step this small in every u (relat
 ALLOC_GRAD_ULPS = 64    # ... or where each d reward / d tau is within this many ulps of rounding
 ALLOC_ULPS = 4          # a step may lower the reward by this many ulps
 ALLOC_EIG_FLOOR = 1e-8  # Hessian eigenvalues are clamped to -this * the largest |one| or below
-COMPLEX_STEP = 1e-20    # imaginary step in u: the reward's imaginary part over it is a derivative
-# bytes one _reward_raw pass may gather (one pool at least); kept under numpy's 256 KiB temporary
-# elision, which reorders complex products. 128 KiB slowed a 42-point n = 6 call from 125 to 240 us.
+# bytes one _reward_raw pass gathers (one pool at least): 32 KiB took 20 % longer on a 20-point
+# n = 8 batch, and 128 KiB 40 % on a 201-point n = 6 column, whose passes then page-faulted
 _CHUNK_BYTES = 1 << 16
 
 
@@ -125,6 +122,21 @@ def _predecessors(n):
     return others, 1.0 / (n * k_sets[sizes[others]])
 
 
+def _fork_sets(ta, chunk):
+    """Yield (pools, x, g) per pass of chunk pools: x = 1 - ta(P), g = w_|P| / (x (x - ta_i)),
+    each (2^(n-1), pools, ...), pool i's sets P ascending as bitmasks."""
+    free = np.empty((1 << len(ta),) + ta.shape[1:])  # 1 - ta(S), sets as bitmasks
+    free[0] = 1.0
+    for i in range(len(ta)):
+        np.subtract(free[:1 << i], ta[i], out=free[1 << i:2 << i])
+    others, weights = _predecessors(len(ta))
+    weights = weights.reshape(weights.shape + (1,) * (ta.ndim - 1))
+    for i in range(0, len(ta), chunk):
+        pools = slice(i, i + chunk)
+        x = free[others[:, pools]]
+        yield pools, x, weights[:, pools] / (x * (x - ta[pools]))
+
+
 def _reward_raw(alpha, betas, taus, c):
     """reward_npool's sum, unvalidated; taus is an (n, ...) ndarray or n floats and ndarrays."""
     ext = 1.0 - alpha - _total(betas)
@@ -134,20 +146,12 @@ def _reward_raw(alpha, betas, taus, c):
     if shape and not isinstance(taus, np.ndarray):  # floats among broadcastable columns
         taus = [t + np.zeros(shape) for t in taus]
     ta = np.multiply(taus, alpha)
-    free = np.empty((1 << len(ta),) + shape, ta.dtype)  # 1 - ta(S), sets as bitmasks
-    free[0] = 1.0
-    for i in range(len(ta)):
-        np.subtract(free[:1 << i], ta[i], out=free[1 << i:2 << i])
-    others, weights = _predecessors(len(ta))
-    weights = weights.reshape(weights.shape + (1,) * len(shape))
     forks = np.empty_like(ta)
-    chunk = max(_CHUNK_BYTES // (free.nbytes >> 1), 1)  # pools per pass, 2^(n-1) rows each
-    for i in range(0, len(ta), chunk):
-        before = free[others[:, i:i + chunk]]
-        forks[i:i + chunk] = np.add.accumulate(
-            weights[:, i:i + chunk] / (before * (before - ta[i:i + chunk])), axis=0)[-1]
+    chunk = max(_CHUNK_BYTES // (ta[0].nbytes << len(ta) - 1), 1)  # pools per pass
+    for pools, _, g in _fork_sets(ta, chunk):
+        forks[pools] = np.add.accumulate(g, axis=0)[-1]
     if shape:
-        b = np.array(betas).reshape(weights.shape[1:])
+        b = np.reshape(betas, (-1,) + (1,) * len(shape))
         share = np.divide(ta, b + ta, out=np.ones_like(ta), where=b > 0.0)  # 1 where beta = 0
         terms = share * (b / (1.0 - total_ta) + c * ext * ta * forks)
     else:  # floats: a numpy call costs more than a pool's arithmetic
@@ -170,12 +174,11 @@ def reward_npool(s: MultiPoolScenario) -> float:
 class AllocationResult:
     """Optimized infiltration split. ``reward`` re-evaluates at ``taus``.
 
-    ``evaluations`` counts the points the kernel scored, not its calls:
-    each Newton step scores (m+1)·m complex points in one call, for m
-    distinct pool powers, and the KKT check n more. ``kkt_residual`` is
-    the largest violation of the first-order (KKT) conditions for a
-    maximum over {tau >= 0, sum(tau) <= 1} at ``taus``, in reward per unit
-    of tau: about 1e-16 for a converged solve at alpha = 0.2.
+    ``evaluations`` counts derivative passes: one at the start and one per
+    trial point of each Newton step. ``kkt_residual`` is the largest
+    violation of the first-order (KKT) conditions for a maximum over
+    {tau >= 0, sum(tau) <= 1} at ``taus``, in reward per unit of tau: about
+    1e-16 for a converged solve at alpha = 0.2.
     """
 
     taus: tuple[float, ...]
@@ -186,24 +189,38 @@ class AllocationResult:
     kkt_residual: float
 
 
-def _derivatives(alpha, betas, c, group, scale, u, diff_step):
-    """(reward, gradient, Hessian, points scored) in u, where group g's tau is u[g] * scale[g].
+def _derivatives(alpha, betas, c, u):
+    """(reward, gradient, Hessian) in u = tau / beta, pool by pool: the kernel's reward, and
+    its exact derivatives from one pass over the same sets; the Hessian is exactly symmetric.
 
-    One kernel call on (m+1)·m complex points: row k is u (k = 0) or u plus
-    diff_step·max(u[k], 1) in coordinate k, column j adds COMPLEX_STEP·i to
-    coordinate j. Each imaginary part over COMPLEX_STEP is an exact partial
-    derivative at its row's point (Squire & Trapp 1998), and the rows'
-    differences give the Hessian. Of its two estimates of each mixed
-    derivative, the one differencing the smaller pool's gradient is kept:
-    a gradient's rounding error grows with its pool's scale.
+    With x = 1 - ta(P), y = x - ta_i and g = w_|P| / (x y) for pool i and a
+    set P of other pools, d g / d ta = g e for e = Z/x + Z'/y, Z marking the
+    pools of P and Z' those of P + i, and d^2 g = g (e e^T + Z Z^T / x^2 +
+    Z' Z'^T / y^2). In u every factor is bounded at any beta, such as the
+    share's p = beta / (beta + ta) = 1 / (1 + alpha u), with ds/du = alpha p^2.
     """
-    eye = np.eye(len(u))
-    rows = np.vstack((u, u + diff_step * np.diag(np.maximum(u, 1.0))))
-    points = (rows[:, None, :] + COMPLEX_STEP * 1j * eye) * scale
-    r = _reward_raw(alpha, betas, points.reshape(-1, len(u)).T[group], c)
-    grads = (r.imag / COMPLEX_STEP).reshape(rows.shape)
-    hess = (grads[1:] - grads[0]) / (np.diag(rows[1:]) - u)[:, None]  # [j, i]: d grad_i / d u_j
-    return r[0].real, grads[0], np.where(scale <= scale[:, None], hess, hess.T), r.size
+    n, b = len(u), np.array(betas)
+    total_tau, ta = _total(u * b), u * b * alpha
+    total_ta, share = total_tau * alpha, ta / (b + ta)
+    (_, x, g), = _fork_sets(ta, n)
+    forks, k = np.add.accumulate(g)[-1], c * (1.0 - alpha - _total(betas))
+    reward = _total([(1.0 - total_tau) * alpha / (1.0 - total_ta),
+                     *share * (b / (1.0 - total_ta) + k * ta * forks)])
+    r, p, d = alpha * b, 1.0 / (1.0 + alpha * u), 1.0 / (1.0 - total_ta)  # r = d ta / d u
+    # the solo and honest terms are 1 + e0 d, with d (beta s) / d u = r p^2 and d^2 = -2 alpha r p^3
+    e0, db = _total(share * b) - (1.0 - alpha), r * p * p
+    # the fork terms are k sum_i s_i ta_i F_i, with d (s ta) / d u = r s (1 + p)
+    st, dst = share * ta, r * share * (1.0 + p)
+    z = (_predecessors(n)[0][:, :, None] >> np.arange(n) & 1) * r  # Z, Z' / x and / y, in u
+    zx, zy = z / x[..., None], (z + np.diag(r)) / (x - ta)[..., None]
+    fd = np.einsum("pi,pij->ij", g, zx + zy)  # d F_i / d u_j
+    grad = db * d + e0 * r * d * d + k * (dst * forks + st @ fd)
+    # sum_i s_i ta_i d^2 F_i in three products: stacked, they page-faulted at n = 8 (glibc trim)
+    fdd = _total((a * (g * st)[..., None]).reshape(-1, n).T @ a.reshape(-1, n)
+                 for a in (zx + zy, zx, zy))
+    half = (np.outer(db, r) * d * d + k * dst[:, None] * fd + e0 * d ** 3 * np.outer(r, r)
+            + np.diag(alpha * r * p ** 3 * (k * forks - d)) + k * fdd / 2.0)
+    return reward, grad, half + half.T
 
 
 def _newton_step(grad, hess):
@@ -226,21 +243,6 @@ def _newton_step(grad, hess):
     return vec @ (vec.T @ grad / -np.minimum(lam, floor)) / d
 
 
-def _kkt_residual(alpha, betas, c, taus) -> tuple[float, int]:
-    """(largest KKT violation at taus, points scored), from one complex-step gradient per pool.
-
-    Pool i's step is COMPLEX_STEP·beta_i, small against the size of its
-    tau. A pool at tau = 0 violates only by a positive derivative; when the
-    taus sum to 1, the sum's multiplier is the largest derivative, if
-    positive.
-    """
-    points = np.asarray(taus) + COMPLEX_STEP * 1j * np.diag(betas)
-    grad = _reward_raw(alpha, betas, points.T, c).imag / COMPLEX_STEP / betas
-    slack = grad - (max(grad.max(), 0.0) if _total(taus) >= 1.0 else 0.0)
-    violation = np.where(np.asarray(taus) > 0.0, np.abs(slack), slack)
-    return float(np.max(violation, initial=0.0)), grad.size
-
-
 def optimize_allocation(alpha, betas, c) -> AllocationResult:
     """Maximize reward_npool over the simplex {tau_i >= 0, sum(tau) <= 1}.
 
@@ -257,9 +259,9 @@ def optimize_allocation(alpha, betas, c) -> AllocationResult:
     return the last point with converged=False.
     """
     betas = _floats("betas", betas)
-    min_beta = sys.float_info.min / COMPLEX_STEP  # each complex step stays a normal float
-    if any(b < min_beta for b in betas):
-        raise DegenerateInput(f"every target pool needs beta >= {min_beta!r}")
+    if any(b < sys.float_info.min for b in betas):  # below it, u = tau / beta may overflow
+        raise DegenerateInput(f"every target pool needs beta >= {sys.float_info.min!r}, "
+                              "the smallest normal float")
     alpha, _, _, c = vars(MultiPoolScenario(alpha, betas, (0.0,) * len(betas), c)).values()
     if alpha < sys.float_info.min:  # a subnormal reward has too few bits to compare splits
         raise DegenerateInput(f"alpha={alpha!r} must be at least {sys.float_info.min!r}, "
@@ -267,52 +269,49 @@ def optimize_allocation(alpha, betas, c) -> AllocationResult:
 
     powers = list(dict.fromkeys(betas))  # pools of equal power share one tau
     group = [powers.index(b) for b in betas]
-    sizes = np.array([group.count(g) for g in range(len(powers))])
-    total = _total(betas)
-    scale = np.array(powers)
+    pools = np.eye(len(powers))[group]  # row i marks pool i's group
+    sizes, scale, total = pools.sum(axis=0), np.array(powers), _total(betas)
     # the raw closed form, as sum(beta) may pass the majority guard (table2's is 0.5)
     u = np.full(len(powers), optimal_tau_closed_form(alpha, total, c) / total)
-    # the gradient rounds to about eps·alpha and the curvature is of order alpha^2, so this
-    # step of the differences that give the Hessian balances their rounding against
-    # truncation; past 1e-2 (alpha below 2e-12) truncation would slow the steps too much
-    diff_step = min(sqrt(sys.float_info.epsilon / alpha), 1e-2)
-    # d reward / d tau sums terms of order alpha, so d reward / d u rounds to about an ulp
-    # of alpha times beta, and its imaginary part to no finer than the smallest subnormal
-    noise = ALLOC_GRAD_ULPS * (ulp(alpha) * scale + ulp(0.0) / COMPLEX_STEP)
-    reward, grad, hess, evals = _derivatives(alpha, betas, c, group, scale, u, diff_step)
-    converged = False
+    # d reward / d tau sums terms of order alpha: d reward / d u rounds to an ulp of alpha·beta
+    noise = ALLOC_GRAD_ULPS * ulp(alpha) * scale
+    reward, grad, hess = _derivatives(alpha, betas, c, u[group])
+    passes, converged = 1, False
     for _ in range(ALLOC_MAX_STEPS):
         # below alpha of about 1e-154, alpha^2 underflows and leaves no curvature
-        if np.all(np.abs(grad) <= noise) or not hess.any():
+        if np.all(np.abs(grad @ pools) <= noise) or not hess.any():
             converged = True
             break
-        step = _newton_step(grad, hess)
+        step = _newton_step(grad @ pools, pools.T @ hess @ pools)
         while step.any():
             trial = u + step
             if trial.min() >= 0.0 and sizes @ (trial * scale) <= 1.0:
-                found = _derivatives(alpha, betas, c, group, scale, trial, diff_step)
-                evals += found[3]
+                found = _derivatives(alpha, betas, c, trial[group])
+                passes += 1
                 if found[0] >= reward - ALLOC_ULPS * ulp(reward):
                     break
             step = step / 2.0
         else:  # the step halved to zero: no float near u scores higher
             converged = True
             break
-        u, (reward, grad, hess, _) = trial, found
+        u, (reward, grad, hess) = trial, found
         if np.all(np.abs(step) <= ALLOC_STEP_TOL * np.maximum(u, 1.0)):
             converged = True
             break
 
     taus = tuple(float(u[g] * scale[g]) for g in group)
-    kkt, points = _kkt_residual(alpha, betas, c, taus)
     reward = reward_npool(MultiPoolScenario(alpha, betas, taus, c))
+    # the KKT check from each d reward / d tau: a pool at tau = 0 violates only by a positive
+    # one, and when the taus sum to 1, the sum's multiplier is the largest, if positive
+    slack = grad / betas - (max((grad / betas).max(), 0.0) if _total(taus) >= 1.0 else 0.0)
+    kkt = np.where(np.asarray(taus) > 0.0, np.abs(slack), slack).max(initial=0.0)
     return AllocationResult(
         taus=taus,
         reward=reward,
         rer_pct=rer(reward, alpha),
-        evaluations=evals + points,
+        evaluations=passes,
         converged=converged,
-        kkt_residual=kkt,
+        kkt_residual=float(kkt),
     )
 
 

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from fawkit import multi_pool
 from fawkit.errors import ConstraintViolated, DegenerateInput, PowerOutOfRange, TooManyPools
 from fawkit.multi_pool import (
-    COMPLEX_STEP,
     POOL_PRESETS,
     TABLE2_POWERS,
     fixed_tau_reward_mismatched_c,
@@ -150,16 +149,7 @@ def test_kernel_is_close_to_the_per_mask_loop(s, data):
         if data.draw(st.booleans()) else t
         for t in s.taus
     ]
-    # the solver's batch: an (n, points) array whose point j steps pool j % n by
-    # COMPLEX_STEP i beta, on the solver's domain, where each step is a normal float
-    points = data.draw(st.integers(1, 12))
-    real = np.array(data.draw(st.lists(st.floats(0.0, 1.0 / n), min_size=n * points,
-                                       max_size=n * points))).reshape(n, points)
-    steps = np.arange(points) % n == np.arange(n)[:, None]
-    batch = real + COMPLEX_STEP * 1j * np.array(s.betas)[:, None] * steps
-    solver_domain = min(s.betas) >= sys.float_info.min / COMPLEX_STEP
-    for args in ((s.alpha, s.betas, s.taus, s.c), (s.alpha, s.betas, taus, s.c),
-                 (s.alpha, s.betas, batch, s.c))[:3 if solver_domain else 2]:
+    for args in ((s.alpha, s.betas, s.taus, s.c), (s.alpha, s.betas, taus, s.c)):
         got = multi_pool._reward_raw(*args)
         assert np.array_equal(got, _per_pool_reward(*args))
         assert _close_elementwise(got, _per_mask_reward(*args), s.alpha)
@@ -403,25 +393,24 @@ def test_newton_split_is_at_least_the_coordinate_ascent(data):
     n = data.draw(st.integers(1, 4))
     alpha = data.draw(st.floats(sys.float_info.min, 0.49))
     cap = min(0.49, (1.0 - alpha) / n)
-    betas = tuple(data.draw(st.lists(st.floats(sys.float_info.min / COMPLEX_STEP, cap),
-                                     min_size=n, max_size=n)))
+    betas = tuple(data.draw(st.lists(st.floats(sys.float_info.min, cap), min_size=n, max_size=n)))
     _check_against_the_oracle(alpha, betas, data.draw(st.floats(0.0, 1.0)))
 
 
 @given(st.data())
 def test_a_tiny_pool_does_not_send_the_split_wandering(data):
     # a pool near the solver's floor once took 54 Newton steps (1084 points) from a start
-    # within 0.5 % of the optimum; 6000 such draws took at most 84 points
+    # within 0.5 % of the optimum; 6000 such draws down to the floor took at most 4 passes
     n = data.draw(st.integers(2, 4))
     alpha = data.draw(st.floats(0.01, 0.45))
-    floor = sys.float_info.min / COMPLEX_STEP
+    floor = sys.float_info.min
     cap = min(0.49, (1.0 - alpha) / n)
     betas = [data.draw(st.floats(floor, 1e-200)),
              *data.draw(st.lists(st.floats(floor, cap), min_size=n - 1, max_size=n - 1))]
     res = optimize_allocation(alpha, tuple(data.draw(st.permutations(betas))),
                               data.draw(st.floats(0.0, 1.0)))
     assert res.converged
-    assert res.evaluations <= 200
+    assert res.evaluations <= 8
 
 
 @pytest.mark.parametrize("c", [0.0, 0.7, 1.0])
@@ -443,6 +432,51 @@ def test_optimizer_reports_exhausted_sweeps(monkeypatch):
     assert res.reward == reward_npool(MultiPoolScenario(alpha, betas, res.taus, 1.0))
 
 
+def _richardson(alpha, betas, u, c, h):
+    """(gradient, Hessian) of the float kernel in u = tau / beta, by Richardson differences.
+
+    Pool j steps by h (1 + alpha u_j) / alpha, the scale on which its share
+    alpha u / (1 + alpha u) bends. One kernel call scores u + h (s step_j +
+    t step_k) for every j, k and signs s, t: the mixed differences give the
+    Hessian, and j = k the central gradient difference over 2h. Combining h
+    and h / 2 leaves a truncation error of order h^4.
+    """
+    n, steps = len(u), (1.0 + alpha * u) / alpha
+
+    def differences(h):
+        signs = np.array([(1, 1), (1, -1), (-1, 1), (-1, -1)])[:, :, None, None, None]
+        points = u + h * (signs[:, 0] * np.diag(steps)[:, None] + signs[:, 1] * np.diag(steps))
+        r = multi_pool._reward_raw(alpha, betas, (points * betas).reshape(-1, n).T, c)
+        r = r.reshape(4, n, n)
+        return (np.diag(r[0] - r[3]) / (4.0 * h * steps),
+                (r[0] - r[1] - r[2] + r[3]) / (4.0 * h * h * np.outer(steps, steps)))
+
+    return [(4.0 * half - whole) / 3.0 for half, whole in zip(differences(h / 2), differences(h))]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_derivative_pass_is_the_kernels_richardson_differences(n):
+    # the pass's reward is the kernel's, bit for bit, and its Hessian is exactly symmetric;
+    # over 3200 such draws the differences, limited by their rounding and truncation, missed
+    # each d reward / d u_j by at most 3.6e-10 alpha beta_j, its scale, and the Hessian by
+    # at most 3.8e-7 of its largest entry: the rounding of a tiny alpha's reward dominates
+    rng = np.random.default_rng(70 + n)
+    for trial in range(8):
+        alpha = rng.uniform(0.01, 0.45)
+        betas = rng.uniform(0.01, 1.0, n) * rng.uniform(0.05, 0.99 - alpha) / n
+        if trial % 2:
+            betas[:n // 2 + 1] = betas[0]  # a group of equal pools
+        betas = tuple(betas.tolist())
+        u = rng.uniform(0.0, 1.0, n) * rng.uniform(0.05, 1.0) / n / betas
+        c = rng.uniform()
+        reward, grad, hess = multi_pool._derivatives(alpha, betas, c, u)
+        assert reward == multi_pool._reward_raw(alpha, betas, u * betas, c)
+        assert np.array_equal(hess, hess.T)
+        want_grad, want_hess = _richardson(alpha, betas, u, c, 3e-3)
+        assert np.all(np.abs(grad - want_grad) <= 2e-9 * alpha * np.array(betas))
+        assert np.abs(hess - want_hess).max() <= 2e-6 * np.abs(hess).max()
+
+
 def test_newton_step_goes_uphill_on_an_indefinite_hessian():
     # the plain Newton step -H^-1 g heads for the saddle and lowers the reward; the
     # clamped eigenvalues turn the positive-curvature direction uphill
@@ -454,12 +488,12 @@ def test_newton_step_goes_uphill_on_an_indefinite_hessian():
 def test_optimizer_stops_at_the_start_when_no_step_scores_higher(monkeypatch):
     derivatives, points = multi_pool._derivatives, []
 
-    def every_trial_scores_lower(alpha, betas, c, group, scale, u, diff_step):
-        reward, grad, hess, scored = derivatives(alpha, betas, c, group, scale, u, diff_step)
-        points.append(tuple(float(u[g] * scale[g]) for g in group))
+    def every_trial_scores_lower(alpha, betas, c, u):
+        reward, grad, hess = derivatives(alpha, betas, c, u)
+        points.append(tuple((u * betas).tolist()))
         if len(points) > 1:  # a trial, not the start
             reward -= 1.0
-        return reward, grad, hess, scored
+        return reward, grad, hess
 
     monkeypatch.setattr(multi_pool, "_derivatives", every_trial_scores_lower)
     res = optimize_allocation(*preset_attack(), 1.0)
@@ -471,7 +505,7 @@ def test_optimizer_stops_at_the_start_when_no_step_scores_higher(monkeypatch):
 def test_optimizer_rejects_empty_pool():
     with pytest.raises(DegenerateInput):
         optimize_allocation(0.2, (0.1, 0.0), 0.5)
-    with pytest.raises(DegenerateInput, match="beta >= 2.2250738585072014e-288"):
+    with pytest.raises(DegenerateInput, match="beta >= 2.2250738585072014e-308, the smallest"):
         optimize_allocation(0.2, (0.1, 5e-324), 0.5)
     with pytest.raises(DegenerateInput, match="alpha=5e-324 must be at least"):
         optimize_allocation(5e-324, (0.1, 0.2), 0.5)

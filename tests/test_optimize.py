@@ -68,11 +68,15 @@ def test_a_zero_xtol_stops_at_float_resolution():
 
 
 def test_table2_solve_makes_few_kernel_calls(monkeypatch):
-    # one call per Newton step scores all its derivative points, then one
-    # for the KKT check and one for the reward: 5 calls, not one per point
-    calls = []
-    raw = multi_pool._reward_raw
-    monkeypatch.setattr(multi_pool, "_reward_raw", lambda *args: calls.append(1) or raw(*args))
+    # one derivative pass at the start and one per trial point, each giving the reward,
+    # gradient and Hessian (3 passes), then one kernel call for the reported reward
+    calls = {"_derivatives": 0, "_reward_raw": 0}
+    for name in calls:
+        def counted(*args, name=name, call=getattr(multi_pool, name)):
+            calls[name] += 1
+            return call(*args)
+        monkeypatch.setattr(multi_pool, name, counted)
     res = optimize_allocation(*preset_attack("table2"), 1.0)
     assert res.converged
-    assert len(calls) <= 10
+    assert calls == {"_derivatives": res.evaluations, "_reward_raw": 1}
+    assert res.evaluations <= 5
