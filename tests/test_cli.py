@@ -12,7 +12,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fawkit import bounds
@@ -602,6 +602,25 @@ def test_bonus_threshold_of_a_tiny_pool(capsys):
     assert doc["feasible"] is False
 
 
+def _strict_json(text):
+    """The document, parsed as RFC 8259 JSON, which has no NaN or Infinity."""
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_a_non_finite_result_is_null_in_strict_json(capsys):
+    # the threshold is past the float range; the library returns inf, and CSV keeps it
+    argv = ("counter", "bonus-threshold", "--pool-power", "5e-324", "--c-max", "1")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    doc = _strict_json(out)
+    assert (doc["threshold"], doc["feasible"]) == (None, False)
+    assert bounds.safe_bonus_threshold(5e-324, 1.0) == float("inf")
+    code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert (code, out.splitlines()[1]) == (0, "1,bonus-threshold,5e-324,1.0,inf,False")
+
+
 def test_csv_output_is_one_header_and_one_row(capsys):
     code, out, _ = run_cli(capsys, "reward-single", "--alpha", "0.2", "--beta", "0.2",
                            "--c", "1", "--format", "csv")
@@ -806,11 +825,20 @@ def _cli_argvs(draw):
 
 @settings(max_examples=150)
 @given(_cli_argvs())
+# 1 - P rounded to 1 once ended in a ZeroDivisionError; 5e-324 gives an infinite threshold
+@example(["counter", "bonus-threshold", "--pool-power=1e-300", "--c-max=1"])
+@example(["counter", "bonus-threshold", "--pool-power=5e-324", "--c-max=1"])
 def test_no_flag_set_escapes_main(argv):
-    """Any flag set ends in exit 0, 1 or 2: nothing but SystemExit leaves main."""
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    """Any flag set ends in exit 0, 1 or 2: nothing but SystemExit leaves main.
+
+    A JSON document on exit 0 parses as strict JSON.
+    """
+    with contextlib.redirect_stdout(io.StringIO()) as out, \
+            contextlib.redirect_stderr(io.StringIO()):
         try:
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
     assert code in (0, 1, 2)
+    if code == 0 and out.getvalue().startswith("{"):
+        _strict_json(out.getvalue())
