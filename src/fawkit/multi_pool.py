@@ -216,8 +216,8 @@ def _derivatives(alpha, betas, c, u):
     fd = np.einsum("pi,pij->ij", g, zx + zy)  # d F_i / d u_j
     grad = db * d + e0 * r * d * d + k * (dst * forks + st @ fd)
     # sum_i s_i ta_i d^2 F_i in three products: stacked, they page-faulted at n = 8 (glibc trim)
-    fdd = _total((a * (g * st)[..., None]).reshape(-1, n).T @ a.reshape(-1, n)
-                 for a in (zx + zy, zx, zy))
+    w = (g * st)[..., None]
+    fdd = _total((a * w).reshape(-1, n).T @ a.reshape(-1, n) for a in (zx + zy, zx, zy))
     half = (np.outer(db, r) * d * d + k * dst[:, None] * fd + e0 * d ** 3 * np.outer(r, r)
             + np.diag(alpha * r * p ** 3 * (k * forks - d)) + k * fdd / 2.0)
     return reward, grad, half + half.T
