@@ -3,9 +3,9 @@
 Closed-form reward calculators for infiltrating one or many proportional
 pools, a two-pool mutual-attack game solver with region sweeps, network
 bounds and countermeasure economics, and a round-level Monte Carlo engine
-that independently cross-checks the single-pool, n-pool, game and
-bonus-scheme rewards; the detection and honeypot averages and the network
-bounds have no simulated counterpart.
+that independently cross-checks the single-pool, n-pool and game rewards
+(the bonus-scheme reward only through a single-pool run's round counts);
+the detection and honeypot averages and the network bounds have none.
 
 Each exported name is imported from its submodule on first use (PEP 562), so
 ``import fawkit`` loads no numpy until a name from ``game``, ``multi_pool`` or
