@@ -86,8 +86,11 @@ def _flatten(doc, prefix=""):
 def emit(doc: dict, fmt: str, dest) -> None:
     doc = {"schema_version": SCHEMA_VERSION, **doc}
     if fmt == "json":  # strict JSON (RFC 8259), which has no NaN or Infinity: they become null
-        doc = json.loads(json.dumps(doc), parse_constant=lambda _: None)
-        _write(json.dumps(doc, indent=2, allow_nan=False) + "\n", dest)
+        try:
+            text = json.dumps(doc, indent=2, allow_nan=False)
+        except ValueError:
+            text = json.dumps(json.loads(json.dumps(doc), parse_constant=lambda _: None), indent=2)
+        _write(text + "\n", dest)
         return
     # csv and table: the flattened document, list values as JSON
     flat = {k: json.dumps(v) if isinstance(v, (list, tuple)) else v

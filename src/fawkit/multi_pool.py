@@ -174,11 +174,10 @@ def reward_npool(s: MultiPoolScenario) -> float:
 class AllocationResult:
     """Optimized infiltration split. ``reward`` re-evaluates at ``taus``.
 
-    ``evaluations`` counts derivative passes: one at the start and one per
-    trial point of each Newton step. ``kkt_residual`` is the largest
-    violation of the first-order (KKT) conditions for a maximum over
-    {tau >= 0, sum(tau) <= 1} at ``taus``, in reward per unit of tau: about
-    1e-16 for a converged solve at alpha = 0.2.
+    ``evaluations`` counts derivative passes, one at the start and one per
+    trial point. ``kkt_residual`` is the largest violation of the first-order
+    (KKT) conditions for a maximum over {tau >= 0, sum(tau) <= 1} at ``taus``,
+    in reward per unit of tau: about 1e-16 for a converged solve at alpha = 0.2.
     """
 
     taus: tuple[float, ...]
@@ -200,7 +199,8 @@ def _derivatives(alpha, betas, c, u):
     share's p = beta / (beta + ta) = 1 / (1 + alpha u), with ds/du = alpha p^2.
     """
     n, b = len(u), np.array(betas)
-    total_tau, ta = _total(u * b), u * b * alpha
+    taus = u * b
+    total_tau, ta = _total(taus), taus * alpha
     total_ta, share = total_tau * alpha, ta / (b + ta)
     (_, x, g), = _fork_sets(ta, n)
     forks, k = np.add.accumulate(g)[-1], c * (1.0 - alpha - _total(betas))
@@ -305,14 +305,8 @@ def optimize_allocation(alpha, betas, c) -> AllocationResult:
     # one, and when the taus sum to 1, the sum's multiplier is the largest, if positive
     slack = grad / betas - (max((grad / betas).max(), 0.0) if _total(taus) >= 1.0 else 0.0)
     kkt = np.where(np.asarray(taus) > 0.0, np.abs(slack), slack).max(initial=0.0)
-    return AllocationResult(
-        taus=taus,
-        reward=reward,
-        rer_pct=rer(reward, alpha),
-        evaluations=passes,
-        converged=converged,
-        kkt_residual=float(kkt),
-    )
+    return AllocationResult(taus=taus, reward=reward, rer_pct=rer(reward, alpha),
+                            evaluations=passes, converged=converged, kkt_residual=float(kkt))
 
 
 def fixed_tau_reward_mismatched_c(alpha, betas, taus_planned, c_actual) -> float:
