@@ -301,9 +301,10 @@ def optimize_allocation(alpha, betas, c) -> AllocationResult:
 
     taus = tuple(float(u[g] * scale[g]) for g in group)
     reward = reward_npool(MultiPoolScenario(alpha, betas, taus, c))
-    # the KKT check from each d reward / d tau: a pool at tau = 0 violates only by a positive
-    # one, and when the taus sum to 1, the sum's multiplier is the largest, if positive
-    slack = grad / betas - (max((grad / betas).max(), 0.0) if _total(taus) >= 1.0 else 0.0)
+    slope = grad / betas  # each d reward / d tau, at the point accepted last
+    # a pool at tau = 0 violates the KKT conditions only by a positive slope; when the taus
+    # sum to 1, the sum's multiplier is the largest slope, if positive
+    slack = slope - (max(slope.max(), 0.0) if _total(taus) >= 1.0 else 0.0)
     kkt = np.where(np.asarray(taus) > 0.0, np.abs(slack), slack).max(initial=0.0)
     return AllocationResult(taus=taus, reward=reward, rer_pct=rer(reward, alpha),
                             evaluations=passes, converged=converged, kkt_residual=float(kkt))

@@ -833,8 +833,8 @@ def test_no_flag_set_escapes_main(argv):
 
     A JSON document on exit 0 parses as strict JSON.
     """
-    with contextlib.redirect_stdout(io.StringIO()) as out, \
-            contextlib.redirect_stderr(io.StringIO()):
+    with (contextlib.redirect_stdout(io.StringIO()) as out,
+          contextlib.redirect_stderr(io.StringIO())):
         try:
             code = main(argv)
         except SystemExit as exc:
